@@ -41,6 +41,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _number(key, val) -> float:
+    """A finite float from a flag or a JSON number or numeric string."""
+    try:
+        num = float(val)
+    except (TypeError, ValueError, OverflowError):
+        num = np.nan
+    if not np.isfinite(num):
+        raise UsageError(f"{key} must be a finite number, got {val!r}")
+    return num
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -61,6 +72,19 @@ class RunConfig:
         return self.n_steps * self.dt
 
     def validate(self):
+        # a JSON config may hold any type; flags arrive as float or str
+        for key in ("nu", "dt", "t"):
+            setattr(self, key, _number(key, getattr(self, key)))
+        if self.window_rel is not None:
+            self.window_rel = _number("window_rel", self.window_rel)
+        items = self.dt_list.split(",") if isinstance(self.dt_list, str) \
+            else self.dt_list
+        if not isinstance(items, list):
+            raise UsageError("dt_list must be a list of numbers or a "
+                             "comma-separated string")
+        self.dt_list = [_number("dt_list", v) for v in items]
+        if self.out is not None and not isinstance(self.out, str):
+            raise UsageError(f"out must be a path string, got {self.out!r}")
         if self.nu <= 0 or self.dt <= 0 or self.t < 0:
             raise UsageError("nu and dt must be positive, t non-negative")
         if self.branch not in ("plus", "minus"):
@@ -90,10 +114,7 @@ def _resolve(args) -> RunConfig:
         if val is not None:
             setattr(cfg, key, val)
     if getattr(args, "dt_list", None):
-        try:
-            cfg.dt_list = [float(v) for v in args.dt_list.split(",")]
-        except ValueError as exc:
-            raise UsageError(f"bad --dt-list: {exc}") from exc
+        cfg.dt_list = args.dt_list
     cfg.validate()
     return cfg
 

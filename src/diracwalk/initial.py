@@ -12,12 +12,12 @@ the entangled position-space coefficients
 on the walk lattice {x0 + m*dt}, scaled by sqrt(dt) and renormalized to an
 exact unit norm.
 
-The Fourier integrals use trapezoidal quadrature on a uniform momentum
-grid; the integrands are smooth and Gaussian-damped, so the trapezoid rule
-converges spectrally.  Uniform grid -> uniform grid evaluation runs as a
-blocked direct sum for small problems and as a chirp-z transform for the
-large-cutoff cases (nu ~ 50).  Everything here is pure construction of
-immutable values.
+The Fourier integrals use the trapezoid rule on the momenta 2 pi k/(L h)
+of a ring of L sites of spacing h; the integrands are smooth and
+Gaussian-damped, so the rule converges spectrally, and on that grid it is
+exactly one inverse FFT whose output index k mod L is lattice site k.  The
+lattice window is sized once, from the tails of c+-(x).  Everything here is
+pure construction of immutable values.
 """
 
 import warnings
@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import integrate
-from scipy.signal import czt
+from scipy.fft import ifft, ifftshift, next_fast_len
 
 from .constants import TOL, NumericalHealthError
 from .spinor import energy, spinor_weights
@@ -127,41 +127,17 @@ def _uniform_spacing(grid: np.ndarray) -> float:
     return float((grid[-1] - grid[0]) / (grid.size - 1))
 
 
-_CZT_CUTOVER = 3e7  # n_p * n_x above which the O(n log n) path takes over
-
-
-def _fourier_sum(values: np.ndarray, p: np.ndarray, dp: float,
-                 x_grid: np.ndarray, h: float) -> np.ndarray:
-    """sum_k values[k] * exp(i * p[k] * x_j) over the uniform x_grid.
-
-    Small transforms use blocked direct summation against the caller's
-    exact grid (roundoff ~1e-15 of the sum, needed for the 1e-14-of-peak
-    window criterion and parity identities); large ones use a chirp-z
-    transform, whose Bluestein noise floor (~1e-13) is irrelevant at the
-    tolerances of the large-cutoff use cases.  czt computes
-    X[j] = sum_k values[k] a^{-k} w^{jk}, so the x0 offset goes into ``a``
-    and the p0 offset into a post-multiplied phase.
-    """
-    n_x = x_grid.size
-    if values.size * n_x > _CZT_CUTOVER:
-        out = czt(values, m=n_x, w=np.exp(1j * dp * h),
-                  a=np.exp(-1j * dp * float(x_grid[0])))
-        return out * np.exp(1j * float(p[0]) * x_grid)
-    out = np.empty(n_x, dtype=complex)
-    block = max(1, int(4e6) // max(values.size, 1))
-    for lo in range(0, n_x, block):
-        chunk = x_grid[lo: lo + block]
-        out[lo: lo + block] = np.exp(1j * np.outer(chunk, p)) @ values
-    return out
-
-
 def position_coefficients(profile: MomentumProfile, x_grid: np.ndarray,
                           branch: str = "plus",
                           check_norm: bool = True) -> PositionAmplitudes:
     """Evaluate the entangled coefficients c+-(x) on a uniform x grid.
 
-    ``check_norm=False`` skips the combined-norm postcondition; used while
-    the window is still being grown to capture the exp(-|x|) tails.
+    The momentum step is at most min(pi/max|x|, p_max/400), so the
+    trapezoid rule's periodic images stay outside the grid; f is zeroed
+    beyond p_max.  Only the grid's sub-site offset enters as a phase, so a
+    grid through x = 0 with an even profile transforms real data and keeps
+    its parity symmetry exactly.  ``check_norm=False`` skips the
+    combined-norm postcondition, for deliberately truncated grids.
     """
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}")
@@ -175,21 +151,29 @@ def position_coefficients(profile: MomentumProfile, x_grid: np.ndarray,
 
     x_ext = float(np.max(np.abs(x_grid)))
     dp = min(np.pi / max(x_ext, h), profile.p_max / 400.0)
-    n_half = int(np.ceil(profile.p_max / dp))
-    # sign-symmetric to the last bit, so parity identities survive rounding
-    p = dp * np.arange(-n_half, n_half + 1)
-    w_trap = np.full(p.size, dp)
-    w_trap[0] = w_trap[-1] = dp / 2.0
+    n_ring = next_fast_len(max(x_grid.size,
+                               int(np.ceil(2.0 * np.pi / (h * dp)))))
+    # ring momenta p_k = k dp: exp(i p_k m h) = exp(2 pi i k m / n_ring)
+    dp = 2.0 * np.pi / (n_ring * h)
+    # FFT order, sign-symmetric to the last bit
+    p = dp * ifftshift(np.arange(-(n_ring // 2), n_ring - n_ring // 2))
+    inside = np.abs(p) <= profile.p_max
 
-    fp = profile(p)
-    w_up, w_dn = spinor_weights(p)
+    # grid point j is x_c + (j - j_c) h with x_c = xf + m_c h, |xf| <= h/2
+    j_c = (x_grid.size - 1) // 2
+    m_c = int(np.round(x_grid[j_c] / h))
+    xf = float(x_grid[j_c] - m_c * h)
+    weights = np.zeros((2, n_ring))
+    weights[:, inside] = (dp / np.sqrt(2.0 * np.pi)) * profile(p[inside]) \
+        * np.stack(spinor_weights(p[inside]))
     if branch == "minus":
-        w_up, w_dn = w_dn, w_up
-
-    scale = 1.0 / np.sqrt(2.0 * np.pi)
-    c_plus = scale * _fourier_sum(w_trap * w_up * fp, p, dp, x_grid, h)
-    c_minus = 1.0j * scale * _fourier_sum(w_trap * w_dn * fp, p, dp, x_grid, h)
-    out = PositionAmplitudes(x=x_grid, c_plus=c_plus, c_minus=c_minus)
+        weights = weights[::-1]
+    if xf != 0.0:  # at xf = 0 real weights take the exactly Hermitian path
+        weights = weights * np.exp(1j * p * xf)
+    ring = ifft(weights, axis=1, norm="forward")
+    idx = (m_c - j_c + np.arange(x_grid.size)) % n_ring
+    out = PositionAmplitudes(x=x_grid, c_plus=ring[0, idx],
+                             c_minus=1.0j * ring[1, idx])
     if check_norm and abs(out.norm_sq() - 1.0) > TOL.coeff_norm:
         raise NumericalHealthError(
             f"coefficient norm {out.norm_sq():.12f} is off by more than "
@@ -243,10 +227,14 @@ def build_initial_state(config: WalkInitConfig,
                         window_rel: float = TOL.window_rel) -> LatticeState:
     """Full construction: Gaussian profile -> c+-(x) -> lattice state.
 
-    The grid starts at +-max(10/nu, 20*dt) and is widened until the boundary
-    amplitude falls below ``window_rel`` of the peak (the coefficients carry
-    an exp(-|x|) Compton-scale tail, so this typically lands near |x| ~ 35).
+    The grid covers |x| <= ln(1/w) + sqrt(2 ln(1/w))/nu for the window
+    threshold w: the Compton tail exp(-|x|) plus the Gaussian envelope
+    exp(-nu^2 x^2/2); its edge must fall below w of the peak.  A w below
+    ``TOL.window_rel`` keeps the default window; a looser w truncates the
+    state and skips the coefficient-norm check.
     """
+    if not window_rel < 1.0:
+        raise ValueError(f"window_rel must be below 1, got {window_rel!r}")
     if profile is None:
         profile = gaussian_profile(config.nu)
     e0 = mean_energy(profile)
@@ -256,39 +244,20 @@ def build_initial_state(config: WalkInitConfig,
             "approximates the exact evolution for dt*E0 << 1",
             stacklevel=2,
         )
-    extent = max(10.0 / config.nu, 20.0 * config.dt)
-    prev_edge = np.inf
-    for _ in range(12):
-        grid = fiber_grid(config, extent)
-        coeffs = position_coefficients(profile, grid, config.branch,
-                                       check_norm=False)
-        mag = np.maximum(np.abs(coeffs.c_plus), np.abs(coeffs.c_minus))
-        edge = float(max(mag[0], mag[-1]) / mag.max())
-        if edge < window_rel:
-            break
-        if edge > 0.1 * prev_edge and edge < 1e-11:
-            break  # quadrature noise floor reached; deep in the tail anyway
-        prev_edge = edge
-        extent = max(extent * 1.5, extent + 16.0)
-    else:
-        raise NumericalHealthError("initial-state window failed to converge")
-    # a loosened window is an explicit request for a truncated construction;
-    # the truncated tail mass then dominates the norm budget, so the hard
-    # check only applies at the default threshold
-    if window_rel <= TOL.window_rel and abs(coeffs.norm_sq() - 1.0) > TOL.coeff_norm:
+    thr = max(window_rel, TOL.window_rel)
+    efolds = np.log(1.0 / thr)
+    grid = fiber_grid(config, efolds + np.sqrt(2.0 * efolds) / config.nu)
+    coeffs = position_coefficients(profile, grid, config.branch,
+                                   check_norm=window_rel <= TOL.window_rel)
+    mag = np.maximum(np.abs(coeffs.c_plus), np.abs(coeffs.c_minus))
+    edge = float(max(mag[0], mag[-1]) / mag.max())
+    if not edge < thr:
         raise NumericalHealthError(
-            f"coefficient norm {coeffs.norm_sq():.12f} off by more than "
-            f"{TOL.coeff_norm:.1e} on the converged window"
+            f"initial-state window edge at {edge:.3g} of the peak, "
+            f"not below {thr:.1e}"
         )
 
-    state = discretize_to_lattice(coeffs, config)
-    if window_rel != TOL.window_rel:
-        # re-window at the requested (looser) threshold
-        mag = np.maximum(np.abs(state.a_plus), np.abs(state.a_minus))
-        keep = np.nonzero(mag >= window_rel * mag.max())[0]
-        lo, hi = int(keep[0]), int(keep[-1]) + 1
-        ap, am = state.a_plus[lo:hi], state.a_minus[lo:hi]
-        norm = np.sqrt(np.sum(np.abs(ap) ** 2 + np.abs(am) ** 2))
-        state = LatticeState(dt=state.dt, m_min=state.m_min + lo, x0=state.x0,
-                             a_plus=ap / norm, a_minus=am / norm)
-    return state
+    keep = np.nonzero(mag >= thr * mag.max())[0]
+    for c in (coeffs.c_plus, coeffs.c_minus):  # discretize cuts at the zeros
+        c[:keep[0]] = c[keep[-1] + 1:] = 0.0
+    return discretize_to_lattice(coeffs, config)

@@ -186,3 +186,48 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
     assert "done in" in proc.stdout
+
+
+def test_window_rel_at_or_below_default_keeps_default_window(tmp_path):
+    base = ["walk", "--nu", "1", "--dt", "0.05", "--t", "0.5"]
+    rows = {}
+    for window_rel in (None, "1e-16", "1e-20", "0", "1e-6"):
+        out = tmp_path / f"w{window_rel}.csv"
+        flags = ["--window-rel", window_rel] if window_rel else []
+        assert run_cli(*base, *flags, "--out", str(out)) == 0
+        rows[window_rel] = read_csv(out)[2]
+    for window_rel in ("1e-16", "1e-20", "0"):
+        assert np.array_equal(rows[window_rel], rows[None])
+    assert len(rows["1e-6"]) < len(rows[None])
+
+
+def test_config_numbers_as_strings(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nu": "2.5", "dt": "0.05", "t": 0.5}))
+    out = tmp_path / "out.csv"
+    assert run_cli("walk", "--config", str(cfg), "--out", str(out)) == 0
+    meta, _, _ = read_csv(out)
+    assert float(meta["nu"]) == 2.5 and float(meta["dt"]) == 0.05
+
+
+@pytest.mark.parametrize("dt_list", ["0.04,0.02", [0.04, 0.02]])
+def test_config_dt_list_forms(tmp_path, dt_list):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nu": 1.0, "t": 0.2, "dt_list": dt_list}))
+    out = tmp_path / "cmp.csv"
+    assert run_cli("compare", "--config", str(cfg), "--out", str(out)) == 0
+    _, _, rows = read_csv(out)
+    assert rows[:, 0].tolist() == [0.04, 0.02]
+
+
+@pytest.mark.parametrize("bad", [
+    {"nu": "abc"}, {"nu": [2.5]}, {"dt": None}, {"t": float("inf")},
+    {"nu": float("nan")}, {"window_rel": "x"}, {"window_rel": 1.0},
+    {"dt_list": 0.02}, {"dt_list": ["0.02", "a"]}, {"out": 3},
+])
+def test_config_bad_values_exit_one(tmp_path, capsys, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nu": 2.0, "dt": 0.05, "t": 0.5, **bad}))
+    assert run_cli("walk", "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1

@@ -2,11 +2,34 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from diracwalk import (NumericalHealthError, WalkInitConfig,
-                       build_initial_state, discretize_to_lattice, energy,
-                       fiber_grid, gaussian_profile, mean_energy,
-                       position_coefficients)
+from diracwalk import (TOL, NumericalHealthError, Tolerances,
+                       WalkInitConfig, build_initial_state,
+                       discretize_to_lattice, energy, fiber_grid,
+                       gaussian_profile, initial, mean_energy,
+                       position_coefficients, spinor_weights)
 from diracwalk.initial import PositionAmplitudes
+
+
+def direct_sum_coefficients(profile, x_grid):
+    """Oracle for position_coefficients: the trapezoid rule on
+    p = dp*[-n, n], dp = min(pi/max|x|, p_max/400), summed directly at every
+    x in blocks, O(n_p * n_x).  Returns the plus-branch sums of W+ f and
+    W- f; c+ is the first, c- is i times the second, and the minus branch
+    swaps them."""
+    h = (x_grid[-1] - x_grid[0]) / (x_grid.size - 1)
+    dp = min(np.pi / max(np.max(np.abs(x_grid)), h), profile.p_max / 400.0)
+    n_half = int(np.ceil(profile.p_max / dp))
+    p = dp * np.arange(-n_half, n_half + 1)
+    w_trap = np.full(p.size, dp)
+    w_trap[0] = w_trap[-1] = dp / 2.0
+    values = np.stack(spinor_weights(p), axis=1) \
+        * (w_trap * profile(p) / np.sqrt(2.0 * np.pi))[:, None]
+    out = np.empty((x_grid.size, 2), dtype=complex)
+    block = max(1, int(4e6) // p.size)
+    for lo in range(0, x_grid.size, block):
+        chunk = x_grid[lo: lo + block]
+        out[lo: lo + block] = np.exp(1j * np.outer(chunk, p)) @ values
+    return out[:, 0], out[:, 1]
 
 
 def test_gaussian_profile_normalized():
@@ -183,3 +206,64 @@ def test_walk_init_config_validation():
 def test_mean_energy_warning_regime():
     with pytest.warns(UserWarning, match="dt\\*E0"):
         build_initial_state(WalkInitConfig(nu=2.0, dt=0.2))
+
+
+@pytest.mark.parametrize("x0_frac", [0.0, 0.3, -0.2, 0.5])
+@pytest.mark.parametrize("nu,dt", [(1.0, 0.02), (2.5, 0.01), (1.5, 0.05),
+                                   (10.0, 0.004)])
+def test_fft_coefficients_match_direct_sum(nu, dt, x0_frac):
+    cfg = WalkInitConfig(nu=nu, dt=dt, x0=x0_frac * dt)
+    prof = gaussian_profile(nu)
+    grid = fiber_grid(cfg, 36.0)
+    s_up, s_dn = direct_sum_coefficients(prof, grid)
+    peak = np.max(np.maximum(np.abs(s_up), np.abs(s_dn)))
+    for branch, want_plus, want_minus in (("plus", s_up, 1j * s_dn),
+                                          ("minus", s_dn, 1j * s_up)):
+        co = position_coefficients(prof, grid, branch=branch)
+        assert np.abs(co.c_plus - want_plus).max() < 1e-13 * peak
+        assert np.abs(co.c_minus - want_minus).max() < 1e-13 * peak
+
+
+def test_large_cutoff_window_set_by_the_tail():
+    state = build_initial_state(WalkInitConfig(nu=10.0, dt=0.002))
+    assert state.n_sites < 30000
+
+
+def test_sharp_packet_meets_coefficient_norm_budget():
+    # the build raises unless the coefficient norm is within TOL.coeff_norm
+    state = build_initial_state(WalkInitConfig(nu=50.0, dt=0.0005))
+    assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("nu", [0.05, 0.5, 1.0, 2.5, 10.0, 50.0])
+def test_window_symmetric_and_not_cut_by_the_grid(nu):
+    cfg = WalkInitConfig(nu=nu, dt=min(0.05, 0.1 / nu))
+    state = build_initial_state(cfg)
+    m_max = state.m_min + state.n_sites - 1
+    assert state.m_min == -m_max
+    # the sites just outside, on a grid 10 length units wider, are below the
+    # threshold up to the transform's rounding, 1e-16 of the peak: that is
+    # 1% of the threshold, more than the tail falls per site at small dt
+    wide = position_coefficients(gaussian_profile(nu),
+                                 fiber_grid(cfg, m_max * cfg.dt + 10.0))
+    mag = np.maximum(np.abs(wide.c_plus), np.abs(wide.c_minus))
+    sites = np.round(wide.x / cfg.dt).astype(int)
+    outside = mag[np.isin(sites, (-m_max - 1, m_max + 1))]
+    assert outside.size == 2
+    assert np.all(outside < (TOL.window_rel + 1e-16) * mag.max())
+
+
+def test_norm_check_only_at_default_threshold(monkeypatch):
+    # a negative budget fails every norm check that runs
+    monkeypatch.setattr(initial, "TOL", Tolerances(coeff_norm=-1.0))
+    cfg = WalkInitConfig(nu=2.0, dt=0.05)
+    for window_rel in (TOL.window_rel, 1e-20, 0.0):
+        with pytest.raises(NumericalHealthError, match="norm"):
+            build_initial_state(cfg, window_rel=window_rel)
+    state = build_initial_state(cfg, window_rel=1e-6)
+    assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_window_rel_must_be_below_one():
+    with pytest.raises(ValueError, match="window_rel"):
+        build_initial_state(WalkInitConfig(nu=2.0, dt=0.05), window_rel=1.0)
