@@ -14,15 +14,15 @@ from .spinor import (DiracRep, EnergySpinor, dirac_representation, energy,
 from .initial import (MomentumProfile, PositionAmplitudes, WalkInitConfig,
                       build_initial_state, discretize_to_lattice, fiber_grid,
                       gaussian_profile, mean_energy, position_coefficients)
-from .walk import (LatticeState, WalkConfig, coin_matrix, coin_step,
-                   empirical_moment, evolve, evolve_adjoint,
-                   position_distribution, run_walk, shift_step, step,
-                   step_adjoint)
-from .exact import (ComparisonReport, MomentumGrid, SpectralState,
-                    compare_densities, energy_leakage, evolve_exact,
-                    evolve_exact_on_lattice, lattice_to_spectral,
-                    positive_energy_projector, propagator_matrix,
-                    spectral_to_lattice)
+from .walk import (LatticeState, coin_matrix, coin_step, empirical_moment,
+                   evolve_adjoint, evolve_steps, position_distribution,
+                   shift_step, step, step_adjoint)
+from .spectral import (MomentumGrid, SpectralState, evolve, evolve_exact,
+                       lattice_to_spectral, spectral_to_lattice,
+                       walk_power_symbol)
+from .exact import (ComparisonReport, compare_densities, energy_leakage,
+                    evolve_exact_on_lattice, positive_energy_projector,
+                    propagator_matrix)
 from .asymptotic import (SpectralCoefficients, WalkSymbol, gaussian_g_approx,
                          group_velocity, horn_location, limit_cdf,
                          limit_cdf_gaussian, limit_density,

@@ -23,9 +23,10 @@ from .asymptotic import horn_location, limit_density, limit_moment
 from .constants import NumericalHealthError
 from .exact import compare_densities, energy_leakage, evolve_exact_on_lattice
 from .initial import WalkInitConfig, build_initial_state
+from .spectral import evolve
 from .svgplot import write_svg
 from .table import ResultTable
-from .walk import empirical_moment, evolve, position_distribution
+from .walk import empirical_moment, position_distribution
 
 FIGURE1_NUS = (1.9, 2.5, 2.9)
 
@@ -157,9 +158,8 @@ def cmd_walk(cfg: RunConfig) -> ResultTable:
     state = _initial_state(cfg)
     final = evolve(state, cfg.n_steps, cfg.branch)
     table = _density_table(final, _echo(cfg))
-    drift = float(final.norm_drift.max()) if final.norm_drift is not None \
-        and final.norm_drift.size else 0.0
-    table.metadata["norm_drift_max"] = drift
+    table.metadata["norm_drift_max"] = float(final.norm_drift.max()) \
+        if final.norm_drift.size else 0.0
     return table
 
 

@@ -41,6 +41,15 @@ class Tolerances:
 
 TOL = Tolerances()
 
+# Longest momentum ring (sites) that walk or exact evolution may allocate.
+# A ring array holds two complex128 spin components, 32 B per site, and an
+# evolution keeps a few alive at once (FFT input and output, the per-mode
+# symbol, the evolved modes): a walk peaks at 176 B per site, about 0.75 GB
+# at this cap.  A walk of n steps needs a ring of at least n_sites + 2n, so
+# this admits about 2 * 10^6 steps; longer runs are refused before anything
+# is allocated.
+MAX_RING_SITES = 2 ** 22
+
 
 def require_finite(name, value):
     """Reject NaN/inf inputs up front (they poison every closed form)."""

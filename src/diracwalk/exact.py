@@ -1,117 +1,34 @@
-"""Exact momentum-space evolution of the effective 2-component dynamics,
-the positive-energy branch projector, and walk-vs-exact comparison metrics.
+"""Exact evolution of lattice states, the positive-energy branch projector,
+and walk-vs-exact comparison metrics.
 
-The lattice state is carried to a discrete momentum grid by a unitary DFT
-(convention: spectral(p) picks up exp(-i p x), position recovers it with
-exp(+i p x); dp * dx * N = 2 pi holds exactly), each mode is multiplied by
-the closed-form propagator
-
-    exp(-i H(p) t) = cos(E t) I - i (sin(E t) / E) H(p),   E = sqrt(p^2+1),
-
-which is exact because H(p)^2 = E^2 I, and the result is transformed back
-and read off at the original lattice sites.  Per-mode work is
-embarrassingly parallel; all functions are pure.
+Exact evolution multiplies each mode of the shared momentum ring of
+``spectral`` by the closed-form propagator exp(-i H(p) t) and reads the
+result off at the lattice sites again.  All functions are pure.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
 
 from .constants import NumericalHealthError
+from .spectral import (SpectralState, branch_sign, evolve_exact,
+                       lattice_to_spectral, propagator_symbol,
+                       spectral_to_lattice)
 from .spinor import u_minus_effective, u_plus_effective
-from .walk import BRANCHES, LatticeState, position_distribution
-
-
-@dataclass(frozen=True)
-class MomentumGrid:
-    """Discrete Fourier-dual momentum grid of a lattice with spacing dt."""
-
-    n: int
-    dt: float
-
-    @property
-    def p(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dt)
-
-    @property
-    def dp(self) -> float:
-        return 2.0 * np.pi / (self.n * self.dt)
-
-
-@dataclass(frozen=True)
-class SpectralState:
-    """2-component amplitudes per grid momentum (spin basis |+>, |->)."""
-
-    grid: MomentumGrid
-    amp: np.ndarray  # shape (2, n)
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amp) ** 2))
-
-
-def _branch_sign(branch: str) -> float:
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}")
-    return 1.0 if branch == "plus" else -1.0
+from .walk import LatticeState, position_distribution
 
 
 def propagator_matrix(p: float, t: float, branch: str = "plus") -> np.ndarray:
     """exp(-i H(p) t) in closed form; unitary by construction."""
-    sign = _branch_sign(branch)
-    e = np.sqrt(p * p + 1.0)
-    c = np.cos(e * t)
-    s = np.sin(e * t) / e
-    return np.array([[c - 1j * s * sign * p, -s],
-                     [s, c + 1j * s * sign * p]], dtype=complex)
+    m00, m01, m10, m11 = propagator_symbol(float(p), t, branch)
+    return np.array([[m00, m01], [m10, m11]], dtype=complex)
 
 
 def positive_energy_projector(p: float, branch: str = "plus") -> np.ndarray:
     """Rank-1 Hermitian projector onto the positive-energy spinor at p."""
-    sign = _branch_sign(branch)
+    sign = branch_sign(branch)
     w = u_plus_effective(float(p)) if sign > 0 else u_minus_effective(float(p))
     return np.outer(w, np.conj(w))
-
-
-def lattice_to_spectral(state: LatticeState, n_ring: int | None = None,
-                        pad_sites: int = 0) -> SpectralState:
-    """Unitary DFT of the lattice state onto a ring of >= n_sites + pad."""
-    need = state.n_sites + pad_sites
-    n = next_fast_len(need) if n_ring is None else n_ring
-    if n < need:
-        raise ValueError("ring too small for the state plus padding")
-    buf = np.zeros((2, n), dtype=complex)
-    idx = np.mod(state.sites, n)
-    buf[0, idx] = state.a_plus
-    buf[1, idx] = state.a_minus
-    amp = fft(buf, axis=1) / np.sqrt(n)
-    return SpectralState(grid=MomentumGrid(n=n, dt=state.dt), amp=amp)
-
-
-def spectral_to_lattice(spec: SpectralState, m_min: int, n_sites: int,
-                        x0: float = 0.0) -> LatticeState:
-    """Inverse DFT, read out the window [m_min, m_min + n_sites)."""
-    n = spec.grid.n
-    if n_sites > n:
-        raise ValueError("requested window exceeds the ring")
-    buf = ifft(spec.amp, axis=1) * np.sqrt(n)
-    idx = np.mod(np.arange(m_min, m_min + n_sites), n)
-    return LatticeState(dt=spec.grid.dt, m_min=m_min, x0=x0,
-                        a_plus=buf[0, idx], a_minus=buf[1, idx])
-
-
-def evolve_exact(spec: SpectralState, t: float,
-                 branch: str = "plus") -> SpectralState:
-    """Multiply every momentum mode by the closed-form propagator."""
-    sign = _branch_sign(branch)
-    p = spec.grid.p
-    e = np.sqrt(p * p + 1.0)
-    c = np.cos(e * t)
-    s = np.sin(e * t) / e
-    up, dn = spec.amp
-    new_up = (c - 1j * s * sign * p) * up - s * dn
-    new_dn = s * up + (c + 1j * s * sign * p) * dn
-    return SpectralState(grid=spec.grid, amp=np.stack([new_up, new_dn]))
 
 
 def _check_band_occupation(spec: SpectralState) -> None:

@@ -9,10 +9,11 @@ directions.  Arrays grow by exactly one site per side per step, so the
 light-cone bound (zero amplitude beyond the initial support widened by n
 sites) holds bit-exactly.  Site-index arithmetic never mixes fibers.
 
-Evolution monitors the total probability after every step and aborts when
-the cumulative drift exceeds the unitarity budget; it never renormalizes
-silently.  States are values; a single evolution is sequential, but
-independent evolutions share nothing and may run concurrently.
+``evolve_steps`` monitors the total probability after every step and aborts
+when the cumulative drift exceeds the unitarity budget; it never
+renormalizes silently.  It is the reference for ``spectral.evolve``, which
+runs all n steps as one multiplication per quasi-momentum.  States are
+values; independent evolutions share nothing and may run concurrently.
 """
 
 from dataclasses import dataclass, field, replace
@@ -65,22 +66,6 @@ class LatticeState:
 
     def copy(self) -> "LatticeState":
         return replace(self, a_plus=self.a_plus.copy(), a_minus=self.a_minus.copy())
-
-
-@dataclass
-class WalkConfig:
-    """Parameters of one walk run plus the recorded per-step norm drift."""
-
-    dt: float
-    n_steps: int
-    branch: str = "plus"
-    norm_drift: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.n_steps < 0:
-            raise ValueError("n_steps must be >= 0")
-        if self.branch not in BRANCHES:
-            raise ValueError(f"branch must be one of {BRANCHES}")
 
 
 def coin_matrix(dt: float) -> np.ndarray:
@@ -147,9 +132,11 @@ def step_adjoint(state: LatticeState, branch: str = "plus") -> LatticeState:
     )
 
 
-def evolve(state: LatticeState, n_steps: int, branch: str = "plus",
-           drift_tol: float = TOL.norm_drift_abort) -> LatticeState:
-    """Apply ``n_steps`` walk steps, recording |norm^2 - 1| after each.
+def evolve_steps(state: LatticeState, n_steps: int, branch: str = "plus",
+                 drift_tol: float = TOL.norm_drift_abort) -> LatticeState:
+    """Apply ``n_steps`` walk steps one by one, recording |norm^2 - 1|
+    after each.  ``spectral.evolve`` computes the same state in one FFT
+    pair; this loop is its reference.
 
     Drift is monitored, never repaired: exceeding ``drift_tol`` raises
     ``NumericalHealthError``.  The returned state carries the per-step
@@ -182,15 +169,6 @@ def evolve_adjoint(state: LatticeState, n_steps: int,
     out = state
     for _ in range(n_steps):
         out = step_adjoint(out, branch)
-    return out
-
-
-def run_walk(state: LatticeState, config: WalkConfig) -> LatticeState:
-    """Evolve per a WalkConfig, storing the drift record on the config."""
-    if abs(config.dt - state.dt) > 1e-12 * state.dt:
-        raise ValueError("config dt does not match the lattice spacing")
-    out = evolve(state, config.n_steps, config.branch)
-    config.norm_drift = out.norm_drift
     return out
 
 

@@ -1,11 +1,15 @@
 import json
+import re
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from diracwalk.cli import main
+from diracwalk.constants import MAX_RING_SITES
 from diracwalk.table import read_csv
 
 
@@ -168,6 +172,25 @@ def test_usage_errors_exit_one():
 def test_numerical_health_exit_two():
     # dt too coarse for the packet's momentum cutoff -> aliasing -> exit 2
     assert run_cli("walk", "--nu", "2.5", "--dt", "0.3", "--t", "1") == 2
+
+
+@pytest.mark.parametrize("command", ["walk", "exact", "asymptotic"])
+def test_over_budget_run_refused_before_allocating(capsys, command):
+    # t = 1e9 needs a ring of 2e11 sites; the preflight refuses it
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        assert run_cli(command, "--t", "1e9") == 1
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert re.search(r"ring of \d{12} sites", err)
+    assert str(MAX_RING_SITES) in err
+    assert elapsed < 0.5
+    assert peak < 16e6
 
 
 def test_unwritable_output_path(tmp_path):

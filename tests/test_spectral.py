@@ -1,0 +1,69 @@
+import mpmath
+import numpy as np
+import pytest
+
+from diracwalk import (WalkInitConfig, build_initial_state, evolve,
+                       evolve_steps, walk_power_symbol)
+from diracwalk.asymptotic import walk_symbol_matrix
+
+EPS = 2.2e-16
+PHIS = (0.0, 1e-3, 0.3, np.pi / 2, 2.9, np.pi, 5.0)
+
+
+def mp_walk_power(phi: float, dt: float, n: int, sign: int) -> np.ndarray:
+    """M(phi)^n by binary powering in 40-digit arithmetic, where
+    M = diag(e^{-i sign phi}, e^{i sign phi}) . coin(dt)."""
+    with mpmath.workdps(40):
+        phi, dt = mpmath.mpf(phi), mpmath.mpf(dt)
+        rot = mpmath.expj(-sign * phi)
+        c, s = mpmath.cos(dt), mpmath.sin(dt)
+        step = mpmath.matrix([[rot * c, -rot * s],
+                              [s / rot, c / rot]])
+        power = step ** n
+        return np.array([[complex(power[i, j]) for j in range(2)]
+                         for i in range(2)])
+
+
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+@pytest.mark.parametrize("dt", [0.005, 0.0005])
+@pytest.mark.parametrize("n", [1, 10, 10_000, 1_000_000])
+def test_walk_power_matches_mpmath(n, dt, branch):
+    # rounding theta costs ~pi*n*eps in phase, as the loop's rounded coin does
+    sign = 1 if branch == "plus" else -1
+    m00, m01, m10, m11 = walk_power_symbol(np.array(PHIS), dt, n, branch)
+    got = np.array([[m00, m01], [m10, m11]])
+    for k, phi in enumerate(PHIS):
+        err = np.abs(got[:, :, k] - mp_walk_power(phi, dt, n, sign)).max()
+        assert err < 8 * (n + 1) * EPS, (phi, err)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_walk_power_is_the_symbol_power(n):
+    # the ring's phase phi is the weak-limit quasi-momentum -phi
+    phi = np.linspace(-np.pi, np.pi, 37)
+    for dt in (0.3, 0.02):
+        for branch, sign in (("plus", -1.0), ("minus", 1.0)):
+            m00, m01, m10, m11 = walk_power_symbol(phi, dt, n, branch)
+            for k, f in enumerate(phi):
+                want = np.linalg.matrix_power(
+                    walk_symbol_matrix(sign * f, dt), n)
+                got = np.array([[m00[k], m01[k]], [m10[k], m11[k]]])
+                assert np.abs(got - want).max() < 1e-14
+
+
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+@pytest.mark.parametrize("nu, dt, n", [(2.5, 0.005, 10_000),
+                                       (10.0, 0.002, 3000),
+                                       (1.0, 0.02, 100),
+                                       (2.0, 0.05, 200)])
+def test_evolve_matches_step_loop(nu, dt, n, branch):
+    state = build_initial_state(WalkInitConfig(nu=nu, dt=dt, branch=branch))
+    fast = evolve(state, n, branch)
+    oracle = evolve_steps(state, n, branch)
+    assert (fast.m_min, fast.n_sites) == (oracle.m_min, oracle.n_sites)
+    err = max(np.abs(fast.a_plus - oracle.a_plus).max(),
+              np.abs(fast.a_minus - oracle.a_minus).max())
+    assert err < 1e-12
+    assert fast.norm_drift.shape == (1,)
+    assert fast.norm_drift[0] < 1e-12
+

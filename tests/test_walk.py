@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracwalk import (LatticeState, NumericalHealthError, WalkConfig,
-                       WalkInitConfig, build_initial_state, coin_matrix,
-                       coin_step, empirical_moment, evolve, evolve_adjoint,
-                       position_distribution, run_walk, shift_step, step)
+from diracwalk import (LatticeState, NumericalHealthError, WalkInitConfig,
+                       build_initial_state, coin_matrix, coin_step,
+                       empirical_moment, evolve, evolve_adjoint, evolve_steps,
+                       position_distribution, shift_step, step)
 
 
 def single_site(spin, dt=0.1, m=0):
@@ -103,7 +103,9 @@ def test_evolve_zero_steps_identity():
     assert np.abs(out.a_plus - state.a_plus).max() == 0.0
 
 
-def test_evolve_light_cone_exact_zero():
+@pytest.mark.parametrize("evolver", [evolve, evolve_steps],
+                         ids=["evolve", "evolve_steps"])
+def test_evolve_light_cone_exact_zero(evolver):
     # pad the initial support: everything beyond support +- n stays 0.0 bitwise
     pad = 40
     n = 25
@@ -111,7 +113,7 @@ def test_evolve_light_cone_exact_zero():
     a[pad] = 1.0
     state = LatticeState(dt=0.2, m_min=-pad, a_plus=a,
                          a_minus=np.zeros_like(a))
-    out = evolve(state, n)
+    out = evolver(state, n)
     prob = position_distribution(out)
     sites = out.sites
     outside = np.abs(sites) > n
@@ -123,7 +125,7 @@ def test_evolve_light_cone_exact_zero():
 
 def test_evolve_records_drift_and_stays_unitary():
     state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.05))
-    out = evolve(state, 200)
+    out = evolve_steps(state, 200)
     assert out.norm_drift.shape == (200,)
     assert out.norm_drift.max() < 1e-12
 
@@ -134,24 +136,6 @@ def test_evolve_aborts_on_bad_norm():
                          a_minus=np.zeros(1, dtype=complex))
     with pytest.raises(NumericalHealthError, match="norm"):
         evolve(state, 1)
-
-
-def test_walk_config_validation():
-    with pytest.raises(ValueError):
-        WalkConfig(dt=0.1, n_steps=-1)
-    with pytest.raises(ValueError):
-        WalkConfig(dt=0.1, n_steps=5, branch="diagonal")
-
-
-def test_run_walk_records_drift_on_config():
-    state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.05))
-    cfg = WalkConfig(dt=0.05, n_steps=30)
-    out = run_walk(state, cfg)
-    assert cfg.norm_drift.shape == (30,)
-    assert cfg.norm_drift.max() < 1e-12
-    assert out.n_sites == state.n_sites + 60
-    with pytest.raises(ValueError, match="spacing"):
-        run_walk(state, WalkConfig(dt=0.1, n_steps=3))
 
 
 def test_distribution_point_mass():
