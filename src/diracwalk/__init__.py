@@ -15,19 +15,16 @@ from .initial import (MomentumProfile, PositionAmplitudes, WalkInitConfig,
                       build_initial_state, discretize_to_lattice, fiber_grid,
                       gaussian_profile, mean_energy, position_coefficients)
 from .walk import (LatticeState, coin_matrix, coin_step, empirical_moment,
-                   evolve_adjoint, evolve_steps, position_distribution,
-                   shift_step, step, step_adjoint)
+                   evolve_steps, position_distribution, shift_step, step)
 from .spectral import (MomentumGrid, SpectralState, evolve, evolve_exact,
-                       lattice_to_spectral, spectral_to_lattice,
-                       walk_power_symbol)
+                       lattice_to_spectral, propagator_symbol,
+                       spectral_to_lattice, walk_power_symbol)
 from .exact import (ComparisonReport, compare_densities, energy_leakage,
-                    evolve_exact_on_lattice, positive_energy_projector,
-                    propagator_matrix)
-from .asymptotic import (SpectralCoefficients, WalkSymbol, gaussian_g_approx,
+                    evolve_exact_on_lattice)
+from .asymptotic import (SpectralCoefficients, gaussian_g_approx,
                          group_velocity, horn_location, limit_cdf,
                          limit_cdf_gaussian, limit_density,
                          limit_density_mass, limit_moment,
-                         spectral_coefficients, walk_symbol,
-                         walk_symbol_matrix)
+                         spectral_coefficients, walk_symbol_matrix)
 
 __version__ = "0.1.0"

@@ -2,8 +2,9 @@
 eigensystem, group velocity, spectral coefficients of lattice states, and
 the closed-form asymptotic position density with its CDF and moments.
 
-The shift is diagonal on generalized states labeled by a quasi-momentum
-phi in [-pi, pi); one walk step acts there through the 2x2 unitary symbol
+The shift is diagonal on generalized states e^{i m phi}; the quasi-momentum
+phi is minus the ring phase of ``spectral`` (sign map stated there), and
+one walk step acts there through the 2x2 unitary symbol
 
     M(phi) = diag(e^{i phi}, e^{-i phi}) . coin(dt)
 
@@ -27,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.fft import ifft, next_fast_len
+from scipy.fft import next_fast_len
 
+from .spectral import lattice_to_spectral
 from .walk import LatticeState, coin_matrix
 
 
@@ -72,32 +74,10 @@ def _eigen_system(phi, dt):
     return lam_p, lam_m, f_pp, f_pm, f_mp, f_mm
 
 
-@dataclass(frozen=True)
-class WalkSymbol:
-    """Eigen-decomposition of the walk symbol at one quasi-momentum."""
-
-    phi: float
-    dt: float
-    lam_plus: complex
-    lam_minus: complex
-    v_plus: np.ndarray
-    v_minus: np.ndarray
-
-
 def walk_symbol_matrix(phi: float, dt: float) -> np.ndarray:
     """The 2x2 symbol diag(e^{i phi}, e^{-i phi}) . coin(dt)."""
     shift = np.diag([np.exp(1j * phi), np.exp(-1j * phi)])
     return shift @ coin_matrix(dt)
-
-
-def walk_symbol(phi: float, dt: float) -> WalkSymbol:
-    lam_p, lam_m, f_pp, f_pm, f_mp, f_mm = _eigen_system(float(phi), dt)
-    return WalkSymbol(
-        phi=float(phi), dt=float(dt),
-        lam_plus=complex(lam_p), lam_minus=complex(lam_m),
-        v_plus=np.array([complex(f_pp), complex(f_pm)]),
-        v_minus=np.array([complex(f_mp), complex(f_mm)]),
-    )
 
 
 def group_velocity(phi, dt: float):
@@ -116,7 +96,8 @@ def group_velocity(phi, dt: float):
 
 @dataclass(frozen=True)
 class SpectralCoefficients:
-    """g+-(phi) of a lattice state on a uniform phi grid from -pi."""
+    """g+-(phi) of a lattice state on a uniform phi grid: one ring period,
+    ascending."""
 
     phi: np.ndarray
     g_plus: np.ndarray
@@ -138,36 +119,24 @@ def spectral_coefficients(state: LatticeState,
     """Expand a lattice state in the symbol eigenbasis.
 
     g+-(phi) = sum_m {c+(m dt) f*(+-,+) + c-(m dt) f*(+-,-)} e^{i m phi},
-    with c(m dt) = a[m]/sqrt(dt).  The phi grid must resolve the state's
-    trigonometric degree: at least one point per occupied site (default 8x,
-    rounded up to an FFT-friendly size).
+    with c(m dt) = a[m]/sqrt(dt), read off the ring of ``spectral`` at
+    phi = -(ring phase): one ring period, ascending.  The grid must resolve
+    the state's trigonometric degree: at least one point per occupied site
+    (default 8x, rounded up to an FFT-friendly size).
     """
-    width = state.n_sites
     if n_phi is None:
-        n_phi = next_fast_len(max(8 * width, 4096))
-    if n_phi < width:
-        raise ValueError(
-            f"phi grid with {n_phi} points cannot resolve a state "
-            f"spanning {width} sites"
-        )
-    n = int(n_phi)
-    phi = -np.pi + 2.0 * np.pi * np.arange(n) / n
-
-    # A_s(phi_j) = sum_m a_s[m] e^{i m phi_j} = N * ifft(a_s[m] (-1)^m)
-    buf = np.zeros((2, n), dtype=complex)
-    signs = np.where(state.sites % 2 == 0, 1.0, -1.0)
-    idx = np.mod(state.sites, n)
-    buf[0, idx] = state.a_plus * signs
-    buf[1, idx] = state.a_minus * signs
-    amp = ifft(buf, axis=1) * n
-
-    lam_p, lam_m, f_pp, f_pm, f_mp, f_mm = _eigen_system(phi, state.dt)
-    del lam_p, lam_m
-    root_dt = np.sqrt(state.dt)
-    g_plus = (np.conj(f_pp) * amp[0] + np.conj(f_pm) * amp[1]) / root_dt
-    g_minus = (np.conj(f_mp) * amp[0] + np.conj(f_mm) * amp[1]) / root_dt
-    return SpectralCoefficients(phi=phi, g_plus=g_plus, g_minus=g_minus,
-                                dt=state.dt)
+        n_phi = next_fast_len(max(8 * state.n_sites, 4096))
+    ring = lattice_to_spectral(state, n_ring=int(n_phi))
+    phi = -ring.grid.phi
+    _, _, f_pp, f_pm, f_mp, f_mm = _eigen_system(phi, state.dt)
+    # sum_m a[m] e^{i m phi} is sqrt(n) times the unitary ring mode
+    amp = ring.amp * np.sqrt(ring.grid.n / state.dt)
+    g_plus = np.conj(f_pp) * amp[0] + np.conj(f_pm) * amp[1]
+    g_minus = np.conj(f_mp) * amp[0] + np.conj(f_mm) * amp[1]
+    # one ring period of quasi-momenta, ascending
+    order = np.argsort(phi)
+    return SpectralCoefficients(phi=phi[order], g_plus=g_plus[order],
+                                g_minus=g_minus[order], dt=state.dt)
 
 
 # cells per pass of _band_mass: its 64 KiB temporaries stay in cache and
@@ -218,8 +187,8 @@ def limit_cdf(y1: float, y2: float, coeffs: SpectralCoefficients,
     h = group_velocity(coeffs.phi, dt)
     scale = dt / (2.0 * np.pi)
     total = 0.0
-    # close the periodic grid at +pi (h and g are periodic)
-    phi_ext = np.append(coeffs.phi, np.pi)
+    # close the periodic grid one period after its first point
+    phi_ext = np.append(coeffs.phi, coeffs.phi[0] + 2.0 * np.pi)
     h_ext = np.append(h, h[0])
     for g, sign in ((coeffs.g_plus, 1.0), (coeffs.g_minus, -1.0)):
         u = np.abs(g) ** 2 * scale
@@ -336,8 +305,8 @@ def gaussian_g_approx(phi, nu: float, dt: float):
         A(phi) = sqrt(2 sqrt(pi) / (nu dt^2)) * e^{-phi^2 / (2 nu^2 dt^2)},
 
     so |g+|^2 + |g-|^2 = 2 sqrt(pi) e^{-phi^2/(nu dt)^2} / (nu dt^2) exactly.
-    (Quasi-momentum phi carries physical momentum -phi/dt, so the phi > 0
-    lobe couples to the spin-down column.)
+    (Quasi-momentum phi carries physical momentum -phi/dt, see ``spectral``,
+    so the phi > 0 lobe couples to the spin-down column.)
     """
     if nu * dt > 0.1:
         warnings.warn(f"nu*dt = {nu * dt:.3g} is not small; the sharp-"

@@ -41,14 +41,22 @@ class Tolerances:
 
 TOL = Tolerances()
 
-# Longest momentum ring (sites) that walk or exact evolution may allocate.
-# A ring array holds two complex128 spin components, 32 B per site, and an
-# evolution keeps a few alive at once (FFT input and output, the per-mode
-# symbol, the evolved modes): a walk peaks at 176 B per site, about 0.75 GB
-# at this cap.  A walk of n steps needs a ring of at least n_sites + 2n, so
+# Longest momentum ring (sites) that walk or exact evolution, the weak-limit
+# coefficients or the initial-state quadrature may allocate.  A ring array
+# holds two complex128 spin components, 32 B per site, and an evolution
+# keeps a few alive at once (FFT input and output, the per-mode symbol, the
+# evolved modes): a walk peaks at 176 B per site, about 0.75 GB at this cap.  A walk of n steps needs a ring of at least n_sites + 2n, so
 # this admits about 2 * 10^6 steps; longer runs are refused before anything
 # is allocated.
 MAX_RING_SITES = 2 ** 22
+
+
+def require_ring_fits(n_sites: int) -> int:
+    """Refuse a ring longer than ``MAX_RING_SITES``, before it is allocated."""
+    if n_sites > MAX_RING_SITES:
+        raise ValueError(f"a ring of {n_sites} sites exceeds the size budget "
+                         f"of {MAX_RING_SITES} sites")
+    return n_sites
 
 
 def require_finite(name, value):

@@ -1,5 +1,5 @@
-"""Exact evolution of lattice states, the positive-energy branch projector,
-and walk-vs-exact comparison metrics.
+"""Exact evolution of lattice states, leakage out of the positive-energy
+branch, and walk-vs-exact comparison metrics.
 
 Exact evolution multiplies each mode of the shared momentum ring of
 ``spectral`` by the closed-form propagator exp(-i H(p) t) and reads the
@@ -11,24 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import NumericalHealthError
-from .spectral import (SpectralState, branch_sign, evolve_exact,
-                       lattice_to_spectral, propagator_symbol,
-                       spectral_to_lattice)
+from .spectral import (SpectralState, _evolve_on_ring, branch_sign,
+                       lattice_to_spectral, propagator_symbol)
 from .spinor import u_minus_effective, u_plus_effective
 from .walk import LatticeState, position_distribution
-
-
-def propagator_matrix(p: float, t: float, branch: str = "plus") -> np.ndarray:
-    """exp(-i H(p) t) in closed form; unitary by construction."""
-    m00, m01, m10, m11 = propagator_symbol(float(p), t, branch)
-    return np.array([[m00, m01], [m10, m11]], dtype=complex)
-
-
-def positive_energy_projector(p: float, branch: str = "plus") -> np.ndarray:
-    """Rank-1 Hermitian projector onto the positive-energy spinor at p."""
-    sign = branch_sign(branch)
-    w = u_plus_effective(float(p)) if sign > 0 else u_minus_effective(float(p))
-    return np.outer(w, np.conj(w))
 
 
 def _check_band_occupation(spec: SpectralState) -> None:
@@ -51,9 +37,10 @@ def energy_leakage(state: LatticeState, branch: str = "plus") -> float:
     conserved diagnostic of exact evolution and a splitting-error gauge
     for the walk.
     """
+    sign = branch_sign(branch)
     spec = lattice_to_spectral(state, pad_sites=16)
     _check_band_occupation(spec)
-    w = u_plus_effective(spec.grid.p) if branch == "plus" \
+    w = u_plus_effective(spec.grid.p) if sign > 0 \
         else u_minus_effective(spec.grid.p)
     overlap = np.conj(w[0]) * spec.amp[0] + np.conj(w[1]) * spec.amp[1]
     kept = float(np.sum(np.abs(overlap) ** 2))
@@ -69,11 +56,8 @@ def evolve_exact_on_lattice(state: LatticeState, t: float,
     contamination stays at the window-truncation floor.
     """
     n_cone = int(np.ceil(abs(t) / state.dt))
-    grow = n_cone + margin_sites
-    spec = lattice_to_spectral(state, pad_sites=2 * grow)
-    out = evolve_exact(spec, t, branch)
-    return spectral_to_lattice(out, m_min=state.m_min - grow,
-                               n_sites=state.n_sites + 2 * grow, x0=state.x0)
+    return _evolve_on_ring(state, lambda grid: propagator_symbol(
+        grid.p, t, branch), n_cone + margin_sites)
 
 
 @dataclass(frozen=True)

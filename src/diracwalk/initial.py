@@ -28,7 +28,7 @@ import numpy as np
 from scipy import integrate
 from scipy.fft import ifft, ifftshift, next_fast_len
 
-from .constants import TOL, NumericalHealthError
+from .constants import TOL, NumericalHealthError, require_ring_fits
 from .spinor import energy, spinor_weights
 from .walk import BRANCHES, LatticeState
 
@@ -127,6 +127,15 @@ def _uniform_spacing(grid: np.ndarray) -> float:
     return float((grid[-1] - grid[0]) / (grid.size - 1))
 
 
+def _quadrature_ring(n_x: int, h: float, x_ext: float, p_max: float) -> int:
+    """Sites of the quadrature ring of an n_x-point grid of spacing h that
+    reaches |x| = x_ext (see ``position_coefficients``); refused beyond
+    ``MAX_RING_SITES`` before anything is allocated."""
+    dp = min(np.pi / max(x_ext, h), p_max / 400.0)
+    return require_ring_fits(next_fast_len(
+        max(n_x, int(np.ceil(2.0 * np.pi / (h * dp))))))
+
+
 def position_coefficients(profile: MomentumProfile, x_grid: np.ndarray,
                           branch: str = "plus",
                           check_norm: bool = True) -> PositionAmplitudes:
@@ -149,10 +158,8 @@ def position_coefficients(profile: MomentumProfile, x_grid: np.ndarray,
             f"need h <= {np.pi / profile.p_max:.4g} for p_max={profile.p_max:.4g}"
         )
 
-    x_ext = float(np.max(np.abs(x_grid)))
-    dp = min(np.pi / max(x_ext, h), profile.p_max / 400.0)
-    n_ring = next_fast_len(max(x_grid.size,
-                               int(np.ceil(2.0 * np.pi / (h * dp)))))
+    n_ring = _quadrature_ring(x_grid.size, h, float(np.max(np.abs(x_grid))),
+                              profile.p_max)
     # ring momenta p_k = k dp: exp(i p_k m h) = exp(2 pi i k m / n_ring)
     dp = 2.0 * np.pi / (n_ring * h)
     # FFT order, sign-symmetric to the last bit
@@ -246,7 +253,10 @@ def build_initial_state(config: WalkInitConfig,
         )
     thr = max(window_rel, TOL.window_rel)
     efolds = np.log(1.0 / thr)
-    grid = fiber_grid(config, efolds + np.sqrt(2.0 * efolds) / config.nu)
+    extent = efolds + np.sqrt(2.0 * efolds) / config.nu
+    # refuse an oversized ring, and so the grid it spans, before allocating
+    _quadrature_ring(0, config.dt, extent, profile.p_max)
+    grid = fiber_grid(config, extent)
     coeffs = position_coefficients(profile, grid, config.branch,
                                    check_norm=window_rel <= TOL.window_rel)
     mag = np.maximum(np.abs(coeffs.c_plus), np.abs(coeffs.c_minus))

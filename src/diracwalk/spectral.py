@@ -1,10 +1,13 @@
-"""The momentum ring shared by walk and exact evolution, and the two
-per-mode symbols that act on it.
+"""The momentum ring on which walk, exact evolution, time reversal and the
+weak-limit coefficients all act, and the per-mode symbols applied there.
 
 A lattice state is carried onto a ring of N sites by a unitary DFT
 (convention: spectral(p) picks up exp(-i p x), position recovers it with
 exp(+i p x); dp * dx * N = 2 pi holds exactly).  Site m is ring index
-m mod N, so a window of at most N sites comes back unaliased.  Each mode is
+m mod N, so a window of at most N sites comes back unaliased.  The ring
+phase is phi = p dt; the quasi-momentum of ``asymptotic`` (the label of
+the shift's eigenstates e^{i m phi}) is -phi, i.e. p = -phi/dt, and
+``asymptotic.spectral_coefficients`` reads the ring there.  Each mode is
 multiplied by a 2x2 symbol and the result is transformed back:
 
 * exact evolution for a time t,
@@ -12,12 +15,11 @@ multiplied by a 2x2 symbol and the result is transformed back:
       exp(-i H(p) t) = cos(E t) I - i (sin(E t) / E) H(p),   E = sqrt(p^2+1),
 
   exact because H(p)^2 = E^2 I;
-* n walk steps.  In this convention the one-step symbol at the ring
-  phase phi = p dt is M = diag(e^{-i s phi}, e^{i s phi}) . coin(dt), with
-  s = +1 for the "plus" branch and -1 for "minus"; for "plus" it is
-  ``asymptotic.walk_symbol_matrix(-phi, dt)``, i.e. the quasi-momentum of
-  the weak-limit module is -p dt.  M has det 1 and trace 2 cos(theta),
-  cos(theta) = cos(dt) cos(phi), so by Cayley-Hamilton
+* n walk steps.  The one-step symbol is M = diag(e^{-i s phi},
+  e^{i s phi}) . coin(dt), with s = +1 for the "plus" branch and -1 for
+  "minus"; for "plus" it is ``asymptotic.walk_symbol_matrix(-phi, dt)``.
+  M has det 1 and trace 2 cos(theta), cos(theta) = cos(dt) cos(phi), so
+  by Cayley-Hamilton, for every integer n (n < 0 reverses time),
 
       M^n = cos(n theta) I + (sin(n theta) / sin(theta)) K,
       K = M - cos(theta) I,   K^2 = -sin^2(theta) I.
@@ -34,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
-from .constants import MAX_RING_SITES, TOL, NumericalHealthError
+from .constants import TOL, NumericalHealthError, require_ring_fits
 from .walk import BRANCHES, LatticeState
 
 
@@ -86,10 +88,9 @@ def lattice_to_spectral(state: LatticeState, n_ring: int | None = None,
     need = state.n_sites + pad_sites
     n = next_fast_len(need) if n_ring is None else n_ring
     if n < need:
-        raise ValueError("ring too small for the state plus padding")
-    if n > MAX_RING_SITES:
-        raise ValueError(f"a ring of {n} sites exceeds the size budget of "
-                         f"{MAX_RING_SITES} sites")
+        raise ValueError(f"a ring of {n} sites cannot resolve a state "
+                         f"spanning {need} sites with its padding")
+    require_ring_fits(n)
     buf = np.zeros((2, n), dtype=complex)
     idx = np.mod(state.sites, n)
     buf[0, idx] = state.a_plus
@@ -121,8 +122,9 @@ def propagator_symbol(p, t: float, branch: str = "plus"):
 
 
 def walk_power_symbol(phi, dt: float, n_steps: int, branch: str = "plus"):
-    """Entries (m00, m01, m10, m11) of M(phi)^n, elementwise in the ring
-    phase phi = p dt (see the module docstring for M and its sign map)."""
+    """Entries (m00, m01, m10, m11) of M^n for any integer n, elementwise
+    in the ring phase phi = p dt (see the module docstring for M and its
+    sign map)."""
     sign = branch_sign(branch)
     phi = np.asarray(phi, dtype=float)
     c, s = np.cos(dt), np.sin(dt)
@@ -153,12 +155,24 @@ def evolve_exact(spec: SpectralState, t: float,
     return _apply_symbol(spec, propagator_symbol(spec.grid.p, t, branch))
 
 
+def _evolve_on_ring(state: LatticeState, symbol, grow: int) -> LatticeState:
+    """Apply ``symbol(grid)`` to every mode of a ring that holds the output
+    window [m_min - grow, m_min + n_sites + grow), and read that window out.
+    """
+    spec = lattice_to_spectral(state, pad_sites=2 * grow)
+    spec = _apply_symbol(spec, symbol(spec.grid))
+    return spectral_to_lattice(spec, m_min=state.m_min - grow,
+                               n_sites=state.n_sites + 2 * grow, x0=state.x0)
+
+
 def evolve(state: LatticeState, n_steps: int, branch: str = "plus",
            drift_tol: float = TOL.norm_drift_abort) -> LatticeState:
-    """``n_steps`` walk steps in one FFT pair.
+    """``n_steps`` walk steps in one FFT pair; a negative count runs the
+    walk backwards, so ``evolve(evolve(s, n), -n)`` is s again, padded
+    with 2|n| zero sites on each side.
 
-    The ring holds the whole output window [m_min - n, m_min + n_sites + n),
-    so the circular product is the walk itself, without wrap-around.
+    The ring holds the whole output window [m_min - |n|, m_min + n_sites +
+    |n|), so the circular product is the walk itself, without wrap-around.
     Amplitudes outside the light cone of the initial nonzero support are
     set to exactly 0.0, as the step-by-step walk leaves them.  The norm is
     checked before and after against ``drift_tol`` (monitored, never
@@ -166,8 +180,6 @@ def evolve(state: LatticeState, n_steps: int, branch: str = "plus",
     drift as a 1-element array.  For n = 0 the state comes back unchanged
     with an empty drift record, as from ``walk.evolve_steps``.
     """
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
     drift0 = abs(state.norm_sq() - 1.0)
     if drift0 > drift_tol:
         raise NumericalHealthError(
@@ -175,17 +187,14 @@ def evolve(state: LatticeState, n_steps: int, branch: str = "plus",
         )
     if n_steps == 0:
         return replace(state.copy(), norm_drift=np.empty(0))
-    width = state.n_sites + 2 * n_steps
-    spec = lattice_to_spectral(state, n_ring=next_fast_len(width))
-    spec = _apply_symbol(spec, walk_power_symbol(spec.grid.phi, state.dt,
-                                                 n_steps, branch))
-    out = spectral_to_lattice(spec, m_min=state.m_min - n_steps,
-                              n_sites=width, x0=state.x0)
+    grow = abs(n_steps)
+    out = _evolve_on_ring(state, lambda grid: walk_power_symbol(
+        grid.phi, state.dt, n_steps, branch), grow)
     occupied = np.flatnonzero((state.a_plus != 0) | (state.a_minus != 0))
     # with no nonzero site the initial norm check has already failed
     for amp in (out.a_plus, out.a_minus):
         amp[:occupied[0]] = 0.0
-        amp[occupied[-1] + 2 * n_steps + 1:] = 0.0
+        amp[occupied[-1] + 2 * grow + 1:] = 0.0
     drift = abs(out.norm_sq() - 1.0)
     if drift > drift_tol:
         raise NumericalHealthError(

@@ -111,27 +111,6 @@ def step(state: LatticeState, branch: str = "plus") -> LatticeState:
     return shift_step(coin_step(state), branch)
 
 
-def step_adjoint(state: LatticeState, branch: str = "plus") -> LatticeState:
-    """The inverse of ``step``: undo the shift, then the inverse coin."""
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}")
-    n = state.n_sites
-    if n < 2:
-        raise ValueError("state too narrow to unshift")
-    if branch == "plus":
-        ap, am = state.a_plus[2:], state.a_minus[: n - 2]
-    else:
-        ap, am = state.a_plus[: n - 2], state.a_minus[2:]
-    c, s = np.cos(state.dt), np.sin(state.dt)
-    return replace(
-        state,
-        m_min=state.m_min + 1,
-        a_plus=c * ap + s * am,
-        a_minus=-s * ap + c * am,
-        norm_drift=None,
-    )
-
-
 def evolve_steps(state: LatticeState, n_steps: int, branch: str = "plus",
                  drift_tol: float = TOL.norm_drift_abort) -> LatticeState:
     """Apply ``n_steps`` walk steps one by one, recording |norm^2 - 1|
@@ -160,15 +139,6 @@ def evolve_steps(state: LatticeState, n_steps: int, branch: str = "plus",
                 f"exceeds budget {drift_tol:.1e}"
             )
     out = replace(out, norm_drift=drift)
-    return out
-
-
-def evolve_adjoint(state: LatticeState, n_steps: int,
-                   branch: str = "plus") -> LatticeState:
-    """Apply the adjoint step ``n_steps`` times (time reversal)."""
-    out = state
-    for _ in range(n_steps):
-        out = step_adjoint(out, branch)
     return out
 
 

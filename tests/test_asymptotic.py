@@ -9,22 +9,22 @@ from diracwalk import (LatticeState, WalkInitConfig, build_initial_state,
                        evolve, gaussian_g_approx, group_velocity,
                        horn_location, limit_cdf, limit_cdf_gaussian,
                        limit_density, limit_density_mass, limit_moment,
-                       spectral_coefficients, walk_symbol,
-                       walk_symbol_matrix)
+                       spectral_coefficients, walk_symbol_matrix)
+from diracwalk.asymptotic import _eigen_system
 
 
 # ---------------------------------------------------------------- symbol
 
 def test_symbol_eigenvalues_at_phi_zero():
-    sym = walk_symbol(0.0, 0.3)
-    assert sym.lam_plus == pytest.approx(np.exp(0.3j), abs=1e-14)
-    assert sym.lam_minus == pytest.approx(np.exp(-0.3j), abs=1e-14)
+    lam_plus, lam_minus, *_ = _eigen_system(0.0, 0.3)
+    assert lam_plus == pytest.approx(np.exp(0.3j), abs=1e-14)
+    assert lam_minus == pytest.approx(np.exp(-0.3j), abs=1e-14)
 
 
 def test_symbol_eigenvalues_at_phi_half_pi():
-    sym = walk_symbol(np.pi / 2, 0.7)
-    assert sym.lam_plus == pytest.approx(1j, abs=1e-14)
-    assert sym.lam_minus == pytest.approx(-1j, abs=1e-14)
+    lam_plus, lam_minus, *_ = _eigen_system(np.pi / 2, 0.7)
+    assert lam_plus == pytest.approx(1j, abs=1e-14)
+    assert lam_minus == pytest.approx(-1j, abs=1e-14)
 
 
 def test_symbol_characteristic_polynomial_oracle():
@@ -32,9 +32,9 @@ def test_symbol_characteristic_polynomial_oracle():
     for _ in range(40):
         phi = rng.uniform(-np.pi, np.pi)
         dt = rng.uniform(0.01, 2.5)
-        sym = walk_symbol(phi, dt)
+        lam_plus, lam_minus, *_ = _eigen_system(phi, dt)
         mat = walk_symbol_matrix(phi, dt)
-        for lam in (sym.lam_plus, sym.lam_minus):
+        for lam in (lam_plus, lam_minus):
             assert abs(np.linalg.det(mat - lam * np.eye(2))) < 1e-12
 
 
@@ -43,19 +43,19 @@ def test_symbol_eigenvectors():
     for _ in range(40):
         phi = rng.uniform(-np.pi, np.pi)
         dt = rng.uniform(0.01, 2.5)
-        sym = walk_symbol(phi, dt)
+        lam_plus, lam_minus, f_pp, f_pm, f_mp, f_mm = _eigen_system(phi, dt)
+        v_plus, v_minus = np.array([f_pp, f_pm]), np.array([f_mp, f_mm])
         mat = walk_symbol_matrix(phi, dt)
-        assert np.abs(mat @ sym.v_plus - sym.lam_plus * sym.v_plus).max() < 1e-12
-        assert np.abs(mat @ sym.v_minus - sym.lam_minus * sym.v_minus).max() < 1e-12
-        assert abs(np.vdot(sym.v_plus, sym.v_minus)) < 1e-13
-        assert abs(np.linalg.norm(sym.v_plus) - 1.0) < 1e-13
+        assert np.abs(mat @ v_plus - lam_plus * v_plus).max() < 1e-12
+        assert np.abs(mat @ v_minus - lam_minus * v_minus).max() < 1e-12
+        assert abs(np.vdot(v_plus, v_minus)) < 1e-13
+        assert abs(np.linalg.norm(v_plus) - 1.0) < 1e-13
         # phase fixing: first component real positive
-        assert sym.v_plus[0].imag == 0.0 and sym.v_plus[0].real > 0.0
+        assert v_plus[0].imag == 0.0 and v_plus[0].real > 0.0
 
 
 def test_symbol_unit_modulus_on_grid():
     phi = np.linspace(-np.pi, np.pi, 4001)
-    from diracwalk.asymptotic import _eigen_system
     lam_p, lam_m, *_ = _eigen_system(phi, 0.05)
     assert np.abs(np.abs(lam_p) - 1.0).max() < 1e-13
     assert np.abs(np.abs(lam_m) - 1.0).max() < 1e-13
@@ -63,9 +63,9 @@ def test_symbol_unit_modulus_on_grid():
 
 def test_symbol_rejects_degenerate_dt():
     with pytest.raises(ValueError):
-        walk_symbol(0.3, 0.0)
+        _eigen_system(0.3, 0.0)
     with pytest.raises(ValueError):
-        walk_symbol(0.3, np.pi)
+        _eigen_system(0.3, np.pi)
 
 
 # -------------------------------------------------------- group velocity
@@ -90,9 +90,9 @@ def test_group_velocity_differential_oracle():
     dt = 0.35
     for phi in (0.3, 1.1, -2.0):
         eps = 1e-6
-        lp = walk_symbol(phi + eps, dt).lam_plus
-        lm = walk_symbol(phi - eps, dt).lam_plus
-        lam = walk_symbol(phi, dt).lam_plus
+        lp = _eigen_system(phi + eps, dt)[0]
+        lm = _eigen_system(phi - eps, dt)[0]
+        lam = _eigen_system(phi, dt)[0]
         oracle = (-1j * (lp - lm) / (2 * eps) / lam).real
         assert group_velocity(phi, dt) == pytest.approx(oracle, abs=1e-8)
 
@@ -104,13 +104,49 @@ def test_single_site_spectral_coefficients():
     state = LatticeState(dt=dt, m_min=0, a_plus=np.array([1.0 + 0j]),
                          a_minus=np.zeros(1, dtype=complex))
     co = spectral_coefficients(state, n_phi=256)
-    from diracwalk.asymptotic import _eigen_system
     _, _, f_pp, _, f_mp, _ = _eigen_system(co.phi, dt)
     assert np.abs(co.g_plus - np.conj(f_pp) / np.sqrt(dt)).max() < 1e-12
     assert np.abs(co.g_minus - np.conj(f_mp) / np.sqrt(dt)).max() < 1e-12
     # eigenvector completeness makes the band split sum to a constant
     total = np.abs(co.g_plus) ** 2 + np.abs(co.g_minus) ** 2
     assert np.abs(total - 1.0 / dt).max() < 1e-12
+
+
+def random_state(n_sites=200, m_min=-13, dt=0.05, seed=15):
+    """A unit-norm state with a flat spectrum, off-centre on the lattice."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(2, n_sites)) + 1j * rng.normal(size=(2, n_sites))
+    z /= np.sqrt(np.sum(np.abs(z) ** 2))
+    return LatticeState(dt=dt, m_min=m_min, a_plus=z[0], a_minus=z[1])
+
+
+@pytest.mark.parametrize("n_phi", [512, 513])
+def test_spectral_coefficients_match_direct_sum(n_phi):
+    state = random_state()
+    co = spectral_coefficients(state, n_phi=n_phi)
+    # one ring period, ascending, on a uniform grid
+    assert co.phi.size == n_phi and np.all(np.diff(co.phi) > 0)
+    assert co.phi[-1] - co.phi[0] == pytest.approx(2 * np.pi - co.dphi,
+                                                   abs=1e-12)
+    # oracle: A(phi) = sum_m a[m] e^{i m phi}, site by site
+    kernel = np.exp(1j * np.outer(co.phi, state.sites))
+    a_plus, a_minus = kernel @ state.a_plus, kernel @ state.a_minus
+    _, _, f_pp, f_pm, f_mp, f_mm = _eigen_system(co.phi, state.dt)
+    root_dt = np.sqrt(state.dt)
+    g_plus = (np.conj(f_pp) * a_plus + np.conj(f_pm) * a_minus) / root_dt
+    g_minus = (np.conj(f_mp) * a_plus + np.conj(f_mm) * a_minus) / root_dt
+    peak = max(np.abs(g_plus).max(), np.abs(g_minus).max())
+    assert np.abs(co.g_plus - g_plus).max() < 1e-12 * peak
+    assert np.abs(co.g_minus - g_minus).max() < 1e-12 * peak
+
+
+@pytest.mark.parametrize("n_phi", [512, 513])
+def test_limit_cdf_full_interval_is_completeness(n_phi):
+    # the flat spectrum weighs the cell that closes the period as much as
+    # any other, on even and odd rings alike
+    co = spectral_coefficients(random_state(), n_phi=n_phi)
+    assert limit_cdf(-1.0, 1.0, co) == pytest.approx(co.completeness(),
+                                                     abs=1e-12)
 
 
 def test_completeness_of_gaussian_packet():
@@ -133,7 +169,6 @@ def test_evolution_multiplies_by_eigenvalues():
     n_phi = next_fast_len(8 * evolved.n_sites)
     before = spectral_coefficients(state, n_phi=n_phi)
     after = spectral_coefficients(evolved, n_phi=n_phi)
-    from diracwalk.asymptotic import _eigen_system
     lam_p, lam_m, *_ = _eigen_system(before.phi, dt)
     assert np.abs(after.g_plus - lam_p ** n * before.g_plus).max() \
         * np.sqrt(dt) < 1e-10
@@ -146,11 +181,13 @@ def test_evolution_multiplies_by_eigenvalues():
 def test_band_weights_even_for_gaussian_packet():
     state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.02))
     co = spectral_coefficients(state)
+    # the grid point of phi -> -phi (mod 2 pi), about the point phi = 0
+    zero = int(np.argmin(np.abs(co.phi)))
+    assert co.phi[zero] == 0.0
+    mirror = (2 * zero - np.arange(co.phi.size)) % co.phi.size
     for g in (co.g_plus, co.g_minus):
         w = np.abs(g) ** 2
-        mirrored = np.empty_like(w)
-        mirrored[0] = w[0]
-        mirrored[1:] = w[:0:-1]
+        mirrored = w[mirror]
         assert np.abs(w - mirrored).max() / w.max() < 1e-10
 
 

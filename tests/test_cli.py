@@ -174,23 +174,41 @@ def test_numerical_health_exit_two():
     assert run_cli("walk", "--nu", "2.5", "--dt", "0.3", "--t", "1") == 2
 
 
-@pytest.mark.parametrize("command", ["walk", "exact", "asymptotic"])
-def test_over_budget_run_refused_before_allocating(capsys, command):
-    # t = 1e9 needs a ring of 2e11 sites; the preflight refuses it
+def assert_refused_before_allocating(capsys, *args):
+    """Exit 1 with one stderr line, fast and with little memory traced;
+    returns the stderr line."""
     tracemalloc.start()
     started = time.perf_counter()
     try:
-        assert run_cli(command, "--t", "1e9") == 1
+        assert run_cli(*args) == 1
         elapsed = time.perf_counter() - started
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert re.search(r"ring of \d{12} sites", err)
     assert str(MAX_RING_SITES) in err
     assert elapsed < 0.5
     assert peak < 16e6
+    return err
+
+
+@pytest.mark.parametrize("command", ["walk", "exact", "asymptotic"])
+def test_over_budget_run_refused_before_allocating(capsys, command):
+    # t = 1e9 needs a ring of 2e11 sites; the preflight refuses it
+    err = assert_refused_before_allocating(capsys, command, "--t", "1e9")
+    assert re.search(r"ring of \d{12} sites", err)
+
+
+@pytest.mark.parametrize("dt, digits", [("5e-5", 7), ("1e-6", 9)],
+                         ids=["ring", "grid"])
+def test_over_budget_initial_state_refused_before_allocating(capsys, dt,
+                                                             digits):
+    # nu dt = 5e-5: the 1.6M-site grid fits, its 6.4M-site quadrature ring
+    # does not; dt = 1e-6: the 80M-site grid is refused with its ring
+    err = assert_refused_before_allocating(capsys, "walk", "--nu", "1",
+                                           "--dt", dt, "--t", "0")
+    assert re.search(rf"ring of \d{{{digits}}} sites", err)
 
 
 def test_unwritable_output_path(tmp_path):

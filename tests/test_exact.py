@@ -6,8 +6,20 @@ from diracwalk import (LatticeState, WalkInitConfig, build_initial_state,
                        compare_densities, energy_leakage, evolve,
                        evolve_exact, evolve_exact_on_lattice,
                        hamiltonian_matrix, lattice_to_spectral,
-                       positive_energy_projector, propagator_matrix,
-                       spectral_to_lattice, u_plus_effective)
+                       propagator_symbol, spectral_to_lattice,
+                       u_plus_effective)
+
+
+def propagator_matrix(p, t):
+    """exp(-i H(p) t) as a 2x2 matrix, from the per-mode symbol."""
+    return np.reshape(propagator_symbol(p, t), (2, 2))
+
+
+def positive_energy_projector(p):
+    """Projector onto the positive-energy spinor u+(p) that
+    ``energy_leakage`` overlaps with."""
+    w = u_plus_effective(p)
+    return np.outer(w, np.conj(w))
 
 
 def test_propagator_at_t_zero():
@@ -108,6 +120,12 @@ def test_fresh_state_leakage_negligible_both_branches():
         state = build_initial_state(WalkInitConfig(nu=1.5, dt=0.02,
                                                    branch=branch))
         assert energy_leakage(state, branch) < 1e-8
+
+
+def test_leakage_rejects_unknown_branch():
+    state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.05))
+    with pytest.raises(ValueError, match="branch"):
+        energy_leakage(state, "minsu")
 
 
 def test_walk_leakage_decreases_with_dt():

@@ -26,15 +26,16 @@ def mp_walk_power(phi: float, dt: float, n: int, sign: int) -> np.ndarray:
 
 @pytest.mark.parametrize("branch", ["plus", "minus"])
 @pytest.mark.parametrize("dt", [0.005, 0.0005])
-@pytest.mark.parametrize("n", [1, 10, 10_000, 1_000_000])
+@pytest.mark.parametrize("n", [1, 10, 10_000, 1_000_000, -1, -10_000])
 def test_walk_power_matches_mpmath(n, dt, branch):
-    # rounding theta costs ~pi*n*eps in phase, as the loop's rounded coin does
+    # rounding theta costs ~pi*|n|*eps in phase, as the loop's rounded coin
+    # does; a negative n is the inverse walk
     sign = 1 if branch == "plus" else -1
     m00, m01, m10, m11 = walk_power_symbol(np.array(PHIS), dt, n, branch)
     got = np.array([[m00, m01], [m10, m11]])
     for k, phi in enumerate(PHIS):
         err = np.abs(got[:, :, k] - mp_walk_power(phi, dt, n, sign)).max()
-        assert err < 8 * (n + 1) * EPS, (phi, err)
+        assert err < 8 * (abs(n) + 1) * EPS, (phi, err)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
