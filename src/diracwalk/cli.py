@@ -148,8 +148,7 @@ def _initial_state(cfg: RunConfig):
 def _density_table(state, meta) -> ResultTable:
     table = ResultTable(columns=["site", "x", "prob"], metadata=meta)
     prob = position_distribution(state)
-    for m, x, p in zip(state.sites, state.x, prob):
-        table.add_row(int(m), float(x), float(p))
+    table.add_columns(state.sites, state.x, prob)
     table.metadata["prob_total"] = float(prob.sum())
     return table
 
@@ -223,8 +222,7 @@ def cmd_asymptotic(cfg: RunConfig) -> ResultTable:
         columns=["y", "prob", "empirical_density", "limit_density"],
         metadata=_echo(cfg),
     )
-    for yi, pi, fi in zip(y, prob, density):
-        table.add_row(float(yi), float(pi), float(pi * n), float(fi))
+    table.add_columns(y, prob, prob * n, density)
 
     meta = table.metadata
     meta["l1_distance"] = float(np.abs(prob - density / n).sum())
@@ -247,8 +245,7 @@ def cmd_figure1(cfg: RunConfig) -> ResultTable:
                   "samples": y.size, "y_edge": float(y[-1])},
     )
     curves = {nu: limit_density(y, nu) for nu in FIGURE1_NUS}
-    for i, yi in enumerate(y):
-        table.add_row(float(yi), *(float(curves[nu][i]) for nu in FIGURE1_NUS))
+    table.add_columns(y, *(curves[nu] for nu in FIGURE1_NUS))
     for nu in FIGURE1_NUS:
         table.metadata[f"F0_nu_{nu}"] = float(limit_density(0.0, nu))
         table.metadata[f"horn_nu_{nu}"] = horn_location(nu)
@@ -344,7 +341,7 @@ def main(argv=None) -> int:
     print(f"{cfg.command}: {summary}")
     for path in written:
         print(f"wrote {path}")
-    print(f"done in {elapsed:.2f}s ({len(table.rows)} rows)")
+    print(f"done in {elapsed:.2f}s ({table.n_rows} rows)")
     return 0
 
 

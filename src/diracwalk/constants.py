@@ -1,9 +1,13 @@
 """Numerical tolerances and shared validation helpers.
 
 All simulation code works in natural units (hbar = c = m = 1), double
-precision throughout.  Every tolerance that appears in a runtime check
-lives in the single ``Tolerances`` record below so that the numerical
-budget of the whole pipeline can be audited (and tightened) in one place.
+precision throughout.  The tolerance of every numerical-health check (the
+checks that raise ``NumericalHealthError``) lives in the single
+``Tolerances`` record below, with the initial-state window cut and the
+spinor factor-mixing bound, so that the numerical budget of the whole
+pipeline can be audited (and tightened) in one place; every field is read
+by the code its comment names.  Input-consistency checks (a uniform grid,
+matching lattice spacings) compare at rounding level and keep literals.
 """
 
 from dataclasses import dataclass
@@ -13,30 +17,17 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Tolerances:
-    # spinor / matrix identities
-    spinor_identity: float = 1e-12      # orthonormality, eigen-relations of u+-(p)
-    matrix_algebra: float = 1e-14       # Pauli/Dirac algebra in floating point
-    factor_mixing: float = 1e-12        # second-factor contamination in 4-spinors
+    # spinor.reduce_effective: second-factor contamination in 4-spinors
+    factor_mixing: float = 1e-12
 
     # initial-state construction
-    profile_norm: float = 1e-10         # L2 norm of a momentum profile
-    profile_tail: float = 1e-12         # probability mass beyond the cutoff
+    quadrature_rel: float = 1e-6        # mean_energy quadrature error
     coeff_norm: float = 1e-8            # combined norm of c+-(x)
     window_rel: float = 1e-14           # lattice window cut, relative to peak
 
-    # lattice walk
+    # walk and exact evolution
     norm_drift_abort: float = 1e-9      # cumulative unitarity budget of a run
-
-    # spectral / exact evolution
-    propagator_unitary: float = 1e-13
-    projector_idempotent: float = 1e-13
-    leakage_exact: float = 1e-10
-
-    # weak-limit machinery
-    eigen_modulus: float = 1e-13        # | |lambda(phi)| - 1 |
-    completeness: float = 1e-8          # eigenbasis completeness of g+-
-    cdf_total: float = 1e-6             # limit CDF over the full interval
-    density_norm: float = 1e-8          # closed-form density normalization
+    nyquist_weight: float = 1e-10       # spectral weight near the Nyquist band
 
 
 TOL = Tolerances()
@@ -57,6 +48,17 @@ def require_ring_fits(n_sites: int) -> int:
         raise ValueError(f"a ring of {n_sites} sites exceeds the size budget "
                          f"of {MAX_RING_SITES} sites")
     return n_sites
+
+
+BRANCHES = ("plus", "minus")
+
+
+def branch_sign(branch: str) -> float:
+    """+1 for the "plus" helicity branch, -1 for "minus"; any other name
+    is refused, so this is the one branch check of the package."""
+    if branch not in BRANCHES:
+        raise ValueError(f"branch must be one of {BRANCHES}")
+    return 1.0 if branch == "plus" else -1.0
 
 
 def require_finite(name, value):

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import NumericalHealthError
-from .spectral import (SpectralState, _evolve_on_ring, branch_sign,
-                       lattice_to_spectral, propagator_symbol)
+from .constants import TOL, NumericalHealthError, branch_sign
+from .spectral import (SpectralState, _evolve_on_ring, lattice_to_spectral,
+                       propagator_symbol)
 from .spinor import u_minus_effective, u_plus_effective
 from .walk import LatticeState, position_distribution
 
@@ -23,7 +23,7 @@ def _check_band_occupation(spec: SpectralState) -> None:
     p_edge = np.abs(p).max()
     band = np.abs(p) > 0.9 * p_edge
     w = np.sum(np.abs(spec.amp[:, band]) ** 2) / max(spec.norm_sq(), 1e-300)
-    if w > 1e-10:
+    if w > TOL.nyquist_weight:
         raise NumericalHealthError(
             f"spectral weight {w:.3e} within 10% of the Nyquist momentum; "
             "the lattice is too coarse for this state"

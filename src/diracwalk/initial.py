@@ -28,9 +28,10 @@ import numpy as np
 from scipy import integrate
 from scipy.fft import ifft, ifftshift, next_fast_len
 
-from .constants import TOL, NumericalHealthError, require_ring_fits
+from .constants import (TOL, NumericalHealthError, branch_sign,
+                        require_ring_fits)
 from .spinor import energy, spinor_weights
-from .walk import BRANCHES, LatticeState
+from .walk import LatticeState
 
 # amplitude threshold used for the default momentum cutoff
 _TAIL_EPS = 1e-12
@@ -71,7 +72,7 @@ def mean_energy(profile: MomentumProfile) -> float:
         lambda p: float(energy(p)) * abs(profile(p)) ** 2,
         -profile.p_max, profile.p_max, limit=400,
     )
-    if not np.isfinite(val) or err > 1e-6 * max(abs(val), 1.0):
+    if not np.isfinite(val) or err > TOL.quadrature_rel * max(abs(val), 1.0):
         raise NumericalHealthError(
             f"mean-energy quadrature unreliable (value {val}, error {err})"
         )
@@ -115,8 +116,7 @@ class WalkInitConfig:
             raise ValueError("dt must be positive")
         if not (-self.dt / 2 < self.x0 <= self.dt / 2):
             raise ValueError("x0 must lie in (-dt/2, dt/2]")
-        if self.branch not in BRANCHES:
-            raise ValueError(f"branch must be one of {BRANCHES}")
+        branch_sign(self.branch)
 
 
 def _uniform_spacing(grid: np.ndarray) -> float:
@@ -148,8 +148,7 @@ def position_coefficients(profile: MomentumProfile, x_grid: np.ndarray,
     its parity symmetry exactly.  ``check_norm=False`` skips the
     combined-norm postcondition, for deliberately truncated grids.
     """
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}")
+    branch_sign(branch)
     x_grid = np.asarray(x_grid, dtype=float)
     h = _uniform_spacing(x_grid)
     if h > np.pi / profile.p_max:

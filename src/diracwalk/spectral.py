@@ -36,8 +36,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
-from .constants import TOL, NumericalHealthError, require_ring_fits
-from .walk import BRANCHES, LatticeState
+from .constants import (TOL, NumericalHealthError, branch_sign,
+                        require_ring_fits)
+from .walk import LatticeState
 
 
 @dataclass(frozen=True)
@@ -70,12 +71,6 @@ class SpectralState:
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amp) ** 2))
-
-
-def branch_sign(branch: str) -> float:
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}")
-    return 1.0 if branch == "plus" else -1.0
 
 
 def lattice_to_spectral(state: LatticeState, n_ring: int | None = None,
@@ -178,8 +173,10 @@ def evolve(state: LatticeState, n_steps: int, branch: str = "plus",
     checked before and after against ``drift_tol`` (monitored, never
     repaired: ``NumericalHealthError``); ``norm_drift`` holds the final
     drift as a 1-element array.  For n = 0 the state comes back unchanged
-    with an empty drift record, as from ``walk.evolve_steps``.
+    with an empty drift record, as from ``walk.evolve_steps``; an unknown
+    branch is refused for every n, 0 included.
     """
+    branch_sign(branch)
     drift0 = abs(state.norm_sq() - 1.0)
     if drift0 > drift_tol:
         raise NumericalHealthError(

@@ -140,6 +140,23 @@ def test_figure1_deterministic(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+@pytest.mark.parametrize("args", [
+    ("walk", "--nu", "2.0", "--dt", "0.05", "--t", "1"),
+    ("exact", "--nu", "2.0", "--dt", "0.05", "--t", "1"),
+    ("asymptotic", "--nu", "2.0", "--dt", "0.05", "--t", "1"),
+    ("figure1",),
+    ("compare", "--nu", "1", "--t", "0.5", "--dt-list", "0.05,0.025"),
+], ids=lambda args: args[0])
+def test_summary_row_count_matches_csv(tmp_path, capsys, args):
+    out = tmp_path / "out.csv"
+    assert run_cli(*args, "--out", str(out)) == 0
+    done = capsys.readouterr().out.splitlines()[-1]
+    n_rows = int(re.fullmatch(r"done in \S+s \((\d+) rows\)", done).group(1))
+    data = [ln for ln in out.read_text().splitlines()
+            if not ln.startswith("#")][1:]
+    assert n_rows == len(data) > 0
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"nu": 2.0, "dt": 0.05, "t": 1.0}))

@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from diracwalk import (LatticeState, WalkInitConfig, build_initial_state,
                        compare_densities, energy_leakage, evolve,
-                       evolve_exact, evolve_exact_on_lattice,
+                       evolve_exact, evolve_exact_on_lattice, evolve_steps,
                        hamiltonian_matrix, lattice_to_spectral,
                        propagator_symbol, spectral_to_lattice,
                        u_plus_effective)
@@ -126,6 +126,13 @@ def test_leakage_rejects_unknown_branch():
     state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.05))
     with pytest.raises(ValueError, match="branch"):
         energy_leakage(state, "minsu")
+    # the walk refuses it too, also for n = 0, where no step is taken
+    for n in (0, 1, -1):
+        with pytest.raises(ValueError, match="branch"):
+            evolve(state, n, "minsu")
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="branch"):
+            evolve_steps(state, n, "minsu")
 
 
 def test_walk_leakage_decreases_with_dt():

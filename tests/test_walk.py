@@ -130,6 +130,23 @@ def test_evolve_records_drift_and_stays_unitary():
     assert out.norm_drift.max() < 1e-12
 
 
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+def test_evolve_steps_is_bitwise_the_step_chain(branch):
+    # the in-place loop against the allocating reference: `step` n times,
+    # with the drift taken from norm_sq after each step
+    state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.05, branch=branch))
+    n = 150
+    ref, drift = state, []
+    for _ in range(n):
+        ref = step(ref, branch)
+        drift.append(abs(ref.norm_sq() - 1.0))
+    out = evolve_steps(state, n, branch)
+    assert (out.m_min, out.n_sites) == (ref.m_min, ref.n_sites)
+    assert np.array_equal(out.a_plus, ref.a_plus)
+    assert np.array_equal(out.a_minus, ref.a_minus)
+    assert np.array_equal(out.norm_drift, drift)
+
+
 def test_evolve_aborts_on_bad_norm():
     a = np.array([1.0 + 5e-5j], dtype=complex)  # norm 1 + ~2.5e-9
     state = LatticeState(dt=0.1, m_min=0, a_plus=a,
