@@ -16,7 +16,7 @@ from .initial import (MomentumProfile, PositionAmplitudes, WalkInitConfig,
                       gaussian_profile, mean_energy, position_coefficients)
 from .walk import (LatticeState, coin_matrix, coin_step, empirical_moment,
                    evolve_steps, position_distribution, shift_step, step)
-from .spectral import (MomentumGrid, SpectralState, evolve, evolve_exact,
+from .spectral import (MomentumGrid, SpectralState, evolve,
                        lattice_to_spectral, propagator_symbol,
                        spectral_to_lattice, walk_power_symbol)
 from .exact import (ComparisonReport, compare_densities, energy_leakage,

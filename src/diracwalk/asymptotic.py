@@ -23,8 +23,11 @@ only |g+-|^2 is consumed downstream, so the choice is unobservable.  All
 operations are pure and per-phi parallelizable.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -94,6 +97,102 @@ def group_velocity(phi, dt: float):
     return out if out.ndim else float(out)
 
 
+class _Runs(NamedTuple):
+    """The runs of both bands, each read so that its key rises, stored end
+    to end: run r owns the samples start[r] .. start[r] + size[r] and the
+    size[r] cells between them; key and weight u are linear on each
+    cell."""
+
+    start: np.ndarray    # (R,) first sample of each run
+    size: np.ndarray     # (R,) cells of each run
+    key: np.ndarray      # key at the samples
+    key_max: np.ndarray  # running max of key along its run
+    key_min: np.ndarray  # running min of key along its run, from its end
+    cum: np.ndarray      # mass of the run's cells before each sample
+    lin: np.ndarray      # u_a dphi of the cell that starts at each sample
+    quad: np.ndarray     # (u_b - u_a) dphi / 2 of that cell
+
+    @classmethod
+    def build(cls, h, u_plus, u_minus, dphi) -> "_Runs":
+        """From the samples of h and of the weights |g+-|^2 dt/(2 pi) on
+        one period of the phi grid, and the width of the cell that starts
+        at each sample (the last one closes the period).
+
+        Over one period h rises from its minimum to its maximum and falls
+        back.  Split at the argmin and argmax of the samples, that gives
+        each band one run on which its key rises and one on which it
+        falls; a falling run is read backwards.
+        """
+        n = h.size
+        pts = (np.argmin(h) + np.arange(n + 1)) % n
+        r = (np.argmax(h) - pts[0]) % n
+        rise, fall = pts[:r + 1], pts[r:]
+        runs = ((1.0, u_plus, rise, 1), (1.0, u_plus, fall, -1),
+                (-1.0, u_minus, fall, 1), (-1.0, u_minus, rise, -1))
+        size = np.array([run.size - 1 for _, _, run, _ in runs])
+        start = np.concatenate(([0], np.cumsum(size + 1)[:-1]))
+        # a run's last sample starts no cell: its lin and quad stay 0
+        key, cum, lin, quad = (np.zeros(size.sum() + size.size)
+                               for _ in range(4))
+        for s, k, (sign, u, run, step) in zip(start, size, runs):
+            p, w = run[::step], dphi[run[:-1][::step]]
+            u_a, u_b = u[p[:-1]], u[p[1:]]
+            key[s:s + k + 1] = sign * h[p]
+            np.cumsum(0.5 * (u_a + u_b) * w, out=cum[s + 1:s + k + 1])
+            lin[s:s + k] = u_a * w
+            quad[s:s + k] = 0.5 * (u_b - u_a) * w
+        # the running extremes of a monotone run are its samples
+        falls = key[1:] < key[:-1]
+        falls[start[1:] - 1] = False  # from one run into the next
+        key_max = key_min = key
+        if falls.any():
+            key_max, key_min = np.empty_like(key), np.empty_like(key)
+            for s, k in zip(start, size):
+                run = slice(s, s + k + 1)
+                key_max[run] = np.maximum.accumulate(key[run])
+                key_min[run] = np.minimum.accumulate(key[run][::-1])[::-1]
+        return cls(start, size, key, key_max, key_min, cum, lin, quad)
+
+    def mass(self, y: np.ndarray, side: str) -> np.ndarray:
+        """Mass of {key <= y} (side "right") or {key < y} (side "left")
+        over all runs, for a 1-d array y.
+
+        In each run, the cells before k1 lie wholly below y, and the cells
+        from k2 on wholly above it.  The cells between hold y: one on a
+        monotone run, a few where rounding lets the samples next to an
+        extreme of h wiggle by an ulp.  Each is integrated on its own, as
+        the cell-by-cell scan does, so the wiggles cost no accuracy.
+        """
+        runs = list(zip(self.start, self.size))
+        k1 = np.array([np.searchsorted(self.key_max[s + 1:s + n + 1], y, side)
+                       for s, n in runs])
+        k2 = np.array([np.searchsorted(self.key_min[s:s + n], y, side)
+                       for s, n in runs])
+        first = self.start[:, None] + k1
+        total = self.cum[first].sum(axis=0)
+        width = k2 - k1
+        for offset in range(int(width.max(initial=0))):
+            inside = offset < width
+            cell = np.where(inside, first + offset, 0)
+            total += np.where(inside, self._cell_mass(y, cell, side),
+                              0.0).sum(axis=0)
+        return total
+
+    def _cell_mass(self, y, j, side: str):
+        """Mass of cell j below y: int_0^1 (u_a + (u_b - u_a) s) ds dphi
+        over the part of the cell where key_a + (key_b - key_a) s is below
+        y, all of a flat cell or none of it."""
+        key_a, span = self.key[j], self.key[j + 1] - self.key[j]
+        lin, quad = self.lin[j], self.quad[j]
+        flat = span == 0.0
+        t = np.clip((y - key_a) / np.where(flat, 1.0, span), 0.0, 1.0)
+        part = t * (lin + t * quad)
+        whole = lin + quad
+        below = key_a <= y if side == "right" else key_a < y
+        return np.where(flat, np.where(below, whole, 0.0),
+                        np.where(span > 0.0, part, whole - part))
+
+
 @dataclass(frozen=True)
 class SpectralCoefficients:
     """g+-(phi) of a lattice state on a uniform phi grid: one ring period,
@@ -112,6 +211,36 @@ class SpectralCoefficients:
         """sum (|g+|^2 + |g-|^2) dt dphi / (2 pi); 1 for unit-norm states."""
         w = np.abs(self.g_plus) ** 2 + np.abs(self.g_minus) ** 2
         return float(np.sum(w) * self.dt * self.dphi / (2.0 * np.pi))
+
+    def mass_below(self, y):
+        """P(Y <= y) for the weak limit Y of X_n/(n dt), vectorized in y:
+
+            Int_{+h <= y} |g+|^2 dt dphi/(2 pi)
+              + Int_{-h <= y} |g-|^2 dt dphi/(2 pi),
+
+        with h and |g+-|^2 linear on each cell of the periodic phi grid
+        (closed at phi[0] + 2 pi).  O(log n_phi) per value of y, after an
+        O(n_phi) build on the first call.
+        """
+        return self._mass(y, "right")
+
+    def _mass(self, y, side: str):
+        y = np.asarray(y, dtype=float)
+        if not np.all((-1.0 <= y) & (y <= 1.0)):
+            raise ValueError("need -1 <= y <= 1")
+        total = self._runs.mass(y.reshape(-1), side).reshape(y.shape)
+        return total if total.ndim else float(total)
+
+    @cached_property
+    def _runs(self) -> _Runs:
+        """The runs of +h (weights |g+|^2) and -h (|g-|^2), built on first
+        use and kept with the coefficients."""
+        scale = self.dt / (2.0 * np.pi)
+        return _Runs.build(
+            group_velocity(self.phi, self.dt),
+            np.abs(self.g_plus) ** 2 * scale,
+            np.abs(self.g_minus) ** 2 * scale,
+            np.diff(np.append(self.phi, self.phi[0] + 2.0 * np.pi)))
 
 
 def spectral_coefficients(state: LatticeState,
@@ -139,62 +268,22 @@ def spectral_coefficients(state: LatticeState,
                                 g_minus=g_minus[order], dt=state.dt)
 
 
-# cells per pass of _band_mass: its 64 KiB temporaries stay in cache and
-# on the heap instead of being mapped and faulted in afresh on every call
-_CELL_BLOCK = 8192
-
-
-def _band_mass(phi_ext, h_ext, u_ext, lo: float, hi: float) -> float:
-    """Integral of u over {phi : lo <= h(phi) <= hi} with piecewise-linear
-    h and u on each grid cell (second-order accurate membership)."""
-    total = 0.0
-    for lo_cell in range(0, phi_ext.size - 1, _CELL_BLOCK):
-        cells = slice(lo_cell, lo_cell + _CELL_BLOCK + 1)
-        h_a, h_b = h_ext[cells][:-1], h_ext[cells][1:]
-        u_a, u_b = u_ext[cells][:-1], u_ext[cells][1:]
-        dphi = np.diff(phi_ext[cells])
-        span = h_b - h_a
-        flat = np.abs(span) < 1e-300
-        safe = np.where(flat, 1.0, span)
-        ta = (lo - h_a) / safe
-        tb = (hi - h_a) / safe
-        t0 = np.clip(np.minimum(ta, tb), 0.0, 1.0)
-        t1 = np.clip(np.maximum(ta, tb), 0.0, 1.0)
-        inside_flat = (h_a >= lo) & (h_a <= hi)
-        t0 = np.where(flat, 0.0, t0)
-        t1 = np.where(flat, np.where(inside_flat, 1.0, 0.0), t1)
-        seg = (t1 - t0) * u_a + 0.5 * (u_b - u_a) * (t1 * t1 - t0 * t0)
-        total += float(np.sum(seg * dphi))
-    return total
-
-
-def limit_cdf(y1: float, y2: float, coeffs: SpectralCoefficients,
-              dt: float | None = None) -> float:
+def limit_cdf(y1: float, y2: float, coeffs: SpectralCoefficients) -> float:
     """P(y1 <= Y <= y2) for the weak limit Y of X_n/(n dt):
 
         Int_{T+} |g+|^2 dt dphi/(2 pi) + Int_{T-} |g-|^2 dt dphi/(2 pi),
-        T+- = {phi : y1 <= +-h(phi) <= y2}.
+        T+- = {phi : y1 <= +-h(phi) <= y2},
 
-    Membership is evaluated on the phi grid with fractional boundary cells,
-    which sums over every local inverse of h without inverting it.
+    as ``coeffs.mass_below(y2)`` minus the mass strictly below y1, so a
+    flat cell of h counts when y1 <= h <= y2; clamped to [0, 1].
+    Membership is linear within each grid cell, which sums over every
+    local inverse of h without inverting it.
     """
-    if dt is None:
-        dt = coeffs.dt
     if not (-1.0 <= y1 <= y2 <= 1.0):
         raise ValueError("need -1 <= y1 <= y2 <= 1")
     if y1 == y2:
         return 0.0
-    h = group_velocity(coeffs.phi, dt)
-    scale = dt / (2.0 * np.pi)
-    total = 0.0
-    # close the periodic grid one period after its first point
-    phi_ext = np.append(coeffs.phi, coeffs.phi[0] + 2.0 * np.pi)
-    h_ext = np.append(h, h[0])
-    for g, sign in ((coeffs.g_plus, 1.0), (coeffs.g_minus, -1.0)):
-        u = np.abs(g) ** 2 * scale
-        u_ext = np.append(u, u[0])
-        lo, hi = (y1, y2) if sign > 0 else (-y2, -y1)
-        total += _band_mass(phi_ext, h_ext, u_ext, lo, hi)
+    total = coeffs.mass_below(y2) - coeffs._mass(y1, "left")
     return float(min(max(total, 0.0), 1.0))
 
 
@@ -211,24 +300,26 @@ def limit_density(y, nu: float):
 
 
 def limit_density_mass(y1: float, y2: float, nu: float) -> float:
-    """Int_{y1}^{y2} F(y; nu) dy by adaptive quadrature."""
+    """Int_{y1}^{y2} F(y; nu) dy in closed form.
+
+    The substitution u = y / sqrt(1 - y^2) of ``limit_moment`` turns
+    F(y; nu) dy into e^{-u^2/nu^2} du / (nu sqrt(pi)), so the mass is
+    (erf(u2/nu) - erf(u1/nu)) / 2, with u = +-inf at y = +-1.
+    """
+    if nu <= 0:
+        raise ValueError("nu must be positive")
     if y1 > y2:
         raise ValueError("need y1 <= y2")
     a, b = max(y1, -1.0), min(y2, 1.0)
     if a >= b:
         return 0.0
 
-    def f(y):
-        one = 1.0 - y * y
-        if one <= 0.0:
-            return 0.0
-        return (one ** -1.5) * np.exp(-y * y / (nu * nu * one)) \
-            / (nu * np.sqrt(np.pi))
+    def erf_u(y):
+        if abs(y) >= 1.0:
+            return math.copysign(1.0, y)
+        return math.erf(y / (nu * math.sqrt((1.0 - y) * (1.0 + y))))
 
-    ystar = horn_location(nu)
-    pts = [p for p in (-ystar, 0.0, ystar) if a < p < b] or None
-    val, _ = integrate.quad(f, a, b, points=pts, limit=400)
-    return float(val)
+    return 0.5 * (erf_u(b) - erf_u(a))
 
 
 def horn_location(nu: float) -> float:

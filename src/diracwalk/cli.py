@@ -20,9 +20,10 @@ import numpy as np
 
 from . import __version__
 from .asymptotic import horn_location, limit_density, limit_moment
-from .constants import NumericalHealthError
+from .constants import TOL, NumericalHealthError, require_ring_fits
 from .exact import compare_densities, energy_leakage, evolve_exact_on_lattice
-from .initial import WalkInitConfig, build_initial_state
+from .initial import (WalkInitConfig, build_initial_state,
+                      require_initial_state_fits)
 from .spectral import evolve
 from .svgplot import write_svg
 from .table import ResultTable
@@ -90,6 +91,17 @@ class RunConfig:
             raise UsageError("nu and dt must be positive, t non-negative")
         if self.branch not in ("plus", "minus"):
             raise UsageError("branch must be plus or minus")
+        if self.command == "figure1":
+            return
+        # ranges, from floats and before any work: every dt of the run
+        # must leave the walk window (at least 2 t/dt sites) and the
+        # initial state within the ring budget
+        for dt in self.dt_list if self.command == "compare" else [self.dt]:
+            require_ring_fits(2.0 * self.t / dt)
+            require_initial_state_fits(
+                WalkInitConfig(nu=self.nu, dt=dt),
+                window_rel=TOL.window_rel if self.window_rel is None
+                else self.window_rel)
 
 
 def _load_config(path) -> dict:
@@ -317,6 +329,11 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None,
+                  line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     started = time.perf_counter()
     try:
@@ -324,6 +341,7 @@ def main(argv=None) -> int:
         cfg = _resolve(args)
         with warnings.catch_warnings():
             warnings.simplefilter("always")
+            warnings.showwarning = _show_warning
             table = _COMMANDS[cfg.command](cfg)
         written = _write_outputs(cfg, table)
     except UsageError as exc:

@@ -42,10 +42,15 @@ TOL = Tolerances()
 MAX_RING_SITES = 2 ** 22
 
 
-def require_ring_fits(n_sites: int) -> int:
-    """Refuse a ring longer than ``MAX_RING_SITES``, before it is allocated."""
-    if n_sites > MAX_RING_SITES:
-        raise ValueError(f"a ring of {n_sites} sites exceeds the size budget "
+def require_ring_fits(n_sites):
+    """Refuse a ring longer than ``MAX_RING_SITES``, before it is allocated.
+
+    ``n_sites`` may be a float estimate of any size, inf included, so a
+    preflight can run before any size is converted to an int.
+    """
+    if not n_sites <= MAX_RING_SITES:
+        size = f"{n_sites:.0f}" if n_sites < 1e15 else f"{n_sites:.3g}"
+        raise ValueError(f"a ring of {size} sites exceeds the size budget "
                          f"of {MAX_RING_SITES} sites")
     return n_sites
 

@@ -20,6 +20,7 @@ lattice window is sized once, from the tails of c+-(x).  Everything here is
 pure construction of immutable values.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -49,6 +50,13 @@ class MomentumProfile:
         return self.f(np.asarray(p, dtype=float))
 
 
+def gaussian_cutoff(nu: float) -> float:
+    """Momentum cutoff of ``gaussian_profile``: where the amplitude itself
+    falls below _TAIL_EPS, plus margin; the squared-tail mass
+    erfc(p_max/nu) is then far below the budget."""
+    return 1.05 * nu * np.sqrt(2.0 * np.log(1.0 / _TAIL_EPS))
+
+
 def gaussian_profile(nu: float) -> MomentumProfile:
     """The localized Gaussian profile f_nu; larger nu = sharper localization."""
     if not np.isfinite(nu) or nu <= 0:
@@ -58,9 +66,7 @@ def gaussian_profile(nu: float) -> MomentumProfile:
     def f(p):
         return amp * np.exp(-np.asarray(p, dtype=float) ** 2 / (2.0 * nu ** 2))
 
-    # cutoff where the amplitude itself falls below _TAIL_EPS, plus margin;
-    # the squared-tail mass erfc(p_max/nu) is then far below the budget
-    p_max = 1.05 * nu * np.sqrt(2.0 * np.log(1.0 / _TAIL_EPS))
+    p_max = gaussian_cutoff(nu)
     norm_sq, _ = integrate.quad(lambda p: abs(f(p)) ** 2, -p_max, p_max,
                                 limit=200)
     return MomentumProfile(f=f, p_max=float(p_max), norm=float(np.sqrt(norm_sq)))
@@ -132,8 +138,9 @@ def _quadrature_ring(n_x: int, h: float, x_ext: float, p_max: float) -> int:
     reaches |x| = x_ext (see ``position_coefficients``); refused beyond
     ``MAX_RING_SITES`` before anything is allocated."""
     dp = min(np.pi / max(x_ext, h), p_max / 400.0)
-    return require_ring_fits(next_fast_len(
-        max(n_x, int(np.ceil(2.0 * np.pi / (h * dp))))))
+    # sized in floats first: extreme spacings overflow any int conversion
+    need = require_ring_fits(max(n_x, 2.0 * np.pi / (h * dp)))
+    return require_ring_fits(next_fast_len(max(n_x, math.ceil(need))))
 
 
 def position_coefficients(profile: MomentumProfile, x_grid: np.ndarray,
@@ -228,6 +235,38 @@ def fiber_grid(config: WalkInitConfig, extent: float) -> np.ndarray:
     return config.x0 + np.arange(-m_max, m_max + 1) * config.dt
 
 
+def require_initial_state_fits(config: WalkInitConfig,
+                               p_max: float | None = None,
+                               window_rel: float = TOL.window_rel) -> float:
+    """Preflight of ``build_initial_state``, from floats alone: refuse a
+    quadrature ring beyond ``MAX_RING_SITES`` before anything is computed,
+    and return the extent of the fiber grid.
+
+    The ring is sized at the lattice spacing dt, or at pi/p_max when dt is
+    too coarse to resolve the momentum cutoff p_max (the Gaussian cutoff of
+    ``config.nu`` by default): if even that ring is over budget, no lattice
+    can hold the state, and the run is refused rather than left to fail
+    the aliasing check.
+    """
+    if not window_rel < 1.0:
+        raise ValueError(f"window_rel must be below 1, got {window_rel!r}")
+    if p_max is None:
+        p_max = gaussian_cutoff(config.nu)
+    thr = max(window_rel, TOL.window_rel)
+    efolds = np.log(1.0 / thr)
+    extent = efolds + np.sqrt(2.0 * efolds) / config.nu
+    h = min(config.dt, np.pi / p_max)
+    try:
+        _quadrature_ring(0, h, extent, p_max)
+    except ValueError as exc:
+        if h == config.dt:
+            raise
+        raise ValueError(f"nu = {config.nu:.3g} needs a lattice spacing of "
+                         f"at most pi/p_max = {h:.3g}, and at that "
+                         f"spacing {exc}") from None
+    return extent
+
+
 def build_initial_state(config: WalkInitConfig,
                         profile: MomentumProfile | None = None,
                         window_rel: float = TOL.window_rel) -> LatticeState:
@@ -239,8 +278,8 @@ def build_initial_state(config: WalkInitConfig,
     ``TOL.window_rel`` keeps the default window; a looser w truncates the
     state and skips the coefficient-norm check.
     """
-    if not window_rel < 1.0:
-        raise ValueError(f"window_rel must be below 1, got {window_rel!r}")
+    extent = require_initial_state_fits(
+        config, None if profile is None else profile.p_max, window_rel)
     if profile is None:
         profile = gaussian_profile(config.nu)
     e0 = mean_energy(profile)
@@ -251,10 +290,6 @@ def build_initial_state(config: WalkInitConfig,
             stacklevel=2,
         )
     thr = max(window_rel, TOL.window_rel)
-    efolds = np.log(1.0 / thr)
-    extent = efolds + np.sqrt(2.0 * efolds) / config.nu
-    # refuse an oversized ring, and so the grid it spans, before allocating
-    _quadrature_ring(0, config.dt, extent, profile.p_max)
     grid = fiber_grid(config, extent)
     coeffs = position_coefficients(profile, grid, config.branch,
                                    check_norm=window_rel <= TOL.window_rel)

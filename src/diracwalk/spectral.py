@@ -38,7 +38,7 @@ from scipy.fft import fft, ifft, next_fast_len
 
 from .constants import (TOL, NumericalHealthError, branch_sign,
                         require_ring_fits)
-from .walk import LatticeState
+from .walk import LatticeState, require_unit_norm
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def lattice_to_spectral(state: LatticeState, n_ring: int | None = None,
     allocated.
     """
     need = state.n_sites + pad_sites
-    n = next_fast_len(need) if n_ring is None else n_ring
+    n = next_fast_len(require_ring_fits(need)) if n_ring is None else n_ring
     if n < need:
         raise ValueError(f"a ring of {n} sites cannot resolve a state "
                          f"spanning {need} sites with its padding")
@@ -144,12 +144,6 @@ def _apply_symbol(spec: SpectralState, symbol) -> SpectralState:
                                        m10 * up + m11 * dn]))
 
 
-def evolve_exact(spec: SpectralState, t: float,
-                 branch: str = "plus") -> SpectralState:
-    """Multiply every momentum mode by the closed-form propagator."""
-    return _apply_symbol(spec, propagator_symbol(spec.grid.p, t, branch))
-
-
 def _evolve_on_ring(state: LatticeState, symbol, grow: int) -> LatticeState:
     """Apply ``symbol(grid)`` to every mode of a ring that holds the output
     window [m_min - grow, m_min + n_sites + grow), and read that window out.
@@ -177,11 +171,7 @@ def evolve(state: LatticeState, n_steps: int, branch: str = "plus",
     branch is refused for every n, 0 included.
     """
     branch_sign(branch)
-    drift0 = abs(state.norm_sq() - 1.0)
-    if drift0 > drift_tol:
-        raise NumericalHealthError(
-            f"initial state norm off by {drift0:.3e} (budget {drift_tol:.1e})"
-        )
+    require_unit_norm(state, drift_tol)
     if n_steps == 0:
         return replace(state.copy(), norm_drift=np.empty(0))
     grow = abs(n_steps)

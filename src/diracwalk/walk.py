@@ -66,6 +66,16 @@ class LatticeState:
         return replace(self, a_plus=self.a_plus.copy(), a_minus=self.a_minus.copy())
 
 
+def require_unit_norm(state: LatticeState, drift_tol: float) -> None:
+    """Refuse to evolve a state whose norm^2 is off 1 by more than
+    ``drift_tol`` (``NumericalHealthError``)."""
+    drift0 = abs(state.norm_sq() - 1.0)
+    if drift0 > drift_tol:
+        raise NumericalHealthError(
+            f"initial state norm off by {drift0:.3e} (budget {drift_tol:.1e})"
+        )
+
+
 def coin_matrix(dt: float) -> np.ndarray:
     """The coin c = exp(-i*dt*sigma2) = [[cos dt, -sin dt], [sin dt, cos dt]]."""
     c, s = np.cos(dt), np.sin(dt)
@@ -123,11 +133,7 @@ def evolve_steps(state: LatticeState, n_steps: int, branch: str = "plus",
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     up_shift = int(branch_sign(branch))  # spin-up moves +1 for "plus"
-    drift0 = abs(state.norm_sq() - 1.0)
-    if drift0 > drift_tol:
-        raise NumericalHealthError(
-            f"initial state norm off by {drift0:.3e} (budget {drift_tol:.1e})"
-        )
+    require_unit_norm(state, drift_tol)
     width = state.n_sites + 2 * n_steps
     ap = np.zeros(width, dtype=complex)
     am = np.zeros(width, dtype=complex)

@@ -1,15 +1,20 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.fft import next_fast_len
 from scipy.optimize import minimize_scalar
 from scipy.special import erfc
 
-from diracwalk import (LatticeState, WalkInitConfig, build_initial_state,
-                       evolve, gaussian_g_approx, group_velocity,
-                       horn_location, limit_cdf, limit_cdf_gaussian,
-                       limit_density, limit_density_mass, limit_moment,
-                       spectral_coefficients, walk_symbol_matrix)
+from diracwalk import (LatticeState, SpectralCoefficients, WalkInitConfig,
+                       build_initial_state, evolve, gaussian_g_approx,
+                       group_velocity, horn_location, limit_cdf,
+                       limit_cdf_gaussian, limit_density, limit_density_mass,
+                       limit_moment, spectral_coefficients,
+                       walk_symbol_matrix)
 from diracwalk.asymptotic import _eigen_system
 
 
@@ -217,6 +222,156 @@ def test_limit_cdf_matches_closed_form():
         assert got == pytest.approx(want, abs=2e-3)
 
 
+# ------------------------------------------- mass_below against a scan
+
+def band_mass(phi_ext, h_ext, u_ext, lo, hi):
+    """Integral of u over {phi : lo <= h(phi) <= hi} with piecewise-linear
+    h and u on each grid cell, scanned cell by cell."""
+    h_a, h_b = h_ext[:-1], h_ext[1:]
+    u_a, u_b = u_ext[:-1], u_ext[1:]
+    span = h_b - h_a
+    flat = np.abs(span) < 1e-300
+    safe = np.where(flat, 1.0, span)
+    ta = (lo - h_a) / safe
+    tb = (hi - h_a) / safe
+    t0 = np.clip(np.minimum(ta, tb), 0.0, 1.0)
+    t1 = np.clip(np.maximum(ta, tb), 0.0, 1.0)
+    inside_flat = (h_a >= lo) & (h_a <= hi)
+    t0 = np.where(flat, 0.0, t0)
+    t1 = np.where(flat, np.where(inside_flat, 1.0, 0.0), t1)
+    seg = (t1 - t0) * u_a + 0.5 * (u_b - u_a) * (t1 * t1 - t0 * t0)
+    return float(np.sum(seg * np.diff(phi_ext)))
+
+
+def scan_cdf(y1, y2, coeffs):
+    """The per-cell oracle of ``limit_cdf``: every cell of the periodic
+    grid (closed at phi[0] + 2 pi) for every interval."""
+    if y1 == y2:
+        return 0.0
+    h = group_velocity(coeffs.phi, coeffs.dt)
+    scale = coeffs.dt / (2.0 * np.pi)
+    phi_ext = np.append(coeffs.phi, coeffs.phi[0] + 2.0 * np.pi)
+    h_ext = np.append(h, h[0])
+    total = 0.0
+    for g, (lo, hi) in ((coeffs.g_plus, (y1, y2)),
+                        (coeffs.g_minus, (-y2, -y1))):
+        u = np.abs(g) ** 2 * scale
+        total += band_mass(phi_ext, h_ext, np.append(u, u[0]), lo, hi)
+    return min(max(total, 0.0), 1.0)
+
+
+def special_bounds(coeffs):
+    """+-1, +-cos dt, 0 and samples of h (the extremes included)."""
+    h = group_velocity(coeffs.phi, coeffs.dt)
+    c = np.cos(coeffs.dt)
+    picks = h[[0, 1, h.size // 3, h.size // 2, np.argmax(h), np.argmin(h)]]
+    return np.unique(np.concatenate(([-1.0, -c, 0.0, c, 1.0],
+                                     picks, -picks)))
+
+
+def assert_cdf_matches_scan(coeffs, n_random=40, seed=21):
+    rng = np.random.default_rng(seed)
+    ys = special_bounds(coeffs)
+    pairs = [(a, b) for a in ys for b in ys if a <= b]
+    pairs += [tuple(np.sort(rng.uniform(-1, 1, 2))) for _ in range(n_random)]
+    for y1, y2 in pairs:
+        assert abs(limit_cdf(y1, y2, coeffs)
+                   - scan_cdf(y1, y2, coeffs)) <= 1e-13, (y1, y2)
+
+
+@pytest.mark.parametrize("n_phi", [512, 513])
+def test_limit_cdf_matches_scan_on_random_states(n_phi):
+    co = spectral_coefficients(random_state(), n_phi=n_phi)
+    assert_cdf_matches_scan(co)
+
+
+def test_limit_cdf_matches_scan_on_gaussian_packet():
+    state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.02))
+    assert_cdf_matches_scan(spectral_coefficients(state))
+
+
+def flat_topped_coefficients(n_phi, dt, seed=16):
+    """At dt this small, h(phi) next to its extremes is flat to within
+    rounding, so neighbouring samples come out equal: flat cells.  The
+    coefficients are rescaled to keep unit completeness at that dt."""
+    co = spectral_coefficients(random_state(seed=seed), n_phi=n_phi)
+    rescale = np.sqrt(co.dt / dt)
+    return SpectralCoefficients(phi=co.phi, g_plus=co.g_plus * rescale,
+                                g_minus=co.g_minus * rescale, dt=dt)
+
+
+@pytest.mark.parametrize("n_phi, dt", [(256, 3e-7), (513, 1e-6)])
+def test_limit_cdf_matches_scan_on_flat_cells(n_phi, dt):
+    co = flat_topped_coefficients(n_phi, dt)
+    h = group_velocity(co.phi, dt)
+    top = h.max()
+    # the construction: flat cells at the top, and monotone runs between
+    # the extremes, so the scan is the contract exactly
+    period = np.append(h, h[0])
+    assert np.count_nonzero(np.diff(period) == 0.0) >= 2
+    lo, hi = int(np.argmin(h)), int(np.argmax(h))
+    pts = (lo + np.arange(h.size + 1)) % h.size
+    r = (hi - lo) % h.size
+    assert np.all(np.diff(h[pts[:r + 1]]) >= 0)
+    assert np.all(np.diff(h[pts[r:]]) <= 0)
+    assert_cdf_matches_scan(co)
+    # a closed interval keeps the flat cells at either end
+    flat_mass = limit_cdf(top, 1.0, co)
+    assert flat_mass > 0.0
+    assert limit_cdf(-1.0, top, co) == pytest.approx(
+        limit_cdf(-1.0, 1.0, co), abs=1e-15)
+
+
+@pytest.mark.parametrize("n_phi", [512, 513])
+def test_limit_cdf_matches_scan_on_wiggling_samples(n_phi):
+    # dt = 1e-7: rounding lets h wiggle by an ulp next to its extremes, so
+    # the runs are not monotone there; bounds on and between those samples
+    co = flat_topped_coefficients(n_phi, 1e-7)
+    h = group_velocity(co.phi, co.dt)
+    rising = h[np.argmin(h):np.argmax(h) + 1]
+    assert np.count_nonzero(np.diff(rising) < 0) > 0
+    near = h[np.abs(h) > h.max() - 1e-13]
+    ys = np.unique(np.concatenate((near, -near, [-1.0, 0.0, 1.0])))
+    ys = np.unique(np.concatenate((ys, 0.5 * (ys[1:] + ys[:-1]))))
+    pairs = [(-1.0, y) for y in ys] + [(y, 1.0) for y in ys]
+    pairs += list(zip(ys[:-1], ys[1:])) + list(zip(ys[:-2], ys[2:]))
+    for y1, y2 in pairs:
+        assert abs(limit_cdf(y1, y2, co)
+                   - scan_cdf(y1, y2, co)) <= 1e-13, (y1, y2)
+    assert np.all(np.diff(co.mass_below(ys)) >= 0.0)
+
+
+def test_mass_below_is_vectorized_and_checked():
+    co = spectral_coefficients(random_state(), n_phi=512)
+    y = np.array([[-1.0, -0.3], [0.2, 1.0]])
+    got = co.mass_below(y)
+    assert got.shape == y.shape
+    assert [co.mass_below(v) for v in y.ravel()] == got.ravel().tolist()
+    assert isinstance(co.mass_below(0.2), float)
+    assert co.mass_below(-1.0) == 0.0
+    assert co.mass_below(1.0) == pytest.approx(co.completeness(), abs=1e-12)
+    for bad in (1.5, -1.0000001, np.nan):
+        with pytest.raises(ValueError):
+            co.mass_below(bad)
+    with pytest.raises(ValueError):
+        limit_cdf(0.3, 0.2, co)
+
+
+@lru_cache(maxsize=None)
+def _odd_ring_coefficients():
+    return spectral_coefficients(random_state(seed=17), n_phi=513)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+def test_limit_cdf_matches_scan_on_any_interval(a, b):
+    co = _odd_ring_coefficients()
+    y1, y2 = min(a, b), max(a, b)
+    got = limit_cdf(y1, y2, co)
+    assert abs(got - scan_cdf(y1, y2, co)) <= 1e-13
+    assert got == limit_cdf(y1, y2, co)  # the cached tables do not drift
+
+
 def test_limit_cdf_gaussian_fast_path():
     nu, dt = 2.5, 0.004
     rng = np.random.default_rng(13)
@@ -241,6 +396,46 @@ def test_limit_density_domain():
         limit_density(-1.2, 2.0)
     with pytest.raises(ValueError):
         limit_density(0.5, -1.0)
+
+
+def quad_density_mass(y1, y2, nu):
+    """Int_{y1}^{y2} F(y; nu) dy by adaptive quadrature, split at the
+    horns and the origin."""
+    a, b = max(y1, -1.0), min(y2, 1.0)
+    if a >= b:
+        return 0.0
+
+    def f(y):
+        one = 1.0 - y * y
+        if one <= 0.0:
+            return 0.0
+        return (one ** -1.5) * np.exp(-y * y / (nu * nu * one)) \
+            / (nu * np.sqrt(np.pi))
+
+    ystar = horn_location(nu)
+    pts = [p for p in (-ystar, 0.0, ystar) if a < p < b] or None
+    val, _ = integrate.quad(f, a, b, points=pts, limit=400,
+                            epsabs=1e-15, epsrel=1e-13)
+    return val
+
+
+def test_limit_density_mass_matches_quadrature():
+    rng = np.random.default_rng(23)
+    cases = [(-1.0, 1.0, 2.5), (-1.0, -0.5, 1.9), (0.4, 1.0, 2.9),
+             (0.3, 0.3, 2.0), (-1.0, -1.0, 2.0), (1.0, 1.0, 2.0),
+             (-2.0, 2.0, 1.2)]
+    for _ in range(200):
+        y1, y2 = np.sort(rng.uniform(-1.0, 1.0, 2))
+        cases.append((y1, y2, rng.uniform(0.3, 6.0)))
+    for y1, y2, nu in cases:
+        got = limit_density_mass(y1, y2, nu)
+        assert got == pytest.approx(quad_density_mass(y1, y2, nu),
+                                    abs=1e-13), (y1, y2, nu)
+    assert limit_density_mass(0.3, 0.3, 2.0) == 0.0
+    with pytest.raises(ValueError):
+        limit_density_mass(0.5, 0.4, 2.0)
+    with pytest.raises(ValueError):
+        limit_density_mass(0.1, 0.4, 0.0)
 
 
 def test_limit_density_normalization():

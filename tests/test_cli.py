@@ -228,6 +228,30 @@ def test_over_budget_initial_state_refused_before_allocating(capsys, dt,
     assert re.search(rf"ring of \d{{{digits}}} sites", err)
 
 
+@pytest.mark.parametrize("args", [
+    ("walk", "--nu", "1e300", "--dt", "0.01", "--t", "1"),
+    ("compare", "--nu", "1", "--t", "2", "--dt-list", "0.02,1e-300"),
+    ("walk", "--t", "1e300"),
+    ("asymptotic", "--dt", "1e-9", "--t", "1e308"),
+    ("exact", "--nu", "1e-300"),
+    ("walk", "--dt", "5e-324"),
+], ids=["huge-nu", "tiny-dt-in-list", "huge-t", "t-over-dt-overflows",
+        "tiny-nu", "subnormal-dt"])
+def test_extreme_inputs_refused_before_allocating(capsys, args):
+    # each would overflow a float or an int conversion; the config's
+    # range check refuses it against the ring budget first
+    err = assert_refused_before_allocating(capsys, *args)
+    assert err.startswith("usage error: ")
+
+
+def test_warning_prints_as_one_line(capsys):
+    # dt * E0 = 0.53: the build warns, and the run still succeeds
+    assert run_cli("walk", "--nu", "0.5", "--dt", "0.5", "--t", "1") == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("warning: dt*E0 = 0.529 is not small")
+
+
 def test_unwritable_output_path(tmp_path):
     missing = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert run_cli("walk", "--nu", "2.0", "--dt", "0.05", "--t", "0.5",

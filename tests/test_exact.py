@@ -4,10 +4,16 @@ from scipy.linalg import expm
 
 from diracwalk import (LatticeState, WalkInitConfig, build_initial_state,
                        compare_densities, energy_leakage, evolve,
-                       evolve_exact, evolve_exact_on_lattice, evolve_steps,
+                       evolve_exact_on_lattice, evolve_steps,
                        hamiltonian_matrix, lattice_to_spectral,
                        propagator_symbol, spectral_to_lattice,
                        u_plus_effective)
+from diracwalk.spectral import _apply_symbol
+
+
+def evolve_exact(spec, t, branch="plus"):
+    """Multiply every momentum mode by the closed-form propagator."""
+    return _apply_symbol(spec, propagator_symbol(spec.grid.p, t, branch))
 
 
 def propagator_matrix(p, t):
