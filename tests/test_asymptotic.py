@@ -434,8 +434,9 @@ def test_limit_density_mass_matches_quadrature():
     assert limit_density_mass(0.3, 0.3, 2.0) == 0.0
     with pytest.raises(ValueError):
         limit_density_mass(0.5, 0.4, 2.0)
-    with pytest.raises(ValueError):
-        limit_density_mass(0.1, 0.4, 0.0)
+    for nu in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            limit_density_mass(0.1, 0.4, nu)
 
 
 def test_limit_density_normalization():
