@@ -13,7 +13,7 @@ from .spinor import (DiracRep, EnergySpinor, dirac_representation, energy,
                      u_plus_effective)
 from .initial import (MomentumProfile, PositionAmplitudes, WalkInitConfig,
                       build_initial_state, discretize_to_lattice, fiber_grid,
-                      gaussian_profile, mean_energy, position_coefficients)
+                      gaussian_profile, position_coefficients)
 from .walk import (LatticeState, coin_matrix, coin_step, empirical_moment,
                    evolve_steps, position_distribution, shift_step, step)
 from .spectral import (MomentumGrid, SpectralState, evolve,

@@ -30,19 +30,18 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
-from scipy.fft import next_fast_len
 
-from .spectral import lattice_to_spectral
+from .initial import gaussian_profile
+from .spectral import lattice_to_spectral, ring_length
+from .spinor import energy
 from .walk import LatticeState, coin_matrix
 
 
 def _check_dt(dt: float) -> None:
-    if not (0.0 < dt < np.pi) or np.sin(dt) == 0.0:
-        raise ValueError(
-            f"dt={dt!r} outside (0, pi): the symbol is degenerate "
-            "(|cos(phi) cos(dt)| can reach 1)"
-        )
+    if not (0.0 < dt < np.pi) or abs(np.cos(dt)) == 1.0:
+        raise ValueError(f"dt={dt!r} needs 0 < dt < pi and |cos dt| < 1 "
+                         "(false within ~1e-8 of 0 and pi): else "
+                         "|cos(phi) cos(dt)| reaches 1")
 
 
 def _eigen_system(phi, dt):
@@ -253,7 +252,7 @@ def spectral_coefficients(state: LatticeState,
     (default 8x, rounded up to an FFT-friendly size).
     """
     if n_phi is None:
-        n_phi = next_fast_len(max(8 * state.n_sites, 4096))
+        n_phi = ring_length(max(8 * state.n_sites, 4096))
     ring = lattice_to_spectral(state, n_ring=int(n_phi))
     phi = -ring.grid.phi
     _, _, f_pp, f_pm, f_mp, f_mm = _eigen_system(phi, state.dt)
@@ -335,52 +334,36 @@ def horn_location(nu: float) -> float:
 
 
 def limit_moment(k: int, nu: float) -> float:
-    """Int y^k F(y; nu) dy via the substitution u = y / sqrt(1 - y^2),
-    which maps the integral to a smooth Gaussian-weighted one over R."""
+    """Int y^k F(y; nu) dy: F is the law of the group velocity y = p/E(p)
+    under |f_nu(p)|^2 dp (the substitution u = y / sqrt(1 - y^2) with
+    u = p), so this is the profile mean of (p/E(p))^k."""
     if k < 0:
         raise ValueError("moment order must be >= 0")
-
-    def f(u):
-        y = u / np.sqrt(1.0 + u * u)
-        return (y ** k) * np.exp(-u * u / (nu * nu)) / (nu * np.sqrt(np.pi))
-
-    val, _ = integrate.quad(f, -np.inf, np.inf, limit=400)
-    return float(val)
+    return gaussian_profile(nu).mean(lambda p: (p / energy(p)) ** k)
 
 
 def limit_cdf_gaussian(y1: float, y2: float, nu: float, dt: float) -> float:
     """Finite-dt closed-form route to P(y1 <= Y <= y2) for Gaussian packets.
 
-    Uses the envelope |g+|^2 + |g-|^2 = 2 sqrt(pi) e^{-phi^2/(nu dt)^2} /
-    (nu dt^2) and only the local inverse of h with phi near 0 (the envelope
-    suppresses all others):
-
-        phi_i(y) = arcsin( tan(dt) * y / sqrt(1 - y^2) ),
-        dP/dy = (dt sin dt / (2 pi)) * (2 sqrt(pi) / (nu dt^2))
-                * e^{-phi_i(y)^2/(nu dt)^2} / ((1 - y^2) sqrt(cos^2 dt - y^2)).
+    The envelope |g+|^2 + |g-|^2 = 2 sqrt(pi) e^{-phi^2/(nu dt)^2} /
+    (nu dt^2) over phi(y1) <= phi <= phi(y2), with phi(y) = arcsin(min(
+    tan(dt) |y| / sqrt(1 - y^2), 1)) sign(y) the local inverse of h near
+    phi = 0 (the envelope suppresses all others; +-pi/2 at the band edge
+    |y| = cos dt): (erf(phi(y2)/(nu dt)) - erf(phi(y1)/(nu dt))) / 2.
     """
     _check_dt(dt)
     if not (-1.0 <= y1 <= y2 <= 1.0):
         raise ValueError("need -1 <= y1 <= y2 <= 1")
-    c, s = np.cos(dt), np.sin(dt)
-    a, b = max(y1, -c + 1e-15), min(y2, c - 1e-15)
-    if a >= b:
-        return 0.0
-    pref = s * np.sqrt(np.pi) / (np.pi * nu * dt)
+    if not nu > 0:
+        raise ValueError("nu must be positive")
+    tan_dt = math.tan(dt)
 
-    def f(y):
-        one = 1.0 - y * y
-        root = c * c - y * y
-        if root <= 0.0 or one <= 0.0:
-            return 0.0
-        arg = min(s * abs(y) / (c * np.sqrt(one)), 1.0)
-        phi_i = np.arcsin(arg)
-        return pref * np.exp(-(phi_i / (nu * dt)) ** 2) / (one * np.sqrt(root))
+    def erf_phi(y):
+        one = (1.0 - y) * (1.0 + y)
+        arg = min(tan_dt * abs(y) / math.sqrt(one), 1.0) if one > 0.0 else 1.0
+        return math.erf(math.copysign(math.asin(arg), y) / (nu * dt))
 
-    ystar = horn_location(nu)
-    pts = [p for p in (-ystar, 0.0, ystar) if a < p < b] or None
-    val, _ = integrate.quad(f, a, b, points=pts, limit=400)
-    return float(min(max(val, 0.0), 1.0))
+    return 0.5 * (erf_phi(y2) - erf_phi(y1))
 
 
 def gaussian_g_approx(phi, nu: float, dt: float):

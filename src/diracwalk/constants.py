@@ -21,7 +21,7 @@ class Tolerances:
     factor_mixing: float = 1e-12
 
     # initial-state construction
-    quadrature_rel: float = 1e-6        # mean_energy quadrature error
+    quadrature_rel: float = 1e-6        # MomentumProfile.mean step halving
     coeff_norm: float = 1e-8            # combined norm of c+-(x)
     window_rel: float = 1e-14           # lattice window cut, relative to peak
 

@@ -16,6 +16,8 @@ from .spectral import (SpectralState, _evolve_on_ring, lattice_to_spectral,
 from .spinor import u_minus_effective, u_plus_effective
 from .walk import LatticeState, position_distribution
 
+_MARGIN_SITES = 128  # ring padding past the light cone, in sites
+
 
 def _check_band_occupation(spec: SpectralState) -> None:
     """Flag states whose spectral weight reaches the grid's Nyquist band."""
@@ -48,8 +50,7 @@ def energy_leakage(state: LatticeState, branch: str = "plus") -> float:
 
 
 def evolve_exact_on_lattice(state: LatticeState, t: float,
-                            branch: str = "plus",
-                            margin_sites: int = 128) -> LatticeState:
+                            branch: str = "plus") -> LatticeState:
     """Exact evolution of lattice data, returned on the widened lattice window.
 
     The ring is padded past the light cone (speed <= 1) so wrap-around
@@ -57,7 +58,7 @@ def evolve_exact_on_lattice(state: LatticeState, t: float,
     """
     n_cone = int(np.ceil(abs(t) / state.dt))
     return _evolve_on_ring(state, lambda grid: propagator_symbol(
-        grid.p, t, branch), n_cone + margin_sites)
+        grid.p, t, branch), n_cone + _MARGIN_SITES)
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,6 @@ class ComparisonReport:
     l1: float
     l2: float
     sup: float
-    method: str = "lattice-sites"
 
 
 def compare_densities(state_a: LatticeState,

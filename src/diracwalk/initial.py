@@ -26,11 +26,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
-from scipy.fft import ifft, ifftshift, next_fast_len
 
-from .constants import (TOL, NumericalHealthError, branch_sign,
-                        require_ring_fits)
+from .constants import TOL, NumericalHealthError, branch_sign
+from .spectral import ring_length
 from .spinor import energy, spinor_weights
 from .walk import LatticeState
 
@@ -44,10 +42,30 @@ class MomentumProfile:
 
     f: Callable[[np.ndarray], np.ndarray]
     p_max: float
-    norm: float  # L2 norm over [-p_max, p_max], should be 1
 
     def __call__(self, p):
         return self.f(np.asarray(p, dtype=float))
+
+    def mean(self, g: Callable[[np.ndarray], np.ndarray]) -> float:
+        """Int g(p) |f(p)|^2 dp over |p| <= p_max (g vectorized): the
+        trapezoid rule on p = sinh(s), step min(0.1, asinh(p_max)/80), so
+        narrow and wide profiles take at most 261 points, summed in +-p
+        pairs (0 for a g odd to the last bit on an even profile), and
+        checked against twice the step (``TOL.quadrature_rel``)."""
+        s_max = math.asinh(self.p_max)
+        step = min(0.1, s_max / 80.0)
+        s = step * np.arange(int(s_max / step) + 1)
+        p = np.sinh(s)
+        terms = (g(p) * np.abs(self(p)) ** 2
+                 + g(-p) * np.abs(self(-p)) ** 2) * np.cosh(s)
+        terms[0] *= 0.5  # s = 0 is one point, counted twice above
+        val = step * float(np.sum(terms))
+        coarse = 2.0 * step * float(np.sum(terms[::2]))
+        if not (np.isfinite(val) and abs(val - coarse)
+                <= TOL.quadrature_rel * max(abs(val), 1.0)):
+            raise NumericalHealthError(f"profile quadrature unreliable: "
+                                       f"{val}, at twice the step {coarse}")
+        return val
 
 
 def gaussian_cutoff(nu: float) -> float:
@@ -59,30 +77,14 @@ def gaussian_cutoff(nu: float) -> float:
 
 def gaussian_profile(nu: float) -> MomentumProfile:
     """The localized Gaussian profile f_nu; larger nu = sharper localization."""
-    if not np.isfinite(nu) or nu <= 0:
-        raise ValueError(f"nu must be positive, got {nu!r}")
+    if not (nu > 0 and 0.0 < nu * nu < math.inf):  # f divides by nu^2
+        raise ValueError(f"nu must be positive, nu^2 finite, got {nu!r}")
     amp = 1.0 / np.sqrt(nu * np.sqrt(np.pi))
 
     def f(p):
         return amp * np.exp(-np.asarray(p, dtype=float) ** 2 / (2.0 * nu ** 2))
 
-    p_max = gaussian_cutoff(nu)
-    norm_sq, _ = integrate.quad(lambda p: abs(f(p)) ** 2, -p_max, p_max,
-                                limit=200)
-    return MomentumProfile(f=f, p_max=float(p_max), norm=float(np.sqrt(norm_sq)))
-
-
-def mean_energy(profile: MomentumProfile) -> float:
-    """E0 = Int E(p) |f(p)|^2 dp  (>= 1 for any normalized profile)."""
-    val, err = integrate.quad(
-        lambda p: float(energy(p)) * abs(profile(p)) ** 2,
-        -profile.p_max, profile.p_max, limit=400,
-    )
-    if not np.isfinite(val) or err > TOL.quadrature_rel * max(abs(val), 1.0):
-        raise NumericalHealthError(
-            f"mean-energy quadrature unreliable (value {val}, error {err})"
-        )
-    return float(val)
+    return MomentumProfile(f=f, p_max=float(gaussian_cutoff(nu)))
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,7 @@ class WalkInitConfig:
             raise ValueError("nu must be positive")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if not (-self.dt / 2 < self.x0 <= self.dt / 2):
+        if not (-self.dt < 2.0 * self.x0 <= self.dt):  # dt/2 may underflow
             raise ValueError("x0 must lie in (-dt/2, dt/2]")
         branch_sign(self.branch)
 
@@ -138,9 +140,8 @@ def _quadrature_ring(n_x: int, h: float, x_ext: float, p_max: float) -> int:
     reaches |x| = x_ext (see ``position_coefficients``); refused beyond
     ``MAX_RING_SITES`` before anything is allocated."""
     dp = min(np.pi / max(x_ext, h), p_max / 400.0)
-    # sized in floats first: extreme spacings overflow any int conversion
-    need = require_ring_fits(max(n_x, 2.0 * np.pi / (h * dp)))
-    return require_ring_fits(next_fast_len(max(n_x, math.ceil(need))))
+    with np.errstate(divide="ignore"):  # h * dp may underflow: inf, refused
+        return ring_length(max(n_x, 2.0 * np.pi / (h * dp)))
 
 
 def position_coefficients(profile: MomentumProfile, x_grid: np.ndarray,
@@ -169,7 +170,7 @@ def position_coefficients(profile: MomentumProfile, x_grid: np.ndarray,
     # ring momenta p_k = k dp: exp(i p_k m h) = exp(2 pi i k m / n_ring)
     dp = 2.0 * np.pi / (n_ring * h)
     # FFT order, sign-symmetric to the last bit
-    p = dp * ifftshift(np.arange(-(n_ring // 2), n_ring - n_ring // 2))
+    p = dp * np.fft.ifftshift(np.arange(n_ring) - n_ring // 2)
     inside = np.abs(p) <= profile.p_max
 
     # grid point j is x_c + (j - j_c) h with x_c = xf + m_c h, |xf| <= h/2
@@ -181,9 +182,12 @@ def position_coefficients(profile: MomentumProfile, x_grid: np.ndarray,
         * np.stack(spinor_weights(p[inside]))
     if branch == "minus":
         weights = weights[::-1]
-    if xf != 0.0:  # at xf = 0 real weights take the exactly Hermitian path
+    if xf != 0.0:
         weights = weights * np.exp(1j * p * xf)
-    ring = ifft(weights, axis=1, norm="forward")
+        ring = np.fft.ifft(weights, axis=1, norm="forward")
+    else:  # real weights: the real-input transform, exactly Hermitian
+        half = np.conj(np.fft.rfft(weights, axis=1))
+        ring = np.hstack([half, np.conj(half[:, n_ring - half.shape[1]:0:-1])])
     idx = (m_c - j_c + np.arange(x_grid.size)) % n_ring
     out = PositionAmplitudes(x=x_grid, c_plus=ring[0, idx],
                              c_minus=1.0j * ring[1, idx])
@@ -282,7 +286,7 @@ def build_initial_state(config: WalkInitConfig,
         config, None if profile is None else profile.p_max, window_rel)
     if profile is None:
         profile = gaussian_profile(config.nu)
-    e0 = mean_energy(profile)
+    e0 = profile.mean(energy)  # the mean energy E0 >= 1
     if config.dt * e0 > 0.1:
         warnings.warn(
             f"dt*E0 = {config.dt * e0:.3g} is not small; the walk only "

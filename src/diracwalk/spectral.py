@@ -34,11 +34,31 @@ Per-mode work is embarrassingly parallel; all functions are pure.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
 
-from .constants import (TOL, NumericalHealthError, branch_sign,
-                        require_ring_fits)
+from .constants import (MAX_RING_SITES, TOL, NumericalHealthError,
+                        branch_sign, require_ring_fits)
 from .walk import LatticeState, require_unit_norm
+
+
+def _fast_lengths() -> np.ndarray:
+    """The lengths up to MAX_RING_SITES with no prime factor above 11."""
+    lengths = np.ones(1, dtype=np.int64)
+    for prime in (2, 3, 5, 7, 11):
+        powers = [prime ** k for k in range(MAX_RING_SITES.bit_length())
+                  if prime ** k <= MAX_RING_SITES]
+        lengths = np.outer(lengths, powers).ravel()
+        lengths = lengths[lengths <= MAX_RING_SITES]
+    return np.sort(lengths)
+
+
+_FAST_LENGTHS = _fast_lengths()  # 3,608 lengths; the last is the cap
+
+
+def ring_length(n_sites) -> int:
+    """The length of every ring: the least 11-smooth length >= ``n_sites``
+    (any float), refused above ``MAX_RING_SITES`` before allocating."""
+    require_ring_fits(n_sites)
+    return int(_FAST_LENGTHS[np.searchsorted(_FAST_LENGTHS, n_sites)])
 
 
 @dataclass(frozen=True)
@@ -57,10 +77,6 @@ class MomentumGrid:
         """Ring phases p * dt in [-pi, pi)."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n)
 
-    @property
-    def dp(self) -> float:
-        return 2.0 * np.pi / (self.n * self.dt)
-
 
 @dataclass(frozen=True)
 class SpectralState:
@@ -75,22 +91,18 @@ class SpectralState:
 
 def lattice_to_spectral(state: LatticeState, n_ring: int | None = None,
                         pad_sites: int = 0) -> SpectralState:
-    """Unitary DFT of the lattice state onto a ring of >= n_sites + pad.
-
-    Rings longer than ``MAX_RING_SITES`` are refused before anything is
-    allocated.
-    """
+    """Unitary DFT of the lattice state onto a ring of >= n_sites + pad:
+    ``ring_length``, or ``n_ring`` if given (within ``MAX_RING_SITES``)."""
     need = state.n_sites + pad_sites
-    n = next_fast_len(require_ring_fits(need)) if n_ring is None else n_ring
+    n = ring_length(need) if n_ring is None else require_ring_fits(n_ring)
     if n < need:
         raise ValueError(f"a ring of {n} sites cannot resolve a state "
                          f"spanning {need} sites with its padding")
-    require_ring_fits(n)
     buf = np.zeros((2, n), dtype=complex)
     idx = np.mod(state.sites, n)
     buf[0, idx] = state.a_plus
     buf[1, idx] = state.a_minus
-    amp = fft(buf, axis=1) / np.sqrt(n)
+    amp = np.fft.fft(buf, axis=1) / np.sqrt(n)
     return SpectralState(grid=MomentumGrid(n=n, dt=state.dt), amp=amp)
 
 
@@ -100,7 +112,7 @@ def spectral_to_lattice(spec: SpectralState, m_min: int, n_sites: int,
     n = spec.grid.n
     if n_sites > n:
         raise ValueError("requested window exceeds the ring")
-    buf = ifft(spec.amp, axis=1) * np.sqrt(n)
+    buf = np.fft.ifft(spec.amp, axis=1) * np.sqrt(n)
     idx = np.mod(np.arange(m_min, m_min + n_sites), n)
     return LatticeState(dt=spec.grid.dt, m_min=m_min, x0=x0,
                         a_plus=buf[0, idx], a_minus=buf[1, idx])
@@ -154,8 +166,8 @@ def _evolve_on_ring(state: LatticeState, symbol, grow: int) -> LatticeState:
                                n_sites=state.n_sites + 2 * grow, x0=state.x0)
 
 
-def evolve(state: LatticeState, n_steps: int, branch: str = "plus",
-           drift_tol: float = TOL.norm_drift_abort) -> LatticeState:
+def evolve(state: LatticeState, n_steps: int,
+           branch: str = "plus") -> LatticeState:
     """``n_steps`` walk steps in one FFT pair; a negative count runs the
     walk backwards, so ``evolve(evolve(s, n), -n)`` is s again, padded
     with 2|n| zero sites on each side.
@@ -164,14 +176,14 @@ def evolve(state: LatticeState, n_steps: int, branch: str = "plus",
     |n|), so the circular product is the walk itself, without wrap-around.
     Amplitudes outside the light cone of the initial nonzero support are
     set to exactly 0.0, as the step-by-step walk leaves them.  The norm is
-    checked before and after against ``drift_tol`` (monitored, never
-    repaired: ``NumericalHealthError``); ``norm_drift`` holds the final
-    drift as a 1-element array.  For n = 0 the state comes back unchanged
+    checked before and after against ``TOL.norm_drift_abort`` (monitored,
+    never repaired: ``NumericalHealthError``); ``norm_drift`` holds the
+    final drift as a 1-element array.  For n = 0 the state comes back unchanged
     with an empty drift record, as from ``walk.evolve_steps``; an unknown
     branch is refused for every n, 0 included.
     """
     branch_sign(branch)
-    require_unit_norm(state, drift_tol)
+    require_unit_norm(state)
     if n_steps == 0:
         return replace(state.copy(), norm_drift=np.empty(0))
     grow = abs(n_steps)
@@ -183,9 +195,9 @@ def evolve(state: LatticeState, n_steps: int, branch: str = "plus",
         amp[:occupied[0]] = 0.0
         amp[occupied[-1] + 2 * grow + 1:] = 0.0
     drift = abs(out.norm_sq() - 1.0)
-    if drift > drift_tol:
+    if drift > TOL.norm_drift_abort:
         raise NumericalHealthError(
             f"norm drift {drift:.3e} after {n_steps} steps "
-            f"exceeds budget {drift_tol:.1e}"
+            f"exceeds budget {TOL.norm_drift_abort:.1e}"
         )
     return replace(out, norm_drift=np.array([drift]))

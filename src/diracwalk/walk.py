@@ -66,14 +66,13 @@ class LatticeState:
         return replace(self, a_plus=self.a_plus.copy(), a_minus=self.a_minus.copy())
 
 
-def require_unit_norm(state: LatticeState, drift_tol: float) -> None:
+def require_unit_norm(state: LatticeState) -> None:
     """Refuse to evolve a state whose norm^2 is off 1 by more than
-    ``drift_tol`` (``NumericalHealthError``)."""
+    ``TOL.norm_drift_abort`` (``NumericalHealthError``)."""
     drift0 = abs(state.norm_sq() - 1.0)
-    if drift0 > drift_tol:
-        raise NumericalHealthError(
-            f"initial state norm off by {drift0:.3e} (budget {drift_tol:.1e})"
-        )
+    if drift0 > TOL.norm_drift_abort:
+        raise NumericalHealthError(f"initial state norm off by {drift0:.3e} "
+                                   f"(budget {TOL.norm_drift_abort:.1e})")
 
 
 def coin_matrix(dt: float) -> np.ndarray:
@@ -117,8 +116,8 @@ def step(state: LatticeState, branch: str = "plus") -> LatticeState:
     return shift_step(coin_step(state), branch)
 
 
-def evolve_steps(state: LatticeState, n_steps: int, branch: str = "plus",
-                 drift_tol: float = TOL.norm_drift_abort) -> LatticeState:
+def evolve_steps(state: LatticeState, n_steps: int,
+                 branch: str = "plus") -> LatticeState:
     """Apply ``n_steps`` walk steps one by one, recording |norm^2 - 1|
     after each.  ``spectral.evolve`` computes the same state in one FFT
     pair; this loop is its reference.
@@ -126,14 +125,14 @@ def evolve_steps(state: LatticeState, n_steps: int, branch: str = "plus",
     The steps run in place on one window preallocated at the final size,
     with the same arithmetic as ``step``, so the amplitudes and the drift
     record are bit-identical to chaining ``step`` n times.  Drift is
-    monitored, never repaired: exceeding ``drift_tol`` raises
+    monitored, never repaired: exceeding ``TOL.norm_drift_abort`` raises
     ``NumericalHealthError``.  The returned state carries the per-step
     drift record in ``norm_drift``.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     up_shift = int(branch_sign(branch))  # spin-up moves +1 for "plus"
-    require_unit_norm(state, drift_tol)
+    require_unit_norm(state)
     width = state.n_sites + 2 * n_steps
     ap = np.zeros(width, dtype=complex)
     am = np.zeros(width, dtype=complex)
@@ -168,10 +167,10 @@ def evolve_steps(state: LatticeState, n_steps: int, branch: str = "plus",
         np.multiply(a2, a2, out=a2)
         np.multiply(b2, b2, out=b2)
         drift[k] = abs(float(np.sum(np.add(a2, b2, out=a2))) - 1.0)
-        if drift[k] > drift_tol:
+        if drift[k] > TOL.norm_drift_abort:
             raise NumericalHealthError(
                 f"norm drift {drift[k]:.3e} after step {k + 1} "
-                f"exceeds budget {drift_tol:.1e}"
+                f"exceeds budget {TOL.norm_drift_abort:.1e}"
             )
     return replace(state, m_min=state.m_min - n_steps, a_plus=ap, a_minus=am,
                    norm_drift=drift)

@@ -1,5 +1,7 @@
+import math
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,10 +69,13 @@ def test_symbol_unit_modulus_on_grid():
 
 
 def test_symbol_rejects_degenerate_dt():
-    with pytest.raises(ValueError):
-        _eigen_system(0.3, 0.0)
-    with pytest.raises(ValueError):
-        _eigen_system(0.3, np.pi)
+    # at 1e-8 and pi - 1e-8, |cos dt| rounds to 1 and h would be NaN at 0
+    for dt in (0.0, np.pi, 1e-8, 1e-300, np.pi - 1e-8):
+        with pytest.raises(ValueError):
+            _eigen_system(0.3, dt)
+        with pytest.raises(ValueError):
+            group_velocity(np.array([0.0, 1e-3]), dt)
+    assert np.all(np.isfinite(group_velocity(np.array([0.0, 1e-3]), 2e-8)))
 
 
 # -------------------------------------------------------- group velocity
@@ -372,6 +377,45 @@ def test_limit_cdf_matches_scan_on_any_interval(a, b):
     assert got == limit_cdf(y1, y2, co)  # the cached tables do not drift
 
 
+def quad_cdf_gaussian(y1, y2, nu, dt):
+    """The finite-dt Gaussian route by adaptive quadrature of its density
+    in y over [y1, y2], kept away from the band edge +-cos dt; returns the
+    value and quad's error estimate."""
+    c, s = np.cos(dt), np.sin(dt)
+    a, b = max(y1, -c + 1e-15), min(y2, c - 1e-15)
+    if a >= b:
+        return 0.0, 0.0
+    pref = s * np.sqrt(np.pi) / (np.pi * nu * dt)
+
+    def f(y):
+        one = 1.0 - y * y
+        root = c * c - y * y
+        if root <= 0.0 or one <= 0.0:
+            return 0.0
+        phi_i = np.arcsin(min(s * abs(y) / (c * np.sqrt(one)), 1.0))
+        return pref * np.exp(-(phi_i / (nu * dt)) ** 2) / (one * np.sqrt(root))
+
+    ystar = horn_location(nu)
+    pts = [p for p in (-ystar, 0.0, ystar) if a < p < b] or None
+    return integrate.quad(f, a, b, points=pts, limit=400)
+
+
+@pytest.mark.parametrize("nu, dt", [(2.5, 0.5), (2.5, 0.004), (1.0, 0.05),
+                                    (0.3, 0.2), (10.0, 0.002)])
+def test_limit_cdf_gaussian_closed_form(nu, dt):
+    assert limit_cdf_gaussian(-1.0, 1.0, nu, dt) \
+        == math.erf(np.pi / (2.0 * nu * dt))
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        y1, y2 = np.sort(rng.uniform(-1.0, 1.0, 2))
+        want, err = quad_cdf_gaussian(y1, y2, nu, dt)
+        assert abs(limit_cdf_gaussian(y1, y2, nu, dt) - want) \
+            <= max(err, 1e-13), (y1, y2)
+    assert limit_cdf_gaussian(0.3, 0.3, nu, dt) == 0.0
+    with pytest.raises(ValueError):
+        limit_cdf_gaussian(-0.5, 0.5, 0.0, dt)
+
+
 def test_limit_cdf_gaussian_fast_path():
     nu, dt = 2.5, 0.004
     rng = np.random.default_rng(13)
@@ -473,6 +517,25 @@ def test_limit_moments():
     closed = 1 - (np.sqrt(np.pi) / 2.0) * np.exp(0.25) * erfc(0.5)
     assert limit_moment(2, 2.0) == pytest.approx(closed, abs=1e-12)
     assert limit_moment(2, 2.0) == pytest.approx(0.454358639234953, abs=1e-12)
+
+
+@pytest.mark.parametrize("nu", [0.01, 0.3, 2.5, 600.0, 3e4])
+def test_limit_moments_match_mpmath(nu):
+    with mpmath.workdps(30):
+        nu_mp = mpmath.mpf(nu)
+        cuts = [-mpmath.inf] + [k * nu_mp for k in (-8, -4, -2, -1, 0, 1, 2,
+                                                    4, 8)] + [mpmath.inf]
+        for k in (0, 2, 4, 6):
+            want = mpmath.quad(
+                lambda u: (u * u / (1 + u * u)) ** (k // 2)
+                * mpmath.exp(-(u / nu_mp) ** 2)
+                / (nu_mp * mpmath.sqrt(mpmath.pi)), cuts)
+            assert limit_moment(k, nu) == pytest.approx(float(want),
+                                                        rel=1e-14), k
+    # the +-p points cancel pairwise, exactly where g(-p) = -g(p) to the
+    # last bit (numpy's y ** 1 is y; its y ** 3 is not always odd)
+    assert limit_moment(1, nu) == 0.0
+    assert abs(limit_moment(3, nu)) <= 1e-16
 
 
 # ------------------------------------------------- gaussian g closed form

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import diracwalk
 from diracwalk.cli import main
 from diracwalk.constants import MAX_RING_SITES
 from diracwalk.table import read_csv
@@ -235,8 +237,9 @@ def test_over_budget_initial_state_refused_before_allocating(capsys, dt,
     ("asymptotic", "--dt", "1e-9", "--t", "1e308"),
     ("exact", "--nu", "1e-300"),
     ("walk", "--dt", "5e-324"),
+    ("walk", "--dt", "5e-324", "--t", "0"),
 ], ids=["huge-nu", "tiny-dt-in-list", "huge-t", "t-over-dt-overflows",
-        "tiny-nu", "subnormal-dt"])
+        "tiny-nu", "subnormal-dt", "subnormal-dt-at-t0"])
 def test_extreme_inputs_refused_before_allocating(capsys, args):
     # each would overflow a float or an int conversion; the config's
     # range check refuses it against the ring budget first
@@ -268,6 +271,19 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
     assert "done in" in proc.stdout
+
+
+def test_cli_imports_no_scipy():
+    # the runtime needs numpy alone; scipy is a test-only oracle
+    code = ("import sys, diracwalk.cli; print(sorted(m for m in "
+            "sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(diracwalk.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_window_rel_at_or_below_default_keeps_default_window(tmp_path):

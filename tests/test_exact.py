@@ -98,9 +98,10 @@ def test_fourier_round_trip_identity():
     back = spectral_to_lattice(spec, m_min=-38, n_sites=77)
     assert np.abs(back.a_plus - state.a_plus).max() < 1e-12
     assert np.abs(back.a_minus - state.a_minus).max() < 1e-12
-    # dp * dx * N = 2 pi holds exactly for the dual grid
+    # the dual grid's momentum step is 2 pi / (N dx)
     g = spec.grid
-    assert g.dp * g.dt * g.n == pytest.approx(2 * np.pi, rel=1e-15)
+    assert g.p[1] - g.p[0] == pytest.approx(2 * np.pi / (g.n * g.dt),
+                                            rel=1e-15)
 
 
 def test_evolve_exact_time_zero_and_reversal():

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -5,9 +6,9 @@ from scipy import integrate
 from diracwalk import (TOL, NumericalHealthError, Tolerances,
                        WalkInitConfig, build_initial_state,
                        discretize_to_lattice, energy, fiber_grid,
-                       gaussian_profile, initial, mean_energy,
+                       gaussian_profile, initial,
                        position_coefficients, spinor_weights)
-from diracwalk.initial import PositionAmplitudes
+from diracwalk.initial import MomentumProfile, PositionAmplitudes
 
 
 def direct_sum_coefficients(profile, x_grid):
@@ -32,10 +33,17 @@ def direct_sum_coefficients(profile, x_grid):
     return out[:, 0], out[:, 1]
 
 
+def quad_norm(profile):
+    """L2 norm of a profile over [-p_max, p_max], by adaptive quadrature."""
+    norm_sq, _ = integrate.quad(lambda p: abs(profile(p)) ** 2,
+                                -profile.p_max, profile.p_max, limit=200)
+    return np.sqrt(norm_sq)
+
+
 def test_gaussian_profile_normalized():
     for nu in (0.5, 1.0, 2.5, 50.0):
         prof = gaussian_profile(nu)
-        assert abs(prof.norm - 1.0) < 1e-10
+        assert abs(quad_norm(prof) - 1.0) < 1e-10
 
 
 def test_gaussian_profile_peak_value():
@@ -49,7 +57,7 @@ def test_gaussian_profile_tail_mass():
         assert erfc(prof.p_max / nu) < 1e-12
 
 
-@pytest.mark.parametrize("nu", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("nu", [0.0, -1.0, np.nan, 1e200, 1e-200])
 def test_gaussian_profile_rejects_bad_nu(nu):
     with pytest.raises(ValueError):
         gaussian_profile(nu)
@@ -57,18 +65,41 @@ def test_gaussian_profile_rejects_bad_nu(nu):
 
 def test_mean_energy_rest_limit():
     # sharply concentrated at p = 0: E0 -> E(0) = 1
-    assert mean_energy(gaussian_profile(0.05)) == pytest.approx(1.0, abs=1e-3)
+    assert gaussian_profile(0.05).mean(energy) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_mean_energy_against_trapezoid_oracle():
     prof = gaussian_profile(1.0)
     p = np.linspace(-prof.p_max, prof.p_max, 40001)
     oracle = np.trapezoid(energy(p) * np.abs(prof(p)) ** 2, p)
-    assert mean_energy(prof) == pytest.approx(oracle, abs=1e-9)
+    assert prof.mean(energy) == pytest.approx(oracle, abs=1e-9)
+
+
+@pytest.mark.parametrize("nu", [0.01, 0.3, 2.5, 600.0, 3e4])
+def test_mean_energy_matches_mpmath(nu):
+    prof = gaussian_profile(nu)
+    with mpmath.workdps(30):
+        nu_mp = mpmath.mpf(nu)
+        want = mpmath.quad(
+            lambda p: mpmath.sqrt(1 + p * p) * mpmath.exp(-(p / nu_mp) ** 2)
+            / (nu_mp * mpmath.sqrt(mpmath.pi)),
+            [-prof.p_max] + [k * nu_mp for k in (-4, -2, -1, 0, 1, 2, 4)]
+            + [prof.p_max])
+    assert prof.mean(energy) == pytest.approx(float(want), rel=1e-14)
+
+
+def test_profile_mean_refuses_an_unresolved_profile():
+    # a spike on one point of the rule that the rule at twice the step
+    # skips: the two disagree by far more than TOL.quadrature_rel
+    spike_at = np.sinh(np.arcsinh(10.0) / 80.0)
+    spike = MomentumProfile(f=lambda p: np.exp(-((p - spike_at) / 1e-6) ** 2),
+                            p_max=10.0)
+    with pytest.raises(NumericalHealthError, match="quadrature"):
+        spike.mean(np.ones_like)
 
 
 def test_mean_energy_monotone_in_nu():
-    e = [mean_energy(gaussian_profile(nu)) for nu in (1.0, 2.0, 4.0)]
+    e = [gaussian_profile(nu).mean(energy) for nu in (1.0, 2.0, 4.0)]
     assert 1.0 < e[0] < e[1] < e[2]
 
 
@@ -179,7 +210,7 @@ def test_raw_lattice_norm_converges_quadratically():
 def test_normalization_chain():
     # profile norm 1 -> coefficient norm 1 (1e-8) -> lattice norm exact
     prof = gaussian_profile(1.2)
-    assert abs(prof.norm - 1.0) < 1e-10
+    assert abs(quad_norm(prof) - 1.0) < 1e-10
     cfg = WalkInitConfig(nu=1.2, dt=0.02)
     state = build_initial_state(cfg, profile=prof)
     assert state.norm_sq() == pytest.approx(1.0, abs=1e-13)
@@ -200,7 +231,14 @@ def test_walk_init_config_validation():
     with pytest.raises(ValueError):
         WalkInitConfig(nu=1.0, dt=0.1, x0=0.2)
     with pytest.raises(ValueError):
+        WalkInitConfig(nu=1.0, dt=0.1, x0=-0.05)
+    with pytest.raises(ValueError):
         WalkInitConfig(nu=1.0, dt=0.1, branch="sideways")
+    # x0 in (-dt/2, dt/2], exact even where dt/2 underflows to 0
+    WalkInitConfig(nu=1.0, dt=0.1, x0=0.05)
+    WalkInitConfig(nu=1.0, dt=5e-324)
+    with pytest.raises(ValueError):
+        WalkInitConfig(nu=1.0, dt=5e-324, x0=5e-324)
 
 
 def test_mean_energy_warning_regime():

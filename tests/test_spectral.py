@@ -1,10 +1,13 @@
 import mpmath
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from diracwalk import (WalkInitConfig, build_initial_state, evolve,
                        evolve_steps, walk_power_symbol)
 from diracwalk.asymptotic import walk_symbol_matrix
+from diracwalk.constants import MAX_RING_SITES
+from diracwalk.spectral import ring_length
 
 EPS = 2.2e-16
 PHIS = (0.0, 1e-3, 0.3, np.pi / 2, 2.9, np.pi, 5.0)
@@ -68,3 +71,16 @@ def test_evolve_matches_step_loop(nu, dt, n, branch):
     assert fast.norm_drift.shape == (1,)
     assert fast.norm_drift[0] < 1e-12
 
+
+def test_ring_length_is_next_fast_len():
+    for n in range(1, 200_001):
+        want = next_fast_len(n)
+        assert ring_length(n) == want and ring_length(n - 0.5) == want, n
+    rng = np.random.default_rng(31)
+    for n in rng.uniform(1.0, MAX_RING_SITES, 2000):
+        assert ring_length(n) == next_fast_len(int(np.ceil(n))), n
+    assert ring_length(MAX_RING_SITES) == MAX_RING_SITES
+    for n in (MAX_RING_SITES + 0.5, MAX_RING_SITES + 1, 1e300, np.inf,
+              np.nan):
+        with pytest.raises(ValueError, match="size budget"):
+            ring_length(n)
