@@ -253,7 +253,7 @@ def spectral_coefficients(state: LatticeState,
     """
     if n_phi is None:
         n_phi = ring_length(max(8 * state.n_sites, 4096))
-    ring = lattice_to_spectral(state, n_ring=int(n_phi))
+    ring = lattice_to_spectral(state, int(n_phi))
     phi = -ring.grid.phi
     _, _, f_pp, f_pm, f_mp, f_mm = _eigen_system(phi, state.dt)
     # sum_m a[m] e^{i m phi} is sqrt(n) times the unitary ring mode

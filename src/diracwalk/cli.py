@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .asymptotic import horn_location, limit_density, limit_moment
-from .constants import TOL, NumericalHealthError, require_ring_fits
+from .constants import (BRANCHES, NumericalHealthError, branch_sign,
+                        require_ring_fits)
 from .exact import compare_densities, energy_leakage, evolve_exact_on_lattice
 from .initial import (WalkInitConfig, build_initial_state,
                       require_initial_state_fits)
@@ -63,7 +64,6 @@ class RunConfig:
     branch: str = "plus"
     out: str | None = None
     dt_list: list = field(default_factory=list)
-    window_rel: float | None = None
 
     @property
     def n_steps(self) -> int:
@@ -77,8 +77,6 @@ class RunConfig:
         # a JSON config may hold any type; flags arrive as float or str
         for key in ("nu", "dt", "t"):
             setattr(self, key, _number(key, getattr(self, key)))
-        if self.window_rel is not None:
-            self.window_rel = _number("window_rel", self.window_rel)
         items = self.dt_list.split(",") if isinstance(self.dt_list, str) \
             else self.dt_list
         if not isinstance(items, list):
@@ -89,8 +87,7 @@ class RunConfig:
             raise UsageError(f"out must be a path string, got {self.out!r}")
         if self.nu <= 0 or self.dt <= 0 or self.t < 0:
             raise UsageError("nu and dt must be positive, t non-negative")
-        if self.branch not in ("plus", "minus"):
-            raise UsageError("branch must be plus or minus")
+        branch_sign(self.branch)
         if self.command == "figure1":
             return
         # ranges, from floats and before any work: every dt of the run
@@ -98,10 +95,7 @@ class RunConfig:
         # initial state within the ring budget
         for dt in self.dt_list if self.command == "compare" else [self.dt]:
             require_ring_fits(2.0 * self.t / dt)
-            require_initial_state_fits(
-                WalkInitConfig(nu=self.nu, dt=dt),
-                window_rel=TOL.window_rel if self.window_rel is None
-                else self.window_rel)
+            require_initial_state_fits(WalkInitConfig(nu=self.nu, dt=dt))
 
 
 def _load_config(path) -> dict:
@@ -110,7 +104,7 @@ def _load_config(path) -> dict:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-    allowed = {"nu", "dt", "t", "branch", "out", "dt_list", "window_rel"}
+    allowed = {"nu", "dt", "t", "branch", "out", "dt_list"}
     unknown = set(data) - allowed
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -122,7 +116,7 @@ def _resolve(args) -> RunConfig:
     if getattr(args, "config", None):
         for key, val in _load_config(args.config).items():
             setattr(cfg, key, val)
-    for key in ("nu", "dt", "t", "branch", "out", "window_rel"):
+    for key in ("nu", "dt", "t", "branch", "out"):
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
@@ -133,7 +127,7 @@ def _resolve(args) -> RunConfig:
 
 
 def _echo(cfg: RunConfig) -> dict:
-    meta = {
+    return {
         "command": cfg.command,
         "version": __version__,
         "nu": cfg.nu,
@@ -144,17 +138,11 @@ def _echo(cfg: RunConfig) -> dict:
         "branch": cfg.branch,
         "x0": 0.0,
     }
-    if cfg.window_rel is not None:
-        meta["window_rel"] = cfg.window_rel
-    return meta
 
 
 def _initial_state(cfg: RunConfig):
-    init = WalkInitConfig(nu=cfg.nu, dt=cfg.dt, branch=cfg.branch)
-    kwargs = {}
-    if cfg.window_rel is not None:
-        kwargs["window_rel"] = cfg.window_rel
-    return build_initial_state(init, **kwargs)
+    return build_initial_state(
+        WalkInitConfig(nu=cfg.nu, dt=cfg.dt, branch=cfg.branch))
 
 
 def _density_table(state, meta) -> ResultTable:
@@ -194,7 +182,7 @@ def cmd_compare(cfg: RunConfig) -> ResultTable:
     )
     for dt in cfg.dt_list:
         sub = RunConfig(command="walk", nu=cfg.nu, dt=dt, t=cfg.t,
-                        branch=cfg.branch, window_rel=cfg.window_rel)
+                        branch=cfg.branch)
         state = _initial_state(sub)
         walked = evolve(state, sub.n_steps, cfg.branch)
         exact = evolve_exact_on_lattice(state, sub.t_realized, cfg.branch)
@@ -319,10 +307,8 @@ def build_parser() -> _Parser:
             p.add_argument("--nu", type=float, help="localization parameter")
             p.add_argument("--dt", type=float, help="time step = lattice spacing")
             p.add_argument("--t", type=float, help="total evolution time")
-            p.add_argument("--branch", choices=("plus", "minus"),
+            p.add_argument("--branch", choices=BRANCHES,
                            help="helicity branch")
-            p.add_argument("--window-rel", type=float, dest="window_rel",
-                           help="initial-state window threshold override")
         if name == "compare":
             p.add_argument("--dt-list", dest="dt_list",
                            help="comma-separated, strictly decreasing dt values")

@@ -12,7 +12,7 @@ import numpy as np
 
 from .constants import TOL, NumericalHealthError, branch_sign
 from .spectral import (SpectralState, _evolve_on_ring, lattice_to_spectral,
-                       propagator_symbol)
+                       propagator_symbol, ring_length)
 from .spinor import u_minus_effective, u_plus_effective
 from .walk import LatticeState, position_distribution
 
@@ -40,7 +40,7 @@ def energy_leakage(state: LatticeState, branch: str = "plus") -> float:
     for the walk.
     """
     sign = branch_sign(branch)
-    spec = lattice_to_spectral(state, pad_sites=16)
+    spec = lattice_to_spectral(state, ring_length(state.n_sites + 16))
     _check_band_occupation(spec)
     w = u_plus_effective(spec.grid.p) if sign > 0 \
         else u_minus_effective(spec.grid.p)

@@ -145,16 +145,14 @@ def _quadrature_ring(n_x: int, h: float, x_ext: float, p_max: float) -> int:
 
 
 def position_coefficients(profile: MomentumProfile, x_grid: np.ndarray,
-                          branch: str = "plus",
-                          check_norm: bool = True) -> PositionAmplitudes:
+                          branch: str = "plus") -> PositionAmplitudes:
     """Evaluate the entangled coefficients c+-(x) on a uniform x grid.
 
     The momentum step is at most min(pi/max|x|, p_max/400), so the
     trapezoid rule's periodic images stay outside the grid; f is zeroed
     beyond p_max.  Only the grid's sub-site offset enters as a phase, so a
     grid through x = 0 with an even profile transforms real data and keeps
-    its parity symmetry exactly.  ``check_norm=False`` skips the
-    combined-norm postcondition, for deliberately truncated grids.
+    its parity symmetry exactly.
     """
     branch_sign(branch)
     x_grid = np.asarray(x_grid, dtype=float)
@@ -189,14 +187,8 @@ def position_coefficients(profile: MomentumProfile, x_grid: np.ndarray,
         half = np.conj(np.fft.rfft(weights, axis=1))
         ring = np.hstack([half, np.conj(half[:, n_ring - half.shape[1]:0:-1])])
     idx = (m_c - j_c + np.arange(x_grid.size)) % n_ring
-    out = PositionAmplitudes(x=x_grid, c_plus=ring[0, idx],
-                             c_minus=1.0j * ring[1, idx])
-    if check_norm and abs(out.norm_sq() - 1.0) > TOL.coeff_norm:
-        raise NumericalHealthError(
-            f"coefficient norm {out.norm_sq():.12f} is off by more than "
-            f"{TOL.coeff_norm:.1e}; widen the x grid"
-        )
-    return out
+    return PositionAmplitudes(x=x_grid, c_plus=ring[0, idx],
+                              c_minus=1.0j * ring[1, idx])
 
 
 def discretize_to_lattice(coeffs: PositionAmplitudes,
@@ -204,9 +196,10 @@ def discretize_to_lattice(coeffs: PositionAmplitudes,
     """Sample c+- on the lattice fiber, apply the sqrt(dt) weight and
     renormalize to an exact unit norm.
 
-    The window keeps every site whose amplitude exceeds ``TOL.window_rel``
-    of the peak; the renormalization keeps later unitarity diagnostics
-    exact (the sqrt(dt) sampling is only asymptotically normalized).
+    The window keeps every site whose amplitude is at least
+    ``TOL.window_rel`` of the peak; the renormalization keeps later
+    unitarity diagnostics exact (the sqrt(dt) sampling is only
+    asymptotically normalized).
     """
     h = coeffs.h
     if abs(h - config.dt) > 1e-9 * config.dt:
@@ -240,8 +233,7 @@ def fiber_grid(config: WalkInitConfig, extent: float) -> np.ndarray:
 
 
 def require_initial_state_fits(config: WalkInitConfig,
-                               p_max: float | None = None,
-                               window_rel: float = TOL.window_rel) -> float:
+                               p_max: float | None = None) -> float:
     """Preflight of ``build_initial_state``, from floats alone: refuse a
     quadrature ring beyond ``MAX_RING_SITES`` before anything is computed,
     and return the extent of the fiber grid.
@@ -252,12 +244,9 @@ def require_initial_state_fits(config: WalkInitConfig,
     can hold the state, and the run is refused rather than left to fail
     the aliasing check.
     """
-    if not window_rel < 1.0:
-        raise ValueError(f"window_rel must be below 1, got {window_rel!r}")
     if p_max is None:
         p_max = gaussian_cutoff(config.nu)
-    thr = max(window_rel, TOL.window_rel)
-    efolds = np.log(1.0 / thr)
+    efolds = np.log(1.0 / TOL.window_rel)
     extent = efolds + np.sqrt(2.0 * efolds) / config.nu
     h = min(config.dt, np.pi / p_max)
     try:
@@ -272,18 +261,18 @@ def require_initial_state_fits(config: WalkInitConfig,
 
 
 def build_initial_state(config: WalkInitConfig,
-                        profile: MomentumProfile | None = None,
-                        window_rel: float = TOL.window_rel) -> LatticeState:
+                        profile: MomentumProfile | None = None) -> LatticeState:
     """Full construction: Gaussian profile -> c+-(x) -> lattice state.
 
     The grid covers |x| <= ln(1/w) + sqrt(2 ln(1/w))/nu for the window
-    threshold w: the Compton tail exp(-|x|) plus the Gaussian envelope
-    exp(-nu^2 x^2/2); its edge must fall below w of the peak.  A w below
-    ``TOL.window_rel`` keeps the default window; a looser w truncates the
-    state and skips the coefficient-norm check.
+    threshold w = ``TOL.window_rel``: the Compton tail exp(-|x|) plus the
+    Gaussian envelope exp(-nu^2 x^2/2).  Two postconditions hold on
+    c+-(x) before it is cut to the lattice: its amplitude at the grid's
+    edge is below w of the peak, and its combined norm is within
+    ``TOL.coeff_norm`` of 1; either failing is a ``NumericalHealthError``.
     """
     extent = require_initial_state_fits(
-        config, None if profile is None else profile.p_max, window_rel)
+        config, None if profile is None else profile.p_max)
     if profile is None:
         profile = gaussian_profile(config.nu)
     e0 = profile.mean(energy)  # the mean energy E0 >= 1
@@ -293,19 +282,18 @@ def build_initial_state(config: WalkInitConfig,
             "approximates the exact evolution for dt*E0 << 1",
             stacklevel=2,
         )
-    thr = max(window_rel, TOL.window_rel)
-    grid = fiber_grid(config, extent)
-    coeffs = position_coefficients(profile, grid, config.branch,
-                                   check_norm=window_rel <= TOL.window_rel)
+    coeffs = position_coefficients(profile, fiber_grid(config, extent),
+                                   config.branch)
     mag = np.maximum(np.abs(coeffs.c_plus), np.abs(coeffs.c_minus))
     edge = float(max(mag[0], mag[-1]) / mag.max())
-    if not edge < thr:
+    if not edge < TOL.window_rel:
         raise NumericalHealthError(
             f"initial-state window edge at {edge:.3g} of the peak, "
-            f"not below {thr:.1e}"
+            f"not below {TOL.window_rel:.1e}"
         )
-
-    keep = np.nonzero(mag >= thr * mag.max())[0]
-    for c in (coeffs.c_plus, coeffs.c_minus):  # discretize cuts at the zeros
-        c[:keep[0]] = c[keep[-1] + 1:] = 0.0
+    if abs(coeffs.norm_sq() - 1.0) > TOL.coeff_norm:
+        raise NumericalHealthError(
+            f"coefficient norm {coeffs.norm_sq():.12f} is off by more than "
+            f"{TOL.coeff_norm:.1e}; widen the x grid"
+        )
     return discretize_to_lattice(coeffs, config)

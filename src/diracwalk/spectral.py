@@ -89,15 +89,14 @@ class SpectralState:
         return float(np.sum(np.abs(self.amp) ** 2))
 
 
-def lattice_to_spectral(state: LatticeState, n_ring: int | None = None,
-                        pad_sites: int = 0) -> SpectralState:
-    """Unitary DFT of the lattice state onto a ring of >= n_sites + pad:
-    ``ring_length``, or ``n_ring`` if given (within ``MAX_RING_SITES``)."""
-    need = state.n_sites + pad_sites
-    n = ring_length(need) if n_ring is None else require_ring_fits(n_ring)
-    if n < need:
+def lattice_to_spectral(state: LatticeState, n: int) -> SpectralState:
+    """Unitary DFT of the lattice state onto a ring of n sites, refused
+    above ``MAX_RING_SITES`` or below ``state.n_sites``; callers size n
+    with ``ring_length``."""
+    require_ring_fits(n)
+    if n < state.n_sites:
         raise ValueError(f"a ring of {n} sites cannot resolve a state "
-                         f"spanning {need} sites with its padding")
+                         f"spanning {state.n_sites} sites")
     buf = np.zeros((2, n), dtype=complex)
     idx = np.mod(state.sites, n)
     buf[0, idx] = state.a_plus
@@ -160,7 +159,8 @@ def _evolve_on_ring(state: LatticeState, symbol, grow: int) -> LatticeState:
     """Apply ``symbol(grid)`` to every mode of a ring that holds the output
     window [m_min - grow, m_min + n_sites + grow), and read that window out.
     """
-    spec = lattice_to_spectral(state, pad_sites=2 * grow)
+    spec = lattice_to_spectral(state,
+                               ring_length(state.n_sites + 2 * grow))
     spec = _apply_symbol(spec, symbol(spec.grid))
     return spectral_to_lattice(spec, m_min=state.m_min - grow,
                                n_sites=state.n_sites + 2 * grow, x0=state.x0)

@@ -245,7 +245,7 @@ def test_criterion_10_half_norm_split():
     h = 0.99 * np.pi / prof.p_max
     half = int(np.ceil(40.0 / h))
     grid = h * np.arange(-half, half + 1)
-    co = position_coefficients(prof, grid, check_norm=False)
+    co = position_coefficients(prof, grid)
     up = float(np.sum(np.abs(co.c_plus) ** 2) * co.h)
     dn = float(np.sum(np.abs(co.c_minus) ** 2) * co.h)
     elapsed = time.perf_counter() - start

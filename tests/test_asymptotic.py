@@ -561,8 +561,7 @@ def test_gaussian_g_matches_spectral_coefficients():
     # sharp-localization error ~ 0.8/sqrt(nu): needs genuinely large nu
     nu = 600.0
     dt = 0.05 / nu
-    state = build_initial_state(WalkInitConfig(nu=nu, dt=dt),
-                                window_rel=1e-6)
+    state = build_initial_state(WalkInitConfig(nu=nu, dt=dt))
     co = spectral_coefficients(state,
                                n_phi=next_fast_len(int(1.25 * state.n_sites)))
     gp, gm = gaussian_g_approx(co.phi, nu, dt)

@@ -181,9 +181,13 @@ def test_config_file_unknown_key():
         os.unlink(path)
 
 
-def test_usage_errors_exit_one():
+def test_usage_errors_exit_one(capsys):
     assert run_cli("walk", "--nu", "-1", "--dt", "0.05", "--t", "1") == 1
     assert run_cli("walk", "--branch", "sideways") == 1
+    capsys.readouterr()
+    assert run_cli("walk", "--window-rel", "1e-6") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
     assert run_cli("frobnicate") == 1
     assert run_cli() == 1
 
@@ -286,19 +290,6 @@ def test_cli_imports_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_window_rel_at_or_below_default_keeps_default_window(tmp_path):
-    base = ["walk", "--nu", "1", "--dt", "0.05", "--t", "0.5"]
-    rows = {}
-    for window_rel in (None, "1e-16", "1e-20", "0", "1e-6"):
-        out = tmp_path / f"w{window_rel}.csv"
-        flags = ["--window-rel", window_rel] if window_rel else []
-        assert run_cli(*base, *flags, "--out", str(out)) == 0
-        rows[window_rel] = read_csv(out)[2]
-    for window_rel in ("1e-16", "1e-20", "0"):
-        assert np.array_equal(rows[window_rel], rows[None])
-    assert len(rows["1e-6"]) < len(rows[None])
-
-
 def test_config_numbers_as_strings(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"nu": "2.5", "dt": "0.05", "t": 0.5}))
@@ -322,6 +313,7 @@ def test_config_dt_list_forms(tmp_path, dt_list):
     {"nu": "abc"}, {"nu": [2.5]}, {"dt": None}, {"t": float("inf")},
     {"nu": float("nan")}, {"window_rel": "x"}, {"window_rel": 1.0},
     {"dt_list": 0.02}, {"dt_list": ["0.02", "a"]}, {"out": 3},
+    {"branch": "sideways"}, {"branch": 3},
 ])
 def test_config_bad_values_exit_one(tmp_path, capsys, bad):
     cfg = tmp_path / "cfg.json"

@@ -8,7 +8,7 @@ from diracwalk import (LatticeState, WalkInitConfig, build_initial_state,
                        hamiltonian_matrix, lattice_to_spectral,
                        propagator_symbol, spectral_to_lattice,
                        u_plus_effective)
-from diracwalk.spectral import _apply_symbol
+from diracwalk.spectral import _apply_symbol, ring_length
 
 
 def evolve_exact(spec, t, branch="plus"):
@@ -94,7 +94,7 @@ def test_fourier_round_trip_identity():
     z = rng.normal(size=(2, 77)) + 1j * rng.normal(size=(2, 77))
     z /= np.sqrt(np.sum(np.abs(z) ** 2))
     state = LatticeState(dt=0.05, m_min=-38, a_plus=z[0], a_minus=z[1])
-    spec = lattice_to_spectral(state, pad_sites=11)
+    spec = lattice_to_spectral(state, ring_length(state.n_sites + 11))
     back = spectral_to_lattice(spec, m_min=-38, n_sites=77)
     assert np.abs(back.a_plus - state.a_plus).max() < 1e-12
     assert np.abs(back.a_minus - state.a_minus).max() < 1e-12
@@ -106,7 +106,7 @@ def test_fourier_round_trip_identity():
 
 def test_evolve_exact_time_zero_and_reversal():
     state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.05))
-    spec = lattice_to_spectral(state, pad_sites=64)
+    spec = lattice_to_spectral(state, ring_length(state.n_sites + 64))
     same = evolve_exact(spec, 0.0)
     assert np.abs(same.amp - spec.amp).max() < 1e-15
     fwd = evolve_exact(spec, 2.3)
@@ -189,7 +189,7 @@ def test_exact_matches_walk_at_first_order():
 def test_spectral_content_matches_effective_spinor():
     # the packet's per-mode amplitudes align with u+(p) by construction
     state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.02))
-    spec = lattice_to_spectral(state, pad_sites=32)
+    spec = lattice_to_spectral(state, ring_length(state.n_sites + 32))
     w = u_plus_effective(spec.grid.p)
     overlap = np.conj(w[0]) * spec.amp[0] + np.conj(w[1]) * spec.amp[1]
     residual = spec.amp - overlap * w

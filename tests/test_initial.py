@@ -8,7 +8,8 @@ from diracwalk import (TOL, NumericalHealthError, Tolerances,
                        discretize_to_lattice, energy, fiber_grid,
                        gaussian_profile, initial,
                        position_coefficients, spinor_weights)
-from diracwalk.initial import MomentumProfile, PositionAmplitudes
+from diracwalk.initial import (MomentumProfile, PositionAmplitudes,
+                               require_initial_state_fits)
 
 
 def direct_sum_coefficients(profile, x_grid):
@@ -127,8 +128,7 @@ def test_coefficients_half_norm_split_large_nu():
     prof = gaussian_profile(50.0)
     h = 0.99 * np.pi / prof.p_max
     n = int(np.ceil(40.0 / h))
-    co = position_coefficients(prof, h * np.arange(-n, n + 1),
-                               check_norm=False)
+    co = position_coefficients(prof, h * np.arange(-n, n + 1))
     up = float(np.sum(np.abs(co.c_plus) ** 2) * co.h)
     dn = float(np.sum(np.abs(co.c_minus) ** 2) * co.h)
     assert up == pytest.approx(0.5, abs=0.01)
@@ -201,7 +201,7 @@ def test_raw_lattice_norm_converges_quadratically():
     for dt in (0.04, 0.02, 0.01):
         cfg = WalkInitConfig(nu=2.0, dt=dt)
         grid = fiber_grid(cfg, 36.0)
-        co = position_coefficients(prof, grid, check_norm=False)
+        co = position_coefficients(prof, grid)
         raw = float(np.sum(np.abs(co.c_plus) ** 2
                            + np.abs(co.c_minus) ** 2) * dt)
         assert abs(raw - 1.0) < 0.25 * dt ** 2
@@ -291,17 +291,13 @@ def test_window_symmetric_and_not_cut_by_the_grid(nu):
     assert np.all(outside < (TOL.window_rel + 1e-16) * mag.max())
 
 
-def test_norm_check_only_at_default_threshold(monkeypatch):
-    # a negative budget fails every norm check that runs
+def test_norm_check_is_on_the_build_only(monkeypatch):
+    # a negative budget fails every norm check that runs: the build's
+    # postcondition, not the bare quadrature on the same fiber grid
     monkeypatch.setattr(initial, "TOL", Tolerances(coeff_norm=-1.0))
     cfg = WalkInitConfig(nu=2.0, dt=0.05)
-    for window_rel in (TOL.window_rel, 1e-20, 0.0):
-        with pytest.raises(NumericalHealthError, match="norm"):
-            build_initial_state(cfg, window_rel=window_rel)
-    state = build_initial_state(cfg, window_rel=1e-6)
-    assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_window_rel_must_be_below_one():
-    with pytest.raises(ValueError, match="window_rel"):
-        build_initial_state(WalkInitConfig(nu=2.0, dt=0.05), window_rel=1.0)
+    with pytest.raises(NumericalHealthError, match="norm"):
+        build_initial_state(cfg)
+    grid = fiber_grid(cfg, require_initial_state_fits(cfg))
+    co = position_coefficients(gaussian_profile(cfg.nu), grid)
+    assert co.norm_sq() == pytest.approx(1.0, abs=TOL.coeff_norm)
