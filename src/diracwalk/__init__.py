@@ -11,8 +11,7 @@ from .spinor import (DiracRep, EnergySpinor, dirac_representation, energy,
                      hamiltonian4, hamiltonian_matrix, reduce_effective,
                      spinor_weights, u_minus4, u_minus_effective, u_plus4,
                      u_plus_effective)
-from .initial import (MomentumProfile, PositionAmplitudes, WalkInitConfig,
-                      build_initial_state, discretize_to_lattice, fiber_grid,
+from .initial import (MomentumProfile, WalkInitConfig, build_initial_state,
                       gaussian_profile, position_coefficients)
 from .walk import (LatticeState, coin_matrix, coin_step, empirical_moment,
                    evolve_steps, position_distribution, shift_step, step)

@@ -92,9 +92,15 @@ class RunConfig:
             return
         # ranges, from floats and before any work: every dt of the run
         # must leave the walk window (at least 2 t/dt sites) and the
-        # initial state within the ring budget
+        # initial state within the ring budget; the weak limit and the
+        # convergence fit need at least one walk step
         for dt in self.dt_list if self.command == "compare" else [self.dt]:
             require_ring_fits(2.0 * self.t / dt)
+            if self.command in ("asymptotic", "compare") \
+                    and round(self.t / dt) < 1:
+                raise UsageError(f"{self.command} needs at least one walk "
+                                 f"step; t = {self.t:g} at dt = {dt:g} "
+                                 "gives none")
             require_initial_state_fits(WalkInitConfig(nu=self.nu, dt=dt))
 
 
@@ -104,6 +110,9 @@ def _load_config(path) -> dict:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"config {path} must hold a JSON object, got "
+                         f"{json.dumps(data)[:40]}")
     allowed = {"nu", "dt", "t", "branch", "out", "dt_list"}
     unknown = set(data) - allowed
     if unknown:

@@ -6,8 +6,8 @@ checks that raise ``NumericalHealthError``) lives in the single
 ``Tolerances`` record below, with the initial-state window cut and the
 spinor factor-mixing bound, so that the numerical budget of the whole
 pipeline can be audited (and tightened) in one place; every field is read
-by the code its comment names.  Input-consistency checks (a uniform grid,
-matching lattice spacings) compare at rounding level and keep literals.
+by the code its comment names.  Input-consistency checks (matching lattice
+spacings) compare at rounding level and keep literals.
 """
 
 from dataclasses import dataclass

@@ -72,11 +72,9 @@ class ComparisonReport:
 
 def compare_densities(state_a: LatticeState,
                       state_b: LatticeState) -> ComparisonReport:
-    """L1/L2/sup distances between site distributions on the same fiber."""
+    """L1/L2/sup distances between site distributions on the same lattice."""
     if abs(state_a.dt - state_b.dt) > 1e-15 * max(state_a.dt, state_b.dt):
         raise ValueError("states live on lattices with different spacing")
-    if abs(state_a.x0 - state_b.x0) > 1e-12 * state_a.dt:
-        raise ValueError("states live on different fibers (x0 mismatch)")
     lo = min(state_a.m_min, state_b.m_min)
     hi = max(state_a.m_min + state_a.n_sites, state_b.m_min + state_b.n_sites)
     pa = np.zeros(hi - lo)

@@ -9,11 +9,11 @@ the entangled position-space coefficients
     c-(x) = (i/sqrt(2 pi)) Int W-(p) f(p) exp(i p x) dp
 
 (the "minus" helicity branch swaps the two weights), which are then sampled
-on the walk lattice {x0 + m*dt}, scaled by sqrt(dt) and renormalized to an
-exact unit norm.
+at the walk's lattice sites x = m*dt, scaled by sqrt(dt) and renormalized
+to an exact unit norm.
 
-The Fourier integrals use the trapezoid rule on the momenta 2 pi k/(L h)
-of a ring of L sites of spacing h; the integrands are smooth and
+The Fourier integrals use the trapezoid rule on the momenta 2 pi k/(L dt)
+of a ring of L sites of spacing dt; the integrands are smooth and
 Gaussian-damped, so the rule converges spectrally, and on that grid it is
 exactly one inverse FFT whose output index k mod L is lattice site k.  The
 lattice window is sized once, from the tails of c+-(x).  Everything here is
@@ -88,33 +88,15 @@ def gaussian_profile(nu: float) -> MomentumProfile:
 
 
 @dataclass(frozen=True)
-class PositionAmplitudes:
-    """c+-(x) on a uniform position grid of spacing h."""
-
-    x: np.ndarray
-    c_plus: np.ndarray
-    c_minus: np.ndarray
-
-    @property
-    def h(self) -> float:
-        return float((self.x[-1] - self.x[0]) / (self.x.size - 1))
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.c_plus) ** 2
-                            + np.abs(self.c_minus) ** 2) * self.h)
-
-
-@dataclass(frozen=True)
 class WalkInitConfig:
     """Physical parameters of a walk initial state.
 
-    dt is both the time step and the lattice spacing (c = 1); x0 picks the
-    lattice fiber (only the default fiber x0 = 0 is swept by the CLI).
+    dt is both the time step and the lattice spacing (c = 1): site m sits
+    at x = m*dt.
     """
 
     nu: float
     dt: float
-    x0: float = 0.0
     branch: str = "plus"
 
     def __post_init__(self):
@@ -122,121 +104,60 @@ class WalkInitConfig:
             raise ValueError("nu must be positive")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if not (-self.dt < 2.0 * self.x0 <= self.dt):  # dt/2 may underflow
-            raise ValueError("x0 must lie in (-dt/2, dt/2]")
         branch_sign(self.branch)
 
 
-def _uniform_spacing(grid: np.ndarray) -> float:
-    d = np.diff(grid)
-    if grid.size < 2 or not np.allclose(d, d[0], rtol=1e-9, atol=0.0):
-        raise ValueError("grid must be uniform with at least two points")
-    # full-span average: ~N times less rounding than a single difference
-    return float((grid[-1] - grid[0]) / (grid.size - 1))
-
-
-def _quadrature_ring(n_x: int, h: float, x_ext: float, p_max: float) -> int:
-    """Sites of the quadrature ring of an n_x-point grid of spacing h that
-    reaches |x| = x_ext (see ``position_coefficients``); refused beyond
-    ``MAX_RING_SITES`` before anything is allocated."""
+def _quadrature_ring(n_sites: int, h: float, x_ext: float,
+                     p_max: float) -> int:
+    """Sites of the quadrature ring of an n_sites-site window of spacing h
+    that reaches |x| = x_ext (see ``position_coefficients``); refused
+    beyond ``MAX_RING_SITES`` before anything is allocated."""
     dp = min(np.pi / max(x_ext, h), p_max / 400.0)
     with np.errstate(divide="ignore"):  # h * dp may underflow: inf, refused
-        return ring_length(max(n_x, 2.0 * np.pi / (h * dp)))
+        return ring_length(max(n_sites, 2.0 * np.pi / (h * dp)))
 
 
-def position_coefficients(profile: MomentumProfile, x_grid: np.ndarray,
-                          branch: str = "plus") -> PositionAmplitudes:
-    """Evaluate the entangled coefficients c+-(x) on a uniform x grid.
+def position_coefficients(
+        profile: MomentumProfile, dt: float, m_max: int,
+        branch: str = "plus") -> tuple[np.ndarray, np.ndarray]:
+    """The entangled coefficients (c+, c-) at x = m*dt, m = -m_max..m_max.
 
-    The momentum step is at most min(pi/max|x|, p_max/400), so the
-    trapezoid rule's periodic images stay outside the grid; f is zeroed
-    beyond p_max.  Only the grid's sub-site offset enters as a phase, so a
-    grid through x = 0 with an even profile transforms real data and keeps
-    its parity symmetry exactly.
+    The momentum step is at most min(pi/(m_max dt), p_max/400), so the
+    trapezoid rule's periodic images stay outside the window; f is zeroed
+    beyond p_max.  The weights are real, so the real-input transform gives
+    c+(-x) = conj(c+(x)) and c-(-x) = -conj(c-(x)) exactly for an even
+    profile.
     """
     branch_sign(branch)
-    x_grid = np.asarray(x_grid, dtype=float)
-    h = _uniform_spacing(x_grid)
-    if h > np.pi / profile.p_max:
+    if dt > np.pi / profile.p_max:
         raise NumericalHealthError(
-            f"x-grid spacing {h:.4g} aliases momenta beyond pi/h; "
-            f"need h <= {np.pi / profile.p_max:.4g} for p_max={profile.p_max:.4g}"
+            f"lattice spacing {dt:.4g} aliases momenta beyond pi/dt; "
+            f"need dt <= {np.pi / profile.p_max:.4g} for "
+            f"p_max={profile.p_max:.4g}"
         )
 
-    n_ring = _quadrature_ring(x_grid.size, h, float(np.max(np.abs(x_grid))),
-                              profile.p_max)
-    # ring momenta p_k = k dp: exp(i p_k m h) = exp(2 pi i k m / n_ring)
-    dp = 2.0 * np.pi / (n_ring * h)
+    n_ring = _quadrature_ring(2 * m_max + 1, dt, m_max * dt, profile.p_max)
+    # ring momenta p_k = k dp: exp(i p_k m dt) = exp(2 pi i k m / n_ring)
+    dp = 2.0 * np.pi / (n_ring * dt)
     # FFT order, sign-symmetric to the last bit
     p = dp * np.fft.ifftshift(np.arange(n_ring) - n_ring // 2)
     inside = np.abs(p) <= profile.p_max
-
-    # grid point j is x_c + (j - j_c) h with x_c = xf + m_c h, |xf| <= h/2
-    j_c = (x_grid.size - 1) // 2
-    m_c = int(np.round(x_grid[j_c] / h))
-    xf = float(x_grid[j_c] - m_c * h)
     weights = np.zeros((2, n_ring))
     weights[:, inside] = (dp / np.sqrt(2.0 * np.pi)) * profile(p[inside]) \
         * np.stack(spinor_weights(p[inside]))
     if branch == "minus":
         weights = weights[::-1]
-    if xf != 0.0:
-        weights = weights * np.exp(1j * p * xf)
-        ring = np.fft.ifft(weights, axis=1, norm="forward")
-    else:  # real weights: the real-input transform, exactly Hermitian
-        half = np.conj(np.fft.rfft(weights, axis=1))
-        ring = np.hstack([half, np.conj(half[:, n_ring - half.shape[1]:0:-1])])
-    idx = (m_c - j_c + np.arange(x_grid.size)) % n_ring
-    return PositionAmplitudes(x=x_grid, c_plus=ring[0, idx],
-                              c_minus=1.0j * ring[1, idx])
-
-
-def discretize_to_lattice(coeffs: PositionAmplitudes,
-                          config: WalkInitConfig) -> LatticeState:
-    """Sample c+- on the lattice fiber, apply the sqrt(dt) weight and
-    renormalize to an exact unit norm.
-
-    The window keeps every site whose amplitude is at least
-    ``TOL.window_rel`` of the peak; the renormalization keeps later
-    unitarity diagnostics exact (the sqrt(dt) sampling is only
-    asymptotically normalized).
-    """
-    h = coeffs.h
-    if abs(h - config.dt) > 1e-9 * config.dt:
-        raise ValueError(
-            f"lattice spacing {h} must equal dt {config.dt}"
-        )
-    m = np.round((coeffs.x - config.x0) / config.dt).astype(int)
-    if not np.allclose(config.x0 + m * config.dt, coeffs.x,
-                       rtol=0.0, atol=1e-9 * config.dt):
-        raise ValueError("x grid is not aligned with the fiber x0 + m*dt")
-
-    mag = np.maximum(np.abs(coeffs.c_plus), np.abs(coeffs.c_minus))
-    peak = float(mag.max(initial=0.0))
-    if peak == 0.0:
-        raise ValueError("all-zero coefficients: empty lattice window")
-    keep = np.nonzero(mag >= TOL.window_rel * peak)[0]
-    lo, hi = int(keep[0]), int(keep[-1]) + 1
-
-    amp = np.sqrt(config.dt)
-    a_plus = coeffs.c_plus[lo:hi] * amp
-    a_minus = coeffs.c_minus[lo:hi] * amp
-    norm = np.sqrt(np.sum(np.abs(a_plus) ** 2 + np.abs(a_minus) ** 2))
-    return LatticeState(dt=config.dt, m_min=int(m[lo]), x0=config.x0,
-                        a_plus=a_plus / norm, a_minus=a_minus / norm)
-
-
-def fiber_grid(config: WalkInitConfig, extent: float) -> np.ndarray:
-    """Symmetric lattice-aligned x grid covering |x| <= extent."""
-    m_max = max(int(np.ceil(extent / config.dt)), 1)
-    return config.x0 + np.arange(-m_max, m_max + 1) * config.dt
+    half = np.conj(np.fft.rfft(weights, axis=1))
+    ring = np.hstack([half, np.conj(half[:, n_ring - half.shape[1]:0:-1])])
+    idx = np.arange(-m_max, m_max + 1) % n_ring
+    return ring[0, idx], 1.0j * ring[1, idx]
 
 
 def require_initial_state_fits(config: WalkInitConfig,
                                p_max: float | None = None) -> float:
     """Preflight of ``build_initial_state``, from floats alone: refuse a
     quadrature ring beyond ``MAX_RING_SITES`` before anything is computed,
-    and return the extent of the fiber grid.
+    and return the extent of the site window.
 
     The ring is sized at the lattice spacing dt, or at pi/p_max when dt is
     too coarse to resolve the momentum cutoff p_max (the Gaussian cutoff of
@@ -262,14 +183,18 @@ def require_initial_state_fits(config: WalkInitConfig,
 
 def build_initial_state(config: WalkInitConfig,
                         profile: MomentumProfile | None = None) -> LatticeState:
-    """Full construction: Gaussian profile -> c+-(x) -> lattice state.
+    """Full construction: Gaussian profile -> c+-(m*dt) -> lattice state.
 
-    The grid covers |x| <= ln(1/w) + sqrt(2 ln(1/w))/nu for the window
-    threshold w = ``TOL.window_rel``: the Compton tail exp(-|x|) plus the
-    Gaussian envelope exp(-nu^2 x^2/2).  Two postconditions hold on
-    c+-(x) before it is cut to the lattice: its amplitude at the grid's
-    edge is below w of the peak, and its combined norm is within
-    ``TOL.coeff_norm`` of 1; either failing is a ``NumericalHealthError``.
+    The sites m = -m_max..m_max cover |x| <= ln(1/w) + sqrt(2 ln(1/w))/nu
+    for the window threshold w = ``TOL.window_rel``: the Compton tail
+    exp(-|x|) plus the Gaussian envelope exp(-nu^2 x^2/2).  Two
+    postconditions hold on c+- before it is cut: its amplitude at the edge
+    sites is below w of the peak, and its combined norm sum(|c+-|^2) dt is
+    within ``TOL.coeff_norm`` of 1; either failing is a
+    ``NumericalHealthError``.  The cut keeps every site whose amplitude is
+    at least w of the peak; the state is then weighted by sqrt(dt) and
+    renormalized to an exact unit norm (the sqrt(dt) sampling is only
+    asymptotically normalized).
     """
     extent = require_initial_state_fits(
         config, None if profile is None else profile.p_max)
@@ -282,18 +207,31 @@ def build_initial_state(config: WalkInitConfig,
             "approximates the exact evolution for dt*E0 << 1",
             stacklevel=2,
         )
-    coeffs = position_coefficients(profile, fiber_grid(config, extent),
-                                   config.branch)
-    mag = np.maximum(np.abs(coeffs.c_plus), np.abs(coeffs.c_minus))
-    edge = float(max(mag[0], mag[-1]) / mag.max())
+    m_max = max(int(np.ceil(extent / config.dt)), 1)
+    c_plus, c_minus = position_coefficients(profile, config.dt, m_max,
+                                            config.branch)
+    mag = np.maximum(np.abs(c_plus), np.abs(c_minus))
+    peak = float(mag.max())
+    if peak == 0.0:
+        raise ValueError("all-zero coefficients: empty lattice window")
+    edge = float(max(mag[0], mag[-1]) / peak)
     if not edge < TOL.window_rel:
         raise NumericalHealthError(
             f"initial-state window edge at {edge:.3g} of the peak, "
             f"not below {TOL.window_rel:.1e}"
         )
-    if abs(coeffs.norm_sq() - 1.0) > TOL.coeff_norm:
+    norm_sq = float(np.sum(np.abs(c_plus) ** 2 + np.abs(c_minus) ** 2)
+                    * config.dt)
+    if abs(norm_sq - 1.0) > TOL.coeff_norm:
         raise NumericalHealthError(
-            f"coefficient norm {coeffs.norm_sq():.12f} is off by more than "
-            f"{TOL.coeff_norm:.1e}; widen the x grid"
+            f"coefficient norm {norm_sq:.12f} is off by more than "
+            f"{TOL.coeff_norm:.1e}; widen the site window"
         )
-    return discretize_to_lattice(coeffs, config)
+    keep = np.flatnonzero(mag >= TOL.window_rel * peak)
+    lo, hi = int(keep[0]), int(keep[-1]) + 1
+    amp = np.sqrt(config.dt)
+    a_plus = c_plus[lo:hi] * amp
+    a_minus = c_minus[lo:hi] * amp
+    norm = np.sqrt(np.sum(np.abs(a_plus) ** 2 + np.abs(a_minus) ** 2))
+    return LatticeState(dt=config.dt, m_min=lo - m_max,
+                        a_plus=a_plus / norm, a_minus=a_minus / norm)

@@ -105,15 +105,15 @@ def lattice_to_spectral(state: LatticeState, n: int) -> SpectralState:
     return SpectralState(grid=MomentumGrid(n=n, dt=state.dt), amp=amp)
 
 
-def spectral_to_lattice(spec: SpectralState, m_min: int, n_sites: int,
-                        x0: float = 0.0) -> LatticeState:
+def spectral_to_lattice(spec: SpectralState, m_min: int,
+                        n_sites: int) -> LatticeState:
     """Inverse DFT, read out the window [m_min, m_min + n_sites)."""
     n = spec.grid.n
     if n_sites > n:
         raise ValueError("requested window exceeds the ring")
     buf = np.fft.ifft(spec.amp, axis=1) * np.sqrt(n)
     idx = np.mod(np.arange(m_min, m_min + n_sites), n)
-    return LatticeState(dt=spec.grid.dt, m_min=m_min, x0=x0,
+    return LatticeState(dt=spec.grid.dt, m_min=m_min,
                         a_plus=buf[0, idx], a_minus=buf[1, idx])
 
 
@@ -163,7 +163,7 @@ def _evolve_on_ring(state: LatticeState, symbol, grow: int) -> LatticeState:
                                ring_length(state.n_sites + 2 * grow))
     spec = _apply_symbol(spec, symbol(spec.grid))
     return spectral_to_lattice(spec, m_min=state.m_min - grow,
-                               n_sites=state.n_sites + 2 * grow, x0=state.x0)
+                               n_sites=state.n_sites + 2 * grow)
 
 
 def evolve(state: LatticeState, n_steps: int,

@@ -1,13 +1,13 @@
 """Discrete-time quantum walk engine: coin rotation, conditional shift,
 n-step evolution, position distribution and empirical moments.
 
-The walker lives on one lattice fiber {x0 + m*dt : m integer}; the coin is
+The walker lives on the lattice sites m (integer), at x = m*dt; the coin is
 the 2-dimensional spin space.  One step applies the coin first and then the
 conditional shift.  In the "plus" branch spin-up amplitude moves one site
 toward +x and spin-down one site toward -x; the "minus" branch swaps the
 directions.  Arrays grow by exactly one site per side per step, so the
 light-cone bound (zero amplitude beyond the initial support widened by n
-sites) holds bit-exactly.  Site-index arithmetic never mixes fibers.
+sites) holds bit-exactly.
 
 ``evolve_steps`` monitors the total probability after every step and aborts
 when the cumulative drift exceeds the unitarity budget; it never
@@ -28,7 +28,7 @@ class LatticeState:
     """Spin-up/spin-down amplitudes on a contiguous window of lattice sites.
 
     ``m_min`` is the site index of array element 0; site m corresponds to
-    position x0 + m*dt.  Invariant: sum(|a+|^2 + |a-|^2) = 1 within the
+    position m*dt.  Invariant: sum(|a+|^2 + |a-|^2) = 1 within the
     unitarity budget.
     """
 
@@ -36,7 +36,6 @@ class LatticeState:
     m_min: int
     a_plus: np.ndarray
     a_minus: np.ndarray
-    x0: float = 0.0
     norm_drift: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -57,7 +56,7 @@ class LatticeState:
 
     @property
     def x(self) -> np.ndarray:
-        return self.x0 + self.sites * self.dt
+        return self.sites * self.dt
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.a_plus) ** 2 + np.abs(self.a_minus) ** 2))
@@ -182,7 +181,7 @@ def position_distribution(state: LatticeState) -> np.ndarray:
 
 
 def empirical_moment(state: LatticeState, k: int) -> float:
-    """k-th moment of the walker position on the fiber: sum (m*dt)^k P[m]."""
+    """k-th moment of the walker position: sum (m*dt)^k P[m]."""
     if k < 0:
         raise ValueError("moment order must be >= 0")
     prob = position_distribution(state)

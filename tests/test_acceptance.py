@@ -243,11 +243,9 @@ def test_criterion_10_half_norm_split():
     start = time.perf_counter()
     prof = gaussian_profile(50.0)
     h = 0.99 * np.pi / prof.p_max
-    half = int(np.ceil(40.0 / h))
-    grid = h * np.arange(-half, half + 1)
-    co = position_coefficients(prof, grid)
-    up = float(np.sum(np.abs(co.c_plus) ** 2) * co.h)
-    dn = float(np.sum(np.abs(co.c_minus) ** 2) * co.h)
+    c_plus, c_minus = position_coefficients(prof, h, int(np.ceil(40.0 / h)))
+    up = float(np.sum(np.abs(c_plus) ** 2) * h)
+    dn = float(np.sum(np.abs(c_minus) ** 2) * h)
     elapsed = time.perf_counter() - start
     report(10, "half-norm split at nu=50",
            abs(up - 0.5) < 0.01 and abs(dn - 0.5) < 0.01 and elapsed < 5.0,

@@ -181,6 +181,18 @@ def test_config_file_unknown_key():
         os.unlink(path)
 
 
+@pytest.mark.parametrize("top", [[], ["nu"], None, 5, "nu"],
+                         ids=["empty-list", "list", "null", "number",
+                              "string"])
+def test_config_not_an_object_exits_one(tmp_path, capsys, top):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(top))
+    assert run_cli("walk", "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert "Traceback" not in err and "JSON object" in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert run_cli("walk", "--nu", "-1", "--dt", "0.05", "--t", "1") == 1
     assert run_cli("walk", "--branch", "sideways") == 1
@@ -190,6 +202,16 @@ def test_usage_errors_exit_one(capsys):
     assert err.startswith("usage error:") and err.count("\n") == 1
     assert run_cli("frobnicate") == 1
     assert run_cli() == 1
+    capsys.readouterr()
+    # no walk step: refused from the config, before any warning or work
+    for args in (("asymptotic", "--t", "0"),
+                 ("asymptotic", "--dt", "0.01", "--t", "0.004"),
+                 ("compare", "--nu", "1", "--t", "0",
+                  "--dt-list", "0.02,0.01")):
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "warning:" not in err and "t = 0" in err and "dt = " in err
 
 
 def test_numerical_health_exit_two():

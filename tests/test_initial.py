@@ -4,22 +4,20 @@ import pytest
 from scipy import integrate
 
 from diracwalk import (TOL, NumericalHealthError, Tolerances,
-                       WalkInitConfig, build_initial_state,
-                       discretize_to_lattice, energy, fiber_grid,
+                       WalkInitConfig, build_initial_state, energy,
                        gaussian_profile, initial,
                        position_coefficients, spinor_weights)
-from diracwalk.initial import (MomentumProfile, PositionAmplitudes,
-                               require_initial_state_fits)
+from diracwalk.initial import MomentumProfile, require_initial_state_fits
 
 
-def direct_sum_coefficients(profile, x_grid):
+def direct_sum_coefficients(profile, dt, m_max):
     """Oracle for position_coefficients: the trapezoid rule on
-    p = dp*[-n, n], dp = min(pi/max|x|, p_max/400), summed directly at every
-    x in blocks, O(n_p * n_x).  Returns the plus-branch sums of W+ f and
-    W- f; c+ is the first, c- is i times the second, and the minus branch
-    swaps them."""
-    h = (x_grid[-1] - x_grid[0]) / (x_grid.size - 1)
-    dp = min(np.pi / max(np.max(np.abs(x_grid)), h), profile.p_max / 400.0)
+    p = dp*[-n, n], dp = min(pi/(m_max dt), p_max/400), summed directly at
+    every site x = m*dt, m = -m_max..m_max, in blocks, O(n_p * n_x).
+    Returns the plus-branch sums of W+ f and W- f; c+ is the first, c- is
+    i times the second, and the minus branch swaps them."""
+    x_grid = dt * np.arange(-m_max, m_max + 1)
+    dp = min(np.pi / max(m_max * dt, dt), profile.p_max / 400.0)
     n_half = int(np.ceil(profile.p_max / dp))
     p = dp * np.arange(-n_half, n_half + 1)
     w_trap = np.full(p.size, dp)
@@ -32,6 +30,16 @@ def direct_sum_coefficients(profile, x_grid):
         chunk = x_grid[lo: lo + block]
         out[lo: lo + block] = np.exp(1j * np.outer(chunk, p)) @ values
     return out[:, 0], out[:, 1]
+
+
+def sites_for(dt, extent):
+    """m_max of the site window covering |x| <= extent, as the build
+    sizes it."""
+    return max(int(np.ceil(extent / dt)), 1)
+
+
+def coeff_norm_sq(c_plus, c_minus, dt):
+    return float(np.sum(np.abs(c_plus) ** 2 + np.abs(c_minus) ** 2) * dt)
 
 
 def quad_norm(profile):
@@ -106,20 +114,25 @@ def test_mean_energy_monotone_in_nu():
 
 @pytest.fixture(scope="module")
 def coeffs_nu2():
-    cfg = WalkInitConfig(nu=2.0, dt=0.02)
-    grid = fiber_grid(cfg, 36.0)
-    return position_coefficients(gaussian_profile(2.0), grid)
+    return position_coefficients(gaussian_profile(2.0), 0.02,
+                                 sites_for(0.02, 36.0))
 
 
 def test_coefficients_combined_norm(coeffs_nu2):
-    assert abs(coeffs_nu2.norm_sq() - 1.0) < 1e-8
+    assert abs(coeff_norm_sq(*coeffs_nu2, 0.02) - 1.0) < 1e-8
 
 
-def test_coefficients_hermitian_symmetry(coeffs_nu2):
-    # real symmetric profile: c+(-x) = conj(c+(x)), c-(-x) = -conj(c-(x))
-    cp, cm = coeffs_nu2.c_plus, coeffs_nu2.c_minus
-    assert np.abs(cp[::-1] - np.conj(cp)).max() < 1e-12
-    assert np.abs(cm[::-1] + np.conj(cm)).max() < 1e-12
+def test_coefficients_hermitian_symmetry():
+    # real symmetric profile: c+(-x) = conj(c+(x)), c-(-x) = -conj(c-(x)),
+    # exactly, since the weights go through the real-input transform
+    for nu, dt in ((2.0, 0.02), (10.0, 0.002), (1.0, 0.05)):
+        m_max = sites_for(dt, require_initial_state_fits(
+            WalkInitConfig(nu=nu, dt=dt)))
+        for branch in ("plus", "minus"):
+            cp, cm = position_coefficients(gaussian_profile(nu), dt, m_max,
+                                           branch)
+            assert np.array_equal(cp[::-1], np.conj(cp))
+            assert np.array_equal(cm[::-1], -np.conj(cm))
 
 
 def test_coefficients_half_norm_split_large_nu():
@@ -127,65 +140,34 @@ def test_coefficients_half_norm_split_large_nu():
     # carries exactly half the norm for any even profile
     prof = gaussian_profile(50.0)
     h = 0.99 * np.pi / prof.p_max
-    n = int(np.ceil(40.0 / h))
-    co = position_coefficients(prof, h * np.arange(-n, n + 1))
-    up = float(np.sum(np.abs(co.c_plus) ** 2) * co.h)
-    dn = float(np.sum(np.abs(co.c_minus) ** 2) * co.h)
+    cp, cm = position_coefficients(prof, h, sites_for(h, 40.0))
+    up = float(np.sum(np.abs(cp) ** 2) * h)
+    dn = float(np.sum(np.abs(cm) ** 2) * h)
     assert up == pytest.approx(0.5, abs=0.01)
     assert dn == pytest.approx(0.5, abs=0.01)
 
 
 def test_branch_swap_exchanges_weights():
-    cfg = WalkInitConfig(nu=1.5, dt=0.05)
-    grid = fiber_grid(cfg, 38.0)
     prof = gaussian_profile(1.5)
-    plus = position_coefficients(prof, grid, branch="plus")
-    minus = position_coefficients(prof, grid, branch="minus")
+    m_max = sites_for(0.05, 38.0)
+    plus = position_coefficients(prof, 0.05, m_max, branch="plus")
+    minus = position_coefficients(prof, 0.05, m_max, branch="minus")
     # minus branch uses the swapped spin weights: c+^- = -i c-^+, c-^- = i c+^+
-    assert np.abs(minus.c_plus - (-1j) * plus.c_minus).max() < 1e-13
-    assert np.abs(minus.c_minus - 1j * plus.c_plus).max() < 1e-13
+    assert np.abs(minus[0] - (-1j) * plus[1]).max() < 1e-13
+    assert np.abs(minus[1] - 1j * plus[0]).max() < 1e-13
 
 
 def test_aliasing_rejected():
     prof = gaussian_profile(2.5)
     too_coarse = (np.pi / prof.p_max) * 2.0
-    grid = too_coarse * np.arange(-100, 101)
     with pytest.raises(NumericalHealthError, match="alias"):
-        position_coefficients(prof, grid)
+        position_coefficients(prof, too_coarse, 100)
 
 
-def test_discretize_constant_two_sites():
-    cfg = WalkInitConfig(nu=1.0, dt=0.5)
-    coeffs = PositionAmplitudes(
-        x=np.array([0.0, 0.5]),
-        c_plus=np.array([0.7, 0.7], dtype=complex),
-        c_minus=np.zeros(2, dtype=complex),
-    )
-    state = discretize_to_lattice(coeffs, cfg)
-    assert np.allclose(np.abs(state.a_plus), 1 / np.sqrt(2), atol=1e-15)
-    assert state.norm_sq() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_discretize_rejects_spacing_mismatch():
-    cfg = WalkInitConfig(nu=1.0, dt=0.25)
-    coeffs = PositionAmplitudes(
-        x=np.array([0.0, 0.5]),
-        c_plus=np.ones(2, dtype=complex),
-        c_minus=np.zeros(2, dtype=complex),
-    )
-    with pytest.raises(ValueError, match="spacing"):
-        discretize_to_lattice(coeffs, cfg)
-
-
-def test_discretize_rejects_empty_window():
-    cfg = WalkInitConfig(nu=1.0, dt=0.5)
-    coeffs = PositionAmplitudes(
-        x=np.array([0.0, 0.5]),
-        c_plus=np.zeros(2, dtype=complex),
-        c_minus=np.zeros(2, dtype=complex),
-    )
+def test_build_rejects_empty_window():
+    zero = MomentumProfile(f=np.zeros_like, p_max=10.0)
     with pytest.raises(ValueError, match="empty"):
-        discretize_to_lattice(coeffs, cfg)
+        build_initial_state(WalkInitConfig(nu=1.0, dt=0.1), profile=zero)
 
 
 def test_built_state_unit_norm():
@@ -199,12 +181,8 @@ def test_raw_lattice_norm_converges_quadratically():
     # spectrally, so the quadratic bound holds with huge slack
     prof = gaussian_profile(2.0)
     for dt in (0.04, 0.02, 0.01):
-        cfg = WalkInitConfig(nu=2.0, dt=dt)
-        grid = fiber_grid(cfg, 36.0)
-        co = position_coefficients(prof, grid)
-        raw = float(np.sum(np.abs(co.c_plus) ** 2
-                           + np.abs(co.c_minus) ** 2) * dt)
-        assert abs(raw - 1.0) < 0.25 * dt ** 2
+        co = position_coefficients(prof, dt, sites_for(dt, 36.0))
+        assert abs(coeff_norm_sq(*co, dt) - 1.0) < 0.25 * dt ** 2
 
 
 def test_normalization_chain():
@@ -220,7 +198,7 @@ def test_parseval_consistency(coeffs_nu2):
     prof = gaussian_profile(2.0)
     mom, _ = integrate.quad(lambda p: abs(prof(p)) ** 2,
                             -prof.p_max, prof.p_max, limit=200)
-    assert coeffs_nu2.norm_sq() == pytest.approx(mom, abs=1e-8)
+    assert coeff_norm_sq(*coeffs_nu2, 0.02) == pytest.approx(mom, abs=1e-8)
 
 
 def test_walk_init_config_validation():
@@ -229,16 +207,8 @@ def test_walk_init_config_validation():
     with pytest.raises(ValueError):
         WalkInitConfig(nu=1.0, dt=0.0)
     with pytest.raises(ValueError):
-        WalkInitConfig(nu=1.0, dt=0.1, x0=0.2)
-    with pytest.raises(ValueError):
-        WalkInitConfig(nu=1.0, dt=0.1, x0=-0.05)
-    with pytest.raises(ValueError):
         WalkInitConfig(nu=1.0, dt=0.1, branch="sideways")
-    # x0 in (-dt/2, dt/2], exact even where dt/2 underflows to 0
-    WalkInitConfig(nu=1.0, dt=0.1, x0=0.05)
     WalkInitConfig(nu=1.0, dt=5e-324)
-    with pytest.raises(ValueError):
-        WalkInitConfig(nu=1.0, dt=5e-324, x0=5e-324)
 
 
 def test_mean_energy_warning_regime():
@@ -246,20 +216,18 @@ def test_mean_energy_warning_regime():
         build_initial_state(WalkInitConfig(nu=2.0, dt=0.2))
 
 
-@pytest.mark.parametrize("x0_frac", [0.0, 0.3, -0.2, 0.5])
 @pytest.mark.parametrize("nu,dt", [(1.0, 0.02), (2.5, 0.01), (1.5, 0.05),
                                    (10.0, 0.004)])
-def test_fft_coefficients_match_direct_sum(nu, dt, x0_frac):
-    cfg = WalkInitConfig(nu=nu, dt=dt, x0=x0_frac * dt)
+def test_fft_coefficients_match_direct_sum(nu, dt):
     prof = gaussian_profile(nu)
-    grid = fiber_grid(cfg, 36.0)
-    s_up, s_dn = direct_sum_coefficients(prof, grid)
+    m_max = sites_for(dt, 36.0)
+    s_up, s_dn = direct_sum_coefficients(prof, dt, m_max)
     peak = np.max(np.maximum(np.abs(s_up), np.abs(s_dn)))
     for branch, want_plus, want_minus in (("plus", s_up, 1j * s_dn),
                                           ("minus", s_dn, 1j * s_up)):
-        co = position_coefficients(prof, grid, branch=branch)
-        assert np.abs(co.c_plus - want_plus).max() < 1e-13 * peak
-        assert np.abs(co.c_minus - want_minus).max() < 1e-13 * peak
+        c_plus, c_minus = position_coefficients(prof, dt, m_max, branch)
+        assert np.abs(c_plus - want_plus).max() < 1e-13 * peak
+        assert np.abs(c_minus - want_minus).max() < 1e-13 * peak
 
 
 def test_large_cutoff_window_set_by_the_tail():
@@ -279,13 +247,13 @@ def test_window_symmetric_and_not_cut_by_the_grid(nu):
     state = build_initial_state(cfg)
     m_max = state.m_min + state.n_sites - 1
     assert state.m_min == -m_max
-    # the sites just outside, on a grid 10 length units wider, are below the
-    # threshold up to the transform's rounding, 1e-16 of the peak: that is
-    # 1% of the threshold, more than the tail falls per site at small dt
-    wide = position_coefficients(gaussian_profile(nu),
-                                 fiber_grid(cfg, m_max * cfg.dt + 10.0))
-    mag = np.maximum(np.abs(wide.c_plus), np.abs(wide.c_minus))
-    sites = np.round(wide.x / cfg.dt).astype(int)
+    # the sites just outside, on a window 10 length units wider, are below
+    # the threshold up to the transform's rounding, 1e-16 of the peak: that
+    # is 1% of the threshold, more than the tail falls per site at small dt
+    m_wide = sites_for(cfg.dt, m_max * cfg.dt + 10.0)
+    wide = position_coefficients(gaussian_profile(nu), cfg.dt, m_wide)
+    mag = np.maximum(np.abs(wide[0]), np.abs(wide[1]))
+    sites = np.arange(-m_wide, m_wide + 1)
     outside = mag[np.isin(sites, (-m_max - 1, m_max + 1))]
     assert outside.size == 2
     assert np.all(outside < (TOL.window_rel + 1e-16) * mag.max())
@@ -293,11 +261,12 @@ def test_window_symmetric_and_not_cut_by_the_grid(nu):
 
 def test_norm_check_is_on_the_build_only(monkeypatch):
     # a negative budget fails every norm check that runs: the build's
-    # postcondition, not the bare quadrature on the same fiber grid
+    # postcondition, not the bare quadrature on the same site window
     monkeypatch.setattr(initial, "TOL", Tolerances(coeff_norm=-1.0))
     cfg = WalkInitConfig(nu=2.0, dt=0.05)
     with pytest.raises(NumericalHealthError, match="norm"):
         build_initial_state(cfg)
-    grid = fiber_grid(cfg, require_initial_state_fits(cfg))
-    co = position_coefficients(gaussian_profile(cfg.nu), grid)
-    assert co.norm_sq() == pytest.approx(1.0, abs=TOL.coeff_norm)
+    m_max = sites_for(cfg.dt, require_initial_state_fits(cfg))
+    co = position_coefficients(gaussian_profile(cfg.nu), cfg.dt, m_max)
+    assert coeff_norm_sq(*co, cfg.dt) == pytest.approx(1.0,
+                                                       abs=TOL.coeff_norm)
