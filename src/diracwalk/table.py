@@ -7,14 +7,18 @@ doubles round-trip exactly).  Identical configs must produce byte-identical
 files, so nothing time- or machine-dependent is ever written here.
 
 Tables are columnar: ``add_columns`` takes whole 1-d arrays, checks them
-once and keeps them as one block; ``add_row`` is a one-row block.  Each
-block is written with a single %-format over all of its values.
+once and keeps them as one block; ``add_row`` is a one-row block.  Cells
+are formatted by one numpy kernel, ``_format_rows``, which writes the same
+bytes as ``%d`` and ``%.17g``: it derives the 17 digits of each double from
+a double-double product and hands the few cells it cannot be sure of
+(extreme exponents, near a rounding tie) to CPython's own ``%.16e``.
 """
 
+import functools
 import os
 import stat
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import groupby
 
 import numpy as np
 
@@ -53,8 +57,232 @@ def fmt(value) -> str:
     return str(value)
 
 
-# '%.17g' % x and format(x, '.17g') share CPython's double-to-string path
-_CELL_FORMATS = {"i": "%d", "u": "%d", "f": "%.17g"}
+# a column's dtype kind -> the dtype it is formatted in: ints print as %d,
+# floats as %.17g
+_CELL_DTYPES = {"i": np.int64, "u": np.uint64, "f": np.float64}
+
+# one kernel call formats at most this many cells, which bounds its buffers
+_CELLS_PER_CALL = 1 << 14
+
+# the double-double route covers 10^-K_MAX <= |x| <= 10^K_MAX; its table of
+# powers of ten has one row to spare at each end for a log10 that is one off
+_K_MAX = 280
+# the computed fraction is within ~1e-14 of the true one; a cell this close
+# to a rounding tie takes the fallback
+_TIE_MARGIN = 1e-9
+_SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double in two halves
+_X_MIN, _X_MAX = -324, 308  # decimal exponents of finite doubles
+
+# A cell is built as 64-bit words whose bytes are read little-endian, with
+# NUL in every byte it does not use; the NULs are stripped at the end.
+# - A float takes 4 words: the sign and a "0.000" prefix in the first, then
+#   a 24-byte run of 17 digits with the '.' (bytes 0-17), the exponent
+#   (18-22) and the separator (23).
+# - An int takes 3 words, a 24-byte run: the sign (byte 0), 20 digits
+#   (1-20) and the separator (21).
+_FLOAT_WORDS, _INT_WORDS = 4, 3
+_RUN = 24  # bytes in a 3-word run; as a byte position, past its end
+
+
+class _Lookup:
+    """The cell formatter's constant tables."""
+
+    def __init__(self):
+        # 10^s for s = 16 - k as hi + lo, both correctly rounded (CPython's
+        # int / int is), and hi split in halves hh + hl for Dekker's product
+        self.hi, self.lo = map(np.array, zip(
+            *(_two_doubles(10 ** max(s, 0), 10 ** max(-s, 0))
+              for s in range(15 - _K_MAX, 18 + _K_MAX))))
+        c = self.hi * _SPLIT
+        self.hh = c - (c - self.hi)
+        self.hl = self.hi - self.hh
+        groups = [b"%04d" % i for i in range(10000)]
+        self.ascii4 = _words(groups)  # a 4-digit group as 4 ASCII bytes
+        self.zeros4 = np.array([len(g) - len(g.rstrip(b"0")) for g in groups])
+        self.int_pow10 = np.array([10 ** j for j in range(1, 20)], np.uint64)
+        # per exponent X (row X - _X_MIN), what %g prints: fixed notation
+        # for -4 <= X < 17, X + 1 digits before the '.', and for X < 0 a
+        # "0." and -X - 1 zeros first; else d.ddd and an "e%+03d" exponent
+        xs = range(_X_MIN, _X_MAX + 1)
+        fixed = [-4 <= x < 17 for x in xs]
+        self.n_int = np.array([x + 1 if f else 1 for x, f in zip(xs, fixed)])
+        self.dot_at = np.where(self.n_int > 0, self.n_int, _RUN)
+        self.prefix = _words([b"\0" + b"0." + b"0" * (-x - 1) if f and x < 0
+                              else b"" for x, f in zip(xs, fixed)])
+        self.exponent = _words([b"" if f else b"\0\0e%+03d" % x
+                                for x, f in zip(xs, fixed)])
+        # per word i of a run, and byte position b = 0.._RUN of the run:
+        # the word's bytes below b; its bytes in [b1, b2), at column
+        # b1 * (_RUN + 1) + b2; a '.' at byte b (none at _RUN)
+        below = np.array([[(1 << 8 * min(max(b - 8 * i, 0), 8)) - 1
+                           for b in range(_RUN + 1)] for i in range(3)],
+                         np.uint64)
+        self.below = below
+        self.band = (below[:, None, :] & ~below[:, :, None]).reshape(3, -1)
+        self.dot = np.array([[ord(".") << 8 * (b - 8 * i)
+                              if 0 <= b - 8 * i < 8 else 0
+                              for b in range(_RUN + 1)] for i in range(3)],
+                            np.uint64)
+
+
+def _two_doubles(num, den):
+    """num/den as hi + lo, each rounded to nearest."""
+    hi = num / den
+    n, d = hi.as_integer_ratio()
+    return hi, (num * d - n * den) / (den * d)
+
+
+def _words(items) -> np.ndarray:
+    """Byte strings of at most 8 bytes as little-endian uint64 words."""
+    return np.array([int.from_bytes(i, "little") for i in items], np.uint64)
+
+
+@functools.cache
+def _lookup() -> _Lookup:
+    return _Lookup()
+
+
+def _decimal(a, lut):
+    """``|x|`` rounded to 17 significant digits, as ``D * 10**(X - 16)``.
+
+    ``D`` is an int64 in [1e16, 1e17) (0 for zero), ``X`` the exponent
+    ``%e`` prints.  The digits are those of ``a * 10**(16 - k)``,
+    ``k = floor(log10 a)``, formed as a double-double and rounded once.
+    Cells where that cannot be trusted (|x| outside the covered range, a
+    wrong ``k``, a fraction near one half, a round up to ``10**17``) take
+    CPython's ``'%.16e'``.
+    """
+    zero = a == 0.0
+    a_c = np.minimum(np.maximum(a, 10.0 ** -_K_MAX), 10.0 ** _K_MAX)
+    k = np.floor(np.log10(a_c)).astype(np.int64)
+    i = _K_MAX + 1 - k  # row of 10^(16 - k)
+    hi, lo, hh, hl = (t.take(i) for t in (lut.hi, lut.lo, lut.hh, lut.hl))
+    p = a_c * hi
+    c = a_c * _SPLIT
+    ah = c - (c - a_c)
+    al = a_c - ah
+    # a * 10^(16-k) = p + r: Dekker's exact error of a*hi, plus a*lo
+    r = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a_c * lo
+    ip = p.astype(np.int64)
+    y = (p - ip) + r
+    floor = np.floor(y)
+    frac = y - floor
+    digits = ip + floor.astype(np.int64)
+    unsure = (a_c != a) | (digits < 10 ** 16)
+    digits += frac > 0.5
+    unsure |= digits >= 10 ** 17
+    unsure |= np.abs(frac - 0.5) < _TIE_MARGIN
+    # zero was clamped too; it prints as 0 with exponent 0
+    unsure[zero] = False
+    digits[zero] = 0
+    k[zero] = 0
+    for j in np.flatnonzero(unsure):
+        text = "%.16e" % a[j]
+        digits[j] = int(text[0] + text[2:18])
+        k[j] = int(text[19:])
+    return digits, k
+
+
+def _groups(n, lut):
+    """The four 4-digit groups of each ``n < 10**16``, and their ASCII."""
+    hi = n // 10 ** 8
+    lo = n - hi * 10 ** 8
+    g1, g3 = hi // 10 ** 4, lo // 10 ** 4
+    g = (g1, hi - g1 * 10 ** 4, g3, lo - g3 * 10 ** 4)
+    return g, [lut.ascii4.take(gi) for gi in g]
+
+
+def _float_words(x, sep, lut):
+    """``'%.17g' % v`` then ``sep`` for each float64 ``v`` of ``x``, as
+    the cells' four words."""
+    d, k = _decimal(np.abs(x), lut)
+    lead = d // 10 ** 16
+    g, (a1, a2, a3, a4) = _groups(d - lead * 10 ** 16, lut)
+    # the 17 digits from byte 0
+    w = [(lead + 48).view(np.uint64) | a1 << 8 | a2 << 40,
+         a2 >> 24 | a3 << 8 | a4 << 40,
+         a4 >> 24]
+    # significant digits: 17 less the trailing zeros after the lead digit
+    zeros = 0
+    for gi in g:
+        zeros = np.where(gi == 0, zeros + 4, lut.zeros4.take(gi))
+    n_sig = 17 - zeros
+    kx = k - _X_MIN
+    n_int = lut.n_int.take(kx)  # digits before the '.'
+    q = np.maximum(n_int, 0)
+    # digits before q stay, digits from q up to the last kept one move up
+    # one byte, and the '.' goes in at q when a fraction digit is left
+    band = (_RUN + 1) * (q + 1) + np.maximum(n_sig, n_int) + 1
+    dot = np.where(n_sig > n_int, lut.dot_at.take(kx), _RUN)
+    words = [lut.prefix.take(kx) | np.signbit(x) * np.uint64(ord("-"))]
+    carry = np.uint64(0)
+    for i, wi in enumerate(w):
+        words.append(wi & lut.below[i].take(q)
+                     | (wi << 8 | carry) & lut.band[i].take(band)
+                     | lut.dot[i].take(dot))
+        carry = wi >> 56
+    words[3] |= lut.exponent.take(kx) | sep << 56
+    return words
+
+
+def _int_words(v, sep, lut):
+    """``'%d' % n`` then ``sep`` for each ``n`` of the int64 or uint64
+    array ``v``, as the cells' three words."""
+    # abs wraps -2**63 to itself, whose uint64 view is 2**63
+    mag = v if v.dtype.kind == "u" else np.abs(v).view(np.uint64)
+    lead = mag // 10 ** 16
+    _, (a1, a2, a3, a4) = _groups((mag - lead * 10 ** 16).view(np.int64), lut)
+    a0 = lut.ascii4.take(lead.view(np.int64))
+    w = [a0 << 8 | a1 << 40,
+         a1 >> 24 | a2 << 8 | a3 << 40,
+         a3 >> 24 | a4 << 8]
+    # NUL the leading zeros: the digits end before byte 21
+    first = 20 - np.searchsorted(lut.int_pow10, mag, side="right")
+    w = [wi & ~lut.below[i].take(first) for i, wi in enumerate(w)]
+    w[0] |= (v < 0) * np.uint64(ord("-"))
+    w[2] |= sep << 40
+    return w
+
+
+def _format_rows(columns):
+    """Yield the CSV rows of equal-length columns as text chunks, one per
+    kernel call of at most ``_CELLS_PER_CALL`` cells.
+
+    Columns of one dtype are formatted together, stacked.
+    """
+    lut = _lookup()
+    by_dtype = {}
+    for j, col in enumerate(columns):
+        by_dtype.setdefault(col.dtype, []).append(j)
+    n_words = [_FLOAT_WORDS if col.dtype.kind == "f" else _INT_WORDS
+               for col in columns]
+    offsets = np.cumsum([0] + n_words)
+    seps = np.array([ord(",")] * (len(columns) - 1) + [ord("\n")], np.uint64)
+    rows_per_call = max(1, _CELLS_PER_CALL // len(columns))
+    for r0 in range(0, columns[0].size, rows_per_call):
+        r1 = min(r0 + rows_per_call, columns[0].size)
+        buf = np.empty((r1 - r0, offsets[-1]), np.uint64)
+        for dtype, js in by_dtype.items():
+            stack = np.stack([columns[j][r0:r1] for j in js])
+            cell_words = _float_words if dtype.kind == "f" else _int_words
+            words = cell_words(stack.ravel(),
+                               np.repeat(seps[js], r1 - r0), lut)
+            for w, word in enumerate(words):
+                for j, word_j in zip(js, word.reshape(len(js), -1)):
+                    buf[:, offsets[j] + w] = word_j
+        text = buf.astype("<u8", copy=False).tobytes()
+        yield text.translate(None, b"\0").decode("ascii")
+
+
+def _finite_as_float64(col) -> bool:
+    """Every cell is finite as the float64 it is printed as (a long double
+    beyond 1.8e308 is not)."""
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(col.astype(np.float64, copy=False)).all())
+
+
+def _kinds(block) -> str:
+    return "".join(col.dtype.kind for col in block)
 
 
 @dataclass
@@ -79,10 +307,10 @@ class ResultTable:
             if col.ndim != 1:
                 raise ValueError(f"column {name!r} must be 1-d, "
                                  f"got shape {col.shape}")
-            if col.dtype.kind not in _CELL_FORMATS:
+            if col.dtype.kind not in _CELL_DTYPES:
                 raise ValueError(f"column {name!r} must be int or float, "
                                  f"got dtype {col.dtype}")
-            if col.dtype.kind == "f" and not np.isfinite(col).all():
+            if col.dtype.kind == "f" and not _finite_as_float64(col):
                 raise ValueError(f"non-finite entry in column {name!r}")
         if len({col.size for col in block}) > 1:
             raise ValueError("columns differ in length: "
@@ -103,14 +331,20 @@ class ResultTable:
             if self.blocks else np.empty(0)
 
     def _chunks(self):
-        """The CSV text: metadata and header, then one chunk per block."""
+        """The CSV text: metadata and header, then the rows in chunks."""
         lines = [f"# {key} = {fmt(val)}" for key, val in self.metadata.items()]
         lines.append(",".join(self.columns))
         yield "\n".join(lines) + "\n"
-        for block in self.blocks:
-            line = ",".join(_CELL_FORMATS[col.dtype.kind] for col in block)
-            values = chain.from_iterable(zip(*(col.tolist() for col in block)))
-            yield ((line + "\n") * block[0].size) % tuple(values)
+        # consecutive blocks of the same column kinds are formatted
+        # together; an int column of one block still prints %d next to a
+        # float column of the same name in another
+        for _, run in groupby(self.blocks, key=_kinds):
+            run = list(run)
+            columns = [np.concatenate(cols) if len(run) > 1 else cols[0]
+                       for cols in zip(*run)]
+            yield from _format_rows(
+                [col.astype(_CELL_DTYPES[col.dtype.kind], copy=False)
+                 for col in columns])
 
     def to_csv(self) -> str:
         return "".join(self._chunks())

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -311,6 +312,41 @@ def test_outputs_over_longer_files_match_fresh_writes(tmp_path):
     for suffix in ("svg", "csv"):
         assert (tmp_path / f"reused.{suffix}").read_bytes() == \
             (tmp_path / f"fresh.{suffix}").read_bytes()
+
+
+# sha256 of the outputs of the README commands at small t, as the
+# numpy-only CI job runs them.  A change that means to move output bytes
+# updates these; any other change must leave them as they are.  They hold
+# for numpy's float64 routines as its x86-64 wheels ship them: a libm or
+# SIMD path that rounds an exp or a sin differently moves them too.
+SMALL_README_DIGESTS = [
+    (("walk", "--nu", "2.5", "--dt", "0.005", "--t", "1"), "walk.csv", {
+        "walk.csv":
+        "80bdc3725e142df6fee7d74a7cf199713a0fd10223acffc465ea1e060b854d6f"}),
+    (("exact", "--nu", "2.5", "--dt", "0.005", "--t", "1"), "exact.csv", {
+        "exact.csv":
+        "ad27aa0cdc2a5728cef1bae874d55fa5b1b00dab187e1b71014af7c9ab4404d4"}),
+    (("compare", "--nu", "1", "--t", "0.5", "--dt-list", "0.02,0.01,0.005"),
+     "conv.csv", {
+        "conv.csv":
+        "38b897cb551353ee8995adb9f668f64a177499c8dff39c75a50a4974a97d57f8"}),
+    (("asymptotic", "--nu", "2.5", "--dt", "0.005", "--t", "5"), "asym.csv", {
+        "asym.csv":
+        "f2102e52f8d544ede5fea9e42bdd8c1fd7c0bb8931614c2c8a60480d00542d2d"}),
+    (("figure1",), "figure1.svg", {
+        "figure1.csv":
+        "0d3f7706bf6aa34ec8952e9471bc2b2d58735bdb9fd2bd2e0903aafba3a85c74",
+        "figure1.svg":
+        "5083d5d42a8371f6eb8b3d6f5722268b413056a8e3fe42e890428fad3282987a"}),
+]
+
+
+def test_small_readme_outputs_keep_their_bytes(tmp_path):
+    for args, out, digests in SMALL_README_DIGESTS:
+        assert run_cli(*args, "--out", str(tmp_path / out)) == 0
+        for name, digest in digests.items():
+            data = (tmp_path / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 def test_module_entry_point(tmp_path):

@@ -2,9 +2,12 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracwalk.svgplot import line_plot_svg, write_svg
 from diracwalk.table import ResultTable, fmt, read_csv, write_text
+from oracles import percent_csv
 
 
 def test_fmt_round_trips_doubles():
@@ -53,6 +56,136 @@ def test_csv_matches_per_cell_oracle_on_mixed_rows():
     assert table.n_rows == 4
 
 
+def assert_matches_percent_oracle(*columns):
+    """The kernel writes the bytes CPython's %d / %.17g write, cell by cell."""
+    table = ResultTable(columns=[f"c{j}" for j in range(len(columns))])
+    table.add_columns(*columns)
+    got, want = table.to_csv(), percent_csv(table)
+    if got != want:
+        bad = [(g, w) for g, w in zip(got.splitlines(), want.splitlines())
+               if g != w]
+        pytest.fail(f"{len(bad)} rows differ from %-formatting: {bad[:3]}")
+
+
+def test_kernel_matches_percent_on_random_bit_patterns():
+    rng = np.random.default_rng(20261018)
+    bits = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64)
+    # every biased exponent at least once, 0 being the subnormals
+    exps = np.arange(2047, dtype=np.uint64) << np.uint64(52)
+    mant = rng.integers(1, 2 ** 52, size=exps.size, dtype=np.uint64)
+    x = np.concatenate([bits, exps | mant]).view(np.float64)
+    x = x[np.isfinite(x)]
+    assert (np.abs(x) < np.finfo(np.float64).tiny).sum() > 10
+    assert_matches_percent_oracle(x, -x)
+
+
+def test_kernel_matches_percent_next_to_powers_of_ten():
+    p = np.array([float(f"1e{j}") for j in range(-300, 301)])
+    x = np.concatenate([np.nextafter(p, 0), p, np.nextafter(p, np.inf)])
+    assert_matches_percent_oracle(x, -x)
+
+
+@pytest.mark.parametrize("direction", [-np.inf, np.inf])
+def test_kernel_survives_a_log10_that_is_one_off(monkeypatch, direction):
+    # next to a power of ten another numpy's log10 may round the other way,
+    # so the exponent estimate is one off: those cells must fall back
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10",
+                        lambda a: np.nextafter(log10(a), direction))
+    p = np.array([float(f"1e{j}") for j in range(-30, 31)])
+    x = np.concatenate([np.nextafter(p, 0), p, np.nextafter(p, np.inf)])
+    assert_matches_percent_oracle(x, -x)
+
+
+def exact_ties(rng):
+    """Doubles M * 2**-e whose decimal expansion M * 5**e has 18 digits
+    and ends in 5: exactly half way between two 17-digit numbers."""
+    ties = []
+    for e in range(2, 26):
+        lo = -(-10 ** 17 // 5 ** e)
+        hi = min(10 ** 18 // 5 ** e, 2 ** 53)
+        ms = rng.integers(lo // 2, hi // 2, size=20) * 2 + 1
+        ties += [int(m) / 2 ** e for m in ms if lo <= m < hi]
+    return np.array(ties + [2.0 ** -25])
+
+
+def test_kernel_matches_percent_on_rounding_ties():
+    ties = exact_ties(np.random.default_rng(5))
+    assert ties.size > 400
+    for v in ties:
+        digits = "%.40e" % v  # exact: the expansion has 18 digits
+        assert digits[18] == "5" and set(digits[19:42]) == {"0"}, digits
+    x = np.concatenate([ties, np.nextafter(ties, 0),
+                        np.nextafter(ties, np.inf)])
+    assert_matches_percent_oracle(x, -x)
+
+
+SWITCH_FLOATS = [0.0, -0.0, 5e-324, 1.7976931348623157e308,
+                 # %g's fixed/exponent switch points
+                 1e-5, 9.9999999999999995e-5, 1e-4, 1e16, 1e17,
+                 # next to a power of ten; the doubles 1e-14 and 1e-305 lie
+                 # below theirs, and their 17 digits round up to it
+                 99999999999999999.0, 9.999999999999999e22, 1e-14, 1e-305]
+
+
+def test_kernel_matches_percent_at_switch_points():
+    x = np.array(SWITCH_FLOATS)
+    assert_matches_percent_oracle(x, -x)
+    table = ResultTable(columns=["x"])
+    table.add_columns(x[:4])
+    assert table.to_csv() == ("x\n0\n-0\n4.9406564584124654e-324\n"
+                              "1.7976931348623157e+308\n")
+
+
+def test_kernel_matches_percent_on_int64_and_uint64():
+    rng = np.random.default_rng(3)
+    tens = np.array([10 ** j for j in range(19)], dtype=np.int64)
+    edges = np.concatenate([tens, tens - 1, -tens, 1 - tens,
+                            [-2 ** 63, 2 ** 63 - 1, 0]])
+    ints = np.concatenate([
+        edges, rng.integers(0, 2 ** 64, size=20_000,
+                            dtype=np.uint64).view(np.int64)])
+    assert_matches_percent_oracle(ints)
+    uints = np.concatenate([
+        np.array([2 ** 64 - 1, 10 ** 19, 10 ** 19 - 1, 0], dtype=np.uint64),
+        rng.integers(0, 2 ** 64, size=20_000, dtype=np.uint64)])
+    assert_matches_percent_oracle(uints)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=40))
+def test_kernel_matches_percent_on_any_float_column(values):
+    x = np.array(values)
+    assert_matches_percent_oracle(x, np.arange(x.size), x[::-1].copy())
+
+
+def test_metadata_fmt_agrees_with_the_kernel():
+    rng = np.random.default_rng(11)
+    x = np.concatenate([SWITCH_FLOATS, EDGE_FLOATS,
+                        rng.standard_normal(1000) * 10.0 ** rng.integers(
+                            -30, 30, size=1000)])
+    table = ResultTable(columns=["x"])
+    table.add_columns(x)
+    assert table.to_csv().splitlines()[1:] == [fmt(v) for v in x]
+
+
+def test_blocks_of_any_shape_match_the_oracle():
+    table = ResultTable(columns=["a", "b"])
+    table.add_columns(np.zeros(0), np.zeros(0, dtype=np.int64))
+    assert table.to_csv() == "a,b\n"
+    table.add_row(2 ** 62, 0.5)      # int, float
+    table.add_row(2.0 ** 62, 0.25)   # float, float
+    table.add_row(-3, 7)             # int, int
+    table.add_columns(np.zeros(0), np.zeros(0))
+    table.add_row(1 / 3, 1)          # float, int
+    table.add_columns(np.array([1e-7, 2.0]), np.array([3, 4]))
+    assert table.to_csv() == percent_csv(table)
+    assert table.to_csv().splitlines()[1:] == [
+        "4611686018427387904,0.5", "4.6116860184273879e+18,0.25", "-3,7",
+        "0.33333333333333331,1", "9.9999999999999995e-08,3", "2,4"]
+
+
 def test_column_reads_rows_and_blocks():
     table = ResultTable(columns=["a", "b"])
     table.add_row(1.0, 2)
@@ -71,6 +204,7 @@ def test_table_rejects_ragged_and_nonfinite_rows():
         table.add_row(1.0, np.nan)
     bad_columns = {
         "nan": np.array([1.0, np.nan]), "inf": np.array([np.inf, 1.0]),
+        "beyond float64": np.array(["1e400", "1"], dtype=np.longdouble),
         "ragged": np.array([1.0]), "bool": np.array([True, False]),
         "complex": np.array([1j, 2.0]),
         "object": np.array([1.0, "a"], dtype=object),
