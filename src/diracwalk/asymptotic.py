@@ -3,8 +3,10 @@ eigensystem, group velocity, spectral coefficients of lattice states, and
 the closed-form asymptotic position density with its CDF and moments.
 
 The shift is diagonal on generalized states e^{i m phi}; the quasi-momentum
-phi is minus the ring phase of ``spectral`` (sign map stated there), and
-one walk step acts there through the 2x2 unitary symbol
+phi is minus the ring phase of ``spectral`` (sign map stated there), so
+``spectral_coefficients`` reads phi = 2 pi k / N at index k of the inverse
+DFT of the state's ring, and one walk step acts there through the 2x2
+unitary symbol
 
     M(phi) = diag(e^{i phi}, e^{-i phi}) . coin(dt)
 
@@ -32,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .initial import gaussian_profile
-from .spectral import lattice_to_spectral, ring_length
+from .spectral import ring_buffer, ring_length
 from .spinor import energy
 from .walk import LatticeState, coin_matrix
 
@@ -44,36 +46,41 @@ def _check_dt(dt: float) -> None:
                          "|cos(phi) cos(dt)| reaches 1")
 
 
+def _eigen_weights(phi, dt):
+    """The real weights (alpha, beta) of the symbol's orthonormal
+    eigenvectors, whose first components are real > 0:
+
+        v+ = (alpha, -i e^{-i phi} beta),   v- = (beta, i e^{-i phi} alpha).
+
+    With t = cos(dt) sin(phi) and D = sqrt(sin^2 dt + t^2) (= sqrt(1 -
+    cos^2(dt) cos^2(phi))), v+ is along (s, i e^{-i phi} (t - D)) and v-
+    along (s, i e^{-i phi} (t + D)), s = sin dt.  As (t - D)(t + D) = -s^2,
+    both follow from B = |t| + D alone, which never cancels:
+    (alpha, beta) = (B, s)/N for t >= 0 and (s, B)/N for t < 0, with
+    N = sqrt(s^2 + B^2).  phi -> -phi swaps alpha and beta.
+    """
+    _check_dt(dt)
+    c, s = np.cos(dt), np.sin(dt)
+    t = c * np.sin(np.asarray(phi, dtype=float))
+    big = np.abs(t) + np.sqrt(s * s + t * t)
+    norm = np.sqrt(s * s + big * big)
+    up = t >= 0
+    return np.where(up, big, s) / norm, np.where(up, s, big) / norm
+
+
 def _eigen_system(phi, dt):
     """Vectorized closed-form eigensystem of the walk symbol.
 
     Returns (lam_p, lam_m, f_pp, f_pm, f_mp, f_mm), where v+ = (f_pp, f_pm)
-    and v- = (f_mp, f_mm) are orthonormal with first components real > 0.
-    The differences c*sin(phi) -+ D are rationalized through
-    (c sin - D)(c sin + D) = -s^2 to avoid cancellation.
+    and v- = (f_mp, f_mm) are the eigenvectors of ``_eigen_weights``.
     """
-    _check_dt(dt)
+    alpha, beta = _eigen_weights(phi, dt)
     phi = np.asarray(phi, dtype=float)
-    c, s = np.cos(dt), np.sin(dt)
-    sphi = np.sin(phi)
-    a = c * np.cos(phi)
+    a = np.cos(dt) * np.cos(phi)
     disc = np.sqrt(np.maximum(1.0 - a * a, 0.0))
-    lam_p = a + 1j * disc
-    lam_m = a - 1j * disc
-
-    direct_m = c * sphi - disc
-    direct_p = c * sphi + disc
-    q_m = np.where(sphi > 0, -s * s / direct_p, direct_m)
-    q_p = np.where(sphi < 0, -s * s / direct_m, direct_p)
-
-    phase = np.exp(-1j * phi)
-    n_p = np.sqrt(s * s + q_m * q_m)
-    n_m = np.sqrt(s * s + q_p * q_p)
-    f_pp = s / n_p + 0.0j
-    f_pm = 1j * phase * q_m / n_p
-    f_mp = s / n_m + 0.0j
-    f_mm = 1j * phase * q_p / n_m
-    return lam_p, lam_m, f_pp, f_pm, f_mp, f_mm
+    phase = 1j * np.exp(-1j * phi)
+    return (a + 1j * disc, a - 1j * disc, alpha + 0.0j, -phase * beta,
+            beta + 0.0j, phase * alpha)
 
 
 def walk_symbol_matrix(phi: float, dt: float) -> np.ndarray:
@@ -118,33 +125,38 @@ class _Runs(NamedTuple):
         at each sample (the last one closes the period).
 
         Over one period h rises from its minimum to its maximum and falls
-        back.  Split at the argmin and argmax of the samples, that gives
-        each band one run on which its key rises and one on which it
-        falls; a falling run is read backwards.
+        back.  Read from the argmin of the samples and closed by it again,
+        the period splits at the argmax into a rising and a falling slice,
+        which give each band one run on which its key rises and one on
+        which it falls; a falling run is read backwards.
         """
         n = h.size
-        pts = (np.argmin(h) + np.arange(n + 1)) % n
-        r = (np.argmax(h) - pts[0]) % n
-        rise, fall = pts[:r + 1], pts[r:]
+        lo = int(np.argmin(h))
+        r = (int(np.argmax(h)) - lo) % n
+        h, u_plus, u_minus = (np.concatenate((x[lo:], x[:lo + 1]))
+                              for x in (h, u_plus, u_minus))
+        dphi = np.concatenate((dphi[lo:], dphi[:lo]))
+        rise, fall = slice(0, r + 1), slice(r, n + 1)
         runs = ((1.0, u_plus, rise, 1), (1.0, u_plus, fall, -1),
                 (-1.0, u_minus, fall, 1), (-1.0, u_minus, rise, -1))
-        size = np.array([run.size - 1 for _, _, run, _ in runs])
+        size = np.array([r, n - r, n - r, r])
         start = np.concatenate(([0], np.cumsum(size + 1)[:-1]))
         # a run's last sample starts no cell: its lin and quad stay 0
         key, cum, lin, quad = (np.zeros(size.sum() + size.size)
                                for _ in range(4))
         for s, k, (sign, u, run, step) in zip(start, size, runs):
-            p, w = run[::step], dphi[run[:-1][::step]]
-            u_a, u_b = u[p[:-1]], u[p[1:]]
-            key[s:s + k + 1] = sign * h[p]
+            u_run = u[run][::step]
+            u_a, u_b = u_run[:-1], u_run[1:]
+            w = dphi[run.start:run.stop - 1][::step]
+            np.multiply(h[run][::step], sign, out=key[s:s + k + 1])
             np.cumsum(0.5 * (u_a + u_b) * w, out=cum[s + 1:s + k + 1])
-            lin[s:s + k] = u_a * w
-            quad[s:s + k] = 0.5 * (u_b - u_a) * w
+            np.multiply(u_a, w, out=lin[s:s + k])
+            np.multiply(0.5 * (u_b - u_a), w, out=quad[s:s + k])
         key_max, key_min = np.empty_like(key), np.empty_like(key)
         for s, k in zip(start, size):
             run = slice(s, s + k + 1)
-            key_max[run] = np.maximum.accumulate(key[run])
-            key_min[run] = np.minimum.accumulate(key[run][::-1])[::-1]
+            np.maximum.accumulate(key[run], out=key_max[run])
+            np.minimum.accumulate(key[run][::-1], out=key_min[run][::-1])
         return cls(start, size, key, key_max, key_min, cum, lin, quad)
 
     def mass(self, y: np.ndarray, side: str) -> np.ndarray:
@@ -159,10 +171,10 @@ class _Runs(NamedTuple):
         its own, as the cell-by-cell scan does, so the wiggles cost no
         accuracy; all of them in one vectorized pass.
         """
-        runs = list(zip(self.start, self.size))
-        k1 = np.array([np.searchsorted(self.key_max[s + 1:s + n + 1], y, side)
+        runs = list(zip(self.start.tolist(), self.size.tolist()))
+        k1 = np.array([self.key_max[s + 1:s + n + 1].searchsorted(y, side)
                        for s, n in runs])
-        k2 = np.array([np.searchsorted(self.key_min[s:s + n], y, side)
+        k2 = np.array([self.key_min[s:s + n].searchsorted(y, side)
                        for s, n in runs])
         first = self.start[:, None] + k1
         total = self.cum[first].sum(axis=0)
@@ -170,7 +182,7 @@ class _Runs(NamedTuple):
         width = (k2 - k1).ravel()
         head = np.repeat(np.cumsum(width) - width, width)
         cell = np.repeat(first.ravel(), width) + np.arange(head.size) - head
-        col = np.repeat(np.tile(np.arange(y.size), len(runs)), width)
+        col = np.repeat(np.arange(width.size) % y.size, width)
         total += np.bincount(col, self._cell_mass(y[col], cell, side),
                              minlength=y.size)
         return total
@@ -246,24 +258,51 @@ def spectral_coefficients(state: LatticeState,
     """Expand a lattice state in the symbol eigenbasis.
 
     g+-(phi) = sum_m {c+(m dt) f*(+-,+) + c-(m dt) f*(+-,-)} e^{i m phi},
-    with c(m dt) = a[m]/sqrt(dt), read off the ring of ``spectral`` at
-    phi = -(ring phase): one ring period, ascending.  The grid must resolve
-    the state's trigonometric degree: at least one point per occupied site
-    (default 8x, rounded up to an FFT-friendly size).
+    with c(m dt) = a[m]/sqrt(dt), on one period of quasi-momenta phi =
+    2 pi k / n_phi, ascending, phi = 0 included.  In the eigenvectors of
+    ``_eigen_weights`` that is
+
+        g+ = (alpha A - beta C) / sqrt(dt),
+        g- = (beta A + alpha C) / sqrt(dt),
+
+    with A = sum_m a+[m] e^{i m phi} and C = -i e^{i phi} sum_m a-[m]
+    e^{i m phi}: the factor e^{i phi} moves a- one site on, so both are
+    one unnormalized inverse DFT of the state's ring (``spectral.
+    ring_buffer``), read from ring index phi n_phi / (2 pi) mod n_phi.  The
+    grid must resolve the state's trigonometric degree: at least one point
+    per occupied site (default 8x, rounded up to an FFT-friendly size).
     """
     if n_phi is None:
         n_phi = ring_length(max(8 * state.n_sites, 4096))
-    ring = lattice_to_spectral(state, int(n_phi))
-    phi = -ring.grid.phi
-    _, _, f_pp, f_pm, f_mp, f_mm = _eigen_system(phi, state.dt)
-    # sum_m a[m] e^{i m phi} is sqrt(n) times the unitary ring mode
-    amp = ring.amp * np.sqrt(ring.grid.n / state.dt)
-    g_plus = np.conj(f_pp) * amp[0] + np.conj(f_pm) * amp[1]
-    g_minus = np.conj(f_mp) * amp[0] + np.conj(f_mm) * amp[1]
-    # one ring period of quasi-momenta, ascending
-    order = np.argsort(phi)
-    return SpectralCoefficients(phi=phi[order], g_plus=g_plus[order],
-                                g_minus=g_minus[order], dt=state.dt)
+    elif not isinstance(n_phi, (int, np.integer)) or n_phi < 2:
+        raise ValueError(f"n_phi={n_phi!r} must be an integer >= 2")
+    n = int(n_phi)
+    half = (n - 1) // 2
+    # bit for bit np.sort(-2 pi fftfreq(n)), -0.0 at phi[half] included
+    phi = -2.0 * np.pi * ((half - np.arange(n)) * (1.0 / n))
+    alpha, beta = _eigen_weights(phi[half:], state.dt)
+    root_dt = np.sqrt(state.dt)
+    alpha /= root_dt
+    beta /= root_dt
+    ring = ring_buffer(state, n, minus_row=-1j * state.a_minus,
+                       minus_shift=1)
+    np.fft.ifft(ring, axis=1, norm="forward", out=ring)
+    g_plus, g_minus = np.empty((2, n), dtype=complex)
+    # phi >= 0 is ring index k = 0, 1, ...; phi < 0 the ring's tail, at
+    # the weights of -phi with alpha and beta swapped
+    for grid, ring_part, a_w, b_w in (
+            (slice(half, n), slice(0, n - half), alpha, beta),
+            (slice(0, half), slice(n - half, n), beta[half:0:-1],
+             alpha[half:0:-1])):
+        a, c = ring[0, ring_part], ring[1, ring_part]
+        plus, minus = g_plus[grid], g_minus[grid]
+        np.multiply(a_w, a, out=plus)
+        np.multiply(b_w, a, out=minus)
+        # a is spent: it holds the C terms
+        plus -= np.multiply(b_w, c, out=a)
+        minus += np.multiply(a_w, c, out=a)
+    return SpectralCoefficients(phi=phi, g_plus=g_plus, g_minus=g_minus,
+                                dt=state.dt)
 
 
 def limit_cdf(y1: float, y2: float, coeffs: SpectralCoefficients) -> float:
@@ -385,10 +424,11 @@ def gaussian_g_approx(phi, nu: float, dt: float):
         warnings.warn(f"nu*dt = {nu * dt:.3g} is not small; the sharp-"
                       "localization form is unreliable", stacklevel=2)
     phi = np.asarray(phi, dtype=float)
-    _, _, f_pp, f_pm, f_mp, f_mm = _eigen_system(phi, dt)
+    alpha, beta = _eigen_weights(phi, dt)
     env = np.sqrt(2.0 * np.sqrt(np.pi) / (nu * dt * dt)) \
         * np.exp(-phi * phi / (2.0 * nu * nu * dt * dt))
     pos = phi > 0
-    g_plus = np.where(pos, 1j * env * np.conj(f_pm), env * np.conj(f_pp))
-    g_minus = np.where(pos, 1j * env * np.conj(f_mm), env * np.conj(f_mp))
+    turn = np.exp(1j * phi)
+    g_plus = env * np.where(pos, -beta * turn, alpha)
+    g_minus = env * np.where(pos, alpha * turn, beta)
     return g_plus, g_minus

@@ -6,9 +6,11 @@ A lattice state is carried onto a ring of N sites by a unitary DFT
 exp(+i p x); dp * dx * N = 2 pi holds exactly).  Site m is ring index
 m mod N, so a window of at most N sites comes back unaliased.  The ring
 phase is phi = p dt; the quasi-momentum of ``asymptotic`` (the label of
-the shift's eigenstates e^{i m phi}) is -phi, i.e. p = -phi/dt, and
-``asymptotic.spectral_coefficients`` reads the ring there.  Each mode is
-multiplied by a 2x2 symbol and the result is transformed back:
+the shift's eigenstates e^{i m phi}) is -phi, i.e. p = -phi/dt, so
+``asymptotic.spectral_coefficients`` transforms the same ring
+(``ring_buffer``) the inverse way and reads quasi-momentum 2 pi k / N at
+its index k.  Each mode is multiplied by a 2x2 symbol and the result is
+transformed back:
 
 * exact evolution for a time t,
 
@@ -89,10 +91,12 @@ class SpectralState:
         return float(np.sum(np.abs(self.amp) ** 2))
 
 
-def lattice_to_spectral(state: LatticeState, n: int) -> SpectralState:
-    """Unitary DFT of the lattice state onto a ring of n sites, refused
-    above ``MAX_RING_SITES`` or below ``state.n_sites``; callers size n
-    with ``ring_length``."""
+def ring_buffer(state: LatticeState, n: int, minus_row=None,
+                minus_shift: int = 0) -> np.ndarray:
+    """The (2, n) ring of a lattice state before its transform: a+[m] at
+    index m mod n, and a-[m] (or ``minus_row[m - m_min]``) at index
+    (m + minus_shift) mod n.  Refused above ``MAX_RING_SITES`` or below
+    ``state.n_sites``; callers size n with ``ring_length``."""
     require_ring_fits(n)
     if n < state.n_sites:
         raise ValueError(f"a ring of {n} sites cannot resolve a state "
@@ -100,8 +104,16 @@ def lattice_to_spectral(state: LatticeState, n: int) -> SpectralState:
     buf = np.zeros((2, n), dtype=complex)
     idx = np.mod(state.sites, n)
     buf[0, idx] = state.a_plus
-    buf[1, idx] = state.a_minus
-    amp = np.fft.fft(buf, axis=1) / np.sqrt(n)
+    if minus_shift:
+        idx = np.mod(idx + minus_shift, n)
+    buf[1, idx] = state.a_minus if minus_row is None else minus_row
+    return buf
+
+
+def lattice_to_spectral(state: LatticeState, n: int) -> SpectralState:
+    """Unitary DFT of the lattice state onto a ring of n sites (see
+    ``ring_buffer``)."""
+    amp = np.fft.fft(ring_buffer(state, n), axis=1) / np.sqrt(n)
     return SpectralState(grid=MomentumGrid(n=n, dt=state.dt), amp=amp)
 
 

@@ -38,6 +38,16 @@ def _fmt_tick(v: float) -> str:
     return f"{v:.4g}"
 
 
+def _polyline(x, y, sx, sy) -> str:
+    """The "x,y" viewport pairs of one curve.  ``sx`` and ``sy`` map whole
+    float64 arrays with the operations they apply to one float, so every
+    coordinate has the bits of a per-point map, and is printed by the same
+    ``.2f``."""
+    return " ".join(map("{:.2f},{:.2f}".format,
+                        sx(np.asarray(x, dtype=float)).tolist(),
+                        sy(np.asarray(y, dtype=float)).tolist()))
+
+
 def line_plot_svg(curves, title: str, xlabel: str, ylabel: str) -> str:
     """Render curves = [(x, y, label), ...] to an SVG document string."""
     xs = np.concatenate([np.asarray(c[0], dtype=float) for c in curves])
@@ -93,8 +103,7 @@ def line_plot_svg(curves, title: str, xlabel: str, ylabel: str) -> str:
 
     for i, (x, y, label) in enumerate(curves):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}"
-                       for a, b in zip(np.asarray(x), np.asarray(y)))
+        pts = _polyline(x, y, sx, sy)
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      'stroke-width="1.5"/>')
         ly = _MT + 18 + 18 * i

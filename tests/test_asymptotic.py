@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import lru_cache
 
 import mpmath
@@ -17,7 +18,8 @@ from diracwalk import (LatticeState, SpectralCoefficients, WalkInitConfig,
                        limit_cdf_gaussian, limit_density, limit_density_mass,
                        limit_moment, spectral_coefficients,
                        walk_symbol_matrix)
-from diracwalk.asymptotic import _eigen_system
+from diracwalk.asymptotic import _eigen_system, _eigen_weights
+from oracles import direct_sum_coefficients, ring_spectral_coefficients
 
 
 # ---------------------------------------------------------------- symbol
@@ -148,6 +150,101 @@ def test_spectral_coefficients_match_direct_sum(n_phi):
     peak = max(np.abs(g_plus).max(), np.abs(g_minus).max())
     assert np.abs(co.g_plus - g_plus).max() < 1e-12 * peak
     assert np.abs(co.g_minus - g_minus).max() < 1e-12 * peak
+
+
+def assert_coefficients_close(co, g_plus, g_minus, rel=1e-12):
+    peak = max(np.abs(g_plus).max(), np.abs(g_minus).max())
+    assert np.abs(co.g_plus - g_plus).max() <= rel * peak
+    assert np.abs(co.g_minus - g_minus).max() <= rel * peak
+
+
+def limit_law_state():
+    """The benchmark's limit-law state: nu 2.5, dt 0.005 (91,476 phi)."""
+    return build_initial_state(WalkInitConfig(nu=2.5, dt=0.005))
+
+
+@pytest.mark.parametrize("state, n_phi", [(random_state(), 512),
+                                          (random_state(), 513),
+                                          (limit_law_state(), None)])
+def test_spectral_coefficients_match_ring_oracle(state, n_phi):
+    co = spectral_coefficients(state, n_phi=n_phi)
+    want = ring_spectral_coefficients(state, co.phi.size)
+    assert co.phi.tobytes() == want.phi.tobytes()
+    assert_coefficients_close(co, want.g_plus, want.g_minus)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 300), st.data())
+def test_spectral_coefficients_match_direct_sum_on_any_state(n_sites, data):
+    # grids from one point per site to four, odd and even; a window that
+    # may straddle a multiple of n_phi, so sites wrap around the ring
+    n_phi = data.draw(st.integers(max(n_sites, 2), 4 * n_sites), "n_phi")
+    m_min = data.draw(st.integers(-3 * n_phi, 3 * n_phi), "m_min")
+    dt = data.draw(st.floats(1e-3, 1.0, exclude_min=True, exclude_max=True),
+                   "dt")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    amp = rng.uniform(0.0, 1.0, (2, n_sites)) \
+        * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (2, n_sites)))
+    amp /= np.sqrt(np.sum(np.abs(amp) ** 2))
+    state = LatticeState(dt=dt, m_min=m_min, a_plus=amp[0], a_minus=amp[1])
+    co = spectral_coefficients(state, n_phi=n_phi)
+    want_phi = np.sort(-2.0 * np.pi * np.fft.fftfreq(n_phi))
+    assert co.phi.tobytes() == want_phi.tobytes()
+    assert_coefficients_close(co, *direct_sum_coefficients(state, n_phi))
+
+
+def one_site_state():
+    return LatticeState(dt=0.25, m_min=0, a_plus=np.array([1.0 + 0j]),
+                        a_minus=np.zeros(1, dtype=complex))
+
+
+@pytest.mark.parametrize("n_phi", [1, True, 512.9, 0, -4, "512"])
+def test_spectral_coefficients_refuse_bad_n_phi(n_phi):
+    with pytest.raises(ValueError, match="n_phi"):
+        spectral_coefficients(one_site_state(), n_phi=n_phi)
+
+
+def test_spectral_coefficients_smallest_and_default_grid():
+    state = one_site_state()
+    assert spectral_coefficients(state).phi.size == 4096
+    co = spectral_coefficients(state, n_phi=np.int64(2))
+    assert co.phi.tolist() == [0.0, np.pi]
+
+
+def test_spectral_coefficients_memory_per_phi_point():
+    # traced peak of one call, over its n_phi: the outputs (phi, g+-) are
+    # 40 B of it, the ring of both rows 32 B
+    state = limit_law_state()
+    spectral_coefficients(state)  # FFT plans and caches built outside
+    tracemalloc.start()
+    try:
+        co = spectral_coefficients(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert co.phi.size == 91476
+    assert peak / co.phi.size <= 82.0
+
+
+def test_eigen_weights_keep_their_digits_at_small_dt():
+    # 1 - cos^2(dt) cos^2(phi) cancels near phi = 0 at small dt; oracle:
+    # the eigenvector (s e^{i phi}, c e^{i phi} - lambda+) of the symbol's
+    # first row in 40 digits, turned so that its first component is > 0
+    rng = np.random.default_rng(31)
+    with mpmath.workdps(40):
+        for dt in (1e-3, 5e-3, 0.3, 2.0):
+            phi = np.concatenate((rng.uniform(-1e-3, 1e-3, 6),
+                                  rng.uniform(-np.pi, np.pi, 6), [0.0]))
+            alpha, beta = _eigen_weights(phi, dt)
+            c, s = mpmath.cos(dt), mpmath.sin(dt)
+            for p, a, b in zip(phi, alpha, beta):
+                cos_p = c * mpmath.cos(p)
+                lam = cos_p + 1j * mpmath.sqrt(1 - cos_p * cos_p)
+                v1 = c * mpmath.expj(p) - lam
+                norm = mpmath.sqrt(s * s + abs(v1) ** 2)
+                # v+ = (alpha, -i e^{-i phi} beta): beta = i v1 / norm
+                assert abs(a - s / norm) <= 1e-15, (dt, p)
+                assert abs(b - 1j * v1 / norm) <= 1e-15, (dt, p)
 
 
 @pytest.mark.parametrize("n_phi", [512, 513])

@@ -1,13 +1,15 @@
 import stat
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diracwalk import svgplot
 from diracwalk.svgplot import line_plot_svg, write_svg
 from diracwalk.table import ResultTable, fmt, read_csv, write_text
-from oracles import percent_csv
+from oracles import per_point_polyline, percent_csv
 
 
 def test_fmt_round_trips_doubles():
@@ -245,6 +247,52 @@ def test_svg_is_deterministic_and_wellformed():
     assert doc1.rstrip().endswith("</svg>")
     import xml.etree.ElementTree as ET
     ET.fromstring(doc1)
+
+
+def _nudged(value: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        value = float(np.nextafter(value, np.copysign(np.inf, ulps)))
+    return value
+
+
+SVG_VALUES = st.floats(-1e3, 1e3)
+# x within a few ulps of k/100 + 0.005: with the x range [0, 670] the
+# viewport x is 70 + x, so its .2f rounding turns on the last bits
+NEAR_TIES = st.builds(lambda k, ulps: _nudged(k / 100 + 0.005, ulps),
+                      st.integers(0, 66999), st.integers(-2, 2))
+
+
+@st.composite
+def svg_curves(draw):
+    """1-3 curves of 1-25 points: free values (negatives included), x
+    near .xx5 ties, one x for all points (the x_hi == x_lo branch), or
+    y all 0 (the y_hi == y_lo branch)."""
+    kind = draw(st.sampled_from(["free", "near_tie", "flat_x", "zero_y"]))
+    flat_x = draw(SVG_VALUES)
+    curves = []
+    for i in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(2 if kind == "near_tie" else 1, 25))
+        y = draw(st.lists(SVG_VALUES, min_size=n, max_size=n))
+        if kind == "near_tie":
+            x = [0.0, 670.0] + draw(st.lists(NEAR_TIES, min_size=n - 2,
+                                             max_size=n - 2))
+        elif kind == "flat_x":
+            x = [flat_x] * n
+        else:
+            x = draw(st.lists(SVG_VALUES, min_size=n, max_size=n))
+        if kind == "zero_y":
+            y = [0.0] * n
+        curves.append((np.array(x), np.array(y), f"c{i}"))
+    return curves
+
+
+@settings(max_examples=200, deadline=None)
+@given(svg_curves())
+def test_polyline_bytes_match_per_point_oracle(curves):
+    doc = line_plot_svg(curves, "demo", "x", "y")
+    with mock.patch.object(svgplot, "_polyline", per_point_polyline):
+        want = line_plot_svg(curves, "demo", "x", "y")
+    assert doc == want
 
 
 # a stale file longer than anything written over it below
