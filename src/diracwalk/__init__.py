@@ -15,9 +15,7 @@ from .initial import (MomentumProfile, WalkInitConfig, build_initial_state,
                       gaussian_profile, position_coefficients)
 from .walk import (LatticeState, coin_matrix, coin_step, empirical_moment,
                    evolve_steps, position_distribution, shift_step, step)
-from .spectral import (MomentumGrid, SpectralState, evolve,
-                       lattice_to_spectral, propagator_symbol,
-                       spectral_to_lattice, walk_power_symbol)
+from .spectral import evolve, propagator_symbol, walk_power_symbol
 from .exact import (ComparisonReport, compare_densities, energy_leakage,
                     evolve_exact_on_lattice)
 from .asymptotic import (SpectralCoefficients, gaussian_g_approx,

@@ -324,6 +324,9 @@ def build_parser() -> _Parser:
     return parser
 
 
+_PARSER = build_parser()  # parse_args gives a fresh Namespace per call
+
+
 def _show_warning(message, category, filename, lineno, file=None,
                   line=None):
     print(f"warning: {message}", file=sys.stderr)
@@ -332,7 +335,7 @@ def _show_warning(message, category, filename, lineno, file=None,
 def main(argv=None) -> int:
     started = time.perf_counter()
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         cfg = _resolve(args)
         with warnings.catch_warnings():
             warnings.simplefilter("always")

@@ -33,12 +33,13 @@ class Tolerances:
 TOL = Tolerances()
 
 # Longest momentum ring (sites) that walk or exact evolution, the weak-limit
-# coefficients or the initial-state quadrature may allocate.  A ring array
-# holds two complex128 spin components, 32 B per site, and an evolution
-# keeps a few alive at once (FFT input and output, the per-mode symbol, the
-# evolved modes): a walk peaks at 176 B per site, about 0.75 GB at this cap.  A walk of n steps needs a ring of at least n_sites + 2n, so
-# this admits about 2 * 10^6 steps; longer runs are refused before anything
-# is allocated.
+# coefficients or the initial-state quadrature may allocate.  An evolution
+# transforms one (2, n) complex128 buffer in place, 32 B per site; the
+# per-mode symbol and its temporaries take the rest of the traced peak:
+# about 176 B per site for a walk (``walk_power_symbol`` dominates), about
+# 0.74 GB at this cap, and 113 B for exact evolution.  A walk of n steps
+# needs a ring of at least n_sites + 2n, so this admits about 2 * 10^6
+# steps; longer runs are refused before anything is allocated.
 MAX_RING_SITES = 2 ** 22
 
 

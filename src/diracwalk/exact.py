@@ -11,25 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TOL, NumericalHealthError, branch_sign
-from .spectral import (SpectralState, _evolve_on_ring, lattice_to_spectral,
-                       propagator_symbol, ring_length)
+from .spectral import (_evolve_on_ring, propagator_symbol, ring_buffer,
+                       ring_length)
 from .spinor import u_minus_effective, u_plus_effective
 from .walk import LatticeState, position_distribution
 
 _MARGIN_SITES = 128  # ring padding past the light cone, in sites
-
-
-def _check_band_occupation(spec: SpectralState) -> None:
-    """Flag states whose spectral weight reaches the grid's Nyquist band."""
-    p = spec.grid.p
-    p_edge = np.abs(p).max()
-    band = np.abs(p) > 0.9 * p_edge
-    w = np.sum(np.abs(spec.amp[:, band]) ** 2) / max(spec.norm_sq(), 1e-300)
-    if w > TOL.nyquist_weight:
-        raise NumericalHealthError(
-            f"spectral weight {w:.3e} within 10% of the Nyquist momentum; "
-            "the lattice is too coarse for this state"
-        )
 
 
 def energy_leakage(state: LatticeState, branch: str = "plus") -> float:
@@ -40,13 +27,24 @@ def energy_leakage(state: LatticeState, branch: str = "plus") -> float:
     for the walk.
     """
     sign = branch_sign(branch)
-    spec = lattice_to_spectral(state, ring_length(state.n_sites + 16))
-    _check_band_occupation(spec)
-    w = u_plus_effective(spec.grid.p) if sign > 0 \
-        else u_minus_effective(spec.grid.p)
-    overlap = np.conj(w[0]) * spec.amp[0] + np.conj(w[1]) * spec.amp[1]
+    n = ring_length(state.n_sites + 16)
+    ring = ring_buffer(state, n)
+    np.fft.fft(ring, axis=1, out=ring)
+    ring /= np.sqrt(n)
+    p = 2.0 * np.pi * np.fft.fftfreq(n, d=state.dt)
+    norm_sq = float(np.sum(np.abs(ring) ** 2))
+    # refuse states whose spectral weight reaches the Nyquist band
+    band = np.abs(p) > 0.9 * np.abs(p).max()
+    w = np.sum(np.abs(ring[:, band]) ** 2) / max(norm_sq, 1e-300)
+    if w > TOL.nyquist_weight:
+        raise NumericalHealthError(
+            f"spectral weight {w:.3e} within 10% of the Nyquist momentum; "
+            "the lattice is too coarse for this state"
+        )
+    w = u_plus_effective(p) if sign > 0 else u_minus_effective(p)
+    overlap = np.conj(w[0]) * ring[0] + np.conj(w[1]) * ring[1]
     kept = float(np.sum(np.abs(overlap) ** 2))
-    return 1.0 - kept / spec.norm_sq()
+    return 1.0 - kept / norm_sq
 
 
 def evolve_exact_on_lattice(state: LatticeState, t: float,
@@ -57,8 +55,9 @@ def evolve_exact_on_lattice(state: LatticeState, t: float,
     contamination stays at the window-truncation floor.
     """
     n_cone = int(np.ceil(abs(t) / state.dt))
-    return _evolve_on_ring(state, lambda grid: propagator_symbol(
-        grid.p, t, branch), n_cone + _MARGIN_SITES)
+    return _evolve_on_ring(state, lambda n: propagator_symbol(
+        2.0 * np.pi * np.fft.fftfreq(n, d=state.dt), t, branch),
+        n_cone + _MARGIN_SITES)
 
 
 @dataclass(frozen=True)

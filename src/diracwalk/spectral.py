@@ -9,8 +9,9 @@ phase is phi = p dt; the quasi-momentum of ``asymptotic`` (the label of
 the shift's eigenstates e^{i m phi}) is -phi, i.e. p = -phi/dt, so
 ``asymptotic.spectral_coefficients`` transforms the same ring
 (``ring_buffer``) the inverse way and reads quasi-momentum 2 pi k / N at
-its index k.  Each mode is multiplied by a 2x2 symbol and the result is
-transformed back:
+its index k.  An evolution keeps the ring in one (2, N) buffer: it is
+transformed in place, each mode is multiplied by a 2x2 symbol, and it is
+transformed back in place:
 
 * exact evolution for a time t,
 
@@ -33,7 +34,7 @@ transformed back:
 Per-mode work is embarrassingly parallel; all functions are pure.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -63,34 +64,6 @@ def ring_length(n_sites) -> int:
     return int(_FAST_LENGTHS[np.searchsorted(_FAST_LENGTHS, n_sites)])
 
 
-@dataclass(frozen=True)
-class MomentumGrid:
-    """Discrete Fourier-dual momentum grid of a lattice with spacing dt."""
-
-    n: int
-    dt: float
-
-    @property
-    def p(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dt)
-
-    @property
-    def phi(self) -> np.ndarray:
-        """Ring phases p * dt in [-pi, pi)."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n)
-
-
-@dataclass(frozen=True)
-class SpectralState:
-    """2-component amplitudes per grid momentum (spin basis |+>, |->)."""
-
-    grid: MomentumGrid
-    amp: np.ndarray  # shape (2, n)
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amp) ** 2))
-
-
 def ring_buffer(state: LatticeState, n: int, minus_row=None,
                 minus_shift: int = 0) -> np.ndarray:
     """The (2, n) ring of a lattice state before its transform: a+[m] at
@@ -108,25 +81,6 @@ def ring_buffer(state: LatticeState, n: int, minus_row=None,
         idx = np.mod(idx + minus_shift, n)
     buf[1, idx] = state.a_minus if minus_row is None else minus_row
     return buf
-
-
-def lattice_to_spectral(state: LatticeState, n: int) -> SpectralState:
-    """Unitary DFT of the lattice state onto a ring of n sites (see
-    ``ring_buffer``)."""
-    amp = np.fft.fft(ring_buffer(state, n), axis=1) / np.sqrt(n)
-    return SpectralState(grid=MomentumGrid(n=n, dt=state.dt), amp=amp)
-
-
-def spectral_to_lattice(spec: SpectralState, m_min: int,
-                        n_sites: int) -> LatticeState:
-    """Inverse DFT, read out the window [m_min, m_min + n_sites)."""
-    n = spec.grid.n
-    if n_sites > n:
-        raise ValueError("requested window exceeds the ring")
-    buf = np.fft.ifft(spec.amp, axis=1) * np.sqrt(n)
-    idx = np.mod(np.arange(m_min, m_min + n_sites), n)
-    return LatticeState(dt=spec.grid.dt, m_min=m_min,
-                        a_plus=buf[0, idx], a_minus=buf[1, idx])
 
 
 def propagator_symbol(p, t: float, branch: str = "plus"):
@@ -158,24 +112,31 @@ def walk_power_symbol(phi, dt: float, n_steps: int, branch: str = "plus"):
     return cos_n - diag, -off, np.conj(off), cos_n + diag
 
 
-def _apply_symbol(spec: SpectralState, symbol) -> SpectralState:
-    """Multiply every mode's spinor by its 2x2 symbol (m00, m01, m10, m11)."""
-    m00, m01, m10, m11 = symbol
-    up, dn = spec.amp
-    return SpectralState(grid=spec.grid,
-                         amp=np.stack([m00 * up + m01 * dn,
-                                       m10 * up + m11 * dn]))
-
-
 def _evolve_on_ring(state: LatticeState, symbol, grow: int) -> LatticeState:
-    """Apply ``symbol(grid)`` to every mode of a ring that holds the output
-    window [m_min - grow, m_min + n_sites + grow), and read that window out.
-    """
-    spec = lattice_to_spectral(state,
-                               ring_length(state.n_sites + 2 * grow))
-    spec = _apply_symbol(spec, symbol(spec.grid))
-    return spectral_to_lattice(spec, m_min=state.m_min - grow,
-                               n_sites=state.n_sites + 2 * grow)
+    """Apply ``symbol(n)``, the 2x2 entries (m00, m01, m10, m11) of every
+    mode of a ring of n sites, to a ring that holds the output window
+    [m_min - grow, m_min + n_sites + grow), and read that window out.
+    The ring is one (2, n) buffer, transformed both ways in place."""
+    m_min, n_sites = state.m_min - grow, state.n_sites + 2 * grow
+    n = ring_length(n_sites)
+    ring = ring_buffer(state, n)
+    np.fft.fft(ring, axis=1, out=ring)
+    ring /= np.sqrt(n)
+    m00, m01, m10, m11 = symbol(n)
+    up, dn = ring
+    # symbol first in every product: complex multiplication is not
+    # bitwise commutative
+    lower = np.multiply(m10, up)
+    np.multiply(m00, up, out=up)
+    up += np.multiply(m01, dn)
+    np.multiply(m11, dn, out=dn)
+    dn += lower
+    del m00, m01, m10, m11, lower  # freed before the read-out allocates
+    np.fft.ifft(ring, axis=1, out=ring)
+    ring *= np.sqrt(n)
+    idx = np.mod(np.arange(m_min, m_min + n_sites), n)
+    return LatticeState(dt=state.dt, m_min=m_min,
+                        a_plus=ring[0, idx], a_minus=ring[1, idx])
 
 
 def evolve(state: LatticeState, n_steps: int,
@@ -199,8 +160,8 @@ def evolve(state: LatticeState, n_steps: int,
     if n_steps == 0:
         return replace(state.copy(), norm_drift=np.empty(0))
     grow = abs(n_steps)
-    out = _evolve_on_ring(state, lambda grid: walk_power_symbol(
-        grid.phi, state.dt, n_steps, branch), grow)
+    out = _evolve_on_ring(state, lambda n: walk_power_symbol(
+        2.0 * np.pi * np.fft.fftfreq(n), state.dt, n_steps, branch), grow)
     occupied = np.flatnonzero((state.a_plus != 0) | (state.a_minus != 0))
     # with no nonzero site the initial norm check has already failed
     for amp in (out.a_plus, out.a_minus):

@@ -1,12 +1,18 @@
 """Slow reference implementations that the tests hold the fast paths to."""
 
+from contextlib import contextmanager
 from itertools import chain
+from unittest.mock import patch
 
 import numpy as np
 
+from diracwalk import exact, spectral
 from diracwalk.asymptotic import SpectralCoefficients, _eigen_system
-from diracwalk.spectral import lattice_to_spectral
+from diracwalk.constants import branch_sign
+from diracwalk.spectral import ring_buffer, ring_length
+from diracwalk.spinor import u_minus_effective, u_plus_effective
 from diracwalk.table import fmt
+from diracwalk.walk import LatticeState
 
 # '%.17g' % x and format(x, '.17g') share CPython's double-to-string path
 CELL_FORMATS = {"i": "%d", "u": "%d", "f": "%.17g"}
@@ -26,15 +32,74 @@ def percent_csv(table) -> str:
     return "".join(chunks)
 
 
+def unitary_modes(state, n: int) -> np.ndarray:
+    """The unitary DFT of a state's ring of n sites, as a new (2, n)
+    array: mode k holds sum_m a[m] e^{-2 pi i k m / n} / sqrt(n)."""
+    return np.fft.fft(ring_buffer(state, n), axis=1) / np.sqrt(n)
+
+
+def ring_momenta(n: int, dt: float) -> np.ndarray:
+    """The momentum p of each mode of a ring of n sites at spacing dt."""
+    return 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
+
+
+def stacked_symbol(modes, symbol) -> np.ndarray:
+    """Every mode's spinor times its 2x2 symbol (m00, m01, m10, m11), as a
+    new stacked array."""
+    m00, m01, m10, m11 = symbol
+    up, dn = modes
+    return np.stack([m00 * up + m01 * dn, m10 * up + m11 * dn])
+
+
+def modes_to_window(modes, dt: float, m_min: int,
+                    n_sites: int) -> LatticeState:
+    """The inverse of ``unitary_modes``, read out on the window [m_min,
+    m_min + n_sites)."""
+    n = modes.shape[1]
+    buf = np.fft.ifft(modes, axis=1) * np.sqrt(n)
+    idx = np.mod(np.arange(m_min, m_min + n_sites), n)
+    return LatticeState(dt=dt, m_min=m_min, a_plus=buf[0, idx],
+                        a_minus=buf[1, idx])
+
+
+def stacked_evolve_on_ring(state, symbol, grow: int) -> LatticeState:
+    """``spectral._evolve_on_ring`` with a new array at every stage: the
+    modes, the stacked product and the transform back."""
+    m_min, n_sites = state.m_min - grow, state.n_sites + 2 * grow
+    n = ring_length(n_sites)
+    modes = stacked_symbol(unitary_modes(state, n), symbol(n))
+    return modes_to_window(modes, state.dt, m_min, n_sites)
+
+
+@contextmanager
+def stacked_ring():
+    """Run ``evolve`` and ``evolve_exact_on_lattice`` on the stacked ring."""
+    with patch.object(spectral, "_evolve_on_ring", stacked_evolve_on_ring), \
+            patch.object(exact, "_evolve_on_ring", stacked_evolve_on_ring):
+        yield
+
+
+def stacked_energy_leakage(state, branch: str = "plus") -> float:
+    """``exact.energy_leakage`` on ``unitary_modes``, without its
+    Nyquist-band refusal."""
+    sign = branch_sign(branch)
+    n = ring_length(state.n_sites + 16)
+    amp = unitary_modes(state, n)
+    p = ring_momenta(n, state.dt)
+    w = u_plus_effective(p) if sign > 0 else u_minus_effective(p)
+    overlap = np.conj(w[0]) * amp[0] + np.conj(w[1]) * amp[1]
+    return 1.0 - (float(np.sum(np.abs(overlap) ** 2))
+                  / float(np.sum(np.abs(amp) ** 2)))
+
+
 def ring_spectral_coefficients(state, n_phi: int) -> SpectralCoefficients:
     """g+- by the ring of ``spectral``: its unitary forward DFT, read at
     phi = -(ring phase), projected on the conjugated eigenvectors of
     ``_eigen_system`` (phase e^{-i phi} included) and sorted by phi."""
-    ring = lattice_to_spectral(state, n_phi)
-    phi = -ring.grid.phi
+    phi = -2.0 * np.pi * np.fft.fftfreq(n_phi)
     _, _, f_pp, f_pm, f_mp, f_mm = _eigen_system(phi, state.dt)
     # sum_m a[m] e^{i m phi} is sqrt(n) times the unitary ring mode
-    amp = ring.amp * np.sqrt(ring.grid.n / state.dt)
+    amp = unitary_modes(state, n_phi) * np.sqrt(n_phi / state.dt)
     g_plus = np.conj(f_pp) * amp[0] + np.conj(f_pm) * amp[1]
     g_minus = np.conj(f_mp) * amp[0] + np.conj(f_mm) * amp[1]
     order = np.argsort(phi)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import diracwalk
-from diracwalk.cli import main
+from diracwalk.cli import _PARSER, main
 from diracwalk.constants import MAX_RING_SITES
 from diracwalk.table import read_csv
 
@@ -158,6 +158,14 @@ def test_summary_row_count_matches_csv(tmp_path, capsys, args):
     data = [ln for ln in out.read_text().splitlines()
             if not ln.startswith("#")][1:]
     assert n_rows == len(data) > 0
+
+
+def test_shared_parser_keeps_no_flags_between_calls():
+    first = _PARSER.parse_args(["walk", "--nu", "2", "--branch", "minus"])
+    second = _PARSER.parse_args(["exact"])
+    assert (first.nu, first.branch) == (2.0, "minus")
+    assert second.command == "exact" and second is not first
+    assert (second.nu, second.branch, second.dt) == (None, None, None)
 
 
 def test_config_file_with_flag_override(tmp_path):

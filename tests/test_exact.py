@@ -2,18 +2,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from diracwalk import (LatticeState, WalkInitConfig, build_initial_state,
-                       compare_densities, energy_leakage, evolve,
-                       evolve_exact_on_lattice, evolve_steps,
-                       hamiltonian_matrix, lattice_to_spectral,
-                       propagator_symbol, spectral_to_lattice,
+from diracwalk import (LatticeState, NumericalHealthError, WalkInitConfig,
+                       build_initial_state, compare_densities,
+                       energy_leakage, evolve, evolve_exact_on_lattice,
+                       evolve_steps, hamiltonian_matrix, propagator_symbol,
                        u_plus_effective)
-from diracwalk.spectral import _apply_symbol, ring_length
-
-
-def evolve_exact(spec, t, branch="plus"):
-    """Multiply every momentum mode by the closed-form propagator."""
-    return _apply_symbol(spec, propagator_symbol(spec.grid.p, t, branch))
+from diracwalk.spectral import ring_length
+from oracles import (modes_to_window, ring_momenta, stacked_energy_leakage,
+                     stacked_ring, stacked_symbol, unitary_modes)
 
 
 def propagator_matrix(p, t):
@@ -94,25 +90,61 @@ def test_fourier_round_trip_identity():
     z = rng.normal(size=(2, 77)) + 1j * rng.normal(size=(2, 77))
     z /= np.sqrt(np.sum(np.abs(z) ** 2))
     state = LatticeState(dt=0.05, m_min=-38, a_plus=z[0], a_minus=z[1])
-    spec = lattice_to_spectral(state, ring_length(state.n_sites + 11))
-    back = spectral_to_lattice(spec, m_min=-38, n_sites=77)
+    n = ring_length(state.n_sites + 11)
+    back = modes_to_window(unitary_modes(state, n), state.dt, m_min=-38,
+                           n_sites=77)
     assert np.abs(back.a_plus - state.a_plus).max() < 1e-12
     assert np.abs(back.a_minus - state.a_minus).max() < 1e-12
     # the dual grid's momentum step is 2 pi / (N dx)
-    g = spec.grid
-    assert g.p[1] - g.p[0] == pytest.approx(2 * np.pi / (g.n * g.dt),
-                                            rel=1e-15)
+    p = ring_momenta(n, state.dt)
+    assert p[1] - p[0] == pytest.approx(2 * np.pi / (n * state.dt),
+                                        rel=1e-15)
 
 
 def test_evolve_exact_time_zero_and_reversal():
     state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.05))
-    spec = lattice_to_spectral(state, ring_length(state.n_sites + 64))
-    same = evolve_exact(spec, 0.0)
-    assert np.abs(same.amp - spec.amp).max() < 1e-15
-    fwd = evolve_exact(spec, 2.3)
-    back = evolve_exact(fwd, -2.3)
-    assert np.abs(back.amp - spec.amp).max() < 1e-12
-    assert fwd.norm_sq() == pytest.approx(spec.norm_sq(), abs=1e-12)
+    n = ring_length(state.n_sites + 64)
+    amp = unitary_modes(state, n)
+    p = ring_momenta(n, state.dt)
+    same = stacked_symbol(amp, propagator_symbol(p, 0.0))
+    assert np.abs(same - amp).max() < 1e-15
+    fwd = stacked_symbol(amp, propagator_symbol(p, 2.3))
+    back = stacked_symbol(fwd, propagator_symbol(p, -2.3))
+    assert np.abs(back - amp).max() < 1e-12
+    assert np.sum(np.abs(fwd) ** 2) == pytest.approx(
+        np.sum(np.abs(amp) ** 2), abs=1e-12)
+
+
+@pytest.mark.parametrize("nu, dt, n, branch", [(2.5, 0.005, 10_000, "plus"),
+                                               (1.0, 0.02, 100, "minus"),
+                                               (10.0, 0.002, 3000, "plus"),
+                                               (2.0, 0.05, -37, "minus")])
+def test_ring_in_one_buffer_matches_stacked_oracle(nu, dt, n, branch):
+    # the in-place ring keeps every bit of the stacked one
+    state = build_initial_state(WalkInitConfig(nu=nu, dt=dt, branch=branch))
+    got = [evolve(state, n, branch), evolve_exact_on_lattice(state, n * dt,
+                                                             branch)]
+    with stacked_ring():
+        want = [evolve(state, n, branch),
+                evolve_exact_on_lattice(state, n * dt, branch)]
+    for g, w in zip(got, want):
+        assert (g.m_min, g.n_sites) == (w.m_min, w.n_sites)
+        assert np.array_equal(g.a_plus, w.a_plus)
+        assert np.array_equal(g.a_minus, w.a_minus)
+    assert np.array_equal(got[0].norm_drift, want[0].norm_drift)
+    for s in [state] + got:
+        assert energy_leakage(s, branch) == stacked_energy_leakage(s, branch)
+
+
+def test_leakage_refuses_weight_at_nyquist_band():
+    # a+ ~ (-1)^m puts almost all weight at p = pi/dt
+    m = np.arange(-20, 21)
+    a_plus = (-1.0) ** m / np.sqrt(m.size) + 0j
+    state = LatticeState(dt=0.05, m_min=-20, a_plus=a_plus,
+                         a_minus=np.zeros(m.size, dtype=complex))
+    with pytest.raises(NumericalHealthError,
+                       match=r"weight 9\.542e-01 .*Nyquist"):
+        energy_leakage(state)
 
 
 def test_exact_evolution_preserves_positive_energy():
@@ -189,8 +221,9 @@ def test_exact_matches_walk_at_first_order():
 def test_spectral_content_matches_effective_spinor():
     # the packet's per-mode amplitudes align with u+(p) by construction
     state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.02))
-    spec = lattice_to_spectral(state, ring_length(state.n_sites + 32))
-    w = u_plus_effective(spec.grid.p)
-    overlap = np.conj(w[0]) * spec.amp[0] + np.conj(w[1]) * spec.amp[1]
-    residual = spec.amp - overlap * w
+    n = ring_length(state.n_sites + 32)
+    amp = unitary_modes(state, n)
+    w = u_plus_effective(ring_momenta(n, state.dt))
+    overlap = np.conj(w[0]) * amp[0] + np.conj(w[1]) * amp[1]
+    residual = amp - overlap * w
     assert np.sqrt(np.sum(np.abs(residual) ** 2)) < 1e-7

@@ -1,13 +1,16 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
-from diracwalk import (WalkInitConfig, build_initial_state, evolve,
-                       evolve_steps, walk_power_symbol)
+from diracwalk import (LatticeState, WalkInitConfig, build_initial_state,
+                       evolve, evolve_steps, walk_power_symbol)
 from diracwalk.asymptotic import walk_symbol_matrix
 from diracwalk.constants import MAX_RING_SITES
 from diracwalk.spectral import ring_length
+from oracles import stacked_ring
 
 EPS = 2.2e-16
 PHIS = (0.0, 1e-3, 0.3, np.pi / 2, 2.9, np.pi, 5.0)
@@ -70,6 +73,46 @@ def test_evolve_matches_step_loop(nu, dt, n, branch):
     assert err < 1e-12
     assert fast.norm_drift.shape == (1,)
     assert fast.norm_drift[0] < 1e-12
+
+
+def max_diff(state, other, lo: int = 0) -> float:
+    """The largest amplitude difference of ``other`` from ``state``'s
+    window, read from index ``lo`` of ``other``."""
+    hi = lo + state.n_sites
+    return max(np.abs(other.a_plus[lo:hi] - state.a_plus).max(),
+               np.abs(other.a_minus[lo:hi] - state.a_minus).max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 200), st.integers(-1000, 1000),
+       st.integers(0, 2 ** 32 - 1),
+       st.floats(1e-3, 1.0, exclude_min=True, exclude_max=True),
+       st.integers(-300, 300), st.integers(-300, 300),
+       st.sampled_from(["plus", "minus"]))
+def test_ring_evolution_properties(n_sites, m_min, seed, dt, n, more,
+                                   branch):
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(0.1, 1.0, (2, n_sites)) \
+        * np.exp(2j * np.pi * rng.uniform(size=(2, n_sites)))
+    z /= np.sqrt(np.sum(np.abs(z) ** 2))
+    state = LatticeState(dt=dt, m_min=m_min, a_plus=z[0], a_minus=z[1])
+    fast = evolve(state, n, branch)
+    # bit for bit the stacked ring
+    with stacked_ring():
+        slow = evolve(state, n, branch)
+    assert (fast.m_min, fast.n_sites) == (slow.m_min, slow.n_sites)
+    assert np.array_equal(fast.a_plus, slow.a_plus)
+    assert np.array_equal(fast.a_minus, slow.a_minus)
+    assert np.array_equal(fast.norm_drift, slow.norm_drift)
+    # the step-by-step walk
+    if n >= 0:
+        loop = evolve_steps(state, n, branch)
+        assert (fast.m_min, fast.n_sites) == (loop.m_min, loop.n_sites)
+        assert max_diff(loop, fast) < 1e-12
+    # the group law, on the sites of the narrower window
+    once = evolve(state, n + more, branch)
+    twice = evolve(fast, more, branch)
+    assert max_diff(once, twice, once.m_min - twice.m_min) < 1e-12
 
 
 def test_ring_length_is_next_fast_len():
