@@ -22,6 +22,6 @@ from .asymptotic import (SpectralCoefficients, gaussian_g_approx,
                          group_velocity, horn_location, limit_cdf,
                          limit_cdf_gaussian, limit_density,
                          limit_density_mass, limit_moment,
-                         spectral_coefficients, walk_symbol_matrix)
+                         spectral_coefficients)
 
 __version__ = "0.1.0"

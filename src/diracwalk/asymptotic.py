@@ -1,21 +1,16 @@
-"""Weak-limit machinery of the walk: the quasi-momentum symbol and its
-eigensystem, group velocity, spectral coefficients of lattice states, and
-the closed-form asymptotic position density with its CDF and moments.
+"""Weak-limit machinery of the walk: the eigenvector weights and group
+velocity of its symbol, spectral coefficients of lattice states, and the
+closed-form asymptotic position density with its CDF and moments.
 
-The shift is diagonal on generalized states e^{i m phi}; the quasi-momentum
-phi is minus the ring phase of ``spectral`` (sign map stated there), so
+The symbol M(phi), its quasi-momentum phi with the sign map p = -phi/dt,
+and its dispersion (eigenvalues e^{+-i theta}, group velocity h(phi) =
+d theta / d phi = cos(dt) sin(phi) / sin(theta), bounded by cos(dt)) are
+stated once, in ``spectral``; here M is the "plus" branch's.
 ``spectral_coefficients`` reads phi = 2 pi k / N at index k of the inverse
-DFT of the state's ring, and one walk step acts there through the 2x2
-unitary symbol
-
-    M(phi) = diag(e^{i phi}, e^{-i phi}) . coin(dt)
-
-with eigenvalues lambda+-(phi) = cos(phi) cos(dt) +- i sqrt(1 - cos^2(phi)
-cos^2(dt)) and group velocity h(phi) = -i lambda'(phi)/lambda(phi)
-= sin(phi) cos(dt) / sqrt(1 - cos^2(dt) cos^2(phi)), bounded by cos(dt).
-The scaled walker position X_n/(n dt) converges weakly to a variable
-supported on (-1, 1) whose law is carried by |g+-(phi)|^2; for the
-localized Gaussian packets the limiting density is the two-horned
+DFT of the state's ring.  The scaled walker position X_n/(n dt) converges
+weakly to a variable supported on (-1, 1) whose law is carried by
+|g+-(phi)|^2; for the localized Gaussian packets the limiting density is
+the two-horned
 
     F(y; nu) = (1 / (nu sqrt(pi))) (1 - y^2)^{-3/2}
                exp(-y^2 / (nu^2 (1 - y^2))).
@@ -34,9 +29,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .initial import gaussian_profile
-from .spectral import ring_buffer, ring_length
+from .spectral import _dispersion, ring_buffer, ring_length
 from .spinor import energy
-from .walk import LatticeState, coin_matrix
+from .walk import LatticeState
 
 
 def _check_dt(dt: float) -> None:
@@ -52,54 +47,32 @@ def _eigen_weights(phi, dt):
 
         v+ = (alpha, -i e^{-i phi} beta),   v- = (beta, i e^{-i phi} alpha).
 
-    With t = cos(dt) sin(phi) and D = sqrt(sin^2 dt + t^2) (= sqrt(1 -
-    cos^2(dt) cos^2(phi))), v+ is along (s, i e^{-i phi} (t - D)) and v-
-    along (s, i e^{-i phi} (t + D)), s = sin dt.  As (t - D)(t + D) = -s^2,
-    both follow from B = |t| + D alone, which never cancels:
+    With t and sin(theta) of ``spectral._dispersion``, v+ is along (s,
+    i e^{-i phi} (t - sin theta)) and v- along (s, i e^{-i phi} (t + sin
+    theta)), s = sin dt.  As (t - sin theta)(t + sin theta) = -s^2, both
+    follow from B = |t| + sin(theta) alone, which never cancels:
     (alpha, beta) = (B, s)/N for t >= 0 and (s, B)/N for t < 0, with
     N = sqrt(s^2 + B^2).  phi -> -phi swaps alpha and beta.
     """
     _check_dt(dt)
-    c, s = np.cos(dt), np.sin(dt)
-    t = c * np.sin(np.asarray(phi, dtype=float))
-    big = np.abs(t) + np.sqrt(s * s + t * t)
+    s = np.sin(dt)
+    t, sin_theta = _dispersion(phi, dt)
+    big = np.abs(t) + sin_theta
     norm = np.sqrt(s * s + big * big)
     up = t >= 0
     return np.where(up, big, s) / norm, np.where(up, s, big) / norm
 
 
-def _eigen_system(phi, dt):
-    """Vectorized closed-form eigensystem of the walk symbol.
-
-    Returns (lam_p, lam_m, f_pp, f_pm, f_mp, f_mm), where v+ = (f_pp, f_pm)
-    and v- = (f_mp, f_mm) are the eigenvectors of ``_eigen_weights``.
-    """
-    alpha, beta = _eigen_weights(phi, dt)
-    phi = np.asarray(phi, dtype=float)
-    a = np.cos(dt) * np.cos(phi)
-    disc = np.sqrt(np.maximum(1.0 - a * a, 0.0))
-    phase = 1j * np.exp(-1j * phi)
-    return (a + 1j * disc, a - 1j * disc, alpha + 0.0j, -phase * beta,
-            beta + 0.0j, phase * alpha)
-
-
-def walk_symbol_matrix(phi: float, dt: float) -> np.ndarray:
-    """The 2x2 symbol diag(e^{i phi}, e^{-i phi}) . coin(dt)."""
-    shift = np.diag([np.exp(1j * phi), np.exp(-1j * phi)])
-    return shift @ coin_matrix(dt)
-
-
 def group_velocity(phi, dt: float):
-    """h(phi) = sin(phi) cos(dt) / sqrt(1 - cos^2(dt) cos^2(phi)).
+    """h(phi) = t / sin(theta) = cos(dt) sin(phi) / sqrt(sin^2 dt +
+    cos^2 dt sin^2 phi), the phi-derivative of the symbol's phase theta.
 
     The +- bands propagate with velocity +-h; |h| <= cos(dt) < 1, so the
     walk spreads strictly slower than the lattice light cone.
     """
     _check_dt(dt)
-    phi = np.asarray(phi, dtype=float)
-    c = np.cos(dt)
-    denom = np.sqrt(1.0 - (c * np.cos(phi)) ** 2)
-    out = np.sin(phi) * c / denom
+    t, sin_theta = _dispersion(phi, dt)
+    out = t / sin_theta
     return out if out.ndim else float(out)
 
 
@@ -114,9 +87,9 @@ class _Runs(NamedTuple):
     key: np.ndarray      # key at the samples
     key_max: np.ndarray  # running max of key along its run
     key_min: np.ndarray  # running min of key along its run, from its end
+    u: np.ndarray        # weight at the samples
+    whole: np.ndarray    # mass of the cell that starts at each sample
     cum: np.ndarray      # mass of the run's cells before each sample
-    lin: np.ndarray      # u_a dphi of the cell that starts at each sample
-    quad: np.ndarray     # (u_b - u_a) dphi / 2 of that cell
 
     @classmethod
     def build(cls, h, u_plus, u_minus, dphi) -> "_Runs":
@@ -141,27 +114,26 @@ class _Runs(NamedTuple):
                 (-1.0, u_minus, fall, 1), (-1.0, u_minus, rise, -1))
         size = np.array([r, n - r, n - r, r])
         start = np.concatenate(([0], np.cumsum(size + 1)[:-1]))
-        # a run's last sample starts no cell: its lin and quad stay 0
-        key, cum, lin, quad = (np.zeros(size.sum() + size.size)
-                               for _ in range(4))
+        # a run's last sample starts no cell: its whole stays 0
+        key, u_all, whole, cum = (np.zeros(size.sum() + size.size)
+                                  for _ in range(4))
         for s, k, (sign, u, run, step) in zip(start, size, runs):
-            u_run = u[run][::step]
-            u_a, u_b = u_run[:-1], u_run[1:]
+            u_all[s:s + k + 1] = u[run][::step]
             w = dphi[run.start:run.stop - 1][::step]
             np.multiply(h[run][::step], sign, out=key[s:s + k + 1])
-            np.cumsum(0.5 * (u_a + u_b) * w, out=cum[s + 1:s + k + 1])
-            np.multiply(u_a, w, out=lin[s:s + k])
-            np.multiply(0.5 * (u_b - u_a), w, out=quad[s:s + k])
+            np.multiply(0.5 * (u_all[s:s + k] + u_all[s + 1:s + k + 1]), w,
+                        out=whole[s:s + k])
+            np.cumsum(whole[s:s + k], out=cum[s + 1:s + k + 1])
         key_max, key_min = np.empty_like(key), np.empty_like(key)
         for s, k in zip(start, size):
             run = slice(s, s + k + 1)
             np.maximum.accumulate(key[run], out=key_max[run])
             np.minimum.accumulate(key[run][::-1], out=key_min[run][::-1])
-        return cls(start, size, key, key_max, key_min, cum, lin, quad)
+        return cls(start, size, key, key_max, key_min, u_all, whole, cum)
 
     def mass(self, y: np.ndarray, side: str) -> np.ndarray:
         """Mass of {key <= y} (side "right") or {key < y} (side "left")
-        over all runs, for a 1-d array y.
+        over all runs, for a 1-d array y; non-decreasing in y as rounded.
 
         In each run, the cells before k1 lie wholly below y, and the cells
         from k2 on wholly above it.  The cells between hold y: one on a
@@ -169,37 +141,43 @@ class _Runs(NamedTuple):
         extreme of h wiggle by an ulp (for y within that band of +-cos dt,
         a share of n_phi that grows as dt falls).  Each is integrated on
         its own, as the cell-by-cell scan does, so the wiggles cost no
-        accuracy; all of them in one vectorized pass.
+        accuracy.  A run's mass is cum at k1 plus those cells in turn, so a
+        cell passing into cum as y grows adds no less than its share did.
         """
         runs = list(zip(self.start.tolist(), self.size.tolist()))
         k1 = np.array([self.key_max[s + 1:s + n + 1].searchsorted(y, side)
                        for s, n in runs])
         k2 = np.array([self.key_min[s:s + n].searchsorted(y, side)
                        for s, n in runs])
-        first = self.start[:, None] + k1
-        total = self.cum[first].sum(axis=0)
-        # the cells k1 .. k2 - 1 of every (run, y), end to end
-        width = (k2 - k1).ravel()
-        head = np.repeat(np.cumsum(width) - width, width)
-        cell = np.repeat(first.ravel(), width) + np.arange(head.size) - head
-        col = np.repeat(np.arange(width.size) % y.size, width)
-        total += np.bincount(col, self._cell_mass(y[col], cell, side),
-                             minlength=y.size)
-        return total
+        cell = self.start[:, None] + k1
+        total = self.cum[cell]
+        width = k2 - k1
+        y_at = np.broadcast_to(y, cell.shape)
+        for _ in range(width.max(initial=0)):
+            held = width > 0
+            total[held] += self.whole[cell[held]] * self._share(
+                y_at[held], cell[held], side)
+            cell += 1
+            width -= 1
+        return total.sum(axis=0)
 
-    def _cell_mass(self, y, j, side: str):
-        """Mass of cell j below y: int_0^1 (u_a + (u_b - u_a) s) ds dphi
-        over the part of the cell where key_a + (key_b - key_a) s is below
-        y, all of a flat cell or none of it."""
+    def _share(self, y, j, side: str):
+        """The share of cell j's mass where key_a + (key_b - key_a) s, s in
+        [0, 1], is below y, for weight u_a + (u_b - u_a) s: all of a flat
+        cell or none of it.  Each form is monotone in y when rounded."""
         key_a, span = self.key[j], self.key[j + 1] - self.key[j]
-        lin, quad = self.lin[j], self.quad[j]
+        u_a, u_b = self.u[j], self.u[j + 1]
         flat = span == 0.0
         t = np.clip((y - key_a) / np.where(flat, 1.0, span), 0.0, 1.0)
-        part = t * (lin + t * quad)
-        whole = lin + quad
+        both = np.maximum(u_a + u_b, 1e-300)  # u_a = u_b = 0: whole is 0
+        # the share of s in [0, t]: t (2 u_a + (u_b - u_a) t) / both, or
+        # 1 less that of [t, 1], so that every factor rises with t
+        r = 1.0 - t
+        share = np.where(u_b >= u_a, t * (2.0 * u_a + (u_b - u_a) * t) / both,
+                         1.0 - r * (2.0 * u_b + (u_a - u_b) * r) / both)
+        share = np.clip(share, 0.0, 1.0)
         below = key_a <= y if side == "right" else key_a < y
-        return np.where(flat, np.where(below, whole, 0.0),
-                        np.where(span > 0.0, part, whole - part))
+        return np.where(flat, below, np.where(span > 0.0, share, 1.0 - share))
 
 
 @dataclass(frozen=True)
@@ -326,7 +304,7 @@ def limit_cdf(y1: float, y2: float, coeffs: SpectralCoefficients) -> float:
 
 def limit_density(y, nu: float):
     """Closed-form asymptotic density F(y; nu) on the open interval (-1, 1)."""
-    if nu <= 0:
+    if not nu > 0:
         raise ValueError("nu must be positive")
     y = np.asarray(y, dtype=float)
     if np.any(np.abs(y) >= 1.0):
@@ -365,7 +343,7 @@ def horn_location(nu: float) -> float:
     Setting d(log F)/dy = 0 gives 1 - y^2 = 2/(3 nu^2); for nu^2 <= 2/3
     the density is unimodal at 0 and 0.0 is returned.
     """
-    if nu <= 0:
+    if not nu > 0:
         raise ValueError("nu must be positive")
     if nu * nu <= 2.0 / 3.0:
         return 0.0

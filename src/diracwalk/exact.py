@@ -19,6 +19,15 @@ from .walk import LatticeState, position_distribution
 _MARGIN_SITES = 128  # ring padding past the light cone, in sites
 
 
+def _ring_momenta(n: int, dt: float, branch: str) -> np.ndarray:
+    """Each mode's momentum, on [-pi/dt, pi/dt) for "plus" and on its
+    mirror (-pi/dt, pi/dt] for "minus", the site mirror of "plus"."""
+    p = 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
+    if branch_sign(branch) < 0:
+        p[n // 2] = abs(p[n // 2])
+    return p
+
+
 def energy_leakage(state: LatticeState, branch: str = "plus") -> float:
     """1 - ||projection onto the positive-energy branch||^2 (per mode).
 
@@ -31,7 +40,7 @@ def energy_leakage(state: LatticeState, branch: str = "plus") -> float:
     ring = ring_buffer(state, n)
     np.fft.fft(ring, axis=1, out=ring)
     ring /= np.sqrt(n)
-    p = 2.0 * np.pi * np.fft.fftfreq(n, d=state.dt)
+    p = _ring_momenta(n, state.dt, branch)
     norm_sq = float(np.sum(np.abs(ring) ** 2))
     # refuse states whose spectral weight reaches the Nyquist band
     band = np.abs(p) > 0.9 * np.abs(p).max()
@@ -56,7 +65,7 @@ def evolve_exact_on_lattice(state: LatticeState, t: float,
     """
     n_cone = int(np.ceil(abs(t) / state.dt))
     return _evolve_on_ring(state, lambda n: propagator_symbol(
-        2.0 * np.pi * np.fft.fftfreq(n, d=state.dt), t, branch),
+        _ring_momenta(n, state.dt, branch), t, branch),
         n_cone + _MARGIN_SITES)
 
 

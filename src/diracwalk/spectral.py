@@ -4,32 +4,29 @@ weak-limit coefficients all act, and the per-mode symbols applied there.
 A lattice state is carried onto a ring of N sites by a unitary DFT
 (convention: spectral(p) picks up exp(-i p x), position recovers it with
 exp(+i p x); dp * dx * N = 2 pi holds exactly).  Site m is ring index
-m mod N, so a window of at most N sites comes back unaliased.  The ring
-phase is phi = p dt; the quasi-momentum of ``asymptotic`` (the label of
-the shift's eigenstates e^{i m phi}) is -phi, i.e. p = -phi/dt, so
-``asymptotic.spectral_coefficients`` transforms the same ring
-(``ring_buffer``) the inverse way and reads quasi-momentum 2 pi k / N at
-its index k.  An evolution keeps the ring in one (2, N) buffer: it is
-transformed in place, each mode is multiplied by a 2x2 symbol, and it is
-transformed back in place:
+m mod N, so a window of at most N sites comes back unaliased.  Every walk
+symbol takes the quasi-momentum phi, the label of the shift's eigenstates
+e^{i m phi}, with the one sign map p = -phi/dt: forward-DFT mode k has
+phi = -2 pi k / N, and ``asymptotic.spectral_coefficients`` transforms the
+same ring (``ring_buffer``) the inverse way to read phi = 2 pi k / N at k.
+An evolution keeps the ring in one (2, N) buffer, transformed in place,
+multiplied mode by mode by a 2x2 symbol, and transformed back in place:
 
 * exact evolution for a time t,
 
       exp(-i H(p) t) = cos(E t) I - i (sin(E t) / E) H(p),   E = sqrt(p^2+1),
 
   exact because H(p)^2 = E^2 I;
-* n walk steps.  The one-step symbol is M = diag(e^{-i s phi},
-  e^{i s phi}) . coin(dt), with s = +1 for the "plus" branch and -1 for
-  "minus"; for "plus" it is ``asymptotic.walk_symbol_matrix(-phi, dt)``.
-  M has det 1 and trace 2 cos(theta), cos(theta) = cos(dt) cos(phi), so
-  by Cayley-Hamilton, for every integer n (n < 0 reverses time),
+* n walk steps of M(phi) = diag(e^{i s phi}, e^{-i s phi}) . coin(dt),
+  s = +1 for the "plus" branch and -1 for "minus".  M has det 1 and
+  eigenvalues e^{+-i theta}, cos(theta) = cos(dt) cos(phi), and
+  ``_dispersion`` gives sin(theta) = sqrt(sin^2 dt + t^2), t = cos(dt)
+  sin(phi), which keeps its digits near theta -> 0, and the group velocity
+  h = d theta / d phi = t / sin(theta).  By Cayley-Hamilton, for every
+  integer n (n < 0 reverses time),
 
       M^n = cos(n theta) I + (sin(n theta) / sin(theta)) K,
       K = M - cos(theta) I,   K^2 = -sin^2(theta) I.
-
-  theta is taken with atan2 from sin(theta) = sqrt(cos^2 dt sin^2 phi +
-  sin^2 dt) >= sin(dt) > 0, which keeps its digits near theta -> 0 where
-  arccos would lose them.
 
 Per-mode work is embarrassingly parallel; all functions are pure.
 """
@@ -93,23 +90,29 @@ def propagator_symbol(p, t: float, branch: str = "plus"):
     return c - 1j * s * sign * p, -s, s, c + 1j * s * sign * p
 
 
+def _dispersion(phi, dt: float):
+    """t = cos(dt) sin(phi) and sin(theta) = sqrt(sin^2 dt + t^2) of the
+    walk symbol, elementwise in phi; the only place either is formed."""
+    s = np.sin(dt)
+    t = np.cos(dt) * np.sin(phi)
+    return t, np.sqrt(s * s + t * t)
+
+
 def walk_power_symbol(phi, dt: float, n_steps: int, branch: str = "plus"):
-    """Entries (m00, m01, m10, m11) of M^n for any integer n, elementwise
-    in the ring phase phi = p dt (see the module docstring for M and its
-    sign map)."""
+    """Entries (m00, m01, m10, m11) of M(phi)^n for any integer n,
+    elementwise in the quasi-momentum phi (see the module docstring)."""
     sign = branch_sign(branch)
     phi = np.asarray(phi, dtype=float)
     c, s = np.cos(dt), np.sin(dt)
-    c_sin = c * np.sin(phi)
-    sin_theta = np.sqrt(c_sin * c_sin + s * s)
+    t, sin_theta = _dispersion(phi, dt)
     n_theta = n_steps * np.arctan2(sin_theta, c * np.cos(phi))
     cos_n = np.cos(n_theta)
     ratio = np.sin(n_theta) / sin_theta
-    # ratio * K: diagonal -+i sign c sin(phi), off-diagonal
-    # -s e^{-i sign phi} (upper) and s e^{i sign phi} (lower)
-    diag = 1j * sign * ratio * c_sin
-    off = s * ratio * np.exp(-1j * sign * phi)
-    return cos_n - diag, -off, np.conj(off), cos_n + diag
+    # ratio * K: diagonal +-i sign t, off-diagonal -s e^{i sign phi}
+    # (upper) and s e^{-i sign phi} (lower)
+    diag = 1j * sign * ratio * t
+    off = s * ratio * np.exp(1j * sign * phi)
+    return cos_n + diag, -off, np.conj(off), cos_n - diag
 
 
 def _evolve_on_ring(state: LatticeState, symbol, grow: int) -> LatticeState:
@@ -161,7 +164,7 @@ def evolve(state: LatticeState, n_steps: int,
         return replace(state.copy(), norm_drift=np.empty(0))
     grow = abs(n_steps)
     out = _evolve_on_ring(state, lambda n: walk_power_symbol(
-        2.0 * np.pi * np.fft.fftfreq(n), state.dt, n_steps, branch), grow)
+        -2.0 * np.pi * np.fft.fftfreq(n), state.dt, n_steps, branch), grow)
     occupied = np.flatnonzero((state.a_plus != 0) | (state.a_minus != 0))
     # with no nonzero site the initial norm check has already failed
     for amp in (out.a_plus, out.a_minus):

@@ -16,22 +16,23 @@ from diracwalk import (LatticeState, SpectralCoefficients, WalkInitConfig,
                        build_initial_state, evolve, gaussian_g_approx,
                        group_velocity, horn_location, limit_cdf,
                        limit_cdf_gaussian, limit_density, limit_density_mass,
-                       limit_moment, spectral_coefficients,
-                       walk_symbol_matrix)
-from diracwalk.asymptotic import _eigen_system, _eigen_weights
-from oracles import direct_sum_coefficients, ring_spectral_coefficients
+                       limit_moment, spectral_coefficients)
+from diracwalk.asymptotic import _eigen_weights
+from oracles import (direct_sum_coefficients, random_phase_state,
+                     ring_spectral_coefficients, symbol_eigenvalues,
+                     symbol_eigenvectors, walk_symbol_matrix)
 
 
 # ---------------------------------------------------------------- symbol
 
 def test_symbol_eigenvalues_at_phi_zero():
-    lam_plus, lam_minus, *_ = _eigen_system(0.0, 0.3)
+    lam_plus, lam_minus = symbol_eigenvalues(0.0, 0.3)
     assert lam_plus == pytest.approx(np.exp(0.3j), abs=1e-14)
     assert lam_minus == pytest.approx(np.exp(-0.3j), abs=1e-14)
 
 
 def test_symbol_eigenvalues_at_phi_half_pi():
-    lam_plus, lam_minus, *_ = _eigen_system(np.pi / 2, 0.7)
+    lam_plus, lam_minus = symbol_eigenvalues(np.pi / 2, 0.7)
     assert lam_plus == pytest.approx(1j, abs=1e-14)
     assert lam_minus == pytest.approx(-1j, abs=1e-14)
 
@@ -41,7 +42,7 @@ def test_symbol_characteristic_polynomial_oracle():
     for _ in range(40):
         phi = rng.uniform(-np.pi, np.pi)
         dt = rng.uniform(0.01, 2.5)
-        lam_plus, lam_minus, *_ = _eigen_system(phi, dt)
+        lam_plus, lam_minus = symbol_eigenvalues(phi, dt)
         mat = walk_symbol_matrix(phi, dt)
         for lam in (lam_plus, lam_minus):
             assert abs(np.linalg.det(mat - lam * np.eye(2))) < 1e-12
@@ -52,7 +53,8 @@ def test_symbol_eigenvectors():
     for _ in range(40):
         phi = rng.uniform(-np.pi, np.pi)
         dt = rng.uniform(0.01, 2.5)
-        lam_plus, lam_minus, f_pp, f_pm, f_mp, f_mm = _eigen_system(phi, dt)
+        lam_plus, lam_minus = symbol_eigenvalues(phi, dt)
+        f_pp, f_pm, f_mp, f_mm = symbol_eigenvectors(phi, dt)
         v_plus, v_minus = np.array([f_pp, f_pm]), np.array([f_mp, f_mm])
         mat = walk_symbol_matrix(phi, dt)
         assert np.abs(mat @ v_plus - lam_plus * v_plus).max() < 1e-12
@@ -65,16 +67,17 @@ def test_symbol_eigenvectors():
 
 def test_symbol_unit_modulus_on_grid():
     phi = np.linspace(-np.pi, np.pi, 4001)
-    lam_p, lam_m, *_ = _eigen_system(phi, 0.05)
+    lam_p, lam_m = symbol_eigenvalues(phi, 0.05)
     assert np.abs(np.abs(lam_p) - 1.0).max() < 1e-13
     assert np.abs(np.abs(lam_m) - 1.0).max() < 1e-13
 
 
 def test_symbol_rejects_degenerate_dt():
-    # at 1e-8 and pi - 1e-8, |cos dt| rounds to 1 and h would be NaN at 0
+    # at 1e-8 and pi - 1e-8, |cos dt| rounds to 1, so cos(theta) =
+    # cos(dt) cos(phi) reaches 1 at phi = 0
     for dt in (0.0, np.pi, 1e-8, 1e-300, np.pi - 1e-8):
         with pytest.raises(ValueError):
-            _eigen_system(0.3, dt)
+            _eigen_weights(0.3, dt)
         with pytest.raises(ValueError):
             group_velocity(np.array([0.0, 1e-3]), dt)
     assert np.all(np.isfinite(group_velocity(np.array([0.0, 1e-3]), 2e-8)))
@@ -102,11 +105,26 @@ def test_group_velocity_differential_oracle():
     dt = 0.35
     for phi in (0.3, 1.1, -2.0):
         eps = 1e-6
-        lp = _eigen_system(phi + eps, dt)[0]
-        lm = _eigen_system(phi - eps, dt)[0]
-        lam = _eigen_system(phi, dt)[0]
+        lp = symbol_eigenvalues(phi + eps, dt)[0]
+        lm = symbol_eigenvalues(phi - eps, dt)[0]
+        lam = symbol_eigenvalues(phi, dt)[0]
         oracle = (-1j * (lp - lm) / (2 * eps) / lam).real
         assert group_velocity(phi, dt) == pytest.approx(oracle, abs=1e-8)
+
+
+def test_group_velocity_keeps_its_digits_near_phi_zero():
+    # 1 - cos^2(dt) cos^2(phi) cancels near phi = 0 at small dt; oracle:
+    # that closed form in 40 digits
+    rng = np.random.default_rng(41)
+    with mpmath.workdps(40):
+        for dt in (1e-3, 5e-3):
+            phi = np.concatenate((rng.uniform(1e-5, 2e-3, 200),
+                                  rng.uniform(-np.pi, np.pi, 8)))
+            c = mpmath.cos(dt)
+            for p, h in zip(phi, group_velocity(phi, dt)):
+                want = mpmath.sin(p) * c \
+                    / mpmath.sqrt(1 - (c * mpmath.cos(p)) ** 2)
+                assert abs(h - want) <= 1e-15 * abs(want), (dt, p)
 
 
 # ------------------------------------------------- spectral coefficients
@@ -116,7 +134,7 @@ def test_single_site_spectral_coefficients():
     state = LatticeState(dt=dt, m_min=0, a_plus=np.array([1.0 + 0j]),
                          a_minus=np.zeros(1, dtype=complex))
     co = spectral_coefficients(state, n_phi=256)
-    _, _, f_pp, _, f_mp, _ = _eigen_system(co.phi, dt)
+    f_pp, _, f_mp, _ = symbol_eigenvectors(co.phi, dt)
     assert np.abs(co.g_plus - np.conj(f_pp) / np.sqrt(dt)).max() < 1e-12
     assert np.abs(co.g_minus - np.conj(f_mp) / np.sqrt(dt)).max() < 1e-12
     # eigenvector completeness makes the band split sum to a constant
@@ -143,7 +161,7 @@ def test_spectral_coefficients_match_direct_sum(n_phi):
     # oracle: A(phi) = sum_m a[m] e^{i m phi}, site by site
     kernel = np.exp(1j * np.outer(co.phi, state.sites))
     a_plus, a_minus = kernel @ state.a_plus, kernel @ state.a_minus
-    _, _, f_pp, f_pm, f_mp, f_mm = _eigen_system(co.phi, state.dt)
+    f_pp, f_pm, f_mp, f_mm = symbol_eigenvectors(co.phi, state.dt)
     root_dt = np.sqrt(state.dt)
     g_plus = (np.conj(f_pp) * a_plus + np.conj(f_pm) * a_minus) / root_dt
     g_minus = (np.conj(f_mp) * a_plus + np.conj(f_mm) * a_minus) / root_dt
@@ -276,7 +294,7 @@ def test_evolution_multiplies_by_eigenvalues():
     n_phi = next_fast_len(8 * evolved.n_sites)
     before = spectral_coefficients(state, n_phi=n_phi)
     after = spectral_coefficients(evolved, n_phi=n_phi)
-    lam_p, lam_m, *_ = _eigen_system(before.phi, dt)
+    lam_p, lam_m = symbol_eigenvalues(before.phi, dt)
     assert np.abs(after.g_plus - lam_p ** n * before.g_plus).max() \
         * np.sqrt(dt) < 1e-10
     assert np.abs(after.g_minus - lam_m ** n * before.g_minus).max() \
@@ -402,7 +420,9 @@ def flat_topped_coefficients(n_phi, dt, seed=16):
                                 g_minus=co.g_minus * rescale, dt=dt)
 
 
-@pytest.mark.parametrize("n_phi, dt", [(256, 3e-7), (513, 1e-6)])
+# each (n_phi, dt) passes the construction's checks below: at 256 and
+# 1e-7, 11 samples share the top of h and both runs stay monotone
+@pytest.mark.parametrize("n_phi, dt", [(256, 1e-7), (513, 1e-6)])
 def test_limit_cdf_matches_scan_on_flat_cells(n_phi, dt):
     co = flat_topped_coefficients(n_phi, dt)
     h = group_velocity(co.phi, dt)
@@ -457,6 +477,45 @@ def test_mass_below_is_vectorized_and_checked():
             co.mass_below(bad)
     with pytest.raises(ValueError):
         limit_cdf(0.3, 0.2, co)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 200), st.data())
+def test_limit_law_properties_on_random_states(n_sites, data):
+    # mass_below is a distribution function, and limit_cdf adds up over
+    # adjacent intervals
+    n_phi = data.draw(st.integers(max(n_sites, 2), 4 * n_sites), "n_phi")
+    m_min = data.draw(st.integers(-3 * n_phi, 3 * n_phi), "m_min")
+    dt = data.draw(st.floats(1e-3, 1.0, exclude_min=True, exclude_max=True),
+                   "dt")
+    state = random_phase_state(n_sites, m_min, dt, data.draw(
+        st.integers(0, 2**32 - 1), "seed"))
+    co = spectral_coefficients(state, n_phi=n_phi)
+    ys = np.sort(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=1,
+                                    max_size=20), "ys"))
+    assert np.all(np.diff(co.mass_below(ys)) >= 0.0)
+    a, b, c = np.sort(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=3,
+                                         max_size=3), "abc"))
+    assert abs(limit_cdf(a, b, co) + limit_cdf(b, c, co)
+               - limit_cdf(a, c, co)) <= 1e-13, (a, b, c)
+
+
+@pytest.mark.parametrize("n_sites, n_phi, seed, dt", [(3, 8, 135, 0.3),
+                                                     (8, 16, 241, 0.5),
+                                                     (20, 64, 208, 0.5)])
+def test_mass_below_never_steps_down_at_the_samples(n_sites, n_phi, seed,
+                                                    dt):
+    # y on every sample of +-h and next to it, where a cell's share meets
+    # the cumulative mass: each of these states stepped down by an ulp when
+    # every cell took its share in the form for a rising weight
+    co = spectral_coefficients(random_state(n_sites, 0, dt, seed), n_phi)
+    keys = group_velocity(co.phi, dt)
+    keys = np.concatenate((keys, -keys))
+    ys = np.concatenate((keys, np.nextafter(keys, -2.0),
+                         np.nextafter(keys, 2.0)))
+    ys = np.sort(np.clip(ys, -1.0, 1.0))
+    assert np.all(np.diff(co.mass_below(ys)) >= 0.0)
+    assert np.all(np.diff(co._mass(ys, "left")) >= 0.0)
 
 
 @lru_cache(maxsize=None)
@@ -578,6 +637,16 @@ def test_limit_density_mass_matches_quadrature():
     for nu in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError):
             limit_density_mass(0.1, 0.4, nu)
+
+
+def test_closed_forms_refuse_nan_nu():
+    for call in (lambda: limit_density(0.3, np.nan),
+                 lambda: limit_density_mass(0.1, 0.4, np.nan),
+                 lambda: horn_location(np.nan),
+                 lambda: limit_moment(2, np.nan),
+                 lambda: limit_cdf_gaussian(-0.5, 0.5, np.nan, 0.01)):
+        with pytest.raises(ValueError, match="nu must be positive"):
+            call()
 
 
 def test_limit_density_normalization():

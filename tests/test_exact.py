@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from diracwalk import (LatticeState, NumericalHealthError, WalkInitConfig,
@@ -8,8 +10,9 @@ from diracwalk import (LatticeState, NumericalHealthError, WalkInitConfig,
                        evolve_steps, hamiltonian_matrix, propagator_symbol,
                        u_plus_effective)
 from diracwalk.spectral import ring_length
-from oracles import (modes_to_window, ring_momenta, stacked_energy_leakage,
-                     stacked_ring, stacked_symbol, unitary_modes)
+from oracles import (modes_to_window, random_phase_state, ring_momenta,
+                     stacked_energy_leakage, stacked_ring, stacked_symbol,
+                     unitary_modes)
 
 
 def propagator_matrix(p, t):
@@ -134,6 +137,31 @@ def test_ring_in_one_buffer_matches_stacked_oracle(nu, dt, n, branch):
     assert np.array_equal(got[0].norm_drift, want[0].norm_drift)
     for s in [state] + got:
         assert energy_leakage(s, branch) == stacked_energy_leakage(s, branch)
+
+
+def site_mirror(state) -> LatticeState:
+    """The state with site m moved to -m."""
+    return LatticeState(dt=state.dt, m_min=1 - state.m_min - state.n_sites,
+                        a_plus=state.a_plus[::-1], a_minus=state.a_minus[::-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 200), st.integers(-1000, 1000),
+       st.integers(0, 2 ** 32 - 1),
+       st.floats(1e-3, 1.0, exclude_min=True, exclude_max=True),
+       st.integers(-300, 300), st.floats(-2.0, 2.0))
+def test_minus_branch_is_the_site_mirror_of_plus(n_sites, m_min, seed, dt,
+                                                 n, t):
+    # M-(phi) = M+(-phi) and H-(p) = H+(-p): on any state, the "minus" run
+    # is the mirror image of the "plus" run on the mirrored state, an even
+    # ring's Nyquist mode included
+    state = random_phase_state(n_sites, m_min, dt, seed)
+    for run, arg in ((evolve, n), (evolve_exact_on_lattice, t)):
+        got = run(state, arg, "minus")
+        want = site_mirror(run(site_mirror(state), arg, "plus"))
+        assert (got.m_min, got.n_sites) == (want.m_min, want.n_sites)
+        assert np.abs(got.a_plus - want.a_plus).max() < 1e-12
+        assert np.abs(got.a_minus - want.a_minus).max() < 1e-12
 
 
 def test_leakage_refuses_weight_at_nyquist_band():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -5,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
-from diracwalk import (LatticeState, WalkInitConfig, build_initial_state,
-                       evolve, evolve_steps, walk_power_symbol)
-from diracwalk.asymptotic import walk_symbol_matrix
+from diracwalk import (WalkInitConfig, build_initial_state, evolve,
+                       evolve_exact_on_lattice, evolve_steps,
+                       walk_power_symbol)
 from diracwalk.constants import MAX_RING_SITES
 from diracwalk.spectral import ring_length
-from oracles import stacked_ring
+from oracles import random_phase_state, stacked_ring, walk_symbol_matrix
 
 EPS = 2.2e-16
 PHIS = (0.0, 1e-3, 0.3, np.pi / 2, 2.9, np.pi, 5.0)
@@ -18,10 +20,11 @@ PHIS = (0.0, 1e-3, 0.3, np.pi / 2, 2.9, np.pi, 5.0)
 
 def mp_walk_power(phi: float, dt: float, n: int, sign: int) -> np.ndarray:
     """M(phi)^n by binary powering in 40-digit arithmetic, where
-    M = diag(e^{-i sign phi}, e^{i sign phi}) . coin(dt)."""
+    M = diag(e^{i sign phi}, e^{-i sign phi}) . coin(dt) at quasi-momentum
+    phi."""
     with mpmath.workdps(40):
         phi, dt = mpmath.mpf(phi), mpmath.mpf(dt)
-        rot = mpmath.expj(-sign * phi)
+        rot = mpmath.expj(sign * phi)
         c, s = mpmath.cos(dt), mpmath.sin(dt)
         step = mpmath.matrix([[rot * c, -rot * s],
                               [s / rot, c / rot]])
@@ -46,10 +49,10 @@ def test_walk_power_matches_mpmath(n, dt, branch):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_walk_power_is_the_symbol_power(n):
-    # the ring's phase phi is the weak-limit quasi-momentum -phi
+    # the "minus" branch's symbol is the "plus" one at -phi
     phi = np.linspace(-np.pi, np.pi, 37)
     for dt in (0.3, 0.02):
-        for branch, sign in (("plus", -1.0), ("minus", 1.0)):
+        for branch, sign in (("plus", 1.0), ("minus", -1.0)):
             m00, m01, m10, m11 = walk_power_symbol(phi, dt, n, branch)
             for k, f in enumerate(phi):
                 want = np.linalg.matrix_power(
@@ -91,11 +94,7 @@ def max_diff(state, other, lo: int = 0) -> float:
        st.sampled_from(["plus", "minus"]))
 def test_ring_evolution_properties(n_sites, m_min, seed, dt, n, more,
                                    branch):
-    rng = np.random.default_rng(seed)
-    z = rng.uniform(0.1, 1.0, (2, n_sites)) \
-        * np.exp(2j * np.pi * rng.uniform(size=(2, n_sites)))
-    z /= np.sqrt(np.sum(np.abs(z) ** 2))
-    state = LatticeState(dt=dt, m_min=m_min, a_plus=z[0], a_minus=z[1])
+    state = random_phase_state(n_sites, m_min, dt, seed)
     fast = evolve(state, n, branch)
     # bit for bit the stacked ring
     with stacked_ring():
@@ -127,3 +126,23 @@ def test_ring_length_is_next_fast_len():
               np.nan):
         with pytest.raises(ValueError, match="size budget"):
             ring_length(n)
+
+
+def test_ring_evolution_memory_per_site():
+    # the traced peak behind the MAX_RING_SITES comment: a 211,680-site
+    # ring (nu 2.5, dt 0.005, n = 10^5), measured on a second call
+    state = build_initial_state(WalkInitConfig(nu=2.5, dt=0.005))
+    n = 100_000
+    for run, bound in ((lambda: evolve(state, n), 177.0),
+                       (lambda: evolve_exact_on_lattice(state, n * state.dt),
+                        113.0)):
+        run()  # FFT plans and caches built outside
+        tracemalloc.start()
+        try:
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ring = ring_length(out.n_sites)
+        assert ring == 211_680
+        assert peak / ring <= bound
