@@ -7,21 +7,16 @@ asymptotic two-horned density of the scaled walker position.
 """
 
 from .constants import TOL, NumericalHealthError, Tolerances
-from .spinor import (DiracRep, EnergySpinor, dirac_representation, energy,
-                     hamiltonian4, hamiltonian_matrix, reduce_effective,
-                     spinor_weights, u_minus4, u_minus_effective, u_plus4,
-                     u_plus_effective)
+from .spinor import energy, spinor_weights, u_minus_effective, u_plus_effective
 from .initial import (MomentumProfile, WalkInitConfig, build_initial_state,
                       gaussian_profile, position_coefficients)
-from .walk import (LatticeState, coin_matrix, coin_step, empirical_moment,
-                   evolve_steps, position_distribution, shift_step, step)
+from .walk import LatticeState, empirical_moment, position_distribution
 from .spectral import evolve, propagator_symbol, walk_power_symbol
 from .exact import (ComparisonReport, compare_densities, energy_leakage,
                     evolve_exact_on_lattice)
-from .asymptotic import (SpectralCoefficients, gaussian_g_approx,
-                         group_velocity, horn_location, limit_cdf,
-                         limit_cdf_gaussian, limit_density,
-                         limit_density_mass, limit_moment,
+from .asymptotic import (SpectralCoefficients, group_velocity,
+                         horn_location, limit_cdf, limit_cdf_gaussian,
+                         limit_density, limit_density_mass, limit_moment,
                          spectral_coefficients)
 
 __version__ = "0.1.0"

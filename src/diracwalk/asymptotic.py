@@ -21,7 +21,6 @@ operations are pure and per-phi parallelizable.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -381,32 +380,3 @@ def limit_cdf_gaussian(y1: float, y2: float, nu: float, dt: float) -> float:
         return math.erf(math.copysign(math.asin(arg), y) / (nu * dt))
 
     return 0.5 * (erf_phi(y2) - erf_phi(y1))
-
-
-def gaussian_g_approx(phi, nu: float, dt: float):
-    """Sharp-localization closed form for g+-(phi) of the Gaussian packet.
-
-    For nu*dt small the packet's weight concentrates at |momentum| >> 1
-    where the spinor weights become step functions of the momentum sign,
-    leaving a single eigenvector column per side of phi = 0:
-
-        g+-(phi) ~ i * A(phi) * f*(+-,-)(phi)   for phi > 0,
-        g+-(phi) ~     A(phi) * f*(+-,+)(phi)   for phi < 0,
-        A(phi) = sqrt(2 sqrt(pi) / (nu dt^2)) * e^{-phi^2 / (2 nu^2 dt^2)},
-
-    so |g+|^2 + |g-|^2 = 2 sqrt(pi) e^{-phi^2/(nu dt)^2} / (nu dt^2) exactly.
-    (Quasi-momentum phi carries physical momentum -phi/dt, see ``spectral``,
-    so the phi > 0 lobe couples to the spin-down column.)
-    """
-    if nu * dt > 0.1:
-        warnings.warn(f"nu*dt = {nu * dt:.3g} is not small; the sharp-"
-                      "localization form is unreliable", stacklevel=2)
-    phi = np.asarray(phi, dtype=float)
-    alpha, beta = _eigen_weights(phi, dt)
-    env = np.sqrt(2.0 * np.sqrt(np.pi) / (nu * dt * dt)) \
-        * np.exp(-phi * phi / (2.0 * nu * nu * dt * dt))
-    pos = phi > 0
-    turn = np.exp(1j * phi)
-    g_plus = env * np.where(pos, -beta * turn, alpha)
-    g_minus = env * np.where(pos, alpha * turn, beta)
-    return g_plus, g_minus

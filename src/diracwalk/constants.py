@@ -3,11 +3,12 @@
 All simulation code works in natural units (hbar = c = m = 1), double
 precision throughout.  The tolerance of every numerical-health check (the
 checks that raise ``NumericalHealthError``) lives in the single
-``Tolerances`` record below, with the initial-state window cut and the
-spinor factor-mixing bound, so that the numerical budget of the whole
-pipeline can be audited (and tightened) in one place; every field is read
-by the code its comment names.  Input-consistency checks (matching lattice
-spacings) compare at rounding level and keep literals.
+``Tolerances`` record below, with the initial-state window cut, so that
+the numerical budget of the whole pipeline can be audited (and tightened)
+in one place; every field is read by the code its comment names.  Each
+check passes a value only if it is <= its budget, so NaN fails it.
+Input-consistency checks (matching lattice spacings) compare at rounding
+level and keep literals.
 """
 
 from dataclasses import dataclass
@@ -17,9 +18,6 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Tolerances:
-    # spinor.reduce_effective: second-factor contamination in 4-spinors
-    factor_mixing: float = 1e-12
-
     # initial-state construction
     quadrature_rel: float = 1e-6        # MomentumProfile.mean step halving
     coeff_norm: float = 1e-8            # combined norm of c+-(x)

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import TOL, NumericalHealthError, branch_sign
+from .constants import (TOL, NumericalHealthError, branch_sign,
+                        require_finite)
 from .spectral import (_evolve_on_ring, propagator_symbol, ring_buffer,
                        ring_length)
 from .spinor import u_minus_effective, u_plus_effective
@@ -45,7 +46,7 @@ def energy_leakage(state: LatticeState, branch: str = "plus") -> float:
     # refuse states whose spectral weight reaches the Nyquist band
     band = np.abs(p) > 0.9 * np.abs(p).max()
     w = np.sum(np.abs(ring[:, band]) ** 2) / max(norm_sq, 1e-300)
-    if w > TOL.nyquist_weight:
+    if not w <= TOL.nyquist_weight:
         raise NumericalHealthError(
             f"spectral weight {w:.3e} within 10% of the Nyquist momentum; "
             "the lattice is too coarse for this state"
@@ -63,6 +64,7 @@ def evolve_exact_on_lattice(state: LatticeState, t: float,
     The ring is padded past the light cone (speed <= 1) so wrap-around
     contamination stays at the window-truncation floor.
     """
+    require_finite("t", t)
     n_cone = int(np.ceil(abs(t) / state.dt))
     return _evolve_on_ring(state, lambda n: propagator_symbol(
         _ring_momenta(n, state.dt, branch), t, branch),

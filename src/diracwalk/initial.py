@@ -222,7 +222,7 @@ def build_initial_state(config: WalkInitConfig,
         )
     norm_sq = float(np.sum(np.abs(c_plus) ** 2 + np.abs(c_minus) ** 2)
                     * config.dt)
-    if abs(norm_sq - 1.0) > TOL.coeff_norm:
+    if not abs(norm_sq - 1.0) <= TOL.coeff_norm:
         raise NumericalHealthError(
             f"coefficient norm {norm_sq:.12f} is off by more than "
             f"{TOL.coeff_norm:.1e}; widen the site window"

@@ -155,8 +155,9 @@ def evolve(state: LatticeState, n_steps: int,
     checked before and after against ``TOL.norm_drift_abort`` (monitored,
     never repaired: ``NumericalHealthError``); ``norm_drift`` holds the
     final drift as a 1-element array.  For n = 0 the state comes back unchanged
-    with an empty drift record, as from ``walk.evolve_steps``; an unknown
-    branch is refused for every n, 0 included.
+    with an empty drift record, as from the step-by-step loop
+    ``evolve_steps`` in ``tests/oracles.py``, this function's reference; an
+    unknown branch is refused for every n, 0 included.
     """
     branch_sign(branch)
     require_unit_norm(state)
@@ -171,7 +172,7 @@ def evolve(state: LatticeState, n_steps: int,
         amp[:occupied[0]] = 0.0
         amp[occupied[-1] + 2 * grow + 1:] = 0.0
     drift = abs(out.norm_sq() - 1.0)
-    if drift > TOL.norm_drift_abort:
+    if not drift <= TOL.norm_drift_abort:
         raise NumericalHealthError(
             f"norm drift {drift:.3e} after {n_steps} steps "
             f"exceeds budget {TOL.norm_drift_abort:.1e}"

@@ -1,69 +1,20 @@
-"""Dirac matrices, relativistic energies and positive-energy spinors.
+"""Relativistic energies and the effective 2-spinors of a helicity branch.
 
-Natural units (hbar = c = m = 1).  The 4-component representation is a
-tensor product of two 2-dimensional factors, stored with index
-``2*(first factor) + (second factor)`` (numpy ``kron`` order):
-
-    alpha    = sigma3 (x) sigma3
-    beta     = sigma2 (x) 1
-    helicity = (1/2) 1 (x) sigma3
-
-On a definite-helicity branch the second factor is frozen at e+ (or e-),
-and the dynamics reduces to 2-component spinors governed by the effective
-Hamiltonian ``H(p) = sigma3 * p + sigma2``.  All functions are pure and
-safe to call concurrently.
+Natural units (hbar = c = m = 1).  On a definite-helicity branch the Dirac
+4-spinors reduce to 2-spinors of ``H(p) = sigma3 * p + sigma2``; the
+4-component layer that checks this reduction is in ``tests/oracles.py``.
+All functions are pure and safe to call concurrently.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import TOL, require_finite
-
-SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-ID2 = np.eye(2, dtype=complex)
-
-E_PLUS = np.array([1.0, 0.0], dtype=complex)
-E_MINUS = np.array([0.0, 1.0], dtype=complex)
-
-
-@dataclass(frozen=True)
-class DiracRep:
-    """The fixed 4x4 matrix representation used throughout."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    helicity: np.ndarray
-
-
-def dirac_representation() -> DiracRep:
-    # helicity normalized to eigenvalues +-1/2 (spin-1/2 convention)
-    return DiracRep(
-        alpha=np.kron(SIGMA3, SIGMA3),
-        beta=np.kron(SIGMA2, ID2),
-        helicity=0.5 * np.kron(ID2, SIGMA3),
-    )
+from .constants import require_finite
 
 
 def energy(p):
     """Relativistic energy E(p) = sqrt(p^2 + 1).  Accepts scalars or arrays."""
     require_finite("p", p)
     return np.sqrt(np.asarray(p, dtype=float) ** 2 + 1.0)
-
-
-def hamiltonian_matrix(p: float) -> np.ndarray:
-    """Effective 2x2 Hamiltonian H(p) = sigma3*p + sigma2 = [[p, -i], [i, -p]]."""
-    require_finite("p", p)
-    return np.array([[p, -1.0j], [1.0j, -p]], dtype=complex)
-
-
-def hamiltonian4(p: float) -> np.ndarray:
-    """Full 4x4 Hamiltonian alpha*p + beta."""
-    require_finite("p", p)
-    rep = dirac_representation()
-    return rep.alpha * p + rep.beta
 
 
 def spinor_weights(p):
@@ -88,50 +39,3 @@ def u_minus_effective(p) -> np.ndarray:
     """Effective 2-spinor of the helicity -1/2 branch: (W-, i W+)."""
     wp, wm = spinor_weights(p)
     return np.stack([wm + 0.0j, 1.0j * wp])
-
-
-@dataclass(frozen=True)
-class EnergySpinor:
-    """A positive-energy spinor at momentum p, in 4- and 2-component form."""
-
-    p: float
-    energy: float
-    u4: np.ndarray
-    u2: np.ndarray
-
-
-def u_plus4(p: float) -> EnergySpinor:
-    """Unit-norm positive-energy spinor with helicity +1/2 (second factor e+)."""
-    require_finite("p", p)
-    u2 = u_plus_effective(float(p))
-    return EnergySpinor(p=float(p), energy=float(energy(p)),
-                        u4=np.kron(u2, E_PLUS), u2=u2)
-
-
-def u_minus4(p: float) -> EnergySpinor:
-    """Unit-norm positive-energy spinor with helicity -1/2 (second factor e-)."""
-    require_finite("p", p)
-    u2 = u_minus_effective(float(p))
-    return EnergySpinor(p=float(p), energy=float(energy(p)),
-                        u4=np.kron(u2, E_MINUS), u2=u2)
-
-
-def reduce_effective(u4: np.ndarray, tol: float = TOL.factor_mixing) -> np.ndarray:
-    """Strip the frozen second tensor factor off a 4-spinor.
-
-    Accepts vectors of the form ``w (x) e+`` = (a, 0, b, 0) or
-    ``w (x) e-`` = (0, a, 0, b) and returns (a, b), preserving the norm.
-    Raises if both second-factor components carry weight above ``tol``.
-    """
-    u4 = np.asarray(u4, dtype=complex)
-    if u4.shape != (4,):
-        raise ValueError(f"expected a 4-component spinor, got shape {u4.shape}")
-    on_plus = u4[[0, 2]]
-    on_minus = u4[[1, 3]]
-    np_, nm = np.linalg.norm(on_plus), np.linalg.norm(on_minus)
-    if min(np_, nm) > tol:
-        raise ValueError(
-            f"second tensor factor is mixed (weights {np_:.3e}, {nm:.3e}); "
-            "not a definite-helicity product state"
-        )
-    return on_plus if np_ >= nm else on_minus

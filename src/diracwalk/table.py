@@ -351,21 +351,3 @@ class ResultTable:
 
     def write_csv(self, path) -> None:
         write_text(path, self._chunks())
-
-
-def read_csv(path):
-    """Parse a file written by ``write_csv`` -> (metadata, columns, rows)."""
-    meta, columns, rows = {}, None, []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                meta[key.strip()] = val.strip()
-            elif columns is None:
-                columns = line.split(",")
-            else:
-                rows.append([float(v) for v in line.split(",")])
-    return meta, columns or [], np.array(rows) if rows else np.empty((0, 0))

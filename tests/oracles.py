@@ -1,6 +1,10 @@
-"""Slow reference implementations that the tests hold the fast paths to."""
+"""Reference implementations that the tests hold the package to: the slow
+paths the fast ones replaced, the 4-spinor layer that the 2-spinor
+reduction of ``spinor`` rests on, and a reader of the CSV files."""
 
+import warnings
 from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from itertools import chain
 from unittest.mock import patch
 
@@ -8,14 +12,28 @@ import numpy as np
 
 from diracwalk import exact, spectral
 from diracwalk.asymptotic import SpectralCoefficients, _eigen_weights
-from diracwalk.constants import branch_sign
+from diracwalk.constants import (TOL, NumericalHealthError, branch_sign,
+                                 require_finite)
 from diracwalk.spectral import _dispersion, ring_buffer, ring_length
-from diracwalk.spinor import u_minus_effective, u_plus_effective
+from diracwalk.spinor import energy, u_minus_effective, u_plus_effective
 from diracwalk.table import fmt
-from diracwalk.walk import LatticeState, coin_matrix
+from diracwalk.walk import LatticeState, require_unit_norm
 
 # '%.17g' % x and format(x, '.17g') share CPython's double-to-string path
 CELL_FORMATS = {"i": "%d", "u": "%d", "f": "%.17g"}
+
+# The 4-component Dirac layer: a tensor product of two 2-dimensional
+# factors, stored with index 2*(first factor) + (second factor) (numpy
+# ``kron`` order), with alpha = sigma3 (x) sigma3, beta = sigma2 (x) 1 and
+# helicity (1/2) 1 (x) sigma3.  On a definite-helicity branch the second
+# factor is frozen at e+ (or e-), leaving the 2-spinors of ``spinor``.
+SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+ID2 = np.eye(2, dtype=complex)
+
+E_PLUS = np.array([1.0, 0.0], dtype=complex)
+E_MINUS = np.array([0.0, 1.0], dtype=complex)
 
 
 def percent_csv(table) -> str:
@@ -165,3 +183,229 @@ def per_point_polyline(x, y, sx, sy) -> str:
     ``sy`` on each Python float, each pair an f-string."""
     return " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}"
                     for a, b in zip(np.asarray(x), np.asarray(y)))
+
+
+def read_csv(path):
+    """Parse a file written by ``write_csv`` -> (metadata, columns, rows)."""
+    meta, columns, rows = {}, None, []
+    with open(path, "r", encoding="ascii") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith("#"):
+                key, _, val = line[1:].partition("=")
+                meta[key.strip()] = val.strip()
+            elif columns is None:
+                columns = line.split(",")
+            else:
+                rows.append([float(v) for v in line.split(",")])
+    return meta, columns or [], np.array(rows) if rows else np.empty((0, 0))
+
+
+@dataclass(frozen=True)
+class DiracRep:
+    """The fixed 4x4 matrix representation used throughout."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    helicity: np.ndarray
+
+
+def dirac_representation() -> DiracRep:
+    # helicity normalized to eigenvalues +-1/2 (spin-1/2 convention)
+    return DiracRep(
+        alpha=np.kron(SIGMA3, SIGMA3),
+        beta=np.kron(SIGMA2, ID2),
+        helicity=0.5 * np.kron(ID2, SIGMA3),
+    )
+
+
+def hamiltonian_matrix(p: float) -> np.ndarray:
+    """Effective 2x2 Hamiltonian H(p) = sigma3*p + sigma2 = [[p, -i], [i, -p]]."""
+    require_finite("p", p)
+    return np.array([[p, -1.0j], [1.0j, -p]], dtype=complex)
+
+
+def hamiltonian4(p: float) -> np.ndarray:
+    """Full 4x4 Hamiltonian alpha*p + beta."""
+    require_finite("p", p)
+    rep = dirac_representation()
+    return rep.alpha * p + rep.beta
+
+
+@dataclass(frozen=True)
+class EnergySpinor:
+    """A positive-energy spinor at momentum p, in 4- and 2-component form."""
+
+    p: float
+    energy: float
+    u4: np.ndarray
+    u2: np.ndarray
+
+
+def u_plus4(p: float) -> EnergySpinor:
+    """Unit-norm positive-energy spinor with helicity +1/2 (second factor e+)."""
+    require_finite("p", p)
+    u2 = u_plus_effective(float(p))
+    return EnergySpinor(p=float(p), energy=float(energy(p)),
+                        u4=np.kron(u2, E_PLUS), u2=u2)
+
+
+def u_minus4(p: float) -> EnergySpinor:
+    """Unit-norm positive-energy spinor with helicity -1/2 (second factor e-)."""
+    require_finite("p", p)
+    u2 = u_minus_effective(float(p))
+    return EnergySpinor(p=float(p), energy=float(energy(p)),
+                        u4=np.kron(u2, E_MINUS), u2=u2)
+
+
+def reduce_effective(u4: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Strip the frozen second tensor factor off a 4-spinor.
+
+    Accepts vectors of the form ``w (x) e+`` = (a, 0, b, 0) or
+    ``w (x) e-`` = (0, a, 0, b) and returns (a, b), preserving the norm.
+    Raises if both second-factor components carry weight above ``tol``.
+    """
+    u4 = np.asarray(u4, dtype=complex)
+    if u4.shape != (4,):
+        raise ValueError(f"expected a 4-component spinor, got shape {u4.shape}")
+    on_plus = u4[[0, 2]]
+    on_minus = u4[[1, 3]]
+    np_, nm = np.linalg.norm(on_plus), np.linalg.norm(on_minus)
+    if min(np_, nm) > tol:
+        raise ValueError(
+            f"second tensor factor is mixed (weights {np_:.3e}, {nm:.3e}); "
+            "not a definite-helicity product state"
+        )
+    return on_plus if np_ >= nm else on_minus
+
+
+def coin_matrix(dt: float) -> np.ndarray:
+    """The coin c = exp(-i*dt*sigma2) = [[cos dt, -sin dt], [sin dt, cos dt]]."""
+    c, s = np.cos(dt), np.sin(dt)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def coin_step(state: LatticeState) -> LatticeState:
+    """Rotate the spin at every site: (a+, a-) <- (c*a+ - s*a-, s*a+ + c*a-)."""
+    c, s = np.cos(state.dt), np.sin(state.dt)
+    return replace(
+        state,
+        a_plus=c * state.a_plus - s * state.a_minus,
+        a_minus=s * state.a_plus + c * state.a_minus,
+        norm_drift=None,
+    )
+
+
+def shift_step(state: LatticeState, branch: str = "plus") -> LatticeState:
+    """Conditional shift; the window grows by one site on each side.
+
+    branch "plus":  spin-up m -> m+1, spin-down m -> m-1
+    branch "minus": spin-up m -> m-1, spin-down m -> m+1
+    """
+    n = state.n_sites
+    ap = np.zeros(n + 2, dtype=complex)
+    am = np.zeros(n + 2, dtype=complex)
+    if branch_sign(branch) > 0:
+        ap[2:] = state.a_plus
+        am[:n] = state.a_minus
+    else:
+        ap[:n] = state.a_plus
+        am[2:] = state.a_minus
+    return replace(state, m_min=state.m_min - 1, a_plus=ap, a_minus=am,
+                   norm_drift=None)
+
+
+def step(state: LatticeState, branch: str = "plus") -> LatticeState:
+    """One walk step: coin first, then the conditional shift."""
+    return shift_step(coin_step(state), branch)
+
+
+def evolve_steps(state: LatticeState, n_steps: int,
+                 branch: str = "plus") -> LatticeState:
+    """Apply ``n_steps`` walk steps one by one, recording |norm^2 - 1|
+    after each.  ``spectral.evolve`` computes the same state in one FFT
+    pair; this loop is its reference.
+
+    The steps run in place on one window preallocated at the final size,
+    with the same arithmetic as ``step``, so the amplitudes and the drift
+    record are bit-identical to chaining ``step`` n times.  Drift is
+    monitored, never repaired: exceeding ``TOL.norm_drift_abort`` raises
+    ``NumericalHealthError``.  The returned state carries the per-step
+    drift record in ``norm_drift``.
+    """
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
+    up_shift = int(branch_sign(branch))  # spin-up moves +1 for "plus"
+    require_unit_norm(state)
+    width = state.n_sites + 2 * n_steps
+    ap = np.zeros(width, dtype=complex)
+    am = np.zeros(width, dtype=complex)
+    lo, hi = n_steps, n_steps + state.n_sites  # the occupied window
+    ap[lo:hi] = state.a_plus
+    am[lo:hi] = state.a_minus
+    # scratch: the coined spin components, a product, and |a|^2 per spin
+    new_p, new_m, prod = (np.empty(width, dtype=complex) for _ in range(3))
+    sq_p, sq_m = np.empty(width), np.empty(width)
+    c, s = np.cos(state.dt), np.sin(state.dt)
+    drift = np.empty(n_steps)
+    for k in range(n_steps):
+        w = hi - lo
+        up, dn = ap[lo:hi], am[lo:hi]
+        cp, cm, tmp = new_p[:w], new_m[:w], prod[:w]
+        # coin, as coin_step: (c*up - s*dn, s*up + c*dn)
+        np.subtract(np.multiply(c, up, out=cp), np.multiply(s, dn, out=tmp),
+                    out=cp)
+        np.add(np.multiply(s, up, out=cm), np.multiply(c, dn, out=tmp),
+               out=cm)
+        # shift, as shift_step: the window grows by one site per side and
+        # the cell each component vacates is cleared
+        for amp, coined, d in ((ap, cp, up_shift), (am, cm, -up_shift)):
+            amp[lo + d:hi + d] = coined
+            amp[lo if d > 0 else hi - 1] = 0.0
+        lo, hi = lo - 1, hi + 1
+        # |norm^2 - 1|, as LatticeState.norm_sq on the grown window
+        w = hi - lo
+        a2, b2 = sq_p[:w], sq_m[:w]
+        np.abs(ap[lo:hi], out=a2)
+        np.abs(am[lo:hi], out=b2)
+        np.multiply(a2, a2, out=a2)
+        np.multiply(b2, b2, out=b2)
+        drift[k] = abs(float(np.sum(np.add(a2, b2, out=a2))) - 1.0)
+        if drift[k] > TOL.norm_drift_abort:
+            raise NumericalHealthError(
+                f"norm drift {drift[k]:.3e} after step {k + 1} "
+                f"exceeds budget {TOL.norm_drift_abort:.1e}"
+            )
+    return replace(state, m_min=state.m_min - n_steps, a_plus=ap, a_minus=am,
+                   norm_drift=drift)
+
+
+def gaussian_g_approx(phi, nu: float, dt: float):
+    """Sharp-localization closed form for g+-(phi) of the Gaussian packet.
+
+    For nu*dt small the packet's weight concentrates at |momentum| >> 1
+    where the spinor weights become step functions of the momentum sign,
+    leaving a single eigenvector column per side of phi = 0:
+
+        g+-(phi) ~ i * A(phi) * f*(+-,-)(phi)   for phi > 0,
+        g+-(phi) ~     A(phi) * f*(+-,+)(phi)   for phi < 0,
+        A(phi) = sqrt(2 sqrt(pi) / (nu dt^2)) * e^{-phi^2 / (2 nu^2 dt^2)},
+
+    so |g+|^2 + |g-|^2 = 2 sqrt(pi) e^{-phi^2/(nu dt)^2} / (nu dt^2) exactly.
+    (Quasi-momentum phi carries physical momentum -phi/dt, see ``spectral``,
+    so the phi > 0 lobe couples to the spin-down column.)
+    """
+    if nu * dt > 0.1:
+        warnings.warn(f"nu*dt = {nu * dt:.3g} is not small; the sharp-"
+                      "localization form is unreliable", stacklevel=2)
+    phi = np.asarray(phi, dtype=float)
+    alpha, beta = _eigen_weights(phi, dt)
+    env = np.sqrt(2.0 * np.sqrt(np.pi) / (nu * dt * dt)) \
+        * np.exp(-phi * phi / (2.0 * nu * nu * dt * dt))
+    pos = phi > 0
+    turn = np.exp(1j * phi)
+    g_plus = env * np.where(pos, -beta * turn, alpha)
+    g_minus = env * np.where(pos, alpha * turn, beta)
+    return g_plus, g_minus

@@ -13,16 +13,15 @@ from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
 from diracwalk import (WalkInitConfig, build_initial_state, compare_densities,
-                       dirac_representation, energy, energy_leakage, evolve,
-                       evolve_exact_on_lattice, gaussian_profile,
-                       hamiltonian4, hamiltonian_matrix, limit_cdf,
-                       limit_density_mass, limit_moment,
-                       position_coefficients, position_distribution,
-                       propagator_symbol, spectral_coefficients, u_minus4,
-                       u_plus4)
+                       energy, energy_leakage, evolve, evolve_exact_on_lattice,
+                       gaussian_profile, limit_cdf, limit_density_mass,
+                       limit_moment, position_coefficients,
+                       position_distribution, propagator_symbol,
+                       spectral_coefficients)
 from diracwalk.cli import main as cli_main
-from diracwalk.table import read_csv
 from diracwalk.walk import LatticeState, empirical_moment
+from oracles import (dirac_representation, hamiltonian4, hamiltonian_matrix,
+                     read_csv, u_minus4, u_plus4)
 
 
 def report(num, name, ok, detail):

@@ -13,14 +13,15 @@ from scipy.optimize import minimize_scalar
 from scipy.special import erfc
 
 from diracwalk import (LatticeState, SpectralCoefficients, WalkInitConfig,
-                       build_initial_state, evolve, gaussian_g_approx,
-                       group_velocity, horn_location, limit_cdf,
-                       limit_cdf_gaussian, limit_density, limit_density_mass,
-                       limit_moment, spectral_coefficients)
+                       build_initial_state, evolve, group_velocity,
+                       horn_location, limit_cdf, limit_cdf_gaussian,
+                       limit_density, limit_density_mass, limit_moment,
+                       spectral_coefficients)
 from diracwalk.asymptotic import _eigen_weights
-from oracles import (direct_sum_coefficients, random_phase_state,
-                     ring_spectral_coefficients, symbol_eigenvalues,
-                     symbol_eigenvectors, walk_symbol_matrix)
+from oracles import (direct_sum_coefficients, gaussian_g_approx,
+                     random_phase_state, ring_spectral_coefficients,
+                     symbol_eigenvalues, symbol_eigenvectors,
+                     walk_symbol_matrix)
 
 
 # ---------------------------------------------------------------- symbol

@@ -13,7 +13,7 @@ import pytest
 import diracwalk
 from diracwalk.cli import _PARSER, main
 from diracwalk.constants import MAX_RING_SITES
-from diracwalk.table import read_csv
+from oracles import read_csv
 
 
 def run_cli(*args):

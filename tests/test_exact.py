@@ -7,12 +7,11 @@ from scipy.linalg import expm
 from diracwalk import (LatticeState, NumericalHealthError, WalkInitConfig,
                        build_initial_state, compare_densities,
                        energy_leakage, evolve, evolve_exact_on_lattice,
-                       evolve_steps, hamiltonian_matrix, propagator_symbol,
-                       u_plus_effective)
+                       propagator_symbol, u_plus_effective)
 from diracwalk.spectral import ring_length
-from oracles import (modes_to_window, random_phase_state, ring_momenta,
-                     stacked_energy_leakage, stacked_ring, stacked_symbol,
-                     unitary_modes)
+from oracles import (evolve_steps, hamiltonian_matrix, modes_to_window,
+                     random_phase_state, ring_momenta, stacked_energy_leakage,
+                     stacked_ring, stacked_symbol, unitary_modes)
 
 
 def propagator_matrix(p, t):
@@ -173,6 +172,20 @@ def test_leakage_refuses_weight_at_nyquist_band():
     with pytest.raises(NumericalHealthError,
                        match=r"weight 9\.542e-01 .*Nyquist"):
         energy_leakage(state)
+
+
+def test_leakage_refuses_nan_state():
+    state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.05))
+    state.a_minus[state.n_sites // 2] = np.nan
+    with pytest.raises(NumericalHealthError, match="weight nan"):
+        energy_leakage(state)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_exact_evolution_refuses_nonfinite_t(t):
+    state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.05))
+    with pytest.raises(ValueError, match="t must be finite"):
+        evolve_exact_on_lattice(state, t)
 
 
 def test_exact_evolution_preserves_positive_energy():

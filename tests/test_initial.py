@@ -270,3 +270,11 @@ def test_norm_check_is_on_the_build_only(monkeypatch):
     co = position_coefficients(gaussian_profile(cfg.nu), cfg.dt, m_max)
     assert coeff_norm_sq(*co, cfg.dt) == pytest.approx(1.0,
                                                        abs=TOL.coeff_norm)
+
+
+def test_norm_check_refuses_nan(monkeypatch):
+    # the gate passes only a drift <= its budget, so a NaN on either side
+    # of the comparison is refused
+    monkeypatch.setattr(initial, "TOL", Tolerances(coeff_norm=np.nan))
+    with pytest.raises(NumericalHealthError, match="norm"):
+        build_initial_state(WalkInitConfig(nu=2.0, dt=0.05))

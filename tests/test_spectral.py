@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
 from diracwalk import (WalkInitConfig, build_initial_state, evolve,
-                       evolve_exact_on_lattice, evolve_steps,
-                       walk_power_symbol)
+                       evolve_exact_on_lattice, walk_power_symbol)
 from diracwalk.constants import MAX_RING_SITES
 from diracwalk.spectral import ring_length
-from oracles import random_phase_state, stacked_ring, walk_symbol_matrix
+from oracles import (evolve_steps, random_phase_state, stacked_ring,
+                     walk_symbol_matrix)
 
 EPS = 2.2e-16
 PHIS = (0.0, 1e-3, 0.3, np.pi / 2, 2.9, np.pi, 5.0)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracwalk import (dirac_representation, energy, hamiltonian4,
-                       hamiltonian_matrix, reduce_effective, spinor_weights,
-                       u_minus4, u_plus4)
+from diracwalk import energy, spinor_weights
+from oracles import (dirac_representation, hamiltonian4, hamiltonian_matrix,
+                     reduce_effective, u_minus4, u_plus4)
 
 I2 = np.eye(2)
 I4 = np.eye(4)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from diracwalk import svgplot
 from diracwalk.svgplot import line_plot_svg, write_svg
-from diracwalk.table import ResultTable, fmt, read_csv, write_text
-from oracles import per_point_polyline, percent_csv
+from diracwalk.table import ResultTable, fmt, write_text
+from oracles import per_point_polyline, percent_csv, read_csv
 
 
 def test_fmt_round_trips_doubles():

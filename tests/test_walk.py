@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracwalk import (LatticeState, NumericalHealthError, WalkInitConfig,
-                       build_initial_state, coin_matrix, coin_step,
-                       empirical_moment, evolve, evolve_steps,
-                       position_distribution, shift_step, step)
+from diracwalk import (LatticeState, NumericalHealthError, Tolerances,
+                       WalkInitConfig, build_initial_state, empirical_moment,
+                       evolve, position_distribution, spectral)
+from diracwalk.walk import require_unit_norm
+from oracles import coin_matrix, coin_step, evolve_steps, shift_step, step
 
 
 def single_site(spin, dt=0.1, m=0):
@@ -153,6 +154,31 @@ def test_evolve_aborts_on_bad_norm():
                          a_minus=np.zeros(1, dtype=complex))
     with pytest.raises(NumericalHealthError, match="norm"):
         evolve(state, 1)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+def test_lattice_state_refuses_dt_not_finite_and_positive(dt):
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        single_site("plus", dt=dt)
+
+
+def test_unit_norm_gate_refuses_nan():
+    # NaN compares False with everything, so a gate must fail unless the
+    # drift is <= its budget
+    state = single_site("plus")
+    state.a_plus[0] = np.nan
+    with pytest.raises(NumericalHealthError, match="norm off by nan"):
+        require_unit_norm(state)
+    with pytest.raises(NumericalHealthError, match="norm off by nan"):
+        evolve(state, 3)
+
+
+def test_evolve_drift_gate_refuses_nan(monkeypatch):
+    # the gate after the ring passes only a drift <= its budget, so a NaN
+    # budget fails it as a NaN drift would
+    monkeypatch.setattr(spectral, "TOL", Tolerances(norm_drift_abort=np.nan))
+    with pytest.raises(NumericalHealthError, match="after 3 steps"):
+        evolve(single_site("plus"), 3)
 
 
 def test_distribution_point_mass():
