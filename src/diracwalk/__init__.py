@@ -14,9 +14,9 @@ from .walk import LatticeState, empirical_moment, position_distribution
 from .spectral import evolve, propagator_symbol, walk_power_symbol
 from .exact import (ComparisonReport, compare_densities, energy_leakage,
                     evolve_exact_on_lattice)
-from .asymptotic import (SpectralCoefficients, group_velocity,
-                         horn_location, limit_cdf, limit_cdf_gaussian,
-                         limit_density, limit_density_mass, limit_moment,
+from .asymptotic import (SpectralCoefficients, horn_location, limit_cdf,
+                         limit_cdf_gaussian, limit_density,
+                         limit_density_mass, limit_moment,
                          spectral_coefficients)
 
 __version__ = "0.1.0"

@@ -1,16 +1,15 @@
-"""Weak-limit machinery of the walk: the eigenvector weights and group
-velocity of its symbol, spectral coefficients of lattice states, and the
-closed-form asymptotic position density with its CDF and moments.
+"""Weak-limit machinery of the walk: the eigenvector weights of its
+symbol, spectral coefficients of lattice states, the limit law they carry,
+and the closed-form asymptotic position density with its CDF and moments.
 
 The symbol M(phi), its quasi-momentum phi with the sign map p = -phi/dt,
 and its dispersion (eigenvalues e^{+-i theta}, group velocity h(phi) =
-d theta / d phi = cos(dt) sin(phi) / sin(theta), bounded by cos(dt)) are
+d theta / d phi = cos(dt) sin(phi) / sin(theta), |h| <= |cos dt|) are
 stated once, in ``spectral``; here M is the "plus" branch's.
 ``spectral_coefficients`` reads phi = 2 pi k / N at index k of the inverse
-DFT of the state's ring.  The scaled walker position X_n/(n dt) converges
-weakly to a variable supported on (-1, 1) whose law is carried by
-|g+-(phi)|^2; for the localized Gaussian packets the limiting density is
-the two-horned
+DFT of the state's ring.  X_n/(n dt) converges weakly to +-h weighted by
+|g+-|^2 (Grimmett, Janson and Scudo, PRE 69, 026119 (2004)); for the
+localized Gaussian packets its density is the two-horned
 
     F(y; nu) = (1 / (nu sqrt(pi))) (1 - y^2)^{-3/2}
                exp(-y^2 / (nu^2 (1 - y^2))).
@@ -23,7 +22,6 @@ operations are pure and per-phi parallelizable.
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,10 +32,9 @@ from .walk import LatticeState
 
 
 def _check_dt(dt: float) -> None:
-    if not (0.0 < dt < np.pi) or abs(np.cos(dt)) == 1.0:
-        raise ValueError(f"dt={dt!r} needs 0 < dt < pi and |cos dt| < 1 "
-                         "(false within ~1e-8 of 0 and pi): else "
-                         "|cos(phi) cos(dt)| reaches 1")
+    if not (0.0 < dt < np.pi) or np.sin(dt) ** 2 < np.finfo(float).tiny:
+        raise ValueError(f"dt={dt!r} needs 0 < dt < pi and sin(dt)^2 a "
+                         "normal double (dt >~ 1.5e-154)")
 
 
 def _eigen_weights(phi, dt):
@@ -62,123 +59,6 @@ def _eigen_weights(phi, dt):
     return np.where(up, big, s) / norm, np.where(up, s, big) / norm
 
 
-def group_velocity(phi, dt: float):
-    """h(phi) = t / sin(theta) = cos(dt) sin(phi) / sqrt(sin^2 dt +
-    cos^2 dt sin^2 phi), the phi-derivative of the symbol's phase theta.
-
-    The +- bands propagate with velocity +-h; |h| <= cos(dt) < 1, so the
-    walk spreads strictly slower than the lattice light cone.
-    """
-    _check_dt(dt)
-    t, sin_theta = _dispersion(phi, dt)
-    out = t / sin_theta
-    return out if out.ndim else float(out)
-
-
-class _Runs(NamedTuple):
-    """The runs of both bands, each read so that its key rises, stored end
-    to end: run r owns the samples start[r] .. start[r] + size[r] and the
-    size[r] cells between them; key and weight u are linear on each
-    cell."""
-
-    start: np.ndarray    # (R,) first sample of each run
-    size: np.ndarray     # (R,) cells of each run
-    key: np.ndarray      # key at the samples
-    key_max: np.ndarray  # running max of key along its run
-    key_min: np.ndarray  # running min of key along its run, from its end
-    u: np.ndarray        # weight at the samples
-    whole: np.ndarray    # mass of the cell that starts at each sample
-    cum: np.ndarray      # mass of the run's cells before each sample
-
-    @classmethod
-    def build(cls, h, u_plus, u_minus, dphi) -> "_Runs":
-        """From the samples of h and of the weights |g+-|^2 dt/(2 pi) on
-        one period of the phi grid, and the width of the cell that starts
-        at each sample (the last one closes the period).
-
-        Over one period h rises from its minimum to its maximum and falls
-        back.  Read from the argmin of the samples and closed by it again,
-        the period splits at the argmax into a rising and a falling slice,
-        which give each band one run on which its key rises and one on
-        which it falls; a falling run is read backwards.
-        """
-        n = h.size
-        lo = int(np.argmin(h))
-        r = (int(np.argmax(h)) - lo) % n
-        h, u_plus, u_minus = (np.concatenate((x[lo:], x[:lo + 1]))
-                              for x in (h, u_plus, u_minus))
-        dphi = np.concatenate((dphi[lo:], dphi[:lo]))
-        rise, fall = slice(0, r + 1), slice(r, n + 1)
-        runs = ((1.0, u_plus, rise, 1), (1.0, u_plus, fall, -1),
-                (-1.0, u_minus, fall, 1), (-1.0, u_minus, rise, -1))
-        size = np.array([r, n - r, n - r, r])
-        start = np.concatenate(([0], np.cumsum(size + 1)[:-1]))
-        # a run's last sample starts no cell: its whole stays 0
-        key, u_all, whole, cum = (np.zeros(size.sum() + size.size)
-                                  for _ in range(4))
-        for s, k, (sign, u, run, step) in zip(start, size, runs):
-            u_all[s:s + k + 1] = u[run][::step]
-            w = dphi[run.start:run.stop - 1][::step]
-            np.multiply(h[run][::step], sign, out=key[s:s + k + 1])
-            np.multiply(0.5 * (u_all[s:s + k] + u_all[s + 1:s + k + 1]), w,
-                        out=whole[s:s + k])
-            np.cumsum(whole[s:s + k], out=cum[s + 1:s + k + 1])
-        key_max, key_min = np.empty_like(key), np.empty_like(key)
-        for s, k in zip(start, size):
-            run = slice(s, s + k + 1)
-            np.maximum.accumulate(key[run], out=key_max[run])
-            np.minimum.accumulate(key[run][::-1], out=key_min[run][::-1])
-        return cls(start, size, key, key_max, key_min, u_all, whole, cum)
-
-    def mass(self, y: np.ndarray, side: str) -> np.ndarray:
-        """Mass of {key <= y} (side "right") or {key < y} (side "left")
-        over all runs, for a 1-d array y; non-decreasing in y as rounded.
-
-        In each run, the cells before k1 lie wholly below y, and the cells
-        from k2 on wholly above it.  The cells between hold y: one on a
-        monotone run, more where rounding lets the samples next to an
-        extreme of h wiggle by an ulp (for y within that band of +-cos dt,
-        a share of n_phi that grows as dt falls).  Each is integrated on
-        its own, as the cell-by-cell scan does, so the wiggles cost no
-        accuracy.  A run's mass is cum at k1 plus those cells in turn, so a
-        cell passing into cum as y grows adds no less than its share did.
-        """
-        runs = list(zip(self.start.tolist(), self.size.tolist()))
-        k1 = np.array([self.key_max[s + 1:s + n + 1].searchsorted(y, side)
-                       for s, n in runs])
-        k2 = np.array([self.key_min[s:s + n].searchsorted(y, side)
-                       for s, n in runs])
-        cell = self.start[:, None] + k1
-        total = self.cum[cell]
-        width = k2 - k1
-        y_at = np.broadcast_to(y, cell.shape)
-        for _ in range(width.max(initial=0)):
-            held = width > 0
-            total[held] += self.whole[cell[held]] * self._share(
-                y_at[held], cell[held], side)
-            cell += 1
-            width -= 1
-        return total.sum(axis=0)
-
-    def _share(self, y, j, side: str):
-        """The share of cell j's mass where key_a + (key_b - key_a) s, s in
-        [0, 1], is below y, for weight u_a + (u_b - u_a) s: all of a flat
-        cell or none of it.  Each form is monotone in y when rounded."""
-        key_a, span = self.key[j], self.key[j + 1] - self.key[j]
-        u_a, u_b = self.u[j], self.u[j + 1]
-        flat = span == 0.0
-        t = np.clip((y - key_a) / np.where(flat, 1.0, span), 0.0, 1.0)
-        both = np.maximum(u_a + u_b, 1e-300)  # u_a = u_b = 0: whole is 0
-        # the share of s in [0, t]: t (2 u_a + (u_b - u_a) t) / both, or
-        # 1 less that of [t, 1], so that every factor rises with t
-        r = 1.0 - t
-        share = np.where(u_b >= u_a, t * (2.0 * u_a + (u_b - u_a) * t) / both,
-                         1.0 - r * (2.0 * u_b + (u_a - u_b) * r) / both)
-        share = np.clip(share, 0.0, 1.0)
-        below = key_a <= y if side == "right" else key_a < y
-        return np.where(flat, below, np.where(span > 0.0, share, 1.0 - share))
-
-
 @dataclass(frozen=True)
 class SpectralCoefficients:
     """g+-(phi) of a lattice state on a uniform phi grid: one ring period,
@@ -191,7 +71,7 @@ class SpectralCoefficients:
 
     @property
     def dphi(self) -> float:
-        return float(self.phi[1] - self.phi[0])
+        return 2.0 * np.pi / self.phi.size
 
     def completeness(self) -> float:
         """sum (|g+|^2 + |g-|^2) dt dphi / (2 pi); 1 for unit-norm states."""
@@ -202,32 +82,97 @@ class SpectralCoefficients:
         """P(Y <= y) for the weak limit Y of X_n/(n dt), vectorized in y:
 
             Int_{+h <= y} |g+|^2 dt dphi/(2 pi)
-              + Int_{-h <= y} |g-|^2 dt dphi/(2 pi),
+              + Int_{-h <= y} |g-|^2 dt dphi/(2 pi).
 
-        with h and |g+-|^2 linear on each cell of the periodic phi grid
-        (closed at phi[0] + 2 pi).  O(log n_phi) per value of y, after an
-        O(n_phi) build on the first call, plus the cells that hold y: one,
-        or the rounding band next to an extreme of h for y near +-cos dt.
+        h = cos(dt) u / sqrt(sin^2 dt + cos^2 dt u^2), u = sin phi, is
+        monotone in u, so h <= y where u <= tan(dt) y / sqrt(1 - y^2).
+        With a = sign(y) arcsin(min(|tan(dt) y| / sqrt(1 - y^2), 1)),
+        {+h <= y} is the arc [-pi - a, a] and {-h <= y} the arc [-a, pi +
+        a]; for cos dt < 0, where h falls in u, the bands swap arcs.  A
+        band's mass is its cumulative mass G (``_cumulative``) at the two
+        ends of its arc.  Every step from y to a, and from an angle to G,
+        is monotone as rounded, so P is non-decreasing in y as rounded.
         """
-        return self._mass(y, "right")
-
-    def _mass(self, y, side: str):
         y = np.asarray(y, dtype=float)
         if not np.all((-1.0 <= y) & (y <= 1.0)):
             raise ValueError("need -1 <= y <= 1")
-        total = self._runs.mass(y.reshape(-1), side).reshape(y.shape)
+        z = np.abs(y)
+        # 1 - z^2 in a form that falls with z as rounded, exact near z = 1
+        one = np.where(z < 0.5, 1.0 - z * z, (1.0 - z) * (1.0 + z))
+        with np.errstate(divide="ignore"):
+            u = np.minimum(abs(np.tan(self.dt)) * z / np.sqrt(one), 1.0)
+        a = np.copysign(np.arcsin(u), y).reshape(-1)
+        g = self._cumulative(np.stack((a, -np.pi - a, np.pi + a, -a)))
+        total = ((g[0] - g[1]) + (g[2] - g[3])).reshape(y.shape)
         return total if total.ndim else float(total)
 
+    def _cumulative(self, x):
+        """G at the angles x, (4, m): rows 0 and 1 in the band of the arc
+        [-pi - a, a], rows 2 and 3 in the other.
+
+        G is ``_mass_table`` at the nodes, extended by its total per
+        period (cos dt < 0 swaps the rows' bands).  On a cell it is the
+        cubic Hermite with the weights as end slopes, limited (Fritsch-
+        Carlson) to mu0 + mu1 <= 3 so that its Bernstein polygon rises.
+        The share of the cell below s is then d0 (1 - r^3) + d1 S(s) +
+        d2 s^3, d >= 0, r = 1 - s, with the smoothstep S = s^2 (3 - 2 s)
+        formed from its nearer end: each term rises with s as rounded, and
+        a cell gives at most its upper node.
+        """
+        table, w = self._mass_table
+        n = w.shape[1]
+        j = x / self.dphi + (n - 1) // 2
+        cell = np.floor(j)
+        s = j - cell
+        turns, k = np.divmod(cell.astype(np.intp), n)
+        band = np.array([[0], [0], [1], [1]]) ^ int(np.cos(self.dt) < 0.0)
+        g0, g1 = table[band, k], table[band, k + 1]
+        delta = g1 - g0
+        # the end slopes in units of delta; a flat cell takes none
+        mu = np.divide(w[band, np.stack((k, (k + 1) % n))] * self.dphi,
+                       delta, out=np.zeros((2,) + s.shape),
+                       where=delta > 0.0)
+        d0, d2 = mu / np.maximum(mu[0] + mu[1], 3.0)
+        r = 1.0 - s
+        v = np.minimum(s, r)
+        smooth = v * (1.125 - 2.0 * (0.75 - v) ** 2)  # S(v)
+        smooth = np.where(s <= 0.5, smooth, 1.0 - smooth)
+        share = d0 * (1.0 - r * r * r) \
+            + np.maximum(1.0 - d0 - d2, 0.0) * smooth + d2 * (s * s * s)
+        return turns * table[band, n] + np.minimum(g0 + delta * share, g1)
+
     @cached_property
-    def _runs(self) -> _Runs:
-        """The runs of +h (weights |g+|^2) and -h (|g-|^2), built on first
-        use and kept with the coefficients."""
-        scale = self.dt / (2.0 * np.pi)
-        return _Runs.build(
-            group_velocity(self.phi, self.dt),
-            np.abs(self.g_plus) ** 2 * scale,
-            np.abs(self.g_minus) ** 2 * scale,
-            np.diff(np.append(self.phi, self.phi[0] + 2.0 * np.pi)))
+    def _mass_table(self):
+        """(G, w), built on first use and kept: w the weights |g+-|^2
+        dt/(2 pi), (2, n_phi), and G their cumulative mass at the nodes
+        from phi[0], (2, n_phi + 1), closed by the total.
+
+        G integrates the trigonometric interpolant of w: one rfft/irfft
+        pair, harmonic j divided by i j, plus the mean times phi - phi[0].
+        Where the interpolant dips below 0 (an aliased grid), G is capped
+        at the total and a running maximum keeps it non-decreasing.
+        """
+        n = self.phi.size
+        w = np.empty((2, n))
+        for row, g in zip(w, (self.g_plus, self.g_minus)):
+            np.abs(g, out=row)
+        w *= w * (self.dt / (2.0 * np.pi))
+        table = np.empty((2, n + 1))
+        harmonic = np.arange(1, n // 2 + 1, dtype=float)
+        for row, out in zip(w, table):
+            spec = np.fft.rfft(row)
+            mean = spec[0].real / n
+            spec[1:] /= harmonic
+            # the real DC and Nyquist terms turn imaginary, which irfft
+            # drops: neither adds to G at a node
+            spec *= -1j
+            np.fft.irfft(spec, n, out=out[:n])
+            del spec
+            out[:n] += np.arange(n) * (mean * self.dphi) - out[0]
+            out[n] = mean * 2.0 * np.pi
+        np.minimum(table, table[:, n:], out=table)
+        np.maximum.accumulate(table, axis=1, out=table)
+        return table, w
 
 
 def spectral_coefficients(state: LatticeState,
@@ -283,22 +228,14 @@ def spectral_coefficients(state: LatticeState,
 
 
 def limit_cdf(y1: float, y2: float, coeffs: SpectralCoefficients) -> float:
-    """P(y1 <= Y <= y2) for the weak limit Y of X_n/(n dt):
-
-        Int_{T+} |g+|^2 dt dphi/(2 pi) + Int_{T-} |g-|^2 dt dphi/(2 pi),
-        T+- = {phi : y1 <= +-h(phi) <= y2},
-
-    as ``coeffs.mass_below(y2)`` minus the mass strictly below y1, so a
-    flat cell of h counts when y1 <= h <= y2; clamped to [0, 1].
-    Membership is linear within each grid cell, which sums over every
-    local inverse of h without inverting it.
-    """
+    """P(y1 <= Y <= y2) for the weak limit Y of X_n/(n dt): the difference
+    of one ``coeffs.mass_below([y1, y2])`` call, clamped to [0, 1].  h is
+    strictly monotone in sin phi, so {h = y} has measure 0 and closed and
+    open bounds agree."""
     if not (-1.0 <= y1 <= y2 <= 1.0):
         raise ValueError("need -1 <= y1 <= y2 <= 1")
-    if y1 == y2:
-        return 0.0
-    total = coeffs.mass_below(y2) - coeffs._mass(y1, "left")
-    return float(min(max(total, 0.0), 1.0))
+    lo, hi = coeffs.mass_below(np.array([y1, y2]))
+    return float(min(max(hi - lo, 0.0), 1.0))
 
 
 def limit_density(y, nu: float):

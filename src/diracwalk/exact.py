@@ -37,6 +37,9 @@ def energy_leakage(state: LatticeState, branch: str = "plus") -> float:
     for the walk.
     """
     sign = branch_sign(branch)
+    if not np.isfinite(state.norm_sq()):
+        raise NumericalHealthError("state is not finite: a NaN or inf "
+                                   "amplitude")
     n = ring_length(state.n_sites + 16)
     ring = ring_buffer(state, n)
     np.fft.fft(ring, axis=1, out=ring)

@@ -16,10 +16,9 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 55
 
 
 def _ticks(lo: float, hi: float, target: int = 6):
-    span = hi - lo
-    if span <= 0:
+    raw = (hi - lo) / target
+    if not raw > 0:  # an empty span, or one whose share underflows to 0
         return [lo]
-    raw = span / target
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:

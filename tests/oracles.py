@@ -1,6 +1,7 @@
 """Reference implementations that the tests hold the package to: the slow
 paths the fast ones replaced, the 4-spinor layer that the 2-spinor
-reduction of ``spinor`` rests on, and a reader of the CSV files."""
+reduction of ``spinor`` rests on, the limit law by quadrature, and a
+reader of the CSV files."""
 
 import warnings
 from contextlib import contextmanager
@@ -9,9 +10,11 @@ from itertools import chain
 from unittest.mock import patch
 
 import numpy as np
+from scipy import integrate, optimize
 
 from diracwalk import exact, spectral
-from diracwalk.asymptotic import SpectralCoefficients, _eigen_weights
+from diracwalk.asymptotic import (SpectralCoefficients, _check_dt,
+                                  _eigen_weights)
 from diracwalk.constants import (TOL, NumericalHealthError, branch_sign,
                                  require_finite)
 from diracwalk.spectral import _dispersion, ring_buffer, ring_length
@@ -169,13 +172,71 @@ def direct_sum_coefficients(state, n_phi: int):
     integers, so a site far from 0 loses no digits to m phi."""
     q = np.arange(n_phi) - (n_phi - 1) // 2
     turns = np.mod(np.outer(q, state.sites), n_phi) / n_phi
-    kernel = np.exp(2j * np.pi * turns)
+    return projected_site_sums(state, 2.0 * np.pi * q / n_phi,
+                               np.exp(2j * np.pi * turns))
+
+
+def projected_site_sums(state, phi, kernel):
+    """g+- at phi from the site sums kernel @ a+- (kernel[i, m] = e^{i m
+    phi[i]}), projected on ``symbol_eigenvectors``."""
     a_plus, a_minus = kernel @ state.a_plus, kernel @ state.a_minus
-    phi = 2.0 * np.pi * q / n_phi
     f_pp, f_pm, f_mp, f_mm = symbol_eigenvectors(phi, state.dt)
     root_dt = np.sqrt(state.dt)
     return ((np.conj(f_pp) * a_plus + np.conj(f_pm) * a_minus) / root_dt,
             (np.conj(f_mp) * a_plus + np.conj(f_mm) * a_minus) / root_dt)
+
+
+def group_velocity(phi, dt: float):
+    """h(phi) = t / sin(theta) = cos(dt) sin(phi) / sqrt(sin^2 dt +
+    cos^2 dt sin^2 phi), the phi-derivative of the symbol's phase theta.
+
+    The +- bands propagate with velocity +-h; |h| <= |cos(dt)| < 1, so the
+    walk spreads strictly slower than the lattice light cone.
+    """
+    _check_dt(dt)
+    t, sin_theta = _dispersion(phi, dt)
+    out = t / sin_theta
+    return out if out.ndim else float(out)
+
+
+def site_sum_weights(state, phi):
+    """|g+(phi)|^2 and |g-(phi)|^2 times dt/(2 pi) at any phi, from the
+    site sums."""
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    g_plus, g_minus = projected_site_sums(
+        state, phi, np.exp(1j * np.outer(phi, state.sites)))
+    scale = state.dt / (2.0 * np.pi)
+    return np.abs(g_plus) ** 2 * scale, np.abs(g_minus) ** 2 * scale
+
+
+def quadrature_mass_below(state, y: float) -> float:
+    """P(Y <= y) by adaptive quadrature of ``site_sum_weights`` over {+h <=
+    y} and {-h <= y}, with the ends of each set found by root-finding on
+    ``group_velocity`` (h is monotone on [-pi/2, pi/2] and on [pi/2,
+    3 pi/2]), not by the closed-form inverse of h."""
+    dt = state.dt
+    total = 0.0
+    for band, sign in ((0, 1.0), (1, -1.0)):
+        def excess(phi):
+            return sign * group_velocity(phi, dt) - y
+
+        def weight(phi):
+            return site_sum_weights(state, phi)[band][0]
+
+        for lo, hi in ((-np.pi / 2, np.pi / 2), (np.pi / 2, 3 * np.pi / 2)):
+            at_lo, at_hi = excess(lo) <= 0.0, excess(hi) <= 0.0
+            if not (at_lo or at_hi):
+                continue
+            if at_lo != at_hi:
+                root = optimize.brentq(excess, lo, hi, xtol=1e-300,
+                                       rtol=4 * np.finfo(float).eps,
+                                       maxiter=500)
+                lo, hi = (lo, root) if at_lo else (root, hi)
+            # the weights vary on the scale dt next to phi = 0 and pi
+            pts = [p for p in (0.0, np.pi) if lo < p < hi] or None
+            total += integrate.quad(weight, lo, hi, points=pts, limit=2000,
+                                    epsabs=1e-15, epsrel=1e-13)[0]
+    return total
 
 
 def per_point_polyline(x, y, sx, sy) -> str:

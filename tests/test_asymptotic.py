@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from functools import lru_cache
 
 import mpmath
@@ -13,12 +14,13 @@ from scipy.optimize import minimize_scalar
 from scipy.special import erfc
 
 from diracwalk import (LatticeState, SpectralCoefficients, WalkInitConfig,
-                       build_initial_state, evolve, group_velocity,
-                       horn_location, limit_cdf, limit_cdf_gaussian,
-                       limit_density, limit_density_mass, limit_moment,
-                       spectral_coefficients)
+                       build_initial_state, evolve, horn_location, limit_cdf,
+                       limit_cdf_gaussian, limit_density, limit_density_mass,
+                       limit_moment, spectral_coefficients)
 from diracwalk.asymptotic import _eigen_weights
+from diracwalk.spectral import ring_length
 from oracles import (direct_sum_coefficients, gaussian_g_approx,
+                     group_velocity, quadrature_mass_below,
                      random_phase_state, ring_spectral_coefficients,
                      symbol_eigenvalues, symbol_eigenvectors,
                      walk_symbol_matrix)
@@ -74,14 +76,21 @@ def test_symbol_unit_modulus_on_grid():
 
 
 def test_symbol_rejects_degenerate_dt():
-    # at 1e-8 and pi - 1e-8, |cos dt| rounds to 1, so cos(theta) =
-    # cos(dt) cos(phi) reaches 1 at phi = 0
-    for dt in (0.0, np.pi, 1e-8, 1e-300, np.pi - 1e-8):
+    # 0 and pi, and a dt whose sin^2 underflows: sin(theta) at phi = 0
+    # would be 0
+    for dt in (0.0, np.pi, 1e-300, -0.5, np.nan):
         with pytest.raises(ValueError):
             _eigen_weights(0.3, dt)
         with pytest.raises(ValueError):
             group_velocity(np.array([0.0, 1e-3]), dt)
-    assert np.all(np.isfinite(group_velocity(np.array([0.0, 1e-3]), 2e-8)))
+    # within 1e-8 of 0 and pi |cos dt| rounds to 1, but sin(theta) =
+    # sqrt(sin^2 dt + t^2) >= sin dt > 0 keeps the weights, h and the law
+    # finite
+    phi = np.array([0.0, 1e-3, np.pi / 2, np.pi])
+    for dt in (1e-9, 1e-8, np.pi - 1e-8, np.pi - 1e-9):
+        assert np.all(np.isfinite(_eigen_weights(phi, dt)))
+        assert np.all(np.isfinite(group_velocity(phi, dt)))
+        assert_small_dt_law_matches_oracle(dt, 256)
 
 
 # -------------------------------------------------------- group velocity
@@ -245,6 +254,23 @@ def test_spectral_coefficients_memory_per_phi_point():
     assert peak / co.phi.size <= 82.0
 
 
+def test_mass_table_memory_per_phi_point():
+    # traced peak of the first mass_below call, over its n_phi: the table
+    # it keeps (G and |g+-|^2, both bands) is 32 B of it; one band's
+    # spectrum, the inverse transform's copy of it and the harmonic
+    # numbers ~20 B
+    co = spectral_coefficients(limit_law_state())
+    replace(co).mass_below(0.3)  # FFT plans built outside
+    tracemalloc.start()
+    try:
+        co.mass_below(0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert co.phi.size == 91476
+    assert peak / co.phi.size <= 56.0
+
+
 def test_eigen_weights_keep_their_digits_at_small_dt():
     # 1 - cos^2(dt) cos^2(phi) cancels near phi = 0 at small dt; oracle:
     # the eigenvector (s e^{i phi}, c e^{i phi} - lambda+) of the symbol's
@@ -343,125 +369,127 @@ def test_limit_cdf_matches_closed_form():
         assert got == pytest.approx(want, abs=2e-3)
 
 
-# ------------------------------------------- mass_below against a scan
+# ------------------------------------- mass_below against the quadrature
 
-def band_mass(phi_ext, h_ext, u_ext, lo, hi):
-    """Integral of u over {phi : lo <= h(phi) <= hi} with piecewise-linear
-    h and u on each grid cell, scanned cell by cell."""
-    h_a, h_b = h_ext[:-1], h_ext[1:]
-    u_a, u_b = u_ext[:-1], u_ext[1:]
-    span = h_b - h_a
-    flat = np.abs(span) < 1e-300
-    safe = np.where(flat, 1.0, span)
-    ta = (lo - h_a) / safe
-    tb = (hi - h_a) / safe
-    t0 = np.clip(np.minimum(ta, tb), 0.0, 1.0)
-    t1 = np.clip(np.maximum(ta, tb), 0.0, 1.0)
-    inside_flat = (h_a >= lo) & (h_a <= hi)
-    t0 = np.where(flat, 0.0, t0)
-    t1 = np.where(flat, np.where(inside_flat, 1.0, 0.0), t1)
-    seg = (t1 - t0) * u_a + 0.5 * (u_b - u_a) * (t1 * t1 - t0 * t0)
-    return float(np.sum(seg * np.diff(phi_ext)))
-
-
-def scan_cdf(y1, y2, coeffs):
-    """The per-cell oracle of ``limit_cdf``: every cell of the periodic
-    grid (closed at phi[0] + 2 pi) for every interval."""
-    if y1 == y2:
-        return 0.0
-    h = group_velocity(coeffs.phi, coeffs.dt)
-    scale = coeffs.dt / (2.0 * np.pi)
-    phi_ext = np.append(coeffs.phi, coeffs.phi[0] + 2.0 * np.pi)
-    h_ext = np.append(h, h[0])
-    total = 0.0
-    for g, (lo, hi) in ((coeffs.g_plus, (y1, y2)),
-                        (coeffs.g_minus, (-y2, -y1))):
-        u = np.abs(g) ** 2 * scale
-        total += band_mass(phi_ext, h_ext, np.append(u, u[0]), lo, hi)
-    return min(max(total, 0.0), 1.0)
-
-
-def special_bounds(coeffs):
-    """+-1, +-cos dt, 0 and samples of h (the extremes included)."""
-    h = group_velocity(coeffs.phi, coeffs.dt)
-    c = np.cos(coeffs.dt)
-    picks = h[[0, 1, h.size // 3, h.size // 2, np.argmax(h), np.argmin(h)]]
-    return np.unique(np.concatenate(([-1.0, -c, 0.0, c, 1.0],
-                                     picks, -picks)))
-
-
-def assert_cdf_matches_scan(coeffs, n_random=40, seed=21):
+def oracle_bounds(coeffs, n_random=10, seed=21):
+    """+-1, 0, samples of +-h and random bounds.  +-cos dt is left out:
+    dP/dy is infinite there, so an ulp of y, or of the oracle's own h,
+    moves P by ~sqrt(ulp)."""
     rng = np.random.default_rng(seed)
-    ys = special_bounds(coeffs)
-    pairs = [(a, b) for a in ys for b in ys if a <= b]
-    pairs += [tuple(np.sort(rng.uniform(-1, 1, 2))) for _ in range(n_random)]
-    for y1, y2 in pairs:
-        assert abs(limit_cdf(y1, y2, coeffs)
-                   - scan_cdf(y1, y2, coeffs)) <= 1e-13, (y1, y2)
+    h = group_velocity(coeffs.phi, coeffs.dt)
+    picks = h[[0, 1, h.size // 3, h.size // 2]]
+    return np.unique(np.concatenate(([-1.0, 0.0, 1.0], picks, -picks,
+                                     rng.uniform(-1.0, 1.0, n_random))))
 
 
+def oracle_error(state, coeffs, ys):
+    want = np.array([quadrature_mass_below(state, y) for y in ys])
+    return float(np.abs(coeffs.mass_below(ys) - want).max())
+
+
+# by dt: the measured errors at 64 points per site (8.8e-10, 2.6e-9 and
+# 1.3e-8), rounded up; for dt > pi/2 h falls in sin phi and the bands
+# swap arcs
+ORACLE_BOUND = {0.5: 2e-9, 2.0: 5e-9, 3.0: 3e-8}
+
+
+@pytest.mark.parametrize("dt", sorted(ORACLE_BOUND))
 @pytest.mark.parametrize("n_phi", [512, 513])
-def test_limit_cdf_matches_scan_on_random_states(n_phi):
-    co = spectral_coefficients(random_state(), n_phi=n_phi)
-    assert_cdf_matches_scan(co)
+def test_mass_below_matches_oracle_on_random_states(n_phi, dt):
+    state = random_phase_state(8, -3, dt, 15)
+    co = spectral_coefficients(state, n_phi=n_phi)
+    assert oracle_error(state, co, oracle_bounds(co)) <= ORACLE_BOUND[dt]
 
 
-def test_limit_cdf_matches_scan_on_gaussian_packet():
-    state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.02))
-    assert_cdf_matches_scan(spectral_coefficients(state))
+@lru_cache(maxsize=None)
+def _gaussian_packet_oracle():
+    """The nu 1, dt 0.02 packet, the bounds of its default grid and the
+    oracle there."""
+    state = build_initial_state(WalkInitConfig(nu=1.0, dt=0.02))
+    ys = oracle_bounds(spectral_coefficients(state))
+    return state, ys, np.array([quadrature_mass_below(state, y)
+                                for y in ys])
 
 
-def flat_topped_coefficients(n_phi, dt, seed=16):
+def test_mass_below_matches_oracle_on_gaussian_packet():
+    # measured 1.6e-10 at the default grid, 8 points per site (the linear
+    # cell model this route replaced: 5.1e-6)
+    state, ys, want = _gaussian_packet_oracle()
+    co = spectral_coefficients(state)
+    got = co.mass_below(ys)
+    assert np.abs(got - want).max() <= 2e-10
+    assert limit_cdf(ys[2], ys[-3], co) == pytest.approx(
+        want[-3] - want[2], abs=4e-10)
+
+
+def test_mass_below_converges_at_fourth_order_in_n_phi():
+    # a cubic Hermite between nodes: measured orders 4.15 and 4.98 between
+    # 4, 8 and 16 points per site (errors 2.8e-9, 1.6e-10, 4.9e-12)
+    state, ys, want = _gaussian_packet_oracle()
+    n_phi = np.array([ring_length(k * state.n_sites) for k in (4, 8, 16)])
+    err = [np.abs(spectral_coefficients(state, n_phi=int(n)).mass_below(ys)
+                  - want).max() for n in n_phi]
+    order = np.log(np.divide(err[:-1], err[1:])) \
+        / np.log(n_phi[1:] / n_phi[:-1])
+    assert np.all(order >= 3.5), (err, order)
+
+
+def packet_state(dt, half=48, width=6.0):
+    """A unit-norm Gaussian packet, ``width`` sites wide, with a+ at phi =
+    -pi/2 and a- at +pi/2 in the spectrum.  Near dt = 0 or pi the weights
+    switch within ~dt of phi = 0 and pi, where this state has no weight
+    (e^-44), so a grid resolves them."""
+    m = np.arange(-half, half + 1)
+    env = np.exp(-0.5 * (m / width) ** 2)
+    amp = np.stack((env * np.exp(0.5j * np.pi * m),
+                    0.6 * env * np.exp(-0.5j * np.pi * m + 0.3j)))
+    amp /= np.sqrt(np.sum(np.abs(amp) ** 2))
+    return LatticeState(dt=dt, m_min=-half, a_plus=amp[0], a_minus=amp[1])
+
+
+def assert_small_dt_law_matches_oracle(dt, n_phi):
+    """Finite, and within 1e-13 of the oracle (measured <= 1e-15).  The
+    law sits within ~dt^2 of +-1 here, below what y resolves, so the
+    bounds are those of a two-point law."""
+    state = packet_state(dt)
+    co = spectral_coefficients(state, n_phi=n_phi)
+    ys = np.concatenate((np.linspace(-0.9, 0.9, 7), [-1.0, 1.0]))
+    assert np.all(np.isfinite(co.mass_below(ys)))
+    assert oracle_error(state, co, ys) <= 1e-13
+
+
+@pytest.mark.parametrize("n_phi, dt", [(256, 1e-7), (513, 1e-6)])
+def test_mass_below_matches_oracle_at_small_dt(n_phi, dt):
+    assert_small_dt_law_matches_oracle(dt, n_phi)
+
+
+def small_dt_coefficients(n_phi, dt, seed=16):
     """At dt this small, h(phi) next to its extremes is flat to within
-    rounding, so neighbouring samples come out equal: flat cells.  The
-    coefficients are rescaled to keep unit completeness at that dt."""
+    rounding, so neighbouring samples come out equal or wiggle by an ulp.
+    The coefficients are rescaled to keep unit completeness at that dt."""
     co = spectral_coefficients(random_state(seed=seed), n_phi=n_phi)
     rescale = np.sqrt(co.dt / dt)
     return SpectralCoefficients(phi=co.phi, g_plus=co.g_plus * rescale,
                                 g_minus=co.g_minus * rescale, dt=dt)
 
 
-# each (n_phi, dt) passes the construction's checks below: at 256 and
-# 1e-7, 11 samples share the top of h and both runs stay monotone
-@pytest.mark.parametrize("n_phi, dt", [(256, 1e-7), (513, 1e-6)])
-def test_limit_cdf_matches_scan_on_flat_cells(n_phi, dt):
-    co = flat_topped_coefficients(n_phi, dt)
-    h = group_velocity(co.phi, dt)
-    top = h.max()
-    # the construction: flat cells at the top, and monotone runs between
-    # the extremes, so the scan is the contract exactly
-    period = np.append(h, h[0])
-    assert np.count_nonzero(np.diff(period) == 0.0) >= 2
-    lo, hi = int(np.argmin(h)), int(np.argmax(h))
-    pts = (lo + np.arange(h.size + 1)) % h.size
-    r = (hi - lo) % h.size
-    assert np.all(np.diff(h[pts[:r + 1]]) >= 0)
-    assert np.all(np.diff(h[pts[r:]]) <= 0)
-    assert_cdf_matches_scan(co)
-    # a closed interval keeps the flat cells at either end
-    flat_mass = limit_cdf(top, 1.0, co)
-    assert flat_mass > 0.0
-    assert limit_cdf(-1.0, top, co) == pytest.approx(
-        limit_cdf(-1.0, 1.0, co), abs=1e-15)
-
-
 @pytest.mark.parametrize("n_phi", [512, 513])
-def test_limit_cdf_matches_scan_on_wiggling_samples(n_phi):
-    # dt = 1e-7: rounding lets h wiggle by an ulp next to its extremes, so
-    # the runs are not monotone there; bounds on and between those samples
-    co = flat_topped_coefficients(n_phi, 1e-7)
+def test_mass_below_never_steps_down_near_the_band_edge(n_phi):
+    # dt = 1e-7: rounding lets h wiggle by an ulp next to its extremes;
+    # bounds on and between those samples, where the law is steepest
+    co = small_dt_coefficients(n_phi, 1e-7)
     h = group_velocity(co.phi, co.dt)
     rising = h[np.argmin(h):np.argmax(h) + 1]
     assert np.count_nonzero(np.diff(rising) < 0) > 0
     near = h[np.abs(h) > h.max() - 1e-13]
     ys = np.unique(np.concatenate((near, -near, [-1.0, 0.0, 1.0])))
     ys = np.unique(np.concatenate((ys, 0.5 * (ys[1:] + ys[:-1]))))
-    pairs = [(-1.0, y) for y in ys] + [(y, 1.0) for y in ys]
-    pairs += list(zip(ys[:-1], ys[1:])) + list(zip(ys[:-2], ys[2:]))
-    for y1, y2 in pairs:
-        assert abs(limit_cdf(y1, y2, co)
-                   - scan_cdf(y1, y2, co)) <= 1e-13, (y1, y2)
-    assert np.all(np.diff(co.mass_below(ys)) >= 0.0)
+    mass = co.mass_below(ys)
+    assert np.all(np.diff(mass) >= 0.0)
+    # limit_cdf is the difference of mass_below at its bounds
+    for i, j in [(0, -1)] + [(k, k + 1) for k in range(ys.size - 1)]:
+        assert limit_cdf(ys[i], ys[j], co) \
+            == min(max(mass[j] - mass[i], 0.0), 1.0)
 
 
 def test_mass_below_is_vectorized_and_checked():
@@ -516,21 +544,22 @@ def test_mass_below_never_steps_down_at_the_samples(n_sites, n_phi, seed,
                          np.nextafter(keys, 2.0)))
     ys = np.sort(np.clip(ys, -1.0, 1.0))
     assert np.all(np.diff(co.mass_below(ys)) >= 0.0)
-    assert np.all(np.diff(co._mass(ys, "left")) >= 0.0)
 
 
 @lru_cache(maxsize=None)
-def _odd_ring_coefficients():
-    return spectral_coefficients(random_state(seed=17), n_phi=513)
+def _odd_ring():
+    state = random_phase_state(8, -3, 0.5, 17)
+    return state, spectral_coefficients(state, n_phi=513)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
-def test_limit_cdf_matches_scan_on_any_interval(a, b):
-    co = _odd_ring_coefficients()
+def test_limit_cdf_matches_oracle_on_any_interval(a, b):
+    state, co = _odd_ring()
     y1, y2 = min(a, b), max(a, b)
     got = limit_cdf(y1, y2, co)
-    assert abs(got - scan_cdf(y1, y2, co)) <= 1e-13
+    want = quadrature_mass_below(state, y2) - quadrature_mass_below(state, y1)
+    assert abs(got - want) <= 5e-9  # measured 2.4e-9 over 200 intervals
     assert got == limit_cdf(y1, y2, co)  # the cached tables do not drift
 
 

@@ -176,9 +176,10 @@ def test_leakage_refuses_weight_at_nyquist_band():
 
 def test_leakage_refuses_nan_state():
     state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.05))
-    state.a_minus[state.n_sites // 2] = np.nan
-    with pytest.raises(NumericalHealthError, match="weight nan"):
-        energy_leakage(state)
+    for bad in (np.nan, np.inf):
+        state.a_minus[state.n_sites // 2] = bad
+        with pytest.raises(NumericalHealthError, match="not finite"):
+            energy_leakage(state)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])

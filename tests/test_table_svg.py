@@ -249,6 +249,13 @@ def test_svg_is_deterministic_and_wellformed():
     ET.fromstring(doc1)
 
 
+def test_svg_of_a_curve_whose_tick_step_underflows():
+    # a y span of one subnormal: span / 6 is 0, so there is one tick
+    doc = line_plot_svg([(np.array([0.0]), np.array([5e-324]), "c0")],
+                        "demo", "x", "y")
+    assert doc.count("<polyline") == 1
+
+
 def _nudged(value: float, ulps: int) -> float:
     for _ in range(abs(ulps)):
         value = float(np.nextafter(value, np.copysign(np.inf, ulps)))
