@@ -10,23 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (TOL, NumericalHealthError, branch_sign,
-                        require_finite)
-from .spectral import (_evolve_on_ring, propagator_symbol, ring_buffer,
-                       ring_length)
-from .spinor import u_minus_effective, u_plus_effective
+from .constants import TOL, NumericalHealthError, require_finite
+from .spectral import (_evolve_on_ring, branch_momenta, propagator_symbol,
+                       ring_length, ring_modes)
+from .spinor import u_plus_effective
 from .walk import LatticeState, position_distribution
 
 _MARGIN_SITES = 128  # ring padding past the light cone, in sites
-
-
-def _ring_momenta(n: int, dt: float, branch: str) -> np.ndarray:
-    """Each mode's momentum, on [-pi/dt, pi/dt) for "plus" and on its
-    mirror (-pi/dt, pi/dt] for "minus", the site mirror of "plus"."""
-    p = 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
-    if branch_sign(branch) < 0:
-        p[n // 2] = abs(p[n // 2])
-    return p
 
 
 def energy_leakage(state: LatticeState, branch: str = "plus") -> float:
@@ -36,15 +26,12 @@ def energy_leakage(state: LatticeState, branch: str = "plus") -> float:
     conserved diagnostic of exact evolution and a splitting-error gauge
     for the walk.
     """
-    sign = branch_sign(branch)
     if not np.isfinite(state.norm_sq()):
         raise NumericalHealthError("state is not finite: a NaN or inf "
                                    "amplitude")
     n = ring_length(state.n_sites + 16)
-    ring = ring_buffer(state, n)
-    np.fft.fft(ring, axis=1, out=ring)
-    ring /= np.sqrt(n)
-    p = _ring_momenta(n, state.dt, branch)
+    ring = ring_modes(state, n)
+    p = 2.0 * np.pi * np.fft.fftfreq(n, d=state.dt)
     norm_sq = float(np.sum(np.abs(ring) ** 2))
     # refuse states whose spectral weight reaches the Nyquist band
     band = np.abs(p) > 0.9 * np.abs(p).max()
@@ -54,7 +41,7 @@ def energy_leakage(state: LatticeState, branch: str = "plus") -> float:
             f"spectral weight {w:.3e} within 10% of the Nyquist momentum; "
             "the lattice is too coarse for this state"
         )
-    w = u_plus_effective(p) if sign > 0 else u_minus_effective(p)
+    w = u_plus_effective(branch_momenta(p, branch))
     overlap = np.conj(w[0]) * ring[0] + np.conj(w[1]) * ring[1]
     kept = float(np.sum(np.abs(overlap) ** 2))
     return 1.0 - kept / norm_sq
@@ -69,8 +56,8 @@ def evolve_exact_on_lattice(state: LatticeState, t: float,
     """
     require_finite("t", t)
     n_cone = int(np.ceil(abs(t) / state.dt))
-    return _evolve_on_ring(state, lambda n: propagator_symbol(
-        _ring_momenta(n, state.dt, branch), t, branch),
+    return _evolve_on_ring(state, lambda n: propagator_symbol(branch_momenta(
+        2.0 * np.pi * np.fft.fftfreq(n, d=state.dt), branch), t),
         n_cone + _MARGIN_SITES)
 
 

@@ -9,29 +9,30 @@ symbol takes the quasi-momentum phi, the label of the shift's eigenstates
 e^{i m phi}, with the one sign map p = -phi/dt: forward-DFT mode k has
 phi = -2 pi k / N, and ``asymptotic.spectral_coefficients`` transforms the
 same ring (``ring_buffer``) the inverse way to read phi = 2 pi k / N at k.
-An evolution keeps the ring in one (2, N) buffer, transformed in place,
-multiplied mode by mode by a 2x2 symbol, and transformed back in place:
+An evolution transforms the ring in place in one (2, N) buffer
+(``ring_modes``), multiplies each mode by an SU(2) matrix [[a, -b*],
+[b, a*]], the symbol, given as its pair (a, b), and transforms back:
 
-* exact evolution for a time t,
+* exact evolution for a time t, exact because H(p)^2 = E^2 I:
 
       exp(-i H(p) t) = cos(E t) I - i (sin(E t) / E) H(p),   E = sqrt(p^2+1),
 
-  exact because H(p)^2 = E^2 I;
-* n walk steps of M(phi) = diag(e^{i s phi}, e^{-i s phi}) . coin(dt),
-  s = +1 for the "plus" branch and -1 for "minus".  M has det 1 and
-  eigenvalues e^{+-i theta}, cos(theta) = cos(dt) cos(phi), and
+  so a = cos(E t) - i (sin(E t) / E) p and b = sin(E t) / E is real;
+* n walk steps of M(phi) = diag(e^{i phi}, e^{-i phi}) . coin(dt).  M has
+  det 1 and eigenvalues e^{+-i theta}, cos(theta) = cos(dt) cos(phi), and
   ``_dispersion`` gives sin(theta) = sqrt(sin^2 dt + t^2), t = cos(dt)
   sin(phi), which keeps its digits near theta -> 0, and the group velocity
-  h = d theta / d phi = t / sin(theta).  By Cayley-Hamilton, for every
-  integer n (n < 0 reverses time),
+  h = d theta / d phi = t / sin(theta).  By Cayley-Hamilton (K = M -
+  cos(theta) I has K^2 = -sin^2(theta) I), for every integer n (n < 0
+  reverses time), M^n = cos(n theta) I + r K, r = sin(n theta) /
+  sin(theta): a = cos(n theta) + i r t and b = r sin(dt) e^{-i phi}.
 
-      M^n = cos(n theta) I + (sin(n theta) / sin(theta)) K,
-      K = M - cos(theta) I,   K^2 = -sin^2(theta) I.
-
+Both symbols are the "plus" helicity branch's.  "minus" flips the shift:
+M-(phi) = M+(-phi), H-(p) = H+(-p) and u-(p) = u+(-p), so its mode k takes
+the "plus" value of mode -k mod N, the site mirror, an even ring's Nyquist
+mode included (``branch_momenta``, the one place "minus" is formed).
 Per-mode work is embarrassingly parallel; all functions are pure.
 """
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -80,14 +81,31 @@ def ring_buffer(state: LatticeState, n: int, minus_row=None,
     return buf
 
 
-def propagator_symbol(p, t: float, branch: str = "plus"):
-    """Entries (m00, m01, m10, m11) of exp(-i H(p) t), elementwise in p."""
-    sign = branch_sign(branch)
+def ring_modes(state: LatticeState, n: int) -> np.ndarray:
+    """The unitary DFT of a state's ring of n sites, in place in its
+    ``ring_buffer``: mode k holds sum_m a[m] e^{-2 pi i k m / n} / sqrt(n)."""
+    ring = ring_buffer(state, n)
+    np.fft.fft(ring, axis=1, out=ring)
+    ring /= np.sqrt(n)
+    return ring
+
+
+def branch_momenta(q: np.ndarray, branch: str) -> np.ndarray:
+    """A ring's per-mode momenta ``q`` (p or phi) as ``branch`` reads them:
+    ``q`` itself for "plus"; for "minus" mode k takes q[-k mod n], the
+    site mirror (see the module docstring)."""
+    if branch_sign(branch) > 0:
+        return q
+    return np.roll(q[::-1], 1)  # q[-np.arange(n) % n], in one copy
+
+
+def propagator_symbol(p, t: float):
+    """The pair (a, b) of exp(-i H(p) t), elementwise in p; b is real."""
     p = np.asarray(p, dtype=float)
     e = np.sqrt(p * p + 1.0)
     c = np.cos(e * t)
     s = np.sin(e * t) / e
-    return c - 1j * s * sign * p, -s, s, c + 1j * s * sign * p
+    return c - 1j * s * p, s
 
 
 def _dispersion(phi, dt: float):
@@ -98,43 +116,34 @@ def _dispersion(phi, dt: float):
     return t, np.sqrt(s * s + t * t)
 
 
-def walk_power_symbol(phi, dt: float, n_steps: int, branch: str = "plus"):
-    """Entries (m00, m01, m10, m11) of M(phi)^n for any integer n,
-    elementwise in the quasi-momentum phi (see the module docstring)."""
-    sign = branch_sign(branch)
+def walk_power_symbol(phi, dt: float, n_steps: int):
+    """The pair (a, b) of M(phi)^n for any integer n, elementwise in the
+    quasi-momentum phi (see the module docstring)."""
     phi = np.asarray(phi, dtype=float)
     c, s = np.cos(dt), np.sin(dt)
     t, sin_theta = _dispersion(phi, dt)
     n_theta = n_steps * np.arctan2(sin_theta, c * np.cos(phi))
-    cos_n = np.cos(n_theta)
     ratio = np.sin(n_theta) / sin_theta
-    # ratio * K: diagonal +-i sign t, off-diagonal -s e^{i sign phi}
-    # (upper) and s e^{-i sign phi} (lower)
-    diag = 1j * sign * ratio * t
-    off = s * ratio * np.exp(1j * sign * phi)
-    return cos_n + diag, -off, np.conj(off), cos_n - diag
+    return np.cos(n_theta) + 1j * ratio * t, s * ratio * np.exp(-1j * phi)
 
 
 def _evolve_on_ring(state: LatticeState, symbol, grow: int) -> LatticeState:
-    """Apply ``symbol(n)``, the 2x2 entries (m00, m01, m10, m11) of every
-    mode of a ring of n sites, to a ring that holds the output window
-    [m_min - grow, m_min + n_sites + grow), and read that window out.
-    The ring is one (2, n) buffer, transformed both ways in place."""
+    """Apply ``symbol(n)``, the pair (a, b) of each mode of a ring of n
+    sites, to the one (2, n) buffer of a ring that holds the output window
+    [m_min - grow, m_min + n_sites + grow), and read that window out."""
     m_min, n_sites = state.m_min - grow, state.n_sites + 2 * grow
     n = ring_length(n_sites)
-    ring = ring_buffer(state, n)
-    np.fft.fft(ring, axis=1, out=ring)
-    ring /= np.sqrt(n)
-    m00, m01, m10, m11 = symbol(n)
+    ring = ring_modes(state, n)
+    a, b = symbol(n)
     up, dn = ring
     # symbol first in every product: complex multiplication is not
-    # bitwise commutative
-    lower = np.multiply(m10, up)
-    np.multiply(m00, up, out=up)
-    up += np.multiply(m01, dn)
-    np.multiply(m11, dn, out=dn)
+    # bitwise commutative; a and b are conjugated in place once used
+    lower = np.multiply(b, up)
+    np.multiply(a, up, out=up)
+    up -= np.multiply(np.conjugate(b, out=b), dn)
+    np.multiply(np.conjugate(a, out=a), dn, out=dn)
     dn += lower
-    del m00, m01, m10, m11, lower  # freed before the read-out allocates
+    del a, b, lower  # freed before the read-out allocates
     np.fft.ifft(ring, axis=1, out=ring)
     ring *= np.sqrt(n)
     idx = np.mod(np.arange(m_min, m_min + n_sites), n)
@@ -162,10 +171,11 @@ def evolve(state: LatticeState, n_steps: int,
     branch_sign(branch)
     require_unit_norm(state)
     if n_steps == 0:
-        return replace(state.copy(), norm_drift=np.empty(0))
+        return LatticeState(state.dt, state.m_min, state.a_plus.copy(),
+                            state.a_minus.copy(), norm_drift=np.empty(0))
     grow = abs(n_steps)
-    out = _evolve_on_ring(state, lambda n: walk_power_symbol(
-        -2.0 * np.pi * np.fft.fftfreq(n), state.dt, n_steps, branch), grow)
+    out = _evolve_on_ring(state, lambda n: walk_power_symbol(branch_momenta(
+        -2.0 * np.pi * np.fft.fftfreq(n), branch), state.dt, n_steps), grow)
     occupied = np.flatnonzero((state.a_plus != 0) | (state.a_minus != 0))
     # with no nonzero site the initial norm check has already failed
     for amp in (out.a_plus, out.a_minus):
@@ -177,4 +187,5 @@ def evolve(state: LatticeState, n_steps: int,
             f"norm drift {drift:.3e} after {n_steps} steps "
             f"exceeds budget {TOL.norm_drift_abort:.1e}"
         )
-    return replace(out, norm_drift=np.array([drift]))
+    out.norm_drift = np.array([drift])
+    return out

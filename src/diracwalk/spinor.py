@@ -1,4 +1,4 @@
-"""Relativistic energies and the effective 2-spinors of a helicity branch.
+"""Relativistic energies and the effective 2-spinor of a helicity branch.
 
 Natural units (hbar = c = m = 1).  On a definite-helicity branch the Dirac
 4-spinors reduce to 2-spinors of ``H(p) = sigma3 * p + sigma2``; the
@@ -30,12 +30,8 @@ def spinor_weights(p):
 
 
 def u_plus_effective(p) -> np.ndarray:
-    """Effective 2-spinor of the helicity +1/2 branch: (W+, i W-)."""
+    """Effective 2-spinor of the helicity +1/2 branch: (W+, i W-).  The
+    -1/2 branch's, (W-, i W+), is u+(-p) (``spectral.branch_momenta``)."""
     wp, wm = spinor_weights(p)
     return np.stack([wp + 0.0j, 1.0j * wm])
 
-
-def u_minus_effective(p) -> np.ndarray:
-    """Effective 2-spinor of the helicity -1/2 branch: (W-, i W+)."""
-    wp, wm = spinor_weights(p)
-    return np.stack([wm + 0.0j, 1.0j * wp])

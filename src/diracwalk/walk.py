@@ -19,8 +19,8 @@ class LatticeState:
     """Spin-up/spin-down amplitudes on a contiguous window of lattice sites.
 
     ``m_min`` is the site index of array element 0; site m corresponds to
-    position m*dt.  Invariant: sum(|a+|^2 + |a-|^2) = 1 within the
-    unitarity budget.
+    position m*dt.  Amplitudes are finite (NaN or inf: ``ValueError``), and
+    sum(|a+|^2 + |a-|^2) = 1 within the unitarity budget.
     """
 
     dt: float
@@ -37,6 +37,12 @@ class LatticeState:
         if not 0.0 < self.dt < np.inf:
             raise ValueError(
                 f"dt must be finite and positive, got {self.dt!r}")
+        for name in ("a_plus", "a_minus"):
+            amp = getattr(self, name)
+            if not (np.isfinite(amp.real).all()
+                    and np.isfinite(amp.imag).all()):
+                site = self.m_min + np.flatnonzero(~np.isfinite(amp))[0]
+                raise ValueError(f"{name} is not finite at site {site}")
 
     @property
     def n_sites(self) -> int:

@@ -1,7 +1,8 @@
 """Reference implementations that the tests hold the package to: the slow
-paths the fast ones replaced, the 4-spinor layer that the 2-spinor
-reduction of ``spinor`` rests on, the limit law by quadrature, and a
-reader of the CSV files."""
+paths the fast ones replaced, the four-entry, branch-taking symbols that
+the (a, b) pairs of ``spectral`` replaced, the 4-spinor layer that the
+2-spinor reduction of ``spinor`` rests on, the limit law by quadrature,
+and a reader of the CSV files."""
 
 import warnings
 from contextlib import contextmanager
@@ -18,7 +19,7 @@ from diracwalk.asymptotic import (SpectralCoefficients, _check_dt,
 from diracwalk.constants import (TOL, NumericalHealthError, branch_sign,
                                  require_finite)
 from diracwalk.spectral import _dispersion, ring_buffer, ring_length
-from diracwalk.spinor import energy, u_minus_effective, u_plus_effective
+from diracwalk.spinor import energy, spinor_weights, u_plus_effective
 from diracwalk.table import fmt
 from diracwalk.walk import LatticeState, require_unit_norm
 
@@ -77,6 +78,47 @@ def ring_momenta(n: int, dt: float, branch: str = "plus") -> np.ndarray:
     return p if branch_sign(branch) > 0 else -p[-np.arange(n) % n]
 
 
+def u_minus_effective(p) -> np.ndarray:
+    """Effective 2-spinor of the helicity -1/2 branch: (W-, i W+)."""
+    wp, wm = spinor_weights(p)
+    return np.stack([wm + 0.0j, 1.0j * wp])
+
+
+def propagator_entries(p, t: float, branch: str = "plus"):
+    """Entries (m00, m01, m10, m11) of exp(-i H(p) t), elementwise in p."""
+    sign = branch_sign(branch)
+    p = np.asarray(p, dtype=float)
+    e = np.sqrt(p * p + 1.0)
+    c = np.cos(e * t)
+    s = np.sin(e * t) / e
+    return c - 1j * s * sign * p, -s, s, c + 1j * s * sign * p
+
+
+def walk_power_entries(phi, dt: float, n_steps: int, branch: str = "plus"):
+    """Entries (m00, m01, m10, m11) of M(phi)^n for any integer n,
+    elementwise in the quasi-momentum phi, where M(phi) = diag(e^{i s
+    phi}, e^{-i s phi}) . coin(dt), s = +1 for "plus" and -1 for
+    "minus"."""
+    sign = branch_sign(branch)
+    phi = np.asarray(phi, dtype=float)
+    c, s = np.cos(dt), np.sin(dt)
+    t, sin_theta = _dispersion(phi, dt)
+    n_theta = n_steps * np.arctan2(sin_theta, c * np.cos(phi))
+    cos_n = np.cos(n_theta)
+    ratio = np.sin(n_theta) / sin_theta
+    # ratio * K: diagonal +-i sign t, off-diagonal -s e^{i sign phi}
+    # (upper) and s e^{-i sign phi} (lower)
+    diag = 1j * sign * ratio * t
+    off = s * ratio * np.exp(1j * sign * phi)
+    return cos_n + diag, -off, np.conj(off), cos_n - diag
+
+
+def su2_entries(a, b):
+    """The entries (m00, m01, m10, m11) = (a, -b*, b, a*) of the SU(2)
+    matrix whose pair is (a, b)."""
+    return a, -np.conj(b), b, np.conj(a)
+
+
 def stacked_symbol(modes, symbol) -> np.ndarray:
     """Every mode's spinor times its 2x2 symbol (m00, m01, m10, m11), as a
     new stacked array."""
@@ -107,9 +149,14 @@ def stacked_evolve_on_ring(state, symbol, grow: int) -> LatticeState:
 
 @contextmanager
 def stacked_ring():
-    """Run ``evolve`` and ``evolve_exact_on_lattice`` on the stacked ring."""
+    """Run ``evolve`` and ``evolve_exact_on_lattice`` on the stacked ring,
+    with the four entries of ``walk_power_entries`` and
+    ``propagator_entries`` (their "plus" branch, at the momenta that
+    ``branch_momenta`` gives) in place of the (a, b) pairs."""
     with patch.object(spectral, "_evolve_on_ring", stacked_evolve_on_ring), \
-            patch.object(exact, "_evolve_on_ring", stacked_evolve_on_ring):
+            patch.object(spectral, "walk_power_symbol", walk_power_entries), \
+            patch.object(exact, "_evolve_on_ring", stacked_evolve_on_ring), \
+            patch.object(exact, "propagator_symbol", propagator_entries):
         yield
 
 

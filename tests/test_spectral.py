@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
 from diracwalk import (WalkInitConfig, build_initial_state, evolve,
-                       evolve_exact_on_lattice, walk_power_symbol)
+                       evolve_exact_on_lattice, propagator_symbol,
+                       walk_power_symbol)
 from diracwalk.constants import MAX_RING_SITES
-from diracwalk.spectral import ring_length
-from oracles import (evolve_steps, random_phase_state, stacked_ring,
-                     walk_symbol_matrix)
+from diracwalk.spectral import branch_momenta, ring_length
+from oracles import (evolve_steps, propagator_entries, random_phase_state,
+                     ring_momenta, stacked_ring, su2_entries,
+                     walk_power_entries, walk_symbol_matrix)
 
 EPS = 2.2e-16
 PHIS = (0.0, 1e-3, 0.3, np.pi / 2, 2.9, np.pi, 5.0)
@@ -33,15 +35,21 @@ def mp_walk_power(phi: float, dt: float, n: int, sign: int) -> np.ndarray:
                          for i in range(2)])
 
 
+def pair_matrices(a, b) -> np.ndarray:
+    """The 2x2 matrices [[a, -b*], [b, a*]], stacked on the last axis."""
+    m00, m01, m10, m11 = su2_entries(a, b)
+    return np.array([[m00, m01], [m10, m11]])
+
+
 @pytest.mark.parametrize("branch", ["plus", "minus"])
 @pytest.mark.parametrize("dt", [0.005, 0.0005])
 @pytest.mark.parametrize("n", [1, 10, 10_000, 1_000_000, -1, -10_000])
 def test_walk_power_matches_mpmath(n, dt, branch):
     # rounding theta costs ~pi*|n|*eps in phase, as the loop's rounded coin
-    # does; a negative n is the inverse walk
+    # does; a negative n is the inverse walk; the "minus" symbol is the
+    # "plus" pair at -phi
     sign = 1 if branch == "plus" else -1
-    m00, m01, m10, m11 = walk_power_symbol(np.array(PHIS), dt, n, branch)
-    got = np.array([[m00, m01], [m10, m11]])
+    got = pair_matrices(*walk_power_symbol(sign * np.array(PHIS), dt, n))
     for k, phi in enumerate(PHIS):
         err = np.abs(got[:, :, k] - mp_walk_power(phi, dt, n, sign)).max()
         assert err < 8 * (abs(n) + 1) * EPS, (phi, err)
@@ -52,13 +60,57 @@ def test_walk_power_is_the_symbol_power(n):
     # the "minus" branch's symbol is the "plus" one at -phi
     phi = np.linspace(-np.pi, np.pi, 37)
     for dt in (0.3, 0.02):
-        for branch, sign in (("plus", 1.0), ("minus", -1.0)):
-            m00, m01, m10, m11 = walk_power_symbol(phi, dt, n, branch)
+        for sign in (1.0, -1.0):
+            got = pair_matrices(*walk_power_symbol(sign * phi, dt, n))
             for k, f in enumerate(phi):
                 want = np.linalg.matrix_power(
                     walk_symbol_matrix(sign * f, dt), n)
-                got = np.array([[m00[k], m01[k]], [m10[k], m11[k]]])
-                assert np.abs(got - want).max() < 1e-14
+                assert np.abs(got[:, :, k] - want).max() < 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300),
+       st.floats(1e-3, 1.0, exclude_min=True, exclude_max=True),
+       st.integers(-10 ** 6, 10 ** 6), st.floats(-50.0, 50.0),
+       st.lists(st.floats(-np.pi, np.pi), max_size=8))
+def test_pairs_are_the_four_entry_symbols(n, dt, n_steps, t, extra):
+    # on a ring of n modes (an even ring's Nyquist mode included) and at
+    # random phi and p: the pair (a, b) is the (m00, m10) column of the
+    # four-entry oracle and (-b*, a*) its (m01, m11), up to signed zeros;
+    # |a|^2 + |b|^2 = 1 to 5 eps (measured 1.0e-15, over 2.4e7 random
+    # points, n and t as here)
+    phi = np.concatenate([-2.0 * np.pi * np.fft.fftfreq(n), extra])
+    p = np.concatenate([ring_momenta(n, dt), -np.asarray(extra) / dt])
+    for pair, entries in ((walk_power_symbol(phi, dt, n_steps),
+                           walk_power_entries(phi, dt, n_steps)),
+                          (propagator_symbol(p, t), propagator_entries(p, t))):
+        for got, want in zip(su2_entries(*pair), entries):
+            assert np.array_equal(got, want)
+        a, b = pair
+        unitarity = np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0).max()
+        assert unitarity <= 5 * np.finfo(float).eps
+    # "minus" at the mirrored mode is the oracle's "minus" symbol on the
+    # oracle's "minus" ring, except at the walk's Nyquist mode: the mirror
+    # keeps its phi_N (pi to a few ulp), where the oracle takes -phi_N.  The
+    # two points lie 2 |sin(phi_N)| apart on the circle, and there
+    # d(a, b)/dphi is (c r, s r) in size (r = |b| / s), so the pair moves
+    # by that gap times |b| / tan(dt) in a and times |b| in b, plus rounding
+    phi = phi[:n]
+    mirrored = (walk_power_symbol(branch_momenta(phi, "minus"), dt,
+                                  n_steps),
+                propagator_symbol(branch_momenta(p[:n], "minus"), t))
+    minus = (walk_power_entries(phi, dt, n_steps, "minus"),
+             propagator_entries(ring_momenta(n, dt, "minus"), t, "minus"))
+    for walk, pair, entries in zip((True, False), mirrored, minus):
+        keep = np.arange(n) != (n // 2 if walk and n % 2 == 0 else n)
+        for k, (got, want) in enumerate(zip(su2_entries(*pair), entries)):
+            assert np.array_equal(got[keep], want[keep])
+            if not keep.all():
+                slope = 1.0 / np.tan(dt) if k in (0, 3) else 1.0
+                gap = 2.0 * abs(np.sin(phi[n // 2]) * pair[1][n // 2]) \
+                    * slope
+                err = abs(got[n // 2] - want[n // 2])
+                assert err <= 1.01 * gap + 2 * EPS, (k, err, gap)
 
 
 @pytest.mark.parametrize("branch", ["plus", "minus"])
@@ -133,9 +185,9 @@ def test_ring_evolution_memory_per_site():
     # ring (nu 2.5, dt 0.005, n = 10^5), measured on a second call
     state = build_initial_state(WalkInitConfig(nu=2.5, dt=0.005))
     n = 100_000
-    for run, bound in ((lambda: evolve(state, n), 177.0),
+    for run, bound in ((lambda: evolve(state, n), 129.0),
                        (lambda: evolve_exact_on_lattice(state, n * state.dt),
-                        113.0)):
+                        97.0)):
         run()  # FFT plans and caches built outside
         tracemalloc.start()
         try:

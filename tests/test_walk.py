@@ -162,9 +162,22 @@ def test_lattice_state_refuses_dt_not_finite_and_positive(dt):
         single_site("plus", dt=dt)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf),
+                                 complex(np.nan, 1.0)])
+@pytest.mark.parametrize("name", ["a_plus", "a_minus"])
+def test_lattice_state_refuses_nonfinite_amplitude(name, bad):
+    # a NaN or inf amplitude is refused where a state is made, so
+    # compare_densities and empirical_moment never see one
+    amp = {"a_plus": np.full(5, 0.2 + 0j), "a_minus": np.full(5, 0.2 + 0j)}
+    amp[name][3] = bad
+    with pytest.raises(ValueError, match=f"{name} is not finite at site 1$"):
+        LatticeState(dt=0.1, m_min=-2, **amp)
+
+
 def test_unit_norm_gate_refuses_nan():
-    # NaN compares False with everything, so a gate must fail unless the
-    # drift is <= its budget
+    # arrays can still be mutated after construction, so the gates refuse
+    # what __post_init__ never saw.  NaN compares False with everything,
+    # so a gate must fail unless the drift is <= its budget
     state = single_site("plus")
     state.a_plus[0] = np.nan
     with pytest.raises(NumericalHealthError, match="norm off by nan"):
