@@ -259,7 +259,7 @@ def limit_density_mass(y1: float, y2: float, nu: float) -> float:
     """
     if not nu > 0:
         raise ValueError("nu must be positive")
-    if y1 > y2:
+    if not y1 <= y2:  # NaN fails it
         raise ValueError("need y1 <= y2")
     a, b = max(y1, -1.0), min(y2, 1.0)
     if a >= b:

@@ -54,17 +54,6 @@ def require_ring_fits(n_sites):
     return n_sites
 
 
-BRANCHES = ("plus", "minus")
-
-
-def branch_sign(branch: str) -> float:
-    """+1 for the "plus" helicity branch, -1 for "minus"; any other name
-    is refused, so this is the one branch check of the package."""
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}")
-    return 1.0 if branch == "plus" else -1.0
-
-
 def require_finite(name, value):
     """Reject NaN/inf inputs up front (they poison every closed form)."""
     arr = np.asarray(value)

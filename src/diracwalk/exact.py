@@ -11,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TOL, NumericalHealthError, require_finite
-from .spectral import (_evolve_on_ring, branch_momenta, propagator_symbol,
-                       ring_length, ring_modes)
+from .spectral import (_evolve_on_ring, propagator_symbol, ring_length,
+                       ring_modes)
 from .spinor import u_plus_effective
-from .walk import LatticeState, position_distribution
+from .walk import LatticeState, for_branch, position_distribution
 
 _MARGIN_SITES = 128  # ring padding past the light cone, in sites
 
@@ -24,11 +24,12 @@ def energy_leakage(state: LatticeState, branch: str = "plus") -> float:
 
     The exact propagator commutes with the projector, so leakage is a
     conserved diagnostic of exact evolution and a splitting-error gauge
-    for the walk.
+    for the walk.  A "minus" state's is the "plus" leakage of its mirror.
     """
     if not np.isfinite(state.norm_sq()):
         raise NumericalHealthError("state is not finite: a NaN or inf "
                                    "amplitude")
+    state = for_branch(state, branch)
     n = ring_length(state.n_sites + 16)
     ring = ring_modes(state, n)
     p = 2.0 * np.pi * np.fft.fftfreq(n, d=state.dt)
@@ -41,14 +42,13 @@ def energy_leakage(state: LatticeState, branch: str = "plus") -> float:
             f"spectral weight {w:.3e} within 10% of the Nyquist momentum; "
             "the lattice is too coarse for this state"
         )
-    w = u_plus_effective(branch_momenta(p, branch))
+    w = u_plus_effective(p)
     overlap = np.conj(w[0]) * ring[0] + np.conj(w[1]) * ring[1]
     kept = float(np.sum(np.abs(overlap) ** 2))
     return 1.0 - kept / norm_sq
 
 
-def evolve_exact_on_lattice(state: LatticeState, t: float,
-                            branch: str = "plus") -> LatticeState:
+def evolve_exact_on_lattice(state: LatticeState, t: float) -> LatticeState:
     """Exact evolution of lattice data, returned on the widened lattice window.
 
     The ring is padded past the light cone (speed <= 1) so wrap-around
@@ -56,8 +56,8 @@ def evolve_exact_on_lattice(state: LatticeState, t: float,
     """
     require_finite("t", t)
     n_cone = int(np.ceil(abs(t) / state.dt))
-    return _evolve_on_ring(state, lambda n: propagator_symbol(branch_momenta(
-        2.0 * np.pi * np.fft.fftfreq(n, d=state.dt), branch), t),
+    return _evolve_on_ring(state, lambda n: propagator_symbol(
+        2.0 * np.pi * np.fft.fftfreq(n, d=state.dt), t),
         n_cone + _MARGIN_SITES)
 
 

@@ -8,9 +8,11 @@ the entangled position-space coefficients
     c+(x) =      (1/sqrt(2 pi)) Int W+(p) f(p) exp(i p x) dp
     c-(x) = (i/sqrt(2 pi)) Int W-(p) f(p) exp(i p x) dp
 
-(the "minus" helicity branch swaps the two weights), which are then sampled
-at the walk's lattice sites x = m*dt, scaled by sqrt(dt) and renormalized
-to an exact unit norm.
+of the "plus" helicity branch, which are then sampled at the walk's lattice
+sites x = m*dt, scaled by sqrt(dt) and renormalized to an exact unit norm.
+The "minus" branch swaps the two weights, and W-(p) = W+(-p): its packet
+of a profile f is the site mirror of the "plus" packet of f(-p)
+(``walk.for_branch``), the same packet's mirror for an even profile.
 
 The Fourier integrals use the trapezoid rule on the momenta 2 pi k/(L dt)
 of a ring of L sites of spacing dt; the integrands are smooth and
@@ -27,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import TOL, NumericalHealthError, branch_sign
+from .constants import TOL, NumericalHealthError
 from .spectral import ring_length
 from .spinor import energy, spinor_weights
 from .walk import LatticeState
@@ -97,14 +99,12 @@ class WalkInitConfig:
 
     nu: float
     dt: float
-    branch: str = "plus"
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        branch_sign(self.branch)
+        for name in ("nu", "dt"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {getattr(self, name)!r}")
 
 
 def _quadrature_ring(n_sites: int, h: float, x_ext: float,
@@ -117,9 +117,8 @@ def _quadrature_ring(n_sites: int, h: float, x_ext: float,
         return ring_length(max(n_sites, 2.0 * np.pi / (h * dp)))
 
 
-def position_coefficients(
-        profile: MomentumProfile, dt: float, m_max: int,
-        branch: str = "plus") -> tuple[np.ndarray, np.ndarray]:
+def position_coefficients(profile: MomentumProfile, dt: float,
+                          m_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The entangled coefficients (c+, c-) at x = m*dt, m = -m_max..m_max.
 
     The momentum step is at most min(pi/(m_max dt), p_max/400), so the
@@ -128,7 +127,6 @@ def position_coefficients(
     c+(-x) = conj(c+(x)) and c-(-x) = -conj(c-(x)) exactly for an even
     profile.
     """
-    branch_sign(branch)
     if dt > np.pi / profile.p_max:
         raise NumericalHealthError(
             f"lattice spacing {dt:.4g} aliases momenta beyond pi/dt; "
@@ -145,8 +143,6 @@ def position_coefficients(
     weights = np.zeros((2, n_ring))
     weights[:, inside] = (dp / np.sqrt(2.0 * np.pi)) * profile(p[inside]) \
         * np.stack(spinor_weights(p[inside]))
-    if branch == "minus":
-        weights = weights[::-1]
     half = np.conj(np.fft.rfft(weights, axis=1))
     ring = np.hstack([half, np.conj(half[:, n_ring - half.shape[1]:0:-1])])
     idx = np.arange(-m_max, m_max + 1) % n_ring
@@ -208,8 +204,7 @@ def build_initial_state(config: WalkInitConfig,
             stacklevel=2,
         )
     m_max = max(int(np.ceil(extent / config.dt)), 1)
-    c_plus, c_minus = position_coefficients(profile, config.dt, m_max,
-                                            config.branch)
+    c_plus, c_minus = position_coefficients(profile, config.dt, m_max)
     mag = np.maximum(np.abs(c_plus), np.abs(c_minus))
     peak = float(mag.max())
     if peak == 0.0:

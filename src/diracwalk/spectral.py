@@ -27,17 +27,15 @@ An evolution transforms the ring in place in one (2, N) buffer
   reverses time), M^n = cos(n theta) I + r K, r = sin(n theta) /
   sin(theta): a = cos(n theta) + i r t and b = r sin(dt) e^{-i phi}.
 
-Both symbols are the "plus" helicity branch's.  "minus" flips the shift:
-M-(phi) = M+(-phi), H-(p) = H+(-p) and u-(p) = u+(-p), so its mode k takes
-the "plus" value of mode -k mod N, the site mirror, an even ring's Nyquist
-mode included (``branch_momenta``, the one place "minus" is formed).
+Both symbols are the "plus" helicity branch's, the only one computed here;
+a "minus" run is the site mirror of a "plus" one (``walk.for_branch``).
 Per-mode work is embarrassingly parallel; all functions are pure.
 """
 
 import numpy as np
 
 from .constants import (MAX_RING_SITES, TOL, NumericalHealthError,
-                        branch_sign, require_ring_fits)
+                        require_ring_fits)
 from .walk import LatticeState, require_unit_norm
 
 
@@ -88,15 +86,6 @@ def ring_modes(state: LatticeState, n: int) -> np.ndarray:
     np.fft.fft(ring, axis=1, out=ring)
     ring /= np.sqrt(n)
     return ring
-
-
-def branch_momenta(q: np.ndarray, branch: str) -> np.ndarray:
-    """A ring's per-mode momenta ``q`` (p or phi) as ``branch`` reads them:
-    ``q`` itself for "plus"; for "minus" mode k takes q[-k mod n], the
-    site mirror (see the module docstring)."""
-    if branch_sign(branch) > 0:
-        return q
-    return np.roll(q[::-1], 1)  # q[-np.arange(n) % n], in one copy
 
 
 def propagator_symbol(p, t: float):
@@ -151,8 +140,7 @@ def _evolve_on_ring(state: LatticeState, symbol, grow: int) -> LatticeState:
                         a_plus=ring[0, idx], a_minus=ring[1, idx])
 
 
-def evolve(state: LatticeState, n_steps: int,
-           branch: str = "plus") -> LatticeState:
+def evolve(state: LatticeState, n_steps: int) -> LatticeState:
     """``n_steps`` walk steps in one FFT pair; a negative count runs the
     walk backwards, so ``evolve(evolve(s, n), -n)`` is s again, padded
     with 2|n| zero sites on each side.
@@ -165,17 +153,15 @@ def evolve(state: LatticeState, n_steps: int,
     never repaired: ``NumericalHealthError``); ``norm_drift`` holds the
     final drift as a 1-element array.  For n = 0 the state comes back unchanged
     with an empty drift record, as from the step-by-step loop
-    ``evolve_steps`` in ``tests/oracles.py``, this function's reference; an
-    unknown branch is refused for every n, 0 included.
+    ``evolve_steps`` in ``tests/oracles.py``, this function's reference.
     """
-    branch_sign(branch)
     require_unit_norm(state)
     if n_steps == 0:
         return LatticeState(state.dt, state.m_min, state.a_plus.copy(),
                             state.a_minus.copy(), norm_drift=np.empty(0))
     grow = abs(n_steps)
-    out = _evolve_on_ring(state, lambda n: walk_power_symbol(branch_momenta(
-        -2.0 * np.pi * np.fft.fftfreq(n), branch), state.dt, n_steps), grow)
+    out = _evolve_on_ring(state, lambda n: walk_power_symbol(
+        -2.0 * np.pi * np.fft.fftfreq(n), state.dt, n_steps), grow)
     occupied = np.flatnonzero((state.a_plus != 0) | (state.a_minus != 0))
     # with no nonzero site the initial norm check has already failed
     for amp in (out.a_plus, out.a_minus):

@@ -3,8 +3,9 @@
 The walker lives on the lattice sites m (integer), at x = m*dt; the coin is
 the 2-dimensional spin space.  ``spectral.evolve`` runs the walk; the
 coin/shift step loop it is checked against is in ``tests/oracles.py``.
-States are values; independent evolutions share nothing and may run
-concurrently.
+Every run is the "plus" helicity branch's; ``for_branch`` mirrors one into
+the "minus" branch.  States are values; independent evolutions share
+nothing and may run concurrently.
 """
 
 from dataclasses import dataclass, field, replace
@@ -61,6 +62,28 @@ class LatticeState:
 
     def copy(self) -> "LatticeState":
         return replace(self, a_plus=self.a_plus.copy(), a_minus=self.a_minus.copy())
+
+    def mirrored(self) -> "LatticeState":
+        """The site mirror m -> -m, spin components and ``norm_drift`` kept,
+        in C-contiguous copies: numpy's abs rounds a reversed view
+        differently, and a mirrored density must be the mirror bit for bit."""
+        return replace(self, m_min=1 - self.m_min - self.n_sites,
+                       a_plus=self.a_plus[::-1].copy(),
+                       a_minus=self.a_minus[::-1].copy())
+
+
+def for_branch(state: LatticeState, branch: str) -> LatticeState:
+    """A "plus" branch state or run as ``branch`` has it: itself for "plus",
+    its site mirror for "minus"; any other name is refused.  The -1/2
+    branch is the parity image of the +1/2 one, M-(phi) = M+(-phi),
+    H-(p) = H+(-p) and u-(p) = u+(-p), so its run of a state is the
+    mirrored "plus" run of the mirrored state.  The one place a branch
+    name is read."""
+    if branch == "plus":
+        return state
+    if branch != "minus":
+        raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
+    return state.mirrored()
 
 
 def require_unit_norm(state: LatticeState) -> None:

@@ -1,8 +1,9 @@
 """Reference implementations that the tests hold the package to: the slow
 paths the fast ones replaced, the four-entry, branch-taking symbols that
-the (a, b) pairs of ``spectral`` replaced, the 4-spinor layer that the
-2-spinor reduction of ``spinor`` rests on, the limit law by quadrature,
-and a reader of the CSV files."""
+the (a, b) pairs of ``spectral`` replaced, with the "minus" branch's own
+runs on them (the package forms "minus" by one site mirror), the 4-spinor
+layer that the 2-spinor reduction of ``spinor`` rests on, the limit law by
+quadrature, and a reader of the CSV files."""
 
 import warnings
 from contextlib import contextmanager
@@ -16,8 +17,7 @@ from scipy import integrate, optimize
 from diracwalk import exact, spectral
 from diracwalk.asymptotic import (SpectralCoefficients, _check_dt,
                                   _eigen_weights)
-from diracwalk.constants import (TOL, NumericalHealthError, branch_sign,
-                                 require_finite)
+from diracwalk.constants import TOL, NumericalHealthError, require_finite
 from diracwalk.spectral import _dispersion, ring_buffer, ring_length
 from diracwalk.spinor import energy, spinor_weights, u_plus_effective
 from diracwalk.table import fmt
@@ -38,6 +38,16 @@ ID2 = np.eye(2, dtype=complex)
 
 E_PLUS = np.array([1.0, 0.0], dtype=complex)
 E_MINUS = np.array([0.0, 1.0], dtype=complex)
+
+BRANCHES = ("plus", "minus")
+
+
+def branch_sign(branch: str) -> float:
+    """+1 for the "plus" helicity branch, -1 for "minus"; any other name
+    is refused."""
+    if branch not in BRANCHES:
+        raise ValueError(f"branch must be one of {BRANCHES}")
+    return 1.0 if branch == "plus" else -1.0
 
 
 def percent_csv(table) -> str:
@@ -147,12 +157,30 @@ def stacked_evolve_on_ring(state, symbol, grow: int) -> LatticeState:
     return modes_to_window(modes, state.dt, m_min, n_sites)
 
 
+def stacked_walk(state, n_steps: int, branch: str = "plus") -> LatticeState:
+    """``n_steps`` walk steps of ``branch`` on the stacked ring, with the
+    four entries of ``walk_power_entries`` at every mode's own phi: no
+    mirror, and no light-cone mask."""
+    return stacked_evolve_on_ring(state, lambda n: walk_power_entries(
+        -2.0 * np.pi * np.fft.fftfreq(n), state.dt, n_steps, branch),
+        abs(n_steps))
+
+
+def stacked_exact(state, t: float, branch: str = "plus") -> LatticeState:
+    """Exact evolution of ``branch`` for a time t on the stacked ring, with
+    the four entries of ``propagator_entries`` at ``ring_momenta``, on the
+    window of ``evolve_exact_on_lattice``."""
+    grow = int(np.ceil(abs(t) / state.dt)) + exact._MARGIN_SITES
+    return stacked_evolve_on_ring(state, lambda n: propagator_entries(
+        ring_momenta(n, state.dt, branch), t, branch), grow)
+
+
 @contextmanager
 def stacked_ring():
     """Run ``evolve`` and ``evolve_exact_on_lattice`` on the stacked ring,
     with the four entries of ``walk_power_entries`` and
-    ``propagator_entries`` (their "plus" branch, at the momenta that
-    ``branch_momenta`` gives) in place of the (a, b) pairs."""
+    ``propagator_entries`` (their "plus" branch) in place of the (a, b)
+    pairs."""
     with patch.object(spectral, "_evolve_on_ring", stacked_evolve_on_ring), \
             patch.object(spectral, "walk_power_symbol", walk_power_entries), \
             patch.object(exact, "_evolve_on_ring", stacked_evolve_on_ring), \

@@ -679,6 +679,17 @@ def test_closed_forms_refuse_nan_nu():
             call()
 
 
+@pytest.mark.parametrize("y1, y2", [(np.nan, 0.5), (-0.5, np.nan),
+                                    (np.nan, np.nan)])
+def test_limit_bounds_refuse_nan(y1, y2):
+    # a NaN bound is refused by both routes to the law, not returned as nan
+    with pytest.raises(ValueError, match="y1 <= y2"):
+        limit_density_mass(y1, y2, 2.0)
+    co = spectral_coefficients(random_state(), n_phi=512)
+    with pytest.raises(ValueError, match="y1 <= y2"):
+        limit_cdf(y1, y2, co)
+
+
 def test_limit_density_normalization():
     # substitution u = y/sqrt(1-y^2) turns the integral into a unit Gaussian
     for nu in (1.9, 2.5, 2.9):

@@ -341,6 +341,18 @@ SMALL_README_DIGESTS = [
     (("asymptotic", "--nu", "2.5", "--dt", "0.005", "--t", "5"), "asym.csv", {
         "asym.csv":
         "f2102e52f8d544ede5fea9e42bdd8c1fd7c0bb8931614c2c8a60480d00542d2d"}),
+    (("walk", "--branch", "minus", "--nu", "2.5", "--dt", "0.005", "--t",
+      "1"), "minus.csv", {
+        "minus.csv":
+        "a1f3426452fc27cfd35c8a144430e0176b1859f4ddf6fb1ea38ca9a64ef8c592"}),
+    (("exact", "--branch", "minus", "--nu", "2.5", "--dt", "0.005", "--t",
+      "1"), "exact_minus.csv", {
+        "exact_minus.csv":
+        "9964260ba05ae79a1dd09019f19dc9a21df6a3674b016469f170d4963a689142"}),
+    (("asymptotic", "--branch", "minus", "--nu", "2.5", "--dt", "0.005",
+      "--t", "5"), "asym_minus.csv", {
+        "asym_minus.csv":
+        "33f62b510db5d29885f37d35c9c9349ab782876975180d96d336262f8951f752"}),
     (("figure1",), "figure1.svg", {
         "figure1.csv":
         "0d3f7706bf6aa34ec8952e9471bc2b2d58735bdb9fd2bd2e0903aafba3a85c74",
@@ -355,6 +367,32 @@ def test_small_readme_outputs_keep_their_bytes(tmp_path):
         for name, digest in digests.items():
             data = (tmp_path / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("command, t", [("walk", "1"), ("exact", "1"),
+                                        ("asymptotic", "5")])
+def test_minus_rows_are_the_plus_rows_mirrored(tmp_path, command, t):
+    # bit for bit: positions (site, x or y) negated, rows reversed, every
+    # density column equal
+    rows = {}
+    for branch in ("plus", "minus"):
+        out = tmp_path / f"{branch}.csv"
+        assert run_cli(command, "--branch", branch, "--nu", "2.5", "--dt",
+                       "0.005", "--t", t, "--out", str(out)) == 0
+        text = out.read_text().splitlines()
+        columns = next(line for line in text if not line.startswith("#"))
+        rows[branch] = [line.split(",") for line in
+                        text[text.index(columns) + 1:]]
+    columns = columns.split(",")
+    assert columns[0] in ("site", "y")
+    mirrored = rows["minus"][::-1]
+    assert len(mirrored) == len(rows["plus"]) > 1
+    for got, want in zip(mirrored, rows["plus"]):
+        for col, g, w in zip(columns, got, want):
+            if col in ("site", "x", "y"):
+                assert float(g) == -float(w), (col, g, w)
+            else:
+                assert g == w, (col, g, w)
 
 
 def test_module_entry_point(tmp_path):

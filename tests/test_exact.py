@@ -7,11 +7,12 @@ from scipy.linalg import expm
 from diracwalk import (LatticeState, NumericalHealthError, WalkInitConfig,
                        build_initial_state, compare_densities,
                        energy_leakage, evolve, evolve_exact_on_lattice,
-                       propagator_symbol, u_plus_effective)
+                       for_branch, propagator_symbol, u_plus_effective)
 from diracwalk.spectral import ring_length
 from oracles import (evolve_steps, hamiltonian_matrix, modes_to_window,
                      random_phase_state, ring_momenta, stacked_energy_leakage,
-                     stacked_ring, stacked_symbol, su2_entries, unitary_modes)
+                     stacked_exact, stacked_ring, stacked_symbol,
+                     stacked_walk, su2_entries, unitary_modes)
 
 
 def propagator_matrix(p, t):
@@ -122,26 +123,30 @@ def test_evolve_exact_time_zero_and_reversal():
                                                (10.0, 0.002, 3000, "plus"),
                                                (2.0, 0.05, -37, "minus")])
 def test_ring_in_one_buffer_matches_stacked_oracle(nu, dt, n, branch):
-    # the in-place ring keeps every bit of the stacked one
-    state = build_initial_state(WalkInitConfig(nu=nu, dt=dt, branch=branch))
-    got = [evolve(state, n, branch), evolve_exact_on_lattice(state, n * dt,
-                                                             branch)]
+    # the in-place ring keeps every bit of the stacked one, and a "minus"
+    # run (the mirrored "plus" run) with it
+    state = for_branch(build_initial_state(WalkInitConfig(nu=nu, dt=dt)),
+                       branch)
+
+    def runs():
+        return [for_branch(run(for_branch(state, branch), arg), branch)
+                for run, arg in ((evolve, n),
+                                 (evolve_exact_on_lattice, n * dt))]
+    got = runs()
     with stacked_ring():
-        want = [evolve(state, n, branch),
-                evolve_exact_on_lattice(state, n * dt, branch)]
+        want = runs()
     for g, w in zip(got, want):
         assert (g.m_min, g.n_sites) == (w.m_min, w.n_sites)
         assert np.array_equal(g.a_plus, w.a_plus)
         assert np.array_equal(g.a_minus, w.a_minus)
     assert np.array_equal(got[0].norm_drift, want[0].norm_drift)
     for s in [state] + got:
-        assert energy_leakage(s, branch) == stacked_energy_leakage(s, branch)
-
-
-def site_mirror(state) -> LatticeState:
-    """The state with site m moved to -m."""
-    return LatticeState(dt=state.dt, m_min=1 - state.m_min - state.n_sites,
-                        a_plus=state.a_plus[::-1], a_minus=state.a_minus[::-1])
+        assert energy_leakage(s, branch) == stacked_energy_leakage(
+            for_branch(s, branch))
+        # the oracle's own "minus" leakage, u-(p) on the unmirrored ring:
+        # 1 - kept/norm, rounded apart by at most 2 eps (measured)
+        assert abs(energy_leakage(s, branch) - stacked_energy_leakage(
+            s, branch)) <= 4 * np.finfo(float).eps
 
 
 @settings(max_examples=200, deadline=None)
@@ -151,13 +156,18 @@ def site_mirror(state) -> LatticeState:
        st.integers(-300, 300), st.floats(-2.0, 2.0))
 def test_minus_branch_is_the_site_mirror_of_plus(n_sites, m_min, seed, dt,
                                                  n, t):
-    # M-(phi) = M+(-phi) and H-(p) = H+(-p): on any state, the "minus" run
-    # is the mirror image of the "plus" run on the mirrored state, an even
-    # ring's Nyquist mode included
+    # M-(phi) = M+(-phi) and H-(p) = H+(-p): on any state, the mirrored
+    # "plus" run of the mirrored state is the oracle's own "minus" run,
+    # the stacked ring with the four-entry "minus" symbols (an even ring's
+    # Nyquist mode included), and for n >= 0 the "minus" step loop
     state = random_phase_state(n_sites, m_min, dt, seed)
-    for run, arg in ((evolve, n), (evolve_exact_on_lattice, t)):
-        got = run(state, arg, "minus")
-        want = site_mirror(run(site_mirror(state), arg, "plus"))
+    pairs = [(evolve, stacked_walk, n),
+             (evolve_exact_on_lattice, stacked_exact, t)]
+    if n >= 0:
+        pairs.append((evolve, evolve_steps, n))
+    for run, oracle, arg in pairs:
+        got = for_branch(run(for_branch(state, "minus"), arg), "minus")
+        want = oracle(state, arg, "minus")
         assert (got.m_min, got.n_sites) == (want.m_min, want.n_sites)
         assert np.abs(got.a_plus - want.a_plus).max() < 1e-12
         assert np.abs(got.a_minus - want.a_minus).max() < 1e-12
@@ -176,10 +186,16 @@ def test_exact_evolution_group_law(nu, dt, branch, t1, t2):
     # package's wavepackets: on white-spectrum random_phase_state states
     # the cone + 128-site window cuts off up to 2.8e-4 of the norm, and
     # the law misses by up to 1.2e-2 (a FOUND line in CHANGES.md)
-    state = build_initial_state(WalkInitConfig(nu=nu, dt=dt, branch=branch))
-    once = evolve_exact_on_lattice(state, t1 + t2, branch)
-    twice = evolve_exact_on_lattice(
-        evolve_exact_on_lattice(state, t1, branch), t2, branch)
+    # the "minus" evolution is the mirrored "plus" one, on the mirrored
+    # packet
+    state = for_branch(build_initial_state(WalkInitConfig(nu=nu, dt=dt)),
+                       branch)
+
+    def run(s, t):
+        return for_branch(evolve_exact_on_lattice(for_branch(s, branch), t),
+                          branch)
+    once = run(state, t1 + t2)
+    twice = run(run(state, t1), t2)
     lo = once.m_min - twice.m_min
     for got, want in ((twice.a_plus, once.a_plus),
                       (twice.a_minus, once.a_minus)):
@@ -201,8 +217,9 @@ def test_leakage_refuses_nan_state():
     state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.05))
     for bad in (np.nan, np.inf):
         state.a_minus[state.n_sites // 2] = bad
-        with pytest.raises(NumericalHealthError, match="not finite"):
-            energy_leakage(state)
+        for branch in ("plus", "minus"):
+            with pytest.raises(NumericalHealthError, match="not finite"):
+                energy_leakage(state, branch)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
@@ -220,20 +237,24 @@ def test_exact_evolution_preserves_positive_energy():
 
 
 def test_fresh_state_leakage_negligible_both_branches():
+    # the "minus" packet is the mirrored "plus" packet; the oracle's
+    # leakage takes it on its own "minus" ring, with u-(p)
     for branch in ("plus", "minus"):
-        state = build_initial_state(WalkInitConfig(nu=1.5, dt=0.02,
-                                                   branch=branch))
+        state = for_branch(build_initial_state(
+            WalkInitConfig(nu=1.5, dt=0.02)), branch)
         assert energy_leakage(state, branch) < 1e-8
+        assert stacked_energy_leakage(state, branch) < 1e-8
 
 
 def test_leakage_rejects_unknown_branch():
     state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.05))
     with pytest.raises(ValueError, match="branch"):
         energy_leakage(state, "minsu")
-    # the walk refuses it too, also for n = 0, where no step is taken
+    # a walk's output refuses it too, also for n = 0, where no step is
+    # taken
     for n in (0, 1, -1):
         with pytest.raises(ValueError, match="branch"):
-            evolve(state, n, "minsu")
+            for_branch(evolve(state, n), "minsu")
     for n in (0, 1):
         with pytest.raises(ValueError, match="branch"):
             evolve_steps(state, n, "minsu")

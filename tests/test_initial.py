@@ -5,7 +5,7 @@ from scipy import integrate
 
 from diracwalk import (TOL, NumericalHealthError, Tolerances,
                        WalkInitConfig, build_initial_state, energy,
-                       gaussian_profile, initial,
+                       for_branch, gaussian_profile, initial,
                        position_coefficients, spinor_weights)
 from diracwalk.initial import MomentumProfile, require_initial_state_fits
 
@@ -15,7 +15,7 @@ def direct_sum_coefficients(profile, dt, m_max):
     p = dp*[-n, n], dp = min(pi/(m_max dt), p_max/400), summed directly at
     every site x = m*dt, m = -m_max..m_max, in blocks, O(n_p * n_x).
     Returns the plus-branch sums of W+ f and W- f; c+ is the first, c- is
-    i times the second, and the minus branch swaps them."""
+    i times the second, and the minus branch swaps the weights."""
     x_grid = dt * np.arange(-m_max, m_max + 1)
     dp = min(np.pi / max(m_max * dt, dt), profile.p_max / 400.0)
     n_half = int(np.ceil(profile.p_max / dp))
@@ -128,9 +128,9 @@ def test_coefficients_hermitian_symmetry():
     for nu, dt in ((2.0, 0.02), (10.0, 0.002), (1.0, 0.05)):
         m_max = sites_for(dt, require_initial_state_fits(
             WalkInitConfig(nu=nu, dt=dt)))
-        for branch in ("plus", "minus"):
-            cp, cm = position_coefficients(gaussian_profile(nu), dt, m_max,
-                                           branch)
+        plus = position_coefficients(gaussian_profile(nu), dt, m_max)
+        # the "minus" coefficients are the site mirror of the "plus" ones
+        for cp, cm in (plus, (plus[0][::-1], plus[1][::-1])):
             assert np.array_equal(cp[::-1], np.conj(cp))
             assert np.array_equal(cm[::-1], -np.conj(cm))
 
@@ -150,9 +150,10 @@ def test_coefficients_half_norm_split_large_nu():
 def test_branch_swap_exchanges_weights():
     prof = gaussian_profile(1.5)
     m_max = sites_for(0.05, 38.0)
-    plus = position_coefficients(prof, 0.05, m_max, branch="plus")
-    minus = position_coefficients(prof, 0.05, m_max, branch="minus")
-    # minus branch uses the swapped spin weights: c+^- = -i c-^+, c-^- = i c+^+
+    plus = position_coefficients(prof, 0.05, m_max)
+    minus = plus[0][::-1], plus[1][::-1]
+    # the site mirror of the plus coefficients has the swapped spin weights
+    # of the minus branch: c+^- = -i c-^+, c-^- = i c+^+
     assert np.abs(minus[0] - (-1j) * plus[1]).max() < 1e-13
     assert np.abs(minus[1] - 1j * plus[0]).max() < 1e-13
 
@@ -206,9 +207,21 @@ def test_walk_init_config_validation():
         WalkInitConfig(nu=-1.0, dt=0.1)
     with pytest.raises(ValueError):
         WalkInitConfig(nu=1.0, dt=0.0)
-    with pytest.raises(ValueError):
-        WalkInitConfig(nu=1.0, dt=0.1, branch="sideways")
+    with pytest.raises(ValueError, match="branch"):
+        for_branch(build_initial_state(WalkInitConfig(nu=2.0, dt=0.05)),
+                   "sideways")
     WalkInitConfig(nu=1.0, dt=5e-324)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["nu", "dt"])
+def test_walk_init_config_refuses_nonfinite(name, bad):
+    # refused where the config is made, before build_initial_state sizes
+    # anything from it
+    values = {"nu": 1.0, "dt": 0.1, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be finite and "
+                       "positive"):
+        WalkInitConfig(**values)
 
 
 def test_mean_energy_warning_regime():
@@ -223,9 +236,11 @@ def test_fft_coefficients_match_direct_sum(nu, dt):
     m_max = sites_for(dt, 36.0)
     s_up, s_dn = direct_sum_coefficients(prof, dt, m_max)
     peak = np.max(np.maximum(np.abs(s_up), np.abs(s_dn)))
-    for branch, want_plus, want_minus in (("plus", s_up, 1j * s_dn),
-                                          ("minus", s_dn, 1j * s_up)):
-        c_plus, c_minus = position_coefficients(prof, dt, m_max, branch)
+    plus = position_coefficients(prof, dt, m_max)
+    # "minus" is the mirrored "plus" pair, against the swapped weights
+    for (c_plus, c_minus), want_plus, want_minus in (
+            (plus, s_up, 1j * s_dn),
+            ((plus[0][::-1], plus[1][::-1]), s_dn, 1j * s_up)):
         assert np.abs(c_plus - want_plus).max() < 1e-13 * peak
         assert np.abs(c_minus - want_minus).max() < 1e-13 * peak
 

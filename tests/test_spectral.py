@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
 from diracwalk import (WalkInitConfig, build_initial_state, evolve,
-                       evolve_exact_on_lattice, propagator_symbol,
-                       walk_power_symbol)
+                       evolve_exact_on_lattice, for_branch,
+                       propagator_symbol, walk_power_symbol)
 from diracwalk.constants import MAX_RING_SITES
-from diracwalk.spectral import branch_momenta, ring_length
+from diracwalk.spectral import ring_length
 from oracles import (evolve_steps, propagator_entries, random_phase_state,
                      ring_momenta, stacked_ring, su2_entries,
                      walk_power_entries, walk_symbol_matrix)
@@ -89,16 +89,17 @@ def test_pairs_are_the_four_entry_symbols(n, dt, n_steps, t, extra):
         a, b = pair
         unitarity = np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0).max()
         assert unitarity <= 5 * np.finfo(float).eps
-    # "minus" at the mirrored mode is the oracle's "minus" symbol on the
+    # the site mirror moves ring mode -k mod n to mode k, so the "plus"
+    # pair at the mirrored mode is the oracle's "minus" symbol on the
     # oracle's "minus" ring, except at the walk's Nyquist mode: the mirror
     # keeps its phi_N (pi to a few ulp), where the oracle takes -phi_N.  The
     # two points lie 2 |sin(phi_N)| apart on the circle, and there
     # d(a, b)/dphi is (c r, s r) in size (r = |b| / s), so the pair moves
     # by that gap times |b| / tan(dt) in a and times |b| in b, plus rounding
+    mode = -np.arange(n) % n
     phi = phi[:n]
-    mirrored = (walk_power_symbol(branch_momenta(phi, "minus"), dt,
-                                  n_steps),
-                propagator_symbol(branch_momenta(p[:n], "minus"), t))
+    mirrored = (walk_power_symbol(phi[mode], dt, n_steps),
+                propagator_symbol(p[:n][mode], t))
     minus = (walk_power_entries(phi, dt, n_steps, "minus"),
              propagator_entries(ring_momenta(n, dt, "minus"), t, "minus"))
     for walk, pair, entries in zip((True, False), mirrored, minus):
@@ -119,8 +120,11 @@ def test_pairs_are_the_four_entry_symbols(n, dt, n_steps, t, extra):
                                        (1.0, 0.02, 100),
                                        (2.0, 0.05, 200)])
 def test_evolve_matches_step_loop(nu, dt, n, branch):
-    state = build_initial_state(WalkInitConfig(nu=nu, dt=dt, branch=branch))
-    fast = evolve(state, n, branch)
+    # "minus": the mirrored "plus" run of the mirrored packet against the
+    # "minus" step loop on the packet
+    state = for_branch(build_initial_state(WalkInitConfig(nu=nu, dt=dt)),
+                       branch)
+    fast = for_branch(evolve(for_branch(state, branch), n), branch)
     oracle = evolve_steps(state, n, branch)
     assert (fast.m_min, fast.n_sites) == (oracle.m_min, oracle.n_sites)
     err = max(np.abs(fast.a_plus - oracle.a_plus).max(),
@@ -147,10 +151,14 @@ def max_diff(state, other, lo: int = 0) -> float:
 def test_ring_evolution_properties(n_sites, m_min, seed, dt, n, more,
                                    branch):
     state = random_phase_state(n_sites, m_min, dt, seed)
-    fast = evolve(state, n, branch)
+
+    def run(s, steps):
+        # a "minus" run is the mirrored "plus" run of the mirrored state
+        return for_branch(evolve(for_branch(s, branch), steps), branch)
+    fast = run(state, n)
     # bit for bit the stacked ring
     with stacked_ring():
-        slow = evolve(state, n, branch)
+        slow = run(state, n)
     assert (fast.m_min, fast.n_sites) == (slow.m_min, slow.n_sites)
     assert np.array_equal(fast.a_plus, slow.a_plus)
     assert np.array_equal(fast.a_minus, slow.a_minus)
@@ -161,8 +169,8 @@ def test_ring_evolution_properties(n_sites, m_min, seed, dt, n, more,
         assert (fast.m_min, fast.n_sites) == (loop.m_min, loop.n_sites)
         assert max_diff(loop, fast) < 1e-12
     # the group law, on the sites of the narrower window
-    once = evolve(state, n + more, branch)
-    twice = evolve(fast, more, branch)
+    once = run(state, n + more)
+    twice = run(fast, more)
     assert max_diff(once, twice, once.m_min - twice.m_min) < 1e-12
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from diracwalk import (LatticeState, NumericalHealthError, Tolerances,
                        WalkInitConfig, build_initial_state, empirical_moment,
-                       evolve, position_distribution, spectral)
+                       evolve, for_branch, position_distribution, spectral)
 from diracwalk.walk import require_unit_norm
 from oracles import coin_matrix, coin_step, evolve_steps, shift_step, step
 
@@ -135,7 +135,8 @@ def test_evolve_records_drift_and_stays_unitary():
 def test_evolve_steps_is_bitwise_the_step_chain(branch):
     # the in-place loop against the allocating reference: `step` n times,
     # with the drift taken from norm_sq after each step
-    state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.05, branch=branch))
+    state = for_branch(build_initial_state(WalkInitConfig(nu=2.0, dt=0.05)),
+                       branch)
     n = 150
     ref, drift = state, []
     for _ in range(n):
@@ -229,26 +230,51 @@ def test_reversibility():
 
 def test_branch_mirror_hermitian_even_input():
     # for inputs with conj(a[-m]) = a[m] the minus branch equals the
-    # parity-reflected plus branch on the same input
+    # parity-reflected plus branch on the same input: the mirrored "plus"
+    # run of the mirrored input, and the "minus" step loop, both
     m = np.arange(-30, 31)
     a = np.exp(-m ** 2 / 80.0)
     b = 0.4 * np.exp(-m ** 2 / 50.0)
     norm = np.sqrt(np.sum(a ** 2 + b ** 2))
     swapped = LatticeState(dt=0.3, m_min=-30, a_plus=b / norm,
                            a_minus=a / norm)
-    p_minus = position_distribution(evolve(swapped, 40, branch="minus"))
-    p_plus = position_distribution(evolve(swapped, 40, branch="plus"))
-    assert np.abs(p_minus - p_plus[::-1]).max() < 1e-12
+    p_plus = position_distribution(evolve(swapped, 40))
+    for minus in (for_branch(evolve(swapped.mirrored(), 40), "minus"),
+                  evolve_steps(swapped, 40, "minus")):
+        p_minus = position_distribution(minus)
+        assert np.abs(p_minus - p_plus[::-1]).max() < 1e-12
 
 
 def test_branch_mirror_helicity_pair():
-    # the helicity-minus packet evolved with the minus branch mirrors the
-    # helicity-plus packet evolved with the plus branch
-    sp = build_initial_state(WalkInitConfig(nu=2.0, dt=0.02, branch="plus"))
-    sm = build_initial_state(WalkInitConfig(nu=2.0, dt=0.02, branch="minus"))
-    p_plus = position_distribution(evolve(sp, 120, branch="plus"))
-    p_minus = position_distribution(evolve(sm, 120, branch="minus"))
+    # the helicity-minus packet (the mirrored plus packet) evolved with the
+    # "minus" step loop mirrors the helicity-plus packet evolved with the
+    # plus branch
+    sp = build_initial_state(WalkInitConfig(nu=2.0, dt=0.02))
+    sm = for_branch(sp, "minus")
+    p_plus = position_distribution(evolve(sp, 120))
+    p_minus = position_distribution(evolve_steps(sm, 120, "minus"))
     assert np.abs(p_minus - p_plus[::-1]).max() < 1e-12
+
+
+def test_mirrored_is_a_contiguous_site_mirror():
+    # site m moves to -m in new C-contiguous arrays, so the mirrored
+    # density is the reversed density bit for bit; numpy's abs rounds a
+    # reversed view differently (8.1e-20 off on this prob column)
+    state = evolve(build_initial_state(WalkInitConfig(nu=2.5, dt=0.005)),
+                   10_000)
+    mirror = state.mirrored()
+    assert np.array_equal(mirror.sites, -state.sites[::-1])
+    assert mirror.dt == state.dt and mirror.norm_drift is state.norm_drift
+    for got, amp in ((mirror.a_plus, state.a_plus),
+                     (mirror.a_minus, state.a_minus)):
+        assert got.flags.c_contiguous and not np.shares_memory(got, amp)
+        assert np.array_equal(got, amp[::-1])
+    assert np.array_equal(position_distribution(mirror),
+                          position_distribution(state)[::-1])
+    twice = mirror.mirrored()
+    assert twice.m_min == state.m_min
+    assert np.array_equal(twice.a_plus, state.a_plus)
+    assert np.array_equal(twice.a_minus, state.a_minus)
 
 
 def test_fiber_sites_stay_integral():
