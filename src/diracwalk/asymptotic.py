@@ -188,11 +188,12 @@ def spectral_coefficients(state: LatticeState,
         g- = (beta A + alpha C) / sqrt(dt),
 
     with A = sum_m a+[m] e^{i m phi} and C = -i e^{i phi} sum_m a-[m]
-    e^{i m phi}: the factor e^{i phi} moves a- one site on, so both are
-    one unnormalized inverse DFT of the state's ring (``spectral.
-    ring_buffer``), read from ring index phi n_phi / (2 pi) mod n_phi.  The
-    grid must resolve the state's trigonometric degree: at least one point
-    per occupied site (default 8x, rounded up to an FFT-friendly size).
+    e^{i m phi}: the factor e^{i phi} moves a- one site on (-i scales its
+    transform in place), so both are one unnormalized inverse DFT of the
+    state's ring (``spectral.ring_buffer``), read from ring index phi n_phi
+    / (2 pi) mod n_phi.  The grid must resolve the state's trigonometric
+    degree: at least one point per occupied site (default 8x, rounded up to
+    an FFT-friendly size).
     """
     if n_phi is None:
         n_phi = ring_length(max(8 * state.n_sites, 4096))
@@ -206,9 +207,9 @@ def spectral_coefficients(state: LatticeState,
     root_dt = np.sqrt(state.dt)
     alpha /= root_dt
     beta /= root_dt
-    ring = ring_buffer(state, n, minus_row=-1j * state.a_minus,
-                       minus_shift=1)
+    ring = ring_buffer(state, n, minus_shift=1)
     np.fft.ifft(ring, axis=1, norm="forward", out=ring)
+    ring[1] *= -1j
     g_plus, g_minus = np.empty((2, n), dtype=complex)
     # phi >= 0 is ring index k = 0, 1, ...; phi < 0 the ring's tail, at
     # the weights of -phi with alpha and beta swapped

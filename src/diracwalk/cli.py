@@ -1,9 +1,9 @@
 """Command-line orchestration: walk | exact | compare | asymptotic | figure1.
 
-Every command resolves its parameters (JSON config file, overridden by
-flags), runs deterministically (no randomness, fixed iteration orders) and
-writes CSV/SVG outputs whose bytes depend only on the resolved config.
-Wall-clock timing goes to stdout, never into the files.
+Every command resolves the inputs it reads, and no other (``_COMMANDS``;
+a JSON config file, overridden by flags), runs deterministically (fixed
+iteration orders) and writes CSV/SVG outputs whose bytes depend only on
+the resolved config.  Wall-clock timing goes to stdout, never the files.
 
 Exit status: 0 success, 1 usage error, 2 numerical-health failure
 (unitarity drift, aliasing, quadrature trouble).
@@ -31,6 +31,7 @@ from .walk import empirical_moment, for_branch, position_distribution
 
 FIGURE1_NUS = (1.9, 2.5, 2.9)
 BRANCHES = ("plus", "minus")
+_HORN_BOXCAR = 41  # sites of the histogram smoothing before a horn's peak
 
 
 class UsageError(Exception):
@@ -106,7 +107,7 @@ class RunConfig:
             require_initial_state_fits(WalkInitConfig(nu=self.nu, dt=dt))
 
 
-def _load_config(path) -> dict:
+def _load_config(path, command: str) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -115,24 +116,22 @@ def _load_config(path) -> dict:
     if not isinstance(data, dict):
         raise UsageError(f"config {path} must hold a JSON object, got "
                          f"{json.dumps(data)[:40]}")
-    allowed = {"nu", "dt", "t", "branch", "out", "dt_list"}
-    unknown = set(data) - allowed
+    keys = _COMMANDS[command][1]
+    unknown = [key for key in data if key not in keys]
     if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        raise UsageError(f"{command} reads no config key {unknown} (it "
+                         f"reads {', '.join(keys)})")
     return data
 
 
 def _resolve(args) -> RunConfig:
     cfg = RunConfig(command=args.command)
-    if getattr(args, "config", None):
-        for key, val in _load_config(args.config).items():
+    if args.config:
+        for key, val in _load_config(args.config, args.command).items():
             setattr(cfg, key, val)
-    for key in ("nu", "dt", "t", "branch", "out"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    if getattr(args, "dt_list", None):
-        cfg.dt_list = args.dt_list
+    for key in _COMMANDS[args.command][1]:
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
     cfg.validate()
     return cfg
 
@@ -164,6 +163,7 @@ def _density_table(state, meta) -> ResultTable:
 
 
 def cmd_walk(cfg: RunConfig) -> ResultTable:
+    """evolve the lattice walk and emit the position density"""
     state = _initial_state(cfg)
     final = for_branch(evolve(state, cfg.n_steps), cfg.branch)
     table = _density_table(final, _echo(cfg))
@@ -173,6 +173,7 @@ def cmd_walk(cfg: RunConfig) -> ResultTable:
 
 
 def cmd_exact(cfg: RunConfig) -> ResultTable:
+    """evolve with the exact propagator on the same lattice"""
     state = _initial_state(cfg)
     final = for_branch(evolve_exact_on_lattice(state, cfg.t_realized),
                        cfg.branch)
@@ -180,6 +181,7 @@ def cmd_exact(cfg: RunConfig) -> ResultTable:
 
 
 def cmd_compare(cfg: RunConfig) -> ResultTable:
+    """walk-vs-exact distances over a list of dt values"""
     if len(cfg.dt_list) < 2:
         raise UsageError("compare needs --dt-list with at least two values")
     if any(b >= a for a, b in zip(cfg.dt_list, cfg.dt_list[1:])):
@@ -207,9 +209,9 @@ def cmd_compare(cfg: RunConfig) -> ResultTable:
     return table
 
 
-def _horn_from_histogram(y, prob, side: int, width: int = 41) -> float:
+def _horn_from_histogram(y, prob, side: int) -> float:
     """Peak of the (boxcar-smoothed) histogram on one side of the origin."""
-    kernel = np.ones(width) / width
+    kernel = np.ones(_HORN_BOXCAR) / _HORN_BOXCAR
     smooth = np.convolve(prob, kernel, mode="same")
     mask = (side * y > 0.1) & (np.abs(y) < 1.0)
     if not mask.any():
@@ -218,6 +220,7 @@ def _horn_from_histogram(y, prob, side: int, width: int = 41) -> float:
 
 
 def cmd_asymptotic(cfg: RunConfig) -> ResultTable:
+    """scaled-position histogram against the limit density"""
     n = cfg.n_steps
     if n < 1000:
         print(f"warning: n = {n} < 1000 steps; the scaled distribution is "
@@ -249,6 +252,7 @@ def cmd_asymptotic(cfg: RunConfig) -> ResultTable:
 
 
 def cmd_figure1(cfg: RunConfig) -> ResultTable:
+    """emit the closed-form density curves (CSV + SVG)"""
     zeta = 2e-3
     y = np.linspace(-1.0 + zeta, 1.0 - zeta, 2001)
     table = ResultTable(
@@ -291,43 +295,44 @@ def _write_outputs(cfg: RunConfig, table: ResultTable) -> list[str]:
     return written
 
 
+# the flag of each input; a command takes the inputs of its row below
+_FLAGS = {
+    "nu": dict(type=float, help="localization parameter"),
+    "dt": dict(type=float, help="time step = lattice spacing"),
+    "t": dict(type=float, help="total evolution time"),
+    "branch": dict(choices=BRANCHES, help="helicity branch"),
+    "dt_list": dict(help="comma-separated, strictly decreasing dt values"),
+    "out": dict(help="output path (CSV; figure1 also SVG)"),
+}
+_RUN = ("nu", "dt", "t", "branch", "out")
+
+# command: (its function, whose docstring is its help, and the inputs it
+# reads, as flags and as --config keys); any other is a usage error
 _COMMANDS = {
-    "walk": cmd_walk,
-    "exact": cmd_exact,
-    "compare": cmd_compare,
-    "asymptotic": cmd_asymptotic,
-    "figure1": cmd_figure1,
+    "walk": (cmd_walk, _RUN),
+    "exact": (cmd_exact, _RUN),
+    "compare": (cmd_compare, ("nu", "t", "dt_list", "out")),
+    "asymptotic": (cmd_asymptotic, _RUN),
+    "figure1": (cmd_figure1, ("out",)),
 }
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="diracwalk",
+    # no abbreviations: compare would read --dt as --dt-list
+    parser = _Parser(prog="diracwalk", allow_abbrev=False,
                      description="Dirac wavepackets as a quantum walk")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("walk", "evolve the lattice walk and emit the position density"),
-        ("exact", "evolve with the exact propagator on the same lattice"),
-        ("compare", "walk-vs-exact distances over a list of dt values"),
-        ("asymptotic", "scaled-position histogram against the limit density"),
-        ("figure1", "emit the closed-form density curves (CSV + SVG)"),
-    ):
-        p = sub.add_parser(name, help=helptext)
+    for name, (command, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file (flags override)")
-        p.add_argument("--out", help="output path (CSV; figure1 also SVG)")
-        if name != "figure1":
-            p.add_argument("--nu", type=float, help="localization parameter")
-            p.add_argument("--dt", type=float, help="time step = lattice spacing")
-            p.add_argument("--t", type=float, help="total evolution time")
-            p.add_argument("--branch", choices=BRANCHES,
-                           help="helicity branch")
-        if name == "compare":
-            p.add_argument("--dt-list", dest="dt_list",
-                           help="comma-separated, strictly decreasing dt values")
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           **_FLAGS[key])
     return parser
 
 
-_PARSER = build_parser()  # parse_args gives a fresh Namespace per call
+_PARSER = build_parser()  # each parse gives a fresh Namespace
 
 
 def _show_warning(message, category, filename, lineno, file=None,
@@ -338,12 +343,14 @@ def _show_warning(message, category, filename, lineno, file=None,
 def main(argv=None) -> int:
     started = time.perf_counter()
     try:
-        args = _PARSER.parse_args(argv)
+        args, extra = _PARSER.parse_known_args(argv)
+        if extra:
+            raise UsageError(f"{args.command} takes no {' '.join(extra)}")
         cfg = _resolve(args)
         with warnings.catch_warnings():
             warnings.simplefilter("always")
             warnings.showwarning = _show_warning
-            table = _COMMANDS[cfg.command](cfg)
+            table = _COMMANDS[cfg.command][0](cfg)
         written = _write_outputs(cfg, table)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,9 +1,9 @@
 """Positive-energy, definite-helicity initial wavepackets.
 
-Pipeline: a normalized momentum profile f(p) (the Gaussian family
-``f_nu(p) = exp(-p^2 / 2 nu^2) / sqrt(nu sqrt(pi))`` is the canonical
-instance) is combined with the effective spinor weights W+-(p) to produce
-the entangled position-space coefficients
+Pipeline: a normalized momentum profile f(p) (any, in
+``position_coefficients``; the Gaussian ``f_nu(p) = exp(-p^2 / 2 nu^2) /
+sqrt(nu sqrt(pi))`` in ``build_initial_state``) is combined with the
+effective spinor weights W+-(p) to produce the entangled coefficients
 
     c+(x) =      (1/sqrt(2 pi)) Int W+(p) f(p) exp(i p x) dp
     c-(x) = (i/sqrt(2 pi)) Int W-(p) f(p) exp(i p x) dp
@@ -149,20 +149,17 @@ def position_coefficients(profile: MomentumProfile, dt: float,
     return ring[0, idx], 1.0j * ring[1, idx]
 
 
-def require_initial_state_fits(config: WalkInitConfig,
-                               p_max: float | None = None) -> float:
+def require_initial_state_fits(config: WalkInitConfig) -> float:
     """Preflight of ``build_initial_state``, from floats alone: refuse a
     quadrature ring beyond ``MAX_RING_SITES`` before anything is computed,
     and return the extent of the site window.
 
     The ring is sized at the lattice spacing dt, or at pi/p_max when dt is
-    too coarse to resolve the momentum cutoff p_max (the Gaussian cutoff of
-    ``config.nu`` by default): if even that ring is over budget, no lattice
-    can hold the state, and the run is refused rather than left to fail
-    the aliasing check.
+    too coarse to resolve the Gaussian cutoff p_max of ``config.nu``: if
+    even that ring is over budget, no lattice can hold the state, and the
+    run is refused rather than left to fail the aliasing check.
     """
-    if p_max is None:
-        p_max = gaussian_cutoff(config.nu)
+    p_max = gaussian_cutoff(config.nu)
     efolds = np.log(1.0 / TOL.window_rel)
     extent = efolds + np.sqrt(2.0 * efolds) / config.nu
     h = min(config.dt, np.pi / p_max)
@@ -177,8 +174,7 @@ def require_initial_state_fits(config: WalkInitConfig,
     return extent
 
 
-def build_initial_state(config: WalkInitConfig,
-                        profile: MomentumProfile | None = None) -> LatticeState:
+def build_initial_state(config: WalkInitConfig) -> LatticeState:
     """Full construction: Gaussian profile -> c+-(m*dt) -> lattice state.
 
     The sites m = -m_max..m_max cover |x| <= ln(1/w) + sqrt(2 ln(1/w))/nu
@@ -192,10 +188,8 @@ def build_initial_state(config: WalkInitConfig,
     renormalized to an exact unit norm (the sqrt(dt) sampling is only
     asymptotically normalized).
     """
-    extent = require_initial_state_fits(
-        config, None if profile is None else profile.p_max)
-    if profile is None:
-        profile = gaussian_profile(config.nu)
+    extent = require_initial_state_fits(config)
+    profile = gaussian_profile(config.nu)
     e0 = profile.mean(energy)  # the mean energy E0 >= 1
     if config.dt * e0 > 0.1:
         warnings.warn(

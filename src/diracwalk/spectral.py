@@ -60,12 +60,12 @@ def ring_length(n_sites) -> int:
     return int(_FAST_LENGTHS[np.searchsorted(_FAST_LENGTHS, n_sites)])
 
 
-def ring_buffer(state: LatticeState, n: int, minus_row=None,
+def ring_buffer(state: LatticeState, n: int,
                 minus_shift: int = 0) -> np.ndarray:
     """The (2, n) ring of a lattice state before its transform: a+[m] at
-    index m mod n, and a-[m] (or ``minus_row[m - m_min]``) at index
-    (m + minus_shift) mod n.  Refused above ``MAX_RING_SITES`` or below
-    ``state.n_sites``; callers size n with ``ring_length``."""
+    index m mod n, and a-[m] at index (m + minus_shift) mod n.  Refused
+    above ``MAX_RING_SITES`` or below ``state.n_sites``; callers size n
+    with ``ring_length``."""
     require_ring_fits(n)
     if n < state.n_sites:
         raise ValueError(f"a ring of {n} sites cannot resolve a state "
@@ -75,7 +75,7 @@ def ring_buffer(state: LatticeState, n: int, minus_row=None,
     buf[0, idx] = state.a_plus
     if minus_shift:
         idx = np.mod(idx + minus_shift, n)
-    buf[1, idx] = state.a_minus if minus_row is None else minus_row
+    buf[1, idx] = state.a_minus
     return buf
 
 

@@ -13,10 +13,11 @@ _COLORS = ("#1f6fb2", "#c94f30", "#3c8a4d", "#7d4f9b", "#b0822b")
 
 _W, _H = 760, 500
 _ML, _MR, _MT, _MB = 70, 20, 40, 55
+_TICK_TARGET = 6  # ticks per axis, roughly
 
 
-def _ticks(lo: float, hi: float, target: int = 6):
-    raw = (hi - lo) / target
+def _ticks(lo: float, hi: float):
+    raw = (hi - lo) / _TICK_TARGET
     if not raw > 0:  # an empty span, or one whose share underflows to 0
         return [lo]
     mag = 10.0 ** np.floor(np.log10(raw))

@@ -60,9 +60,6 @@ class LatticeState:
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.a_plus) ** 2 + np.abs(self.a_minus) ** 2))
 
-    def copy(self) -> "LatticeState":
-        return replace(self, a_plus=self.a_plus.copy(), a_minus=self.a_minus.copy())
-
     def mirrored(self) -> "LatticeState":
         """The site mirror m -> -m, spin components and ``norm_drift`` kept,
         in C-contiguous copies: numpy's abs rounds a reversed view

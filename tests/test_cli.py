@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import diracwalk
-from diracwalk.cli import _PARSER, main
+from diracwalk.cli import _PARSER, UsageError, _load_config, main
 from diracwalk.constants import MAX_RING_SITES
 from oracles import read_csv
 
@@ -446,19 +447,106 @@ def test_config_dt_list_forms(tmp_path, dt_list):
     {"branch": "sideways"}, {"branch": 3},
 ])
 def test_config_bad_values_exit_one(tmp_path, capsys, bad):
+    # dt_list is compare's input, the others walk's: each bad value is
+    # refused by its value check, window_rel as a key no command reads
+    command, base = ("compare", {"nu": 1.0, "t": 0.5}) if "dt_list" in bad \
+        else ("walk", {"nu": 2.0, "dt": 0.05, "t": 0.5})
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"nu": 2.0, "dt": 0.05, "t": 0.5, **bad}))
-    assert run_cli("walk", "--config", str(cfg)) == 1
+    cfg.write_text(json.dumps({**base, **bad}))
+    assert run_cli(command, "--config", str(cfg)) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.count("\n") == 1
+    assert ("reads no config key" in err) == ("window_rel" in bad)
 
 
 @pytest.mark.parametrize("branch", ["sideways", 3])
 def test_figure1_config_bad_branch_exits_one(tmp_path, capsys, branch):
-    # figure1 runs no initial state, so the config check is the only
-    # place its branch is refused
+    # figure1 reads no branch: the key is refused whatever its value
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"branch": branch}))
     assert run_cli("figure1", "--config", str(cfg)) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+# the inputs each command reads, as flags and as --config keys; --config
+# itself is a flag of every command
+READS = {
+    "walk": {"nu", "dt", "t", "branch", "out"},
+    "exact": {"nu", "dt", "t", "branch", "out"},
+    "asymptotic": {"nu", "dt", "t", "branch", "out"},
+    "compare": {"nu", "t", "dt_list", "out"},
+    "figure1": {"out"},
+}
+# a run's inputs and another value of each that changes its output
+BASE = {"nu": 2.0, "dt": 0.05, "t": 0.5, "branch": "plus",
+        "dt_list": "0.04,0.02"}
+OTHER = {"nu": 2.5, "dt": 0.04, "t": 0.4, "branch": "minus",
+         "dt_list": "0.05,0.02"}
+
+
+def subparser(command):
+    action = next(a for a in _PARSER._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices[command]
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_each_command_takes_the_inputs_it_reads(tmp_path, command):
+    flags = {s for a in subparser(command)._actions for s in a.option_strings}
+    assert flags == {"-h", "--help", "--config"} | {
+        "--" + key.replace("_", "-") for key in READS[command]}
+    for key in ("nu", "dt", "t", "branch", "dt_list", "out", "config"):
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({key: OTHER.get(key, "x.csv")}))
+        if key in READS[command]:
+            assert set(_load_config(str(cfg), command)) == {key}
+        else:
+            with pytest.raises(UsageError, match=rf"{command} .*'{key}'"):
+                _load_config(str(cfg), command)
+
+
+@pytest.mark.parametrize("command", sorted(set(READS) - {"figure1"}))
+def test_every_input_a_command_takes_changes_its_output(tmp_path, command):
+    def output(**changed):
+        out = tmp_path / "out.csv"
+        argv = [command, "--out", str(out)]
+        for key in READS[command] - {"out"}:
+            argv += ["--" + key.replace("_", "-"),
+                     str({**BASE, **changed}[key])]
+        assert run_cli(*argv) == 0
+        return out.read_bytes()
+
+    base = output()
+    for key in READS[command] - {"out"}:
+        assert output(**{key: OTHER[key]}) != base, key
+
+
+@pytest.mark.parametrize("args, config", [
+    (("compare", "--nu", "1", "--t", "0.5", "--dt-list", "0.04,0.02",
+      "--dt", "0.5"), None),
+    (("compare", "--nu", "1", "--t", "0.5", "--dt-list", "0.04,0.02",
+      "--branch", "minus"), None),
+    (("figure1",), {"nu": 2}),
+    (("figure1",), {"t": -1}),
+    (("walk", "--nu", "2", "--dt", "0.05", "--t", "0.5"),
+     {"dt_list": [0.9, 0.1]}),
+    (("walk", "--nu", "2", "--dt", "0.05", "--t", "0.5", "--br", "minus"),
+     None),
+], ids=["compare-dt", "compare-branch", "figure1-nu", "figure1-t",
+        "walk-dt_list", "walk-abbreviated-flag"])
+def test_inputs_a_command_does_not_read_exit_one(tmp_path, capsys, args,
+                                                 config):
+    out = tmp_path / "out.svg"
+    argv = [*args, "--out", str(out)]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert "Traceback" not in err and args[0] in err
+    assert (" ".join(args[-2:]) if config is None
+            else repr(next(iter(config)))) in err
+    assert [p.name for p in tmp_path.iterdir()] == \
+        ([] if config is None else ["cfg.json"])

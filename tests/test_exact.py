@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,7 +273,9 @@ def test_walk_leakage_decreases_with_dt():
 
 def test_compare_densities_identical_states():
     state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.05))
-    rep = compare_densities(state, state.copy())
+    copy = replace(state, a_plus=state.a_plus.copy(),
+                   a_minus=state.a_minus.copy())
+    rep = compare_densities(state, copy)
     assert rep.l1 == 0.0 and rep.l2 == 0.0 and rep.sup == 0.0
 
 

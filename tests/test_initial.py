@@ -165,10 +165,11 @@ def test_aliasing_rejected():
         position_coefficients(prof, too_coarse, 100)
 
 
-def test_build_rejects_empty_window():
+def test_build_rejects_empty_window(monkeypatch):
     zero = MomentumProfile(f=np.zeros_like, p_max=10.0)
+    monkeypatch.setattr(initial, "gaussian_profile", lambda nu: zero)
     with pytest.raises(ValueError, match="empty"):
-        build_initial_state(WalkInitConfig(nu=1.0, dt=0.1), profile=zero)
+        build_initial_state(WalkInitConfig(nu=1.0, dt=0.1))
 
 
 def test_built_state_unit_norm():
@@ -190,8 +191,7 @@ def test_normalization_chain():
     # profile norm 1 -> coefficient norm 1 (1e-8) -> lattice norm exact
     prof = gaussian_profile(1.2)
     assert abs(quad_norm(prof) - 1.0) < 1e-10
-    cfg = WalkInitConfig(nu=1.2, dt=0.02)
-    state = build_initial_state(cfg, profile=prof)
+    state = build_initial_state(WalkInitConfig(nu=1.2, dt=0.02))
     assert state.norm_sq() == pytest.approx(1.0, abs=1e-13)
 
 

@@ -1,6 +1,8 @@
 """``src/diracwalk`` holds what the pipeline runs: every top-level function,
 class and constant is used by other package code or by the benchmark in
-``perfbench/``.  Code that only tests call belongs in ``tests/oracles.py``."""
+``perfbench/``, and every defaulted parameter is passed by a call there.
+Code that only tests call belongs in ``tests/oracles.py``, and a default
+that only tests change is a constant."""
 
 import ast
 from pathlib import Path
@@ -61,3 +63,65 @@ def test_src_defines_only_what_the_pipeline_uses():
             unused.append(f"{path.name}: {name}")
     assert not unused, "defined in src/ but used only by tests (move them " \
         "to tests/oracles.py): " + ", ".join(unused)
+
+
+# defaulted parameters that no call in src/ or perfbench/ passes, and why
+# each stays
+UNPASSED_BY_DESIGN = {
+    ("spectral_coefficients", "n_phi"):
+        "the README's accuracy table and the convergence tests vary it",
+    ("_show_warning", "file"): "warnings.showwarning's signature has it",
+    ("_show_warning", "line"): "warnings.showwarning's signature has it",
+}
+
+
+def defaulted_parameters(tree):
+    """(function, parameter, position) of each parameter with a default;
+    the position counts from the first argument a call passes (after self
+    or cls), and is None for a keyword-only parameter."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        spec = node.args
+        positional = spec.posonlyargs + spec.args
+        bound = int(bool(positional) and positional[0].arg in ("self", "cls"))
+        first = len(positional) - len(spec.defaults)
+        for pos in range(first, len(positional)):
+            yield node.name, positional[pos].arg, pos - bound
+        for arg, default in zip(spec.kwonlyargs, spec.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def passed_parameters(trees):
+    """Per called name, the positions (or "*" for a starred argument) and
+    keywords (or "**") that some call passes."""
+    passed = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            seen = passed.setdefault(name, set())
+            for pos, arg in enumerate(node.args):
+                seen.add("*" if isinstance(arg, ast.Starred) else pos)
+            seen.update(kw.arg or "**" for kw in node.keywords)
+    return passed
+
+
+def test_src_sets_every_default_it_defines():
+    trees = {path: ast.parse(path.read_text()) for path in SRC + PERFBENCH}
+    passed = passed_parameters(trees.values())
+    unpassed = []
+    for path in SRC:
+        for func, param, pos in defaulted_parameters(trees[path]):
+            seen = passed.get(func, set())
+            if (func, param) in UNPASSED_BY_DESIGN or param in seen \
+                    or "**" in seen or (pos is not None
+                                        and (pos in seen or "*" in seen)):
+                continue
+            unpassed.append(f"{path.name}: {func}({param}=)")
+    assert not unpassed, "defaulted parameters that only tests set (make " \
+        "them constants, or drop them): " + ", ".join(unpassed)
