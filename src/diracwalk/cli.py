@@ -7,10 +7,16 @@ the resolved config.  Wall-clock timing goes to stdout, never the files.
 
 Exit status: 0 success, 1 usage error, 2 numerical-health failure
 (unitarity drift, aliasing, quadrature trouble).
+
+``main`` also sets its process's heap policy, once, on glibc
+(``_keep_freed_pages``); importing the package sets nothing.
 """
 
 import argparse
+import ctypes
+import functools
 import json
+import os
 import sys
 import time
 import warnings
@@ -32,6 +38,11 @@ from .walk import empirical_moment, for_branch, position_distribution
 FIGURE1_NUS = (1.9, 2.5, 2.9)
 BRANCHES = ("plus", "minus")
 _HORN_BOXCAR = 41  # sites of the histogram smoothing before a horn's peak
+# glibc's mallopt parameters M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, and the
+# values main pins them to: 32 MiB is the highest mmap threshold glibc's
+# own dynamic rule reaches on 64-bit, and that rule keeps the trim
+# threshold at twice the mmap threshold
+_MALLOPT = ((-3, 32 << 20), (-1, 64 << 20))
 
 
 class UsageError(Exception):
@@ -209,10 +220,8 @@ def cmd_compare(cfg: RunConfig) -> ResultTable:
     return table
 
 
-def _horn_from_histogram(y, prob, side: int) -> float:
-    """Peak of the (boxcar-smoothed) histogram on one side of the origin."""
-    kernel = np.ones(_HORN_BOXCAR) / _HORN_BOXCAR
-    smooth = np.convolve(prob, kernel, mode="same")
+def _horn_from_histogram(y, smooth, side: int) -> float:
+    """Peak of the smoothed histogram on one side of the origin."""
     mask = (side * y > 0.1) & (np.abs(y) < 1.0)
     if not mask.any():
         return float("nan")
@@ -246,8 +255,10 @@ def cmd_asymptotic(cfg: RunConfig) -> ResultTable:
         meta[f"moment{k}_empirical"] = empirical_moment(final, k) / scale
         meta[f"moment{k}_limit"] = limit_moment(k, cfg.nu)
     meta["horn_analytic"] = horn_location(cfg.nu)
-    meta["horn_empirical_right"] = _horn_from_histogram(y, prob, +1)
-    meta["horn_empirical_left"] = -_horn_from_histogram(y, prob, -1)
+    smooth = np.convolve(prob, np.ones(_HORN_BOXCAR) / _HORN_BOXCAR,
+                         mode="same")
+    meta["horn_empirical_right"] = _horn_from_histogram(y, smooth, +1)
+    meta["horn_empirical_left"] = -_horn_from_histogram(y, smooth, -1)
     return table
 
 
@@ -340,8 +351,32 @@ def _show_warning(message, category, filename, lineno, file=None,
     print(f"warning: {message}", file=sys.stderr)
 
 
+@functools.cache
+def _keep_freed_pages() -> bool:
+    """Pin glibc's mmap and trim thresholds (``_MALLOPT``) for the rest of
+    the process, once; return whether glibc took both.
+
+    Under glibc's dynamic policy the MB-sized rings of every route are
+    mapped and unmapped, or trimmed, between calls, and each reuse faults
+    their pages in again; with the thresholds pinned the process keeps the
+    pages it frees.  Off glibc, or if the lookup or a call fails, nothing
+    is set.  Allocation never changes a computed value, so outputs keep
+    their bytes either way.  ``main`` calls it, never an import: the
+    policy belongs to the program's process, not to the library."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError, ValueError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return all(mallopt(param, value) for param, value in _MALLOPT)
+
+
 def main(argv=None) -> int:
     started = time.perf_counter()
+    _keep_freed_pages()
     try:
         args, extra = _PARSER.parse_known_args(argv)
         if extra:

@@ -1,17 +1,21 @@
 import argparse
+import ctypes
 import hashlib
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 import diracwalk
+from diracwalk import cli
 from diracwalk.cli import _PARSER, UsageError, _load_config, main
 from diracwalk.constants import MAX_RING_SITES
 from oracles import read_csv
@@ -362,12 +366,16 @@ SMALL_README_DIGESTS = [
 ]
 
 
-def test_small_readme_outputs_keep_their_bytes(tmp_path):
+def assert_small_readme_digests(tmp_path):
     for args, out, digests in SMALL_README_DIGESTS:
         assert run_cli(*args, "--out", str(tmp_path / out)) == 0
         for name, digest in digests.items():
             data = (tmp_path / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+def test_small_readme_outputs_keep_their_bytes(tmp_path):
+    assert_small_readme_digests(tmp_path)
 
 
 @pytest.mark.parametrize("command, t", [("walk", "1"), ("exact", "1"),
@@ -408,17 +416,115 @@ def test_module_entry_point(tmp_path):
     assert "done in" in proc.stdout
 
 
-def test_cli_imports_no_scipy():
-    # the runtime needs numpy alone; scipy is a test-only oracle
-    code = ("import sys, diracwalk.cli; print(sorted(m for m in "
-            "sys.modules if m.split('.')[0] == 'scipy'))")
+def run_python(code) -> str:
+    """stdout of ``code`` run in a fresh interpreter on this diracwalk."""
     src = os.path.dirname(os.path.dirname(diracwalk.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_imports_no_scipy():
+    # the runtime needs numpy alone; scipy is a test-only oracle
+    code = ("import sys, diracwalk.cli; print(sorted(m for m in "
+            "sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run_python(code) == "[]"
+
+
+GLIBC = pytest.mark.skipif(
+    not (sys.platform.startswith("linux")
+         and platform.libc_ver()[0] == "glibc"),
+    reason="the allocator policy is glibc's mallopt")
+
+
+@GLIBC
+def test_main_pins_the_allocator_once_and_import_never():
+    # a stand-in libc counts the mallopt calls: none on import, glibc's
+    # M_MMAP_THRESHOLD (-3) at 32 MiB and M_TRIM_THRESHOLD (-1) at 64 MiB
+    # on the first main, nothing on the second
+    code = """if True:
+        import contextlib, ctypes, io, types
+        import numpy  # imported on the real ctypes
+        calls = []
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+        ctypes.CDLL = lambda name: types.SimpleNamespace(mallopt=mallopt)
+        import diracwalk, diracwalk.cli
+        counts = [len(calls)]
+        for _ in range(2):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert diracwalk.cli.main(["figure1"]) == 0
+            counts.append(len(calls))
+        print(counts, calls)
+    """
+    assert run_python(code) == \
+        "[0, 2, 2] [(-3, 33554432), (-1, 67108864)]"
+
+
+def _no_mallopt(name):
+    return types.SimpleNamespace()
+
+
+def _cdll_raises(name):
+    raise OSError("no such library")
+
+
+def _mallopt_refuses(name):
+    def mallopt(param, value):
+        return 0
+    return types.SimpleNamespace(mallopt=mallopt)
+
+
+@pytest.fixture
+def fresh_allocator_policy():
+    cli._keep_freed_pages.cache_clear()
+    yield
+    cli._keep_freed_pages.cache_clear()
+
+
+@pytest.mark.parametrize("cdll", [_no_mallopt, _cdll_raises,
+                                  _mallopt_refuses, None])
+def test_allocator_lookup_failure_changes_nothing(tmp_path, monkeypatch,
+                                                  fresh_allocator_policy,
+                                                  cdll):
+    # no symbol, a lookup that raises, a call glibc refuses, or no glibc
+    # (None: CS_GNU_LIBC_VERSION unknown): main sets nothing and writes
+    # the pinned bytes
+    if cdll is None:
+        def confstr(name):
+            raise ValueError("unrecognized configuration name")
+        monkeypatch.setattr(os, "confstr", confstr, raising=False)
+    else:
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert_small_readme_digests(tmp_path)
+    assert cli._keep_freed_pages() is False
+
+
+@GLIBC
+def test_repeated_run_faults_no_pages():
+    # a walk on a 15,435-site ring, run twice in one process: the second
+    # run reuses the pages the first freed.  Under glibc's dynamic
+    # thresholds the second run took 1,640 minor faults on an x86-64 Linux
+    # host (glibc 2.36); with the thresholds pinned, 0 or 1
+    code = """if True:
+        import contextlib, io, os, resource
+        from diracwalk import cli
+        argv = ["walk", "--nu", "2.5", "--dt", "0.005", "--t", "10",
+                "--out", os.devnull]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert cli.main(argv) == 0
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        print(cli._keep_freed_pages(), after - before)
+    """
+    pinned, faults = run_python(code).split()
+    assert pinned == "True"
+    assert int(faults) < 100
 
 
 def test_config_numbers_as_strings(tmp_path):
