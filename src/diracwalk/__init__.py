@@ -10,8 +10,7 @@ from .constants import TOL, NumericalHealthError, Tolerances
 from .spinor import energy, spinor_weights, u_plus_effective
 from .initial import (MomentumProfile, WalkInitConfig, build_initial_state,
                       gaussian_profile, position_coefficients)
-from .walk import (LatticeState, empirical_moment, for_branch,
-                   position_distribution)
+from .walk import LatticeState, empirical_moment, position_distribution
 from .spectral import evolve, propagator_symbol, walk_power_symbol
 from .exact import (ComparisonReport, compare_densities, energy_leakage,
                     evolve_exact_on_lattice)

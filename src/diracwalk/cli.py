@@ -33,10 +33,9 @@ from .initial import (WalkInitConfig, build_initial_state,
 from .spectral import evolve
 from .svgplot import write_svg
 from .table import ResultTable
-from .walk import empirical_moment, for_branch, position_distribution
+from .walk import empirical_moment, position_distribution
 
 FIGURE1_NUS = (1.9, 2.5, 2.9)
-BRANCHES = ("plus", "minus")
 _HORN_BOXCAR = 41  # sites of the histogram smoothing before a horn's peak
 # glibc's mallopt parameters M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, and the
 # values main pins them to: 32 MiB is the highest mmap threshold glibc's
@@ -73,7 +72,6 @@ class RunConfig:
     nu: float = 2.5
     dt: float = 0.01
     t: float = 10.0
-    branch: str = "plus"
     out: str | None = None
     dt_list: list = field(default_factory=list)
 
@@ -99,9 +97,6 @@ class RunConfig:
             raise UsageError(f"out must be a path string, got {self.out!r}")
         if self.nu <= 0 or self.dt <= 0 or self.t < 0:
             raise UsageError("nu and dt must be positive, t non-negative")
-        if self.branch not in BRANCHES:
-            raise UsageError(f"branch must be one of {BRANCHES}, got "
-                             f"{self.branch!r}")
         if self.command == "figure1":
             return
         # ranges, from floats and before any work: every dt of the run
@@ -156,7 +151,8 @@ def _echo(cfg: RunConfig) -> dict:
         "t_requested": cfg.t,
         "n_steps": cfg.n_steps,
         "t_realized": cfg.t_realized,
-        "branch": cfg.branch,
+        # constants: the packet's helicity, and a fiber offset no input sets
+        "branch": "plus",
         "x0": 0.0,
     }
 
@@ -176,7 +172,7 @@ def _density_table(state, meta) -> ResultTable:
 def cmd_walk(cfg: RunConfig) -> ResultTable:
     """evolve the lattice walk and emit the position density"""
     state = _initial_state(cfg)
-    final = for_branch(evolve(state, cfg.n_steps), cfg.branch)
+    final = evolve(state, cfg.n_steps)
     table = _density_table(final, _echo(cfg))
     table.metadata["norm_drift_max"] = float(final.norm_drift.max()) \
         if final.norm_drift.size else 0.0
@@ -186,8 +182,7 @@ def cmd_walk(cfg: RunConfig) -> ResultTable:
 def cmd_exact(cfg: RunConfig) -> ResultTable:
     """evolve with the exact propagator on the same lattice"""
     state = _initial_state(cfg)
-    final = for_branch(evolve_exact_on_lattice(state, cfg.t_realized),
-                       cfg.branch)
+    final = evolve_exact_on_lattice(state, cfg.t_realized)
     return _density_table(final, _echo(cfg))
 
 
@@ -205,8 +200,6 @@ def cmd_compare(cfg: RunConfig) -> ResultTable:
         metadata=meta,
     )
     for dt in cfg.dt_list:
-        # distances and leakage are parity invariant: the "plus" numbers
-        # hold for both branches
         sub = RunConfig(command="walk", nu=cfg.nu, dt=dt, t=cfg.t)
         state = _initial_state(sub)
         walked = evolve(state, sub.n_steps)
@@ -235,7 +228,7 @@ def cmd_asymptotic(cfg: RunConfig) -> ResultTable:
         print(f"warning: n = {n} < 1000 steps; the scaled distribution is "
               "far from its limit", file=sys.stderr)
     state = _initial_state(cfg)
-    final = for_branch(evolve(state, n), cfg.branch)
+    final = evolve(state, n)
     prob = position_distribution(final)
     y = final.sites / n
     density = np.zeros_like(y)
@@ -311,11 +304,10 @@ _FLAGS = {
     "nu": dict(type=float, help="localization parameter"),
     "dt": dict(type=float, help="time step = lattice spacing"),
     "t": dict(type=float, help="total evolution time"),
-    "branch": dict(choices=BRANCHES, help="helicity branch"),
     "dt_list": dict(help="comma-separated, strictly decreasing dt values"),
     "out": dict(help="output path (CSV; figure1 also SVG)"),
 }
-_RUN = ("nu", "dt", "t", "branch", "out")
+_RUN = ("nu", "dt", "t", "out")
 
 # command: (its function, whose docstring is its help, and the inputs it
 # reads, as flags and as --config keys); any other is a usage error

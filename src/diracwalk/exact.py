@@ -14,7 +14,7 @@ from .constants import TOL, NumericalHealthError, require_finite
 from .spectral import (_evolve_on_ring, propagator_symbol, ring_length,
                        ring_modes)
 from .spinor import u_plus_effective
-from .walk import LatticeState, for_branch, position_distribution
+from .walk import LatticeState, position_distribution
 
 _MARGIN_SITES = 128  # ring padding past the light cone, in sites
 
@@ -24,12 +24,16 @@ def energy_leakage(state: LatticeState, branch: str = "plus") -> float:
 
     The exact propagator commutes with the projector, so leakage is a
     conserved diagnostic of exact evolution and a splitting-error gauge
-    for the walk.  A "minus" state's is the "plus" leakage of its mirror.
+    for the walk.  ``branch`` must be "plus": it stays only for the
+    positional call ``energy_leakage(state, "plus")`` in
+    ``perfbench/workloads.py``.
     """
+    if branch != "plus":
+        raise ValueError(f"energy_leakage takes branch 'plus' only, got "
+                         f"{branch!r}")
     if not np.isfinite(state.norm_sq()):
         raise NumericalHealthError("state is not finite: a NaN or inf "
                                    "amplitude")
-    state = for_branch(state, branch)
     n = ring_length(state.n_sites + 16)
     ring = ring_modes(state, n)
     p = 2.0 * np.pi * np.fft.fftfreq(n, d=state.dt)

@@ -10,9 +10,6 @@ effective spinor weights W+-(p) to produce the entangled coefficients
 
 of the "plus" helicity branch, which are then sampled at the walk's lattice
 sites x = m*dt, scaled by sqrt(dt) and renormalized to an exact unit norm.
-The "minus" branch swaps the two weights, and W-(p) = W+(-p): its packet
-of a profile f is the site mirror of the "plus" packet of f(-p)
-(``walk.for_branch``), the same packet's mirror for an even profile.
 
 The Fourier integrals use the trapezoid rule on the momenta 2 pi k/(L dt)
 of a ring of L sites of spacing dt; the integrands are smooth and

@@ -27,8 +27,7 @@ An evolution transforms the ring in place in one (2, N) buffer
   reverses time), M^n = cos(n theta) I + r K, r = sin(n theta) /
   sin(theta): a = cos(n theta) + i r t and b = r sin(dt) e^{-i phi}.
 
-Both symbols are the "plus" helicity branch's, the only one computed here;
-a "minus" run is the site mirror of a "plus" one (``walk.for_branch``).
+Both symbols are the "plus" helicity branch's, the only one computed here.
 Per-mode work is embarrassingly parallel; all functions are pure.
 """
 

@@ -30,9 +30,7 @@ def spinor_weights(p):
 
 
 def u_plus_effective(p) -> np.ndarray:
-    """Effective 2-spinor of the helicity +1/2 branch: (W+, i W-).  The
-    -1/2 branch's, (W-, i W+), is u+(-p), so a "minus" state is the site
-    mirror of a "plus" one (``walk.for_branch``)."""
+    """Effective 2-spinor of the helicity +1/2 branch: (W+, i W-)."""
     wp, wm = spinor_weights(p)
     return np.stack([wp + 0.0j, 1.0j * wm])
 

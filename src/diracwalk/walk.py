@@ -3,12 +3,12 @@
 The walker lives on the lattice sites m (integer), at x = m*dt; the coin is
 the 2-dimensional spin space.  ``spectral.evolve`` runs the walk; the
 coin/shift step loop it is checked against is in ``tests/oracles.py``.
-Every run is the "plus" helicity branch's; ``for_branch`` mirrors one into
-the "minus" branch.  States are values; independent evolutions share
-nothing and may run concurrently.
+Every run is the "plus" helicity branch's: the packets are invariant under
+the sigma2 parity, so the "minus" branch prints the same density.  States
+are values; independent evolutions share nothing and may run concurrently.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,28 +59,6 @@ class LatticeState:
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.a_plus) ** 2 + np.abs(self.a_minus) ** 2))
-
-    def mirrored(self) -> "LatticeState":
-        """The site mirror m -> -m, spin components and ``norm_drift`` kept,
-        in C-contiguous copies: numpy's abs rounds a reversed view
-        differently, and a mirrored density must be the mirror bit for bit."""
-        return replace(self, m_min=1 - self.m_min - self.n_sites,
-                       a_plus=self.a_plus[::-1].copy(),
-                       a_minus=self.a_minus[::-1].copy())
-
-
-def for_branch(state: LatticeState, branch: str) -> LatticeState:
-    """A "plus" branch state or run as ``branch`` has it: itself for "plus",
-    its site mirror for "minus"; any other name is refused.  The -1/2
-    branch is the parity image of the +1/2 one, M-(phi) = M+(-phi),
-    H-(p) = H+(-p) and u-(p) = u+(-p), so its run of a state is the
-    mirrored "plus" run of the mirrored state.  The one place a branch
-    name is read."""
-    if branch == "plus":
-        return state
-    if branch != "minus":
-        raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    return state.mirrored()
 
 
 def require_unit_norm(state: LatticeState) -> None:

@@ -1,9 +1,10 @@
 """Reference implementations that the tests hold the package to: the slow
 paths the fast ones replaced, the four-entry, branch-taking symbols that
 the (a, b) pairs of ``spectral`` replaced, with the "minus" branch's own
-runs on them (the package forms "minus" by one site mirror), the 4-spinor
-layer that the 2-spinor reduction of ``spinor`` rests on, the limit law by
-quadrature, and a reader of the CSV files."""
+runs on them (the package computes "plus" only; ``site_mirror`` forms the
+-1/2 packet), the 4-spinor layer that the 2-spinor reduction of
+``spinor`` rests on, the limit law by quadrature, and a reader of the CSV
+files."""
 
 import warnings
 from contextlib import contextmanager
@@ -73,6 +74,32 @@ def random_phase_state(n_sites: int, m_min: int, dt: float,
         * np.exp(2j * np.pi * rng.uniform(size=(2, n_sites)))
     z /= np.sqrt(np.sum(np.abs(z) ** 2))
     return LatticeState(dt=dt, m_min=m_min, a_plus=z[0], a_minus=z[1])
+
+
+def site_mirror(state: LatticeState) -> LatticeState:
+    """The site mirror m -> -m, spin components and ``norm_drift`` kept,
+    in C-contiguous copies: numpy's abs rounds a reversed view
+    differently, and a mirrored density must be the mirror bit for bit.
+    The -1/2 branch is the parity image of the +1/2 one, M-(phi) =
+    M+(-phi), H-(p) = H+(-p) and u-(p) = u+(-p), so the mirror of a
+    "plus" run of the mirrored state is that state's "minus" run, and the
+    mirrored "plus" packet is the "minus" packet."""
+    return replace(state, m_min=1 - state.m_min - state.n_sites,
+                   a_plus=state.a_plus[::-1].copy(),
+                   a_minus=state.a_minus[::-1].copy())
+
+
+def as_branch(branch: str):
+    """The map from a "plus" state or run to ``branch``'s: none for
+    "plus", ``site_mirror`` for "minus"."""
+    return site_mirror if branch_sign(branch) < 0 else (lambda state: state)
+
+
+def sigma2_parity_defect(state: LatticeState) -> float:
+    """max |a-(m) - i a+(-m)| over a window symmetric about site 0: zero
+    for a state invariant under (Pi a)(m) = sigma2 a(-m)."""
+    assert state.m_min == 1 - state.m_min - state.n_sites, state.m_min
+    return float(np.abs(state.a_minus - 1j * state.a_plus[::-1]).max())
 
 
 def unitary_modes(state, n: int) -> np.ndarray:

@@ -5,8 +5,8 @@ from scipy import integrate
 
 from diracwalk import (TOL, NumericalHealthError, Tolerances,
                        WalkInitConfig, build_initial_state, energy,
-                       for_branch, gaussian_profile, initial,
-                       position_coefficients, spinor_weights)
+                       gaussian_profile, initial, position_coefficients,
+                       spinor_weights)
 from diracwalk.initial import MomentumProfile, require_initial_state_fits
 
 
@@ -207,9 +207,6 @@ def test_walk_init_config_validation():
         WalkInitConfig(nu=-1.0, dt=0.1)
     with pytest.raises(ValueError):
         WalkInitConfig(nu=1.0, dt=0.0)
-    with pytest.raises(ValueError, match="branch"):
-        for_branch(build_initial_state(WalkInitConfig(nu=2.0, dt=0.05)),
-                   "sideways")
     WalkInitConfig(nu=1.0, dt=5e-324)
 
 

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
 from diracwalk import (WalkInitConfig, build_initial_state, evolve,
-                       evolve_exact_on_lattice, for_branch,
-                       propagator_symbol, walk_power_symbol)
+                       evolve_exact_on_lattice, propagator_symbol,
+                       walk_power_symbol)
 from diracwalk.constants import MAX_RING_SITES
 from diracwalk.spectral import ring_length
-from oracles import (evolve_steps, propagator_entries, random_phase_state,
-                     ring_momenta, stacked_ring, su2_entries,
-                     walk_power_entries, walk_symbol_matrix)
+from oracles import (as_branch, evolve_steps, propagator_entries,
+                     random_phase_state, ring_momenta, stacked_ring,
+                     su2_entries, walk_power_entries, walk_symbol_matrix)
 
 EPS = 2.2e-16
 PHIS = (0.0, 1e-3, 0.3, np.pi / 2, 2.9, np.pi, 5.0)
@@ -122,9 +122,9 @@ def test_pairs_are_the_four_entry_symbols(n, dt, n_steps, t, extra):
 def test_evolve_matches_step_loop(nu, dt, n, branch):
     # "minus": the mirrored "plus" run of the mirrored packet against the
     # "minus" step loop on the packet
-    state = for_branch(build_initial_state(WalkInitConfig(nu=nu, dt=dt)),
-                       branch)
-    fast = for_branch(evolve(for_branch(state, branch), n), branch)
+    mirror = as_branch(branch)
+    state = mirror(build_initial_state(WalkInitConfig(nu=nu, dt=dt)))
+    fast = mirror(evolve(mirror(state), n))
     oracle = evolve_steps(state, n, branch)
     assert (fast.m_min, fast.n_sites) == (oracle.m_min, oracle.n_sites)
     err = max(np.abs(fast.a_plus - oracle.a_plus).max(),
@@ -151,10 +151,11 @@ def max_diff(state, other, lo: int = 0) -> float:
 def test_ring_evolution_properties(n_sites, m_min, seed, dt, n, more,
                                    branch):
     state = random_phase_state(n_sites, m_min, dt, seed)
+    mirror = as_branch(branch)
 
     def run(s, steps):
         # a "minus" run is the mirrored "plus" run of the mirrored state
-        return for_branch(evolve(for_branch(s, branch), steps), branch)
+        return mirror(evolve(mirror(s), steps))
     fast = run(state, n)
     # bit for bit the stacked ring
     with stacked_ring():

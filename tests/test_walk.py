@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from diracwalk import (LatticeState, NumericalHealthError, Tolerances,
                        WalkInitConfig, build_initial_state, empirical_moment,
-                       evolve, for_branch, position_distribution, spectral)
+                       evolve, position_distribution, spectral)
 from diracwalk.walk import require_unit_norm
-from oracles import coin_matrix, coin_step, evolve_steps, shift_step, step
+from oracles import (as_branch, coin_matrix, coin_step, evolve_steps,
+                     shift_step, site_mirror, step)
 
 
 def single_site(spin, dt=0.1, m=0):
@@ -134,9 +135,10 @@ def test_evolve_records_drift_and_stays_unitary():
 @pytest.mark.parametrize("branch", ["plus", "minus"])
 def test_evolve_steps_is_bitwise_the_step_chain(branch):
     # the in-place loop against the allocating reference: `step` n times,
-    # with the drift taken from norm_sq after each step
-    state = for_branch(build_initial_state(WalkInitConfig(nu=2.0, dt=0.05)),
-                       branch)
+    # with the drift taken from norm_sq after each step; "minus" runs on
+    # the -1/2 packet, the mirrored +1/2 one
+    state = as_branch(branch)(
+        build_initial_state(WalkInitConfig(nu=2.0, dt=0.05)))
     n = 150
     ref, drift = state, []
     for _ in range(n):
@@ -239,7 +241,7 @@ def test_branch_mirror_hermitian_even_input():
     swapped = LatticeState(dt=0.3, m_min=-30, a_plus=b / norm,
                            a_minus=a / norm)
     p_plus = position_distribution(evolve(swapped, 40))
-    for minus in (for_branch(evolve(swapped.mirrored(), 40), "minus"),
+    for minus in (site_mirror(evolve(site_mirror(swapped), 40)),
                   evolve_steps(swapped, 40, "minus")):
         p_minus = position_distribution(minus)
         assert np.abs(p_minus - p_plus[::-1]).max() < 1e-12
@@ -250,19 +252,39 @@ def test_branch_mirror_helicity_pair():
     # "minus" step loop mirrors the helicity-plus packet evolved with the
     # plus branch
     sp = build_initial_state(WalkInitConfig(nu=2.0, dt=0.02))
-    sm = for_branch(sp, "minus")
+    sm = site_mirror(sp)
     p_plus = position_distribution(evolve(sp, 120))
     p_minus = position_distribution(evolve_steps(sm, 120, "minus"))
     assert np.abs(p_minus - p_plus[::-1]).max() < 1e-12
 
 
+@pytest.mark.parametrize("nu, dt, n", [(2.5, 0.005, 2000), (1.0, 0.02, 500)])
+def test_minus_step_loop_prints_the_plus_density(nu, dt, n):
+    # the packets are sigma2-parity invariant, so their densities are their
+    # own mirror: the -1/2 packet under the "minus" step loop gives the
+    # plus `evolve` density site by site, not mirrored.  Measured, of the
+    # peak: 2.2e-14 (the README state) and 2.6e-14 against `evolve`, the
+    # step loop's own rounding (the "plus" loop is as far off), and
+    # 2.0e-15 and 1.8e-15 against the "plus" step loop
+    state = build_initial_state(WalkInitConfig(nu=nu, dt=dt))
+    minus = evolve_steps(site_mirror(state), n, "minus")
+    plus = evolve(state, n)
+    assert (minus.m_min, minus.n_sites) == (plus.m_min, plus.n_sites)
+    p_minus, p_plus = position_distribution(minus), position_distribution(plus)
+    peak = p_plus.max()
+    assert np.abs(p_minus - p_plus).max() <= 5e-14 * peak
+    p_loop = position_distribution(evolve_steps(state, n))
+    assert np.abs(p_minus - p_loop).max() <= 4e-15 * peak
+
+
 def test_mirrored_is_a_contiguous_site_mirror():
-    # site m moves to -m in new C-contiguous arrays, so the mirrored
-    # density is the reversed density bit for bit; numpy's abs rounds a
-    # reversed view differently (8.1e-20 off on this prob column)
+    # the oracle's mirror moves site m to -m in new C-contiguous arrays, so
+    # the mirrored density is the reversed density bit for bit; numpy's
+    # abs rounds a reversed view differently (8.1e-20 off on this prob
+    # column)
     state = evolve(build_initial_state(WalkInitConfig(nu=2.5, dt=0.005)),
                    10_000)
-    mirror = state.mirrored()
+    mirror = site_mirror(state)
     assert np.array_equal(mirror.sites, -state.sites[::-1])
     assert mirror.dt == state.dt and mirror.norm_drift is state.norm_drift
     for got, amp in ((mirror.a_plus, state.a_plus),
@@ -271,7 +293,7 @@ def test_mirrored_is_a_contiguous_site_mirror():
         assert np.array_equal(got, amp[::-1])
     assert np.array_equal(position_distribution(mirror),
                           position_distribution(state)[::-1])
-    twice = mirror.mirrored()
+    twice = site_mirror(mirror)
     assert twice.m_min == state.m_min
     assert np.array_equal(twice.a_plus, state.a_plus)
     assert np.array_equal(twice.a_minus, state.a_minus)
