@@ -2,12 +2,14 @@
 
 Fixed viewport, linear axes with simple decimal ticks, one polyline per
 curve and a text legend.  Output is a pure function of the inputs, so a
-rerun with the same data is byte-identical.
+rerun with the same data is byte-identical.  Polyline coordinates print as
+``format(v, ".2f")``, all of a curve's in one pass of ``table``'s numpy
+cell kernel (``join_2f``).
 """
 
 import numpy as np
 
-from .table import write_text
+from .table import join_2f, write_text
 
 _COLORS = ("#1f6fb2", "#c94f30", "#3c8a4d", "#7d4f9b", "#b0822b")
 
@@ -39,13 +41,14 @@ def _fmt_tick(v: float) -> str:
 
 
 def _polyline(x, y, sx, sy) -> str:
-    """The "x,y" viewport pairs of one curve.  ``sx`` and ``sy`` map whole
-    float64 arrays with the operations they apply to one float, so every
-    coordinate has the bits of a per-point map, and is printed by the same
-    ``.2f``."""
-    return " ".join(map("{:.2f},{:.2f}".format,
-                        sx(np.asarray(x, dtype=float)).tolist(),
-                        sy(np.asarray(y, dtype=float)).tolist()))
+    """The "x,y" viewport pairs of one curve, space-separated.  ``sx`` and
+    ``sy`` map whole float64 arrays with the operations they apply to one
+    float, so every coordinate has the bits of a per-point map; the
+    coordinates, interleaved, print as ``format(v, ".2f")`` in one
+    ``join_2f`` call."""
+    xy = np.stack([sx(np.asarray(x, dtype=float)),
+                   sy(np.asarray(y, dtype=float))], axis=-1)
+    return join_2f(xy, ", ")
 
 
 def line_plot_svg(curves, title: str, xlabel: str, ylabel: str) -> str:

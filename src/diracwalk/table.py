@@ -12,6 +12,9 @@ are formatted by one numpy kernel, ``_format_rows``, which writes the same
 bytes as ``%d`` and ``%.17g``: it derives the 17 digits of each double from
 a double-double product and hands the few cells it cannot be sure of
 (extreme exponents, near a rounding tie) to CPython's own ``%.16e``.
+
+The same kernel has a third cell kind, ``format(v, ".2f")``, which
+``join_2f`` writes for the SVG's viewport coordinates.
 """
 
 import functools
@@ -80,6 +83,8 @@ _X_MIN, _X_MAX = -324, 308  # decimal exponents of finite doubles
 #   (18-22) and the separator (23).
 # - An int takes 3 words, a 24-byte run: the sign (byte 0), 20 digits
 #   (1-20) and the separator (21).
+# - A .2f cell takes 2 words: the sign (byte 0), 4 digits (1-4), the '.'
+#   (5) and 2 digits (6-7), then the separator (byte 0 of the second).
 _FLOAT_WORDS, _INT_WORDS = 4, 3
 _RUN = 24  # bytes in a 3-word run; as a byte position, past its end
 
@@ -244,6 +249,75 @@ def _int_words(v, sep, lut):
     return w
 
 
+# the byte that stands for a cell the .2f kernel leaves to ``_cell_2f``
+_SLOW_2F = "\x01"
+
+
+def _words_2f(v, sep, lut):
+    """``format(x, ".2f")`` then ``sep`` for each float64 ``x`` of ``v``,
+    as the cells' two words, and the mask of the cells left to
+    ``_cell_2f``: those not finite or printing 10000.00 or more, whose
+    first word is ``_SLOW_2F``.
+
+    ``|x| * 100 = p + e`` exactly (Dekker's product: 100 needs no split).
+    ``p - floor(p)`` is a multiple of p's ulp and ``|e|`` at most half of
+    one, so it rounds the cell unless it is 0.5; then the sign of ``e``
+    does, and ``e = 0`` is a true tie, which rounds to even.
+    """
+    a = np.abs(v)
+    slow = ~(a < 1e4)  # True for NaN
+    a[slow] = 0.0
+    p = a * 100.0
+    c = a * _SPLIT
+    ah = c - (c - a)
+    e = (ah * 100.0 - p) + (a - ah) * 100.0
+    floor = np.floor(p)
+    frac = p - floor
+    n = floor.astype(np.int64)
+    odd = (n & 1).astype(bool)
+    n += (frac > 0.5) | (frac == 0.5) & ((e > 0.0) | (e == 0.0) & odd)
+    slow |= n >= 10 ** 6
+    n[slow] = 0
+    whole = n // 100
+    # NUL the leading zeros of the 4 digits: the digits start at byte 4 - j
+    j = np.searchsorted(lut.int_pow10, whole.view(np.uint64), side="right")
+    w0 = (np.signbit(v) * np.uint64(ord("-"))
+          | lut.ascii4.take(whole) << 8 & ~lut.below[0].take(4 - j)
+          | np.uint64(ord(".")) << 40
+          | lut.ascii4.take(n - whole * 100) >> 16 << 48)
+    w0[slow] = ord(_SLOW_2F)
+    return [w0, sep], slow
+
+
+def _cell_2f(v: float) -> str:
+    """One cell the kernel leaves alone, by CPython's own ``.2f``."""
+    return format(v, ".2f")
+
+
+def _text(buf) -> str:
+    """The ASCII of a buffer of cell words, NULs dropped."""
+    data = buf.astype("<u8", copy=False).tobytes()
+    return data.translate(None, b"\0").decode("ascii")
+
+
+def join_2f(values, seps: str) -> str:
+    """``format(v, ".2f")`` of each float64 of ``values``, with
+    ``seps[i % len(seps)]`` between cells ``i`` and ``i + 1`` (``seps``
+    is printable ASCII).
+
+    One kernel pass writes every cell; a cell that is not finite or
+    prints 10000.00 or more takes ``format`` itself.
+    """
+    v = np.asarray(values, dtype=np.float64).ravel()
+    sep = np.zeros(v.size, np.uint64)
+    for i, char in enumerate(seps):
+        sep[i:-1:len(seps)] = ord(char)
+    words, slow = _words_2f(v, sep, _lookup())
+    head, *tails = _text(np.stack(words, axis=-1)).split(_SLOW_2F)
+    return head + "".join(_cell_2f(x) + tail
+                          for x, tail in zip(v[slow].tolist(), tails))
+
+
 def _format_rows(columns):
     """Yield the CSV rows of equal-length columns as text chunks, one per
     kernel call of at most ``_CELLS_PER_CALL`` cells.
@@ -270,8 +344,7 @@ def _format_rows(columns):
             for w, word in enumerate(words):
                 for j, word_j in zip(js, word.reshape(len(js), -1)):
                     buf[:, offsets[j] + w] = word_j
-        text = buf.astype("<u8", copy=False).tobytes()
-        yield text.translate(None, b"\0").decode("ascii")
+        yield _text(buf)
 
 
 def _finite_as_float64(col) -> bool:

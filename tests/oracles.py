@@ -311,13 +311,14 @@ def site_sum_weights(state, phi):
     return np.abs(g_plus) ** 2 * scale, np.abs(g_minus) ** 2 * scale
 
 
-def quadrature_mass_below(state, y: float) -> float:
+def quadrature_mass_below(state, y: float):
     """P(Y <= y) by adaptive quadrature of ``site_sum_weights`` over {+h <=
     y} and {-h <= y}, with the ends of each set found by root-finding on
     ``group_velocity`` (h is monotone on [-pi/2, pi/2] and on [pi/2,
-    3 pi/2]), not by the closed-form inverse of h."""
+    3 pi/2]), not by the closed-form inverse of h; returns the value and
+    the sum of quad's error estimates."""
     dt = state.dt
-    total = 0.0
+    total = error = 0.0
     for band, sign in ((0, 1.0), (1, -1.0)):
         def excess(phi):
             return sign * group_velocity(phi, dt) - y
@@ -336,9 +337,12 @@ def quadrature_mass_below(state, y: float) -> float:
                 lo, hi = (lo, root) if at_lo else (root, hi)
             # the weights vary on the scale dt next to phi = 0 and pi
             pts = [p for p in (0.0, np.pi) if lo < p < hi] or None
-            total += integrate.quad(weight, lo, hi, points=pts, limit=2000,
-                                    epsabs=1e-15, epsrel=1e-13)[0]
-    return total
+            value, estimate = integrate.quad(weight, lo, hi, points=pts,
+                                             limit=2000, epsabs=1e-15,
+                                             epsrel=1e-13)
+            total += value
+            error += estimate
+    return total, error
 
 
 def per_point_polyline(x, y, sx, sy) -> str:

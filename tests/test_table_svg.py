@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracwalk import svgplot
+from diracwalk import cli, svgplot, table as table_module
 from diracwalk.svgplot import line_plot_svg, write_svg
-from diracwalk.table import ResultTable, fmt, write_text
+from diracwalk.table import ResultTable, fmt, join_2f, write_text
 from oracles import per_point_polyline, percent_csv, read_csv
 
 
@@ -300,6 +300,70 @@ def test_polyline_bytes_match_per_point_oracle(curves):
     with mock.patch.object(svgplot, "_polyline", per_point_polyline):
         want = line_plot_svg(curves, "demo", "x", "y")
     assert doc == want
+
+
+def _identity(v):
+    return v
+
+
+# .2f cells with the text format(v, ".2f") gives them: binary ties round
+# to even, negatives keep their sign at zero, 9999.995 is past the
+# kernel's range and the rest are left to format
+CELLS_2F = [(0.125, "0.12"), (0.375, "0.38"), (-0.125, "-0.12"),
+            (-0.001, "-0.00"), (-0.0, "-0.00"),
+            (0.0, "0.00"), (9999.995, "10000.00"), (9999.99, "9999.99"),
+            (1e4, "10000.00"), (-1e4, "-10000.00"), (1e5, "100000.00"),
+            (5e-324, "0.00"), (-5e-324, "-0.00"),
+            (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")]
+
+
+def test_2f_cells_print_as_format():
+    values, texts = zip(*CELLS_2F)
+    assert join_2f(values, " ").split(" ") == list(texts)
+    assert [format(v, ".2f") for v in values] == list(texts)
+
+
+def test_polyline_matches_per_point_oracle_on_2f_edges():
+    # identity maps, so the cells are the values: k/8 (ties where k is
+    # odd), +-2 ulps around k/100 + 0.005, the range edge and subnormals
+    rng = np.random.default_rng(22)
+    near = rng.integers(-10 ** 6, 10 ** 6, size=4000) / 100 + 0.005
+    below, above = np.nextafter(near, -np.inf), np.nextafter(near, np.inf)
+    steps = [near, below, np.nextafter(below, -np.inf),
+             above, np.nextafter(above, np.inf)]
+    tiny = np.finfo(np.float64).tiny
+    edges = [c[0] for c in CELLS_2F] + [
+        9999.995, np.nextafter(9999.995, 0), np.nextafter(1e4, 0),
+        tiny, np.nextafter(tiny, 0), -tiny, 1e300, -1.7976931348623157e308]
+    x = np.concatenate([np.arange(-80_001, 80_002) / 8, *steps, edges])
+    y = -x[::-1]
+    assert (svgplot._polyline(x, y, _identity, _identity)
+            == per_point_polyline(x, y, _identity, _identity))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40),
+       st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=40))
+def test_polyline_matches_per_point_oracle_on_any_float(free, ranged):
+    x = np.array(free + ranged)
+    y = x[::-1].copy()
+    assert (svgplot._polyline(x, y, _identity, _identity)
+            == per_point_polyline(x, y, _identity, _identity))
+
+
+def test_figure1_svg_takes_no_per_cell_fallback(tmp_path, monkeypatch):
+    # the bytes alone cannot tell the kernel from format on every cell
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return format(v, ".2f")
+
+    monkeypatch.setattr(table_module, "_cell_2f", counted)
+    assert cli.main(["figure1", "--out", str(tmp_path / "f.svg")]) == 0
+    assert (tmp_path / "f.svg").read_text().count("<polyline") == 3
+    assert calls == []
+    assert join_2f([1e4], " ") == "10000.00" and calls == [1e4]
 
 
 # a stale file longer than anything written over it below
