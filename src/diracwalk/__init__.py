@@ -7,7 +7,7 @@ asymptotic two-horned density of the scaled walker position.
 """
 
 from .constants import TOL, NumericalHealthError, Tolerances
-from .spinor import energy, spinor_weights, u_plus_effective
+from .spinor import energy, spinor_weights
 from .initial import (MomentumProfile, WalkInitConfig, build_initial_state,
                       gaussian_profile, position_coefficients)
 from .walk import LatticeState, empirical_moment, position_distribution

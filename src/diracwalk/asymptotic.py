@@ -6,10 +6,10 @@ The symbol M(phi), its quasi-momentum phi with the sign map p = -phi/dt,
 and its dispersion (eigenvalues e^{+-i theta}, group velocity h(phi) =
 d theta / d phi = cos(dt) sin(phi) / sin(theta), |h| <= |cos dt|) are
 stated once, in ``spectral``; here M is the "plus" branch's.
-``spectral_coefficients`` reads phi = 2 pi k / N at index k of the inverse
-DFT of the state's ring.  X_n/(n dt) converges weakly to +-h weighted by
-|g+-|^2 (Grimmett, Janson and Scudo, PRE 69, 026119 (2004)); for the
-localized Gaussian packets its density is the two-horned
+``spectral_coefficients`` keeps the ring order of the inverse DFT of the
+state's ring, phi = 2 pi fftfreq(N).  X_n/(n dt) converges weakly to +-h
+weighted by |g+-|^2 (Grimmett, Janson and Scudo, PRE 69, 026119 (2004));
+for the localized Gaussian packets its density is the two-horned
 
     F(y; nu) = (1 / (nu sqrt(pi))) (1 - y^2)^{-3/2}
                exp(-y^2 / (nu^2 (1 - y^2))).
@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .initial import gaussian_profile
-from .spectral import _dispersion, ring_buffer, ring_length
+from .spectral import _dispersion, apply_pair, ring_buffer, ring_length
 from .spinor import energy
 from .walk import LatticeState
 
@@ -61,8 +61,8 @@ def _eigen_weights(phi, dt):
 
 @dataclass(frozen=True)
 class SpectralCoefficients:
-    """g+-(phi) of a lattice state on a uniform phi grid: one ring period,
-    ascending."""
+    """g+-(phi) of a lattice state on one period of a uniform phi grid, in
+    ring order: phi = 2 pi fftfreq(n_phi), -pi at an even grid's Nyquist."""
 
     phi: np.ndarray
     g_plus: np.ndarray
@@ -110,18 +110,18 @@ class SpectralCoefficients:
         """G at the angles x, (4, m): rows 0 and 1 in the band of the arc
         [-pi - a, a], rows 2 and 3 in the other.
 
-        G is ``_mass_table`` at the nodes, extended by its total per
-        period (cos dt < 0 swaps the rows' bands).  On a cell it is the
-        cubic Hermite with the weights as end slopes, limited (Fritsch-
-        Carlson) to mu0 + mu1 <= 3 so that its Bernstein polygon rises.
-        The share of the cell below s is then d0 (1 - r^3) + d1 S(s) +
-        d2 s^3, d >= 0, r = 1 - s, with the smoothstep S = s^2 (3 - 2 s)
-        formed from its nearer end: each term rises with s as rounded, and
-        a cell gives at most its upper node.
+        G is ``_mass_table`` at the nodes, node k at the angle k dphi,
+        extended by its total per period (cos dt < 0 swaps the rows'
+        bands).  On a cell it is the cubic Hermite with the weights as end
+        slopes, limited (Fritsch-Carlson) to mu0 + mu1 <= 3 so that its
+        Bernstein polygon rises.  The share of the cell below s is then
+        d0 (1 - r^3) + d1 S(s) + d2 s^3, d >= 0, r = 1 - s, with the
+        smoothstep S = s^2 (3 - 2 s) formed from its nearer end: each term
+        rises with s as rounded, and a cell gives at most its upper node.
         """
         table, w = self._mass_table
         n = w.shape[1]
-        j = x / self.dphi + (n - 1) // 2
+        j = x / self.dphi
         cell = np.floor(j)
         s = j - cell
         turns, k = np.divmod(cell.astype(np.intp), n)
@@ -144,11 +144,11 @@ class SpectralCoefficients:
     @cached_property
     def _mass_table(self):
         """(G, w), built on first use and kept: w the weights |g+-|^2
-        dt/(2 pi), (2, n_phi), and G their cumulative mass at the nodes
-        from phi[0], (2, n_phi + 1), closed by the total.
+        dt/(2 pi), (2, n_phi), and G their cumulative mass from phi = 0
+        to the angle k dphi of node k, (2, n_phi + 1), closed by the total.
 
         G integrates the trigonometric interpolant of w: one rfft/irfft
-        pair, harmonic j divided by i j, plus the mean times phi - phi[0].
+        pair, harmonic j divided by i j, plus the mean times k dphi.
         Where the interpolant dips below 0 (an aliased grid), G is capped
         at the total and a running maximum keeps it non-decreasing.
         """
@@ -180,9 +180,10 @@ def spectral_coefficients(state: LatticeState,
     """Expand a lattice state in the symbol eigenbasis.
 
     g+-(phi) = sum_m {c+(m dt) f*(+-,+) + c-(m dt) f*(+-,-)} e^{i m phi},
-    with c(m dt) = a[m]/sqrt(dt), on one period of quasi-momenta phi =
-    2 pi k / n_phi, ascending, phi = 0 included.  In the eigenvectors of
-    ``_eigen_weights`` that is
+    with c(m dt) = a[m]/sqrt(dt), on one period of quasi-momenta in ring
+    order, phi = 2 pi fftfreq(n_phi) (the Nyquist node of an even grid is
+    -pi).  In the eigenvectors of ``_eigen_weights`` that is the real pair
+    (alpha, beta) / sqrt(dt) applied to (A, C) by ``spectral.apply_pair``:
 
         g+ = (alpha A - beta C) / sqrt(dt),
         g- = (beta A + alpha C) / sqrt(dt),
@@ -190,41 +191,28 @@ def spectral_coefficients(state: LatticeState,
     with A = sum_m a+[m] e^{i m phi} and C = -i e^{i phi} sum_m a-[m]
     e^{i m phi}: the factor e^{i phi} moves a- one site on (-i scales its
     transform in place), so both are one unnormalized inverse DFT of the
-    state's ring (``spectral.ring_buffer``), read from ring index phi n_phi
-    / (2 pi) mod n_phi.  The grid must resolve the state's trigonometric
-    degree: at least one point per occupied site (default 8x, rounded up to
-    an FFT-friendly size).
+    state's ring (``spectral.ring_buffer``), and g+- are that ring's rows.
+    The grid must resolve the state's trigonometric degree: at least one
+    point per occupied site (default 8x, rounded up to an FFT-friendly
+    size).
     """
     if n_phi is None:
         n_phi = ring_length(max(8 * state.n_sites, 4096))
     elif not isinstance(n_phi, (int, np.integer)) or n_phi < 2:
         raise ValueError(f"n_phi={n_phi!r} must be an integer >= 2")
     n = int(n_phi)
-    half = (n - 1) // 2
-    # bit for bit np.sort(-2 pi fftfreq(n)), -0.0 at phi[half] included
-    phi = -2.0 * np.pi * ((half - np.arange(n)) * (1.0 / n))
-    alpha, beta = _eigen_weights(phi[half:], state.dt)
-    root_dt = np.sqrt(state.dt)
-    alpha /= root_dt
-    beta /= root_dt
+    phi = 2.0 * np.pi * np.fft.fftfreq(n)
+    half = n // 2 + 1
     ring = ring_buffer(state, n, minus_shift=1)
     np.fft.ifft(ring, axis=1, norm="forward", out=ring)
     ring[1] *= -1j
-    g_plus, g_minus = np.empty((2, n), dtype=complex)
-    # phi >= 0 is ring index k = 0, 1, ...; phi < 0 the ring's tail, at
-    # the weights of -phi with alpha and beta swapped
-    for grid, ring_part, a_w, b_w in (
-            (slice(half, n), slice(0, n - half), alpha, beta),
-            (slice(0, half), slice(n - half, n), beta[half:0:-1],
-             alpha[half:0:-1])):
-        a, c = ring[0, ring_part], ring[1, ring_part]
-        plus, minus = g_plus[grid], g_minus[grid]
-        np.multiply(a_w, a, out=plus)
-        np.multiply(b_w, a, out=minus)
-        # a is spent: it holds the C terms
-        plus -= np.multiply(b_w, c, out=a)
-        minus += np.multiply(a_w, c, out=a)
-    return SpectralCoefficients(phi=phi, g_plus=g_plus, g_minus=g_minus,
+    # the weights of phi >= 0, ring index k < half (+pi at the Nyquist node)
+    alpha, beta = _eigen_weights(np.abs(phi[:half]), state.dt) \
+        / np.sqrt(state.dt)
+    apply_pair(ring[:, :half], alpha, beta)
+    # phi < 0, the ring's tail: the weights of -phi, alpha and beta swapped
+    apply_pair(ring[:, half:], beta[n - half:0:-1], alpha[n - half:0:-1])
+    return SpectralCoefficients(phi=phi, g_plus=ring[0], g_minus=ring[1],
                                 dt=state.dt)
 
 

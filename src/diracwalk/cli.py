@@ -99,10 +99,17 @@ class RunConfig:
             raise UsageError("nu and dt must be positive, t non-negative")
         if self.command == "figure1":
             return
-        # ranges, from floats and before any work: every dt of the run
+        # ranges, from floats and before any work: the convergence fit
+        # needs two or more dt, strictly decreasing; every dt of the run
         # must leave the walk window (at least 2 t/dt sites) and the
         # initial state within the ring budget; the weak limit and the
         # convergence fit need at least one walk step
+        if self.command == "compare":
+            if len(self.dt_list) < 2:
+                raise UsageError("compare needs --dt-list with at least two "
+                                 "values")
+            if any(b >= a for a, b in zip(self.dt_list, self.dt_list[1:])):
+                raise UsageError("--dt-list must be strictly decreasing")
         for dt in self.dt_list if self.command == "compare" else [self.dt]:
             require_ring_fits(2.0 * self.t / dt)
             if self.command in ("asymptotic", "compare") \
@@ -188,10 +195,6 @@ def cmd_exact(cfg: RunConfig) -> ResultTable:
 
 def cmd_compare(cfg: RunConfig) -> ResultTable:
     """walk-vs-exact distances over a list of dt values"""
-    if len(cfg.dt_list) < 2:
-        raise UsageError("compare needs --dt-list with at least two values")
-    if any(b >= a for a, b in zip(cfg.dt_list, cfg.dt_list[1:])):
-        raise UsageError("--dt-list must be strictly decreasing")
     meta = _echo(cfg)
     for key in ("dt", "n_steps", "t_realized"):
         meta.pop(key, None)

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TOL, NumericalHealthError, require_finite
-from .spectral import (_evolve_on_ring, propagator_symbol, ring_length,
-                       ring_modes)
-from .spinor import u_plus_effective
+from .spectral import (_evolve_on_ring, apply_pair, propagator_symbol,
+                       ring_length, ring_modes)
+from .spinor import spinor_weights
 from .walk import LatticeState, position_distribution
 
 _MARGIN_SITES = 128  # ring padding past the light cone, in sites
@@ -46,9 +46,12 @@ def energy_leakage(state: LatticeState, branch: str = "plus") -> float:
             f"spectral weight {w:.3e} within 10% of the Nyquist momentum; "
             "the lattice is too coarse for this state"
         )
-    w = u_plus_effective(p)
-    overlap = np.conj(w[0]) * ring[0] + np.conj(w[1]) * ring[1]
-    kept = float(np.sum(np.abs(overlap) ** 2))
+    # the overlap with u+ = (W+, i W-) is row 1 of the pair (W-, W+)
+    # applied to (ring[0], -i ring[1])
+    ring[1] *= -1j
+    w_plus, w_minus = spinor_weights(p)
+    apply_pair(ring, w_minus, w_plus)
+    kept = float(np.sum(np.abs(ring[1]) ** 2))
     return 1.0 - kept / norm_sq
 
 

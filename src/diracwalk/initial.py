@@ -140,10 +140,11 @@ def position_coefficients(profile: MomentumProfile, dt: float,
     weights = np.zeros((2, n_ring))
     weights[:, inside] = (dp / np.sqrt(2.0 * np.pi)) * profile(p[inside]) \
         * np.stack(spinor_weights(p[inside]))
-    half = np.conj(np.fft.rfft(weights, axis=1))
-    ring = np.hstack([half, np.conj(half[:, n_ring - half.shape[1]:0:-1])])
-    idx = np.arange(-m_max, m_max + 1) % n_ring
-    return ring[0, idx], 1.0j * ring[1, idx]
+    spec = np.fft.rfft(weights, axis=1)
+    # the weights are real: site m >= 0 is conj(spec[m]), site -m spec[m]
+    sites = np.concatenate([spec[:, m_max:0:-1],
+                            np.conj(spec[:, :m_max + 1])], axis=1)
+    return sites[0], 1.0j * sites[1]
 
 
 def require_initial_state_fits(config: WalkInitConfig) -> float:

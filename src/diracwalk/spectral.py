@@ -1,5 +1,6 @@
-"""The momentum ring on which walk, exact evolution, time reversal and the
-weak-limit coefficients all act, and the per-mode symbols applied there.
+"""The momentum ring on which walk, exact evolution, time reversal, the
+energy leakage and the weak-limit coefficients all act, and the one
+per-mode product applied there.
 
 A lattice state is carried onto a ring of N sites by a unitary DFT
 (convention: spectral(p) picks up exp(-i p x), position recovers it with
@@ -9,9 +10,10 @@ symbol takes the quasi-momentum phi, the label of the shift's eigenstates
 e^{i m phi}, with the one sign map p = -phi/dt: forward-DFT mode k has
 phi = -2 pi k / N, and ``asymptotic.spectral_coefficients`` transforms the
 same ring (``ring_buffer``) the inverse way to read phi = 2 pi k / N at k.
-An evolution transforms the ring in place in one (2, N) buffer
-(``ring_modes``), multiplies each mode by an SU(2) matrix [[a, -b*],
-[b, a*]], the symbol, given as its pair (a, b), and transforms back:
+Every layer multiplies each mode of its (2, N) ring, in place, by an SU(2)
+matrix [[a, -b*], [b, a*]] given as its pair (a, b) (``apply_pair``): the
+leakage and the coefficients by real pairs, and an evolution, between
+``ring_modes`` and the transform back, by its symbol:
 
 * exact evolution for a time t, exact because H(p)^2 = E^2 I:
 
@@ -28,7 +30,8 @@ An evolution transforms the ring in place in one (2, N) buffer
   sin(theta): a = cos(n theta) + i r t and b = r sin(dt) e^{-i phi}.
 
 Both symbols are the "plus" helicity branch's, the only one computed here.
-Per-mode work is embarrassingly parallel; all functions are pure.
+Per-mode work is embarrassingly parallel; all functions but
+``apply_pair``, which works in place, are pure.
 """
 
 import numpy as np
@@ -115,14 +118,9 @@ def walk_power_symbol(phi, dt: float, n_steps: int):
     return np.cos(n_theta) + 1j * ratio * t, s * ratio * np.exp(-1j * phi)
 
 
-def _evolve_on_ring(state: LatticeState, symbol, grow: int) -> LatticeState:
-    """Apply ``symbol(n)``, the pair (a, b) of each mode of a ring of n
-    sites, to the one (2, n) buffer of a ring that holds the output window
-    [m_min - grow, m_min + n_sites + grow), and read that window out."""
-    m_min, n_sites = state.m_min - grow, state.n_sites + 2 * grow
-    n = ring_length(n_sites)
-    ring = ring_modes(state, n)
-    a, b = symbol(n)
+def apply_pair(ring: np.ndarray, a, b) -> None:
+    """ring <- [[a, -b*], [b, a*]] ring, mode by mode, in place in a (2, n)
+    ring (or a view of one); a and b, complex or real, are used up."""
     up, dn = ring
     # symbol first in every product: complex multiplication is not
     # bitwise commutative; a and b are conjugated in place once used
@@ -131,7 +129,16 @@ def _evolve_on_ring(state: LatticeState, symbol, grow: int) -> LatticeState:
     up -= np.multiply(np.conjugate(b, out=b), dn)
     np.multiply(np.conjugate(a, out=a), dn, out=dn)
     dn += lower
-    del a, b, lower  # freed before the read-out allocates
+
+
+def _evolve_on_ring(state: LatticeState, symbol, grow: int) -> LatticeState:
+    """Apply ``symbol(n)``, the pair (a, b) of each mode of a ring of n
+    sites, to the one (2, n) buffer of a ring that holds the output window
+    [m_min - grow, m_min + n_sites + grow), and read that window out."""
+    m_min, n_sites = state.m_min - grow, state.n_sites + 2 * grow
+    n = ring_length(n_sites)
+    ring = ring_modes(state, n)
+    apply_pair(ring, *symbol(n))
     np.fft.ifft(ring, axis=1, out=ring)
     ring *= np.sqrt(n)
     idx = np.mod(np.arange(m_min, m_min + n_sites), n)

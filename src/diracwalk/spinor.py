@@ -1,4 +1,4 @@
-"""Relativistic energies and the effective 2-spinor of a helicity branch.
+"""Relativistic energies and the weights of the effective 2-spinor.
 
 Natural units (hbar = c = m = 1).  On a definite-helicity branch the Dirac
 4-spinors reduce to 2-spinors of ``H(p) = sigma3 * p + sigma2``; the
@@ -20,17 +20,11 @@ def energy(p):
 def spinor_weights(p):
     """The scalar weights W+-(p) = (1 + E(p) +- p) / (2 sqrt(E(E+1))).
 
-    These are the real amplitudes appearing in both effective spinors; they
-    satisfy W+^2 + W-^2 = 1 and W+(-p) = W-(p).  Vectorized over ``p``.
+    These are the real amplitudes of u+ = (W+, i W-), the effective
+    2-spinor of the helicity +1/2 branch; they satisfy W+^2 + W-^2 = 1
+    and W+(-p) = W-(p).  Vectorized over ``p``.
     """
     p = np.asarray(p, dtype=float)
     e = energy(p)
     denom = 2.0 * np.sqrt(e * (e + 1.0))
     return (1.0 + e + p) / denom, (1.0 + e - p) / denom
-
-
-def u_plus_effective(p) -> np.ndarray:
-    """Effective 2-spinor of the helicity +1/2 branch: (W+, i W-)."""
-    wp, wm = spinor_weights(p)
-    return np.stack([wp + 0.0j, 1.0j * wm])
-

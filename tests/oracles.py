@@ -16,11 +16,11 @@ import numpy as np
 from scipy import integrate, optimize
 
 from diracwalk import exact, spectral
-from diracwalk.asymptotic import (SpectralCoefficients, _check_dt,
-                                  _eigen_weights)
+from diracwalk.asymptotic import _check_dt, _eigen_weights
 from diracwalk.constants import TOL, NumericalHealthError, require_finite
+from diracwalk.initial import _quadrature_ring
 from diracwalk.spectral import _dispersion, ring_buffer, ring_length
-from diracwalk.spinor import energy, spinor_weights, u_plus_effective
+from diracwalk.spinor import energy, spinor_weights
 from diracwalk.table import fmt
 from diracwalk.walk import LatticeState, require_unit_norm
 
@@ -102,6 +102,23 @@ def sigma2_parity_defect(state: LatticeState) -> float:
     return float(np.abs(state.a_minus - 1j * state.a_plus[::-1]).max())
 
 
+def hstack_position_coefficients(profile, dt: float, m_max: int):
+    """``initial.position_coefficients`` through the whole Hermitian ring:
+    the conjugated real-input transform of the weights, completed by its
+    mirrored conjugate with ``hstack`` and read at m mod n_ring."""
+    n_ring = _quadrature_ring(2 * m_max + 1, dt, m_max * dt, profile.p_max)
+    dp = 2.0 * np.pi / (n_ring * dt)
+    p = dp * np.fft.ifftshift(np.arange(n_ring) - n_ring // 2)
+    inside = np.abs(p) <= profile.p_max
+    weights = np.zeros((2, n_ring))
+    weights[:, inside] = (dp / np.sqrt(2.0 * np.pi)) * profile(p[inside]) \
+        * np.stack(spinor_weights(p[inside]))
+    half = np.conj(np.fft.rfft(weights, axis=1))
+    ring = np.hstack([half, np.conj(half[:, n_ring - half.shape[1]:0:-1])])
+    idx = np.arange(-m_max, m_max + 1) % n_ring
+    return ring[0, idx], 1.0j * ring[1, idx]
+
+
 def unitary_modes(state, n: int) -> np.ndarray:
     """The unitary DFT of a state's ring of n sites, as a new (2, n)
     array: mode k holds sum_m a[m] e^{-2 pi i k m / n} / sqrt(n)."""
@@ -113,6 +130,12 @@ def ring_momenta(n: int, dt: float, branch: str = "plus") -> np.ndarray:
     "minus" the site mirror of the "plus" ring's: -p at mode -k mod n."""
     p = 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
     return p if branch_sign(branch) > 0 else -p[-np.arange(n) % n]
+
+
+def u_plus_effective(p) -> np.ndarray:
+    """Effective 2-spinor of the helicity +1/2 branch: (W+, i W-)."""
+    wp, wm = spinor_weights(p)
+    return np.stack([wp + 0.0j, 1.0j * wm])
 
 
 def u_minus_effective(p) -> np.ndarray:
@@ -216,8 +239,10 @@ def stacked_ring():
 
 
 def stacked_energy_leakage(state, branch: str = "plus") -> float:
-    """``exact.energy_leakage`` on ``unitary_modes``, without its
-    Nyquist-band refusal."""
+    """``exact.energy_leakage`` as the overlap of every mode with the
+    stacked complex spinor u+(p) (u-(p) for "minus"), on ``unitary_modes``
+    and without its Nyquist-band refusal; for "plus" it rounds as the
+    package's pair product does, bit for bit."""
     sign = branch_sign(branch)
     n = ring_length(state.n_sites + 16)
     amp = unitary_modes(state, n)
@@ -252,27 +277,28 @@ def symbol_eigenvectors(phi, dt):
     return alpha + 0.0j, -phase * beta, beta + 0.0j, phase * alpha
 
 
-def ring_spectral_coefficients(state, n_phi: int) -> SpectralCoefficients:
+def ring_spectral_coefficients(state, n_phi: int):
     """g+- by the ring of ``spectral``: its unitary forward DFT, read at
     phi = -(ring phase), projected on the conjugated eigenvectors of
-    ``symbol_eigenvectors`` (phase e^{-i phi} included) and sorted by
-    phi."""
+    ``symbol_eigenvectors`` (phase e^{-i phi} included), in the ring order
+    of ``spectral_coefficients``: phi = 2 pi k / n_phi, mode -k mod n_phi,
+    at index k."""
     phi = -2.0 * np.pi * np.fft.fftfreq(n_phi)
     f_pp, f_pm, f_mp, f_mm = symbol_eigenvectors(phi, state.dt)
     # sum_m a[m] e^{i m phi} is sqrt(n) times the unitary ring mode
     amp = unitary_modes(state, n_phi) * np.sqrt(n_phi / state.dt)
     g_plus = np.conj(f_pp) * amp[0] + np.conj(f_pm) * amp[1]
     g_minus = np.conj(f_mp) * amp[0] + np.conj(f_mm) * amp[1]
-    order = np.argsort(phi)
-    return SpectralCoefficients(phi=phi[order], g_plus=g_plus[order],
-                                g_minus=g_minus[order], dt=state.dt)
+    mode = -np.arange(n_phi) % n_phi
+    return g_plus[mode], g_minus[mode]
 
 
 def direct_sum_coefficients(state, n_phi: int):
-    """g+- at phi = 2 pi q / n_phi, q = -((n_phi - 1) // 2), ..., site by
+    """g+- at phi = 2 pi q / n_phi in the ring order of
+    ``spectral_coefficients``, q = 0, 1, ..., then the negative q, site by
     site: sum_m a[m] e^{i m phi} with the phase m q reduced mod n_phi in
     integers, so a site far from 0 loses no digits to m phi."""
-    q = np.arange(n_phi) - (n_phi - 1) // 2
+    q = np.fft.ifftshift(np.arange(n_phi) - n_phi // 2)
     turns = np.mod(np.outer(q, state.sites), n_phi) / n_phi
     return projected_site_sums(state, 2.0 * np.pi * q / n_phi,
                                np.exp(2j * np.pi * turns))

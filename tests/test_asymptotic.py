@@ -164,10 +164,11 @@ def random_state(n_sites=200, m_min=-13, dt=0.05, seed=15):
 def test_spectral_coefficients_match_direct_sum(n_phi):
     state = random_state()
     co = spectral_coefficients(state, n_phi=n_phi)
-    # one ring period, ascending, on a uniform grid
-    assert co.phi.size == n_phi and np.all(np.diff(co.phi) > 0)
-    assert co.phi[-1] - co.phi[0] == pytest.approx(2 * np.pi - co.dphi,
-                                                   abs=1e-12)
+    # one period on a uniform grid, in ring order
+    assert co.phi.tobytes() == ring_phi(n_phi).tobytes()
+    assert np.all(np.diff(np.fft.fftshift(co.phi)) > 0)
+    assert co.phi.max() - co.phi.min() == pytest.approx(2 * np.pi - co.dphi,
+                                                        abs=1e-12)
     # oracle: A(phi) = sum_m a[m] e^{i m phi}, site by site
     kernel = np.exp(1j * np.outer(co.phi, state.sites))
     a_plus, a_minus = kernel @ state.a_plus, kernel @ state.a_minus
@@ -178,6 +179,11 @@ def test_spectral_coefficients_match_direct_sum(n_phi):
     peak = max(np.abs(g_plus).max(), np.abs(g_minus).max())
     assert np.abs(co.g_plus - g_plus).max() < 1e-12 * peak
     assert np.abs(co.g_minus - g_minus).max() < 1e-12 * peak
+
+
+def ring_phi(n_phi):
+    """The quasi-momenta of ``spectral_coefficients`` in ring order."""
+    return 2.0 * np.pi * np.fft.fftfreq(n_phi)
 
 
 def assert_coefficients_close(co, g_plus, g_minus, rel=1e-12):
@@ -196,9 +202,9 @@ def limit_law_state():
                                           (limit_law_state(), None)])
 def test_spectral_coefficients_match_ring_oracle(state, n_phi):
     co = spectral_coefficients(state, n_phi=n_phi)
-    want = ring_spectral_coefficients(state, co.phi.size)
-    assert co.phi.tobytes() == want.phi.tobytes()
-    assert_coefficients_close(co, want.g_plus, want.g_minus)
+    assert co.phi.tobytes() == ring_phi(co.phi.size).tobytes()
+    assert_coefficients_close(co, *ring_spectral_coefficients(state,
+                                                              co.phi.size))
 
 
 @settings(max_examples=150, deadline=None)
@@ -216,8 +222,7 @@ def test_spectral_coefficients_match_direct_sum_on_any_state(n_sites, data):
     amp /= np.sqrt(np.sum(np.abs(amp) ** 2))
     state = LatticeState(dt=dt, m_min=m_min, a_plus=amp[0], a_minus=amp[1])
     co = spectral_coefficients(state, n_phi=n_phi)
-    want_phi = np.sort(-2.0 * np.pi * np.fft.fftfreq(n_phi))
-    assert co.phi.tobytes() == want_phi.tobytes()
+    assert co.phi.tobytes() == ring_phi(n_phi).tobytes()
     assert_coefficients_close(co, *direct_sum_coefficients(state, n_phi))
 
 
@@ -236,12 +241,14 @@ def test_spectral_coefficients_smallest_and_default_grid():
     state = one_site_state()
     assert spectral_coefficients(state).phi.size == 4096
     co = spectral_coefficients(state, n_phi=np.int64(2))
-    assert co.phi.tolist() == [0.0, np.pi]
+    # the Nyquist node of an even ring is labelled -pi
+    assert co.phi.tolist() == [0.0, -np.pi]
 
 
 def test_spectral_coefficients_memory_per_phi_point():
-    # traced peak of one call, over its n_phi: the outputs (phi, g+-) are
-    # 40 B of it, the ring of both rows 32 B
+    # traced peak of one call, over its n_phi: the outputs, phi and the
+    # ring whose rows are g+-, are 40 B of it; building the weights of
+    # phi >= 0 next to them, the rest
     state = limit_law_state()
     spectral_coefficients(state)  # FFT plans and caches built outside
     tracemalloc.start()
@@ -251,7 +258,7 @@ def test_spectral_coefficients_memory_per_phi_point():
     finally:
         tracemalloc.stop()
     assert co.phi.size == 91476
-    assert peak / co.phi.size <= 82.0
+    assert peak / co.phi.size <= 69.0
 
 
 def test_mass_table_memory_per_phi_point():
@@ -478,7 +485,7 @@ def test_mass_below_never_steps_down_near_the_band_edge(n_phi):
     # dt = 1e-7: rounding lets h wiggle by an ulp next to its extremes;
     # bounds on and between those samples, where the law is steepest
     co = small_dt_coefficients(n_phi, 1e-7)
-    h = group_velocity(co.phi, co.dt)
+    h = group_velocity(np.fft.fftshift(co.phi), co.dt)  # ascending phi
     rising = h[np.argmin(h):np.argmax(h) + 1]
     assert np.count_nonzero(np.diff(rising) < 0) > 0
     near = h[np.abs(h) > h.max() - 1e-13]

@@ -95,11 +95,21 @@ def test_compare_convergence_table(tmp_path):
     assert 0.5 < float(meta["l1_order_fit"]) < 1.5
 
 
-def test_compare_rejects_bad_dt_list():
-    assert run_cli("compare", "--nu", "1", "--t", "1",
-                   "--dt-list", "0.01,0.02") == 1
-    assert run_cli("compare", "--nu", "1", "--t", "1",
-                   "--dt-list", "0.01") == 1
+def test_compare_rejects_bad_dt_list(tmp_path, capsys, monkeypatch):
+    # refused by the config check, before any state is built
+    monkeypatch.setattr(cli, "build_initial_state", None)
+    out = tmp_path / "conv.csv"
+    for dt_list, message in (
+            ("0.01,0.02", "--dt-list must be strictly decreasing"),
+            ("0.02,0.02", "--dt-list must be strictly decreasing"),
+            ("0.01", "compare needs --dt-list with at least two values")):
+        assert run_cli("compare", "--nu", "1", "--t", "1", "--dt-list",
+                       dt_list, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+        with pytest.raises(UsageError, match=message):
+            cli.RunConfig(command="compare", nu=1.0, t=1.0,
+                          dt_list=dt_list).validate()
 
 
 def test_asymptotic_metadata(tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,13 +10,14 @@ from scipy.linalg import expm
 from diracwalk import (LatticeState, NumericalHealthError, WalkInitConfig,
                        build_initial_state, compare_densities,
                        energy_leakage, evolve, evolve_exact_on_lattice,
-                       propagator_symbol, u_plus_effective)
+                       propagator_symbol)
 from diracwalk.spectral import ring_length
 from oracles import (as_branch, evolve_steps, hamiltonian_matrix,
                      modes_to_window, random_phase_state, ring_momenta,
                      sigma2_parity_defect, site_mirror,
                      stacked_energy_leakage, stacked_exact, stacked_ring,
-                     stacked_symbol, stacked_walk, su2_entries, unitary_modes)
+                     stacked_symbol, stacked_walk, su2_entries,
+                     u_plus_effective, unitary_modes)
 
 
 def propagator_matrix(p, t):
@@ -261,6 +263,38 @@ def test_leakage_refuses_the_minus_branch():
     assert energy_leakage(state, "plus") == energy_leakage(state)
     with pytest.raises(ValueError, match="'plus' only, got 'minus'"):
         energy_leakage(state, "minus")
+
+
+@pytest.mark.parametrize("nu, dt, t", [(2.5, 0.005, 1.0), (10.0, 0.002, 50.0),
+                                       (1.0, 0.02, 2.0), (1.0, 0.01, 2.0),
+                                       (1.0, 0.005, 2.0), (0.5, 0.05, 3.0)])
+def test_leakage_is_the_overlap_oracle_bit_for_bit(nu, dt, t):
+    # the pair (W-, W+) applied to (ring[0], -i ring[1]) rounds as the
+    # overlap with the stacked complex spinor u+(p) = (W+, i W-): the same
+    # products, added in the other order
+    state = build_initial_state(WalkInitConfig(nu=nu, dt=dt))
+    n = int(round(t / dt))
+    for s in (state, evolve(state, n), evolve_exact_on_lattice(state, n * dt)):
+        assert energy_leakage(s) == stacked_energy_leakage(s)
+
+
+def test_leakage_memory_per_site():
+    # traced peak of one call on the benchmark's sharp exact state (nu 10,
+    # dt 0.002, t 50), over its ring: the ring of both rows is 32 B of it,
+    # the momenta and the two weights 24 B, the kernel's two complex
+    # temporaries 32 B
+    state = evolve_exact_on_lattice(
+        build_initial_state(WalkInitConfig(nu=10.0, dt=0.002)), 50.0)
+    energy_leakage(state)  # FFT plans and caches built outside
+    tracemalloc.start()
+    try:
+        energy_leakage(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ring = ring_length(state.n_sites + 16)
+    assert ring == 77_616
+    assert peak / ring <= 91.0
 
 
 @pytest.mark.parametrize("nu, dt", [(2.5, 0.005), (10.0, 0.002), (1.0, 0.02),

@@ -8,6 +8,7 @@ from diracwalk import (TOL, NumericalHealthError, Tolerances,
                        gaussian_profile, initial, position_coefficients,
                        spinor_weights)
 from diracwalk.initial import MomentumProfile, require_initial_state_fits
+from oracles import hstack_position_coefficients
 
 
 def direct_sum_coefficients(profile, dt, m_max):
@@ -240,6 +241,20 @@ def test_fft_coefficients_match_direct_sum(nu, dt):
             ((plus[0][::-1], plus[1][::-1]), s_dn, 1j * s_up)):
         assert np.abs(c_plus - want_plus).max() < 1e-13 * peak
         assert np.abs(c_minus - want_minus).max() < 1e-13 * peak
+
+
+@pytest.mark.parametrize("nu, dt", [(1.0, 0.02), (1.0, 0.01), (1.0, 0.005),
+                                    (2.5, 0.005), (10.0, 0.002)])
+def test_coefficients_read_the_half_spectrum_bit_for_bit(nu, dt):
+    # the sites come straight from the real-input transform, as from the
+    # whole Hermitian ring it completes, on the build's site window
+    cfg = WalkInitConfig(nu=nu, dt=dt)
+    m_max = sites_for(dt, require_initial_state_fits(cfg))
+    prof = gaussian_profile(nu)
+    got = position_coefficients(prof, dt, m_max)
+    want = hstack_position_coefficients(prof, dt, m_max)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_large_cutoff_window_set_by_the_tail():
