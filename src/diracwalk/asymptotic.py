@@ -48,15 +48,24 @@ def _eigen_weights(phi, dt):
     theta)), s = sin dt.  As (t - sin theta)(t + sin theta) = -s^2, both
     follow from B = |t| + sin(theta) alone, which never cancels:
     (alpha, beta) = (B, s)/N for t >= 0 and (s, B)/N for t < 0, with
-    N = sqrt(s^2 + B^2).  phi -> -phi swaps alpha and beta.
+    N = sqrt(s^2 + B^2).  phi -> -phi swaps alpha and beta.  Returned as
+    one new array, rows alpha and beta, formed in place.
     """
     _check_dt(dt)
     s = np.sin(dt)
-    t, sin_theta = _dispersion(phi, dt)
-    big = np.abs(t) + sin_theta
-    norm = np.sqrt(s * s + big * big)
+    t, big = (np.asarray(v) for v in _dispersion(phi, dt))
     up = t >= 0
-    return np.where(up, big, s) / norm, np.where(up, s, big) / norm
+    big += np.abs(t, out=t)
+    norm = np.multiply(big, big, out=t)
+    norm += s * s
+    np.sqrt(norm, out=norm)
+    weights = np.empty((2,) + big.shape)
+    alpha, beta = weights[0, ...], weights[1, ...]  # views, also for 0-d
+    alpha[...], beta[...] = s, big
+    np.copyto(alpha, big, where=up)
+    np.copyto(beta, s, where=up)
+    weights /= norm
+    return weights
 
 
 @dataclass(frozen=True)
@@ -158,11 +167,12 @@ class SpectralCoefficients:
             np.abs(g, out=row)
         w *= w * (self.dt / (2.0 * np.pi))
         table = np.empty((2, n + 1))
-        harmonic = np.arange(1, n // 2 + 1, dtype=float)
+        # numpy divides by a real j as j + 0j, a multiply by 1/j: same bits
+        inv_harmonic = 1.0 / np.arange(1, n // 2 + 1, dtype=float)
         for row, out in zip(w, table):
             spec = np.fft.rfft(row)
             mean = spec[0].real / n
-            spec[1:] /= harmonic
+            spec[1:] *= inv_harmonic
             # the real DC and Nyquist terms turn imaginary, which irfft
             # drops: neither adds to G at a node
             spec *= -1j
@@ -207,8 +217,9 @@ def spectral_coefficients(state: LatticeState,
     np.fft.ifft(ring, axis=1, norm="forward", out=ring)
     ring[1] *= -1j
     # the weights of phi >= 0, ring index k < half (+pi at the Nyquist node)
-    alpha, beta = _eigen_weights(np.abs(phi[:half]), state.dt) \
-        / np.sqrt(state.dt)
+    weights = _eigen_weights(np.abs(phi[:half]), state.dt)
+    weights /= np.sqrt(state.dt)
+    alpha, beta = weights
     apply_pair(ring[:, :half], alpha, beta)
     # phi < 0, the ring's tail: the weights of -phi, alpha and beta swapped
     apply_pair(ring[:, half:], beta[n - half:0:-1], alpha[n - half:0:-1])

@@ -33,11 +33,11 @@ TOL = Tolerances()
 # Longest momentum ring (sites) that walk or exact evolution, the weak-limit
 # coefficients or the initial-state quadrature may allocate.  An evolution
 # transforms one (2, n) complex128 buffer in place, 32 B per site; the
-# per-mode symbol's pair (a, b) and its temporaries take the rest of the
-# traced peak: about 128 B per site for a walk, 0.54 GB at this cap, and
-# 97 B for exact evolution.  A walk of n steps needs a ring of at least
-# n_sites + 2n, so this admits about 2 * 10^6 steps; longer runs are
-# refused before anything is allocated.
+# per-mode symbol's pair (a, b), on modes 0..n // 2 only, and its
+# temporaries take the rest of the traced peak: 80 B per site for a walk,
+# 0.34 GB at this cap, and 65 B for exact evolution.  A walk of n steps
+# needs a ring of at least n_sites + 2n, so this admits about 2 * 10^6
+# steps; longer runs are refused before anything is allocated.
 MAX_RING_SITES = 2 ** 22
 
 

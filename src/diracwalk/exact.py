@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TOL, NumericalHealthError, require_finite
-from .spectral import (_evolve_on_ring, apply_pair, propagator_symbol,
+from .spectral import (_evolve_on_ring, apply_symbol, propagator_symbol,
                        ring_length, ring_modes)
 from .spinor import spinor_weights
 from .walk import LatticeState, position_distribution
@@ -36,21 +36,23 @@ def energy_leakage(state: LatticeState, branch: str = "plus") -> float:
                                    "amplitude")
     n = ring_length(state.n_sites + 16)
     ring = ring_modes(state, n)
-    p = 2.0 * np.pi * np.fft.fftfreq(n, d=state.dt)
+    # the momenta of modes 0..n // 2, where |p| rises to its maximum
+    p = 2.0 * np.pi * np.fft.fftfreq(n, d=state.dt)[:n // 2 + 1]
     norm_sq = float(np.sum(np.abs(ring) ** 2))
-    # refuse states whose spectral weight reaches the Nyquist band
-    band = np.abs(p) > 0.9 * np.abs(p).max()
-    w = np.sum(np.abs(ring[:, band]) ** 2) / max(norm_sq, 1e-300)
+    # refuse states whose spectral weight reaches the Nyquist band, |p| >
+    # 0.9 max |p|: modes k0..n - k0, as mode n - k mirrors mode k
+    k0 = int(np.argmax(np.abs(p) > 0.9 * abs(p[-1])))
+    w = np.sum(np.abs(ring[:, k0:n - k0 + 1]) ** 2) / max(norm_sq, 1e-300)
     if not w <= TOL.nyquist_weight:
         raise NumericalHealthError(
             f"spectral weight {w:.3e} within 10% of the Nyquist momentum; "
             "the lattice is too coarse for this state"
         )
     # the overlap with u+ = (W+, i W-) is row 1 of the pair (W-, W+)
-    # applied to (ring[0], -i ring[1])
+    # applied to (ring[0], -i ring[1]); W+(-p) = W-(p) swaps them at -p
     ring[1] *= -1j
-    w_plus, w_minus = spinor_weights(p)
-    apply_pair(ring, w_minus, w_plus)
+    apply_symbol(ring, lambda _, half: spinor_weights(p[:half])[::-1],
+                 swap=True)
     kept = float(np.sum(np.abs(ring[1]) ** 2))
     return 1.0 - kept / norm_sq
 
@@ -63,8 +65,8 @@ def evolve_exact_on_lattice(state: LatticeState, t: float) -> LatticeState:
     """
     require_finite("t", t)
     n_cone = int(np.ceil(abs(t) / state.dt))
-    return _evolve_on_ring(state, lambda n: propagator_symbol(
-        2.0 * np.pi * np.fft.fftfreq(n, d=state.dt), t),
+    return _evolve_on_ring(state, lambda n, half: propagator_symbol(
+        2.0 * np.pi * np.fft.fftfreq(n, d=state.dt)[:half], t),
         n_cone + _MARGIN_SITES)
 
 

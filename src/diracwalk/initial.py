@@ -220,5 +220,8 @@ def build_initial_state(config: WalkInitConfig) -> LatticeState:
     a_plus = c_plus[lo:hi] * amp
     a_minus = c_minus[lo:hi] * amp
     norm = np.sqrt(np.sum(np.abs(a_plus) ** 2 + np.abs(a_minus) ** 2))
+    # numpy divides by a real c as c + 0j, a multiply by 1/c: same bits
+    a_plus *= 1.0 / norm
+    a_minus *= 1.0 / norm
     return LatticeState(dt=config.dt, m_min=lo - m_max,
-                        a_plus=a_plus / norm, a_minus=a_minus / norm)
+                        a_plus=a_plus, a_minus=a_minus)

@@ -30,8 +30,20 @@ leakage and the coefficients by real pairs, and an evolution, between
   sin(theta): a = cos(n theta) + i r t and b = r sin(dt) e^{-i phi}.
 
 Both symbols are the "plus" helicity branch's, the only one computed here.
+
+Every pair is evaluated on half the ring (``apply_symbol``): on the
+``fftfreq`` grids mode N - k is mode k mirrored, phi -> -phi and p -> -p
+to the bit, so modes 0..N // 2 fix the rest.  The walk's t = cos(dt)
+sin(phi) is odd and theta even, so a(-phi) = a(phi)* and b(-phi) =
+b(phi)*; the propagator's a(-p) = a(p)* and b(-p) = b(p), real; the
+leakage's weights W+(-p) = W-(p).  The tail takes the head's used-up
+pair through reversed views, so every mode is multiplied by the bits the
+full grid gives it.  One exception keeps that true: numpy rounds an
+in-place complex multiply of a one-element array differently from the
+same element inside a longer one, so rings of at most 4 sites, whose
+tail would be one mode, are evaluated whole.
 Per-mode work is embarrassingly parallel; all functions but
-``apply_pair``, which works in place, are pure.
+``apply_pair`` and ``apply_symbol``, which work in place, are pure.
 """
 
 import numpy as np
@@ -73,12 +85,20 @@ def ring_buffer(state: LatticeState, n: int,
         raise ValueError(f"a ring of {n} sites cannot resolve a state "
                          f"spanning {state.n_sites} sites")
     buf = np.zeros((2, n), dtype=complex)
-    idx = np.mod(state.sites, n)
-    buf[0, idx] = state.a_plus
-    if minus_shift:
-        idx = np.mod(idx + minus_shift, n)
-    buf[1, idx] = state.a_minus
+    for row, amp, shift in ((buf[0], state.a_plus, 0),
+                            (buf[1], state.a_minus, minus_shift)):
+        head, tail = _wrap(state.m_min + shift, state.n_sites, n)
+        split = head.stop - head.start
+        row[head], row[tail] = amp[:split], amp[split:]
     return buf
+
+
+def _wrap(m_min: int, n_sites: int, n: int) -> tuple[slice, slice]:
+    """The ring indices of the sites [m_min, m_min + n_sites), n_sites <= n,
+    as two slices: from m_min mod n up to the ring's end, then from 0."""
+    start = m_min % n
+    first = min(n_sites, n - start)
+    return slice(start, start + first), slice(0, n_sites - first)
 
 
 def ring_modes(state: LatticeState, n: int) -> np.ndarray:
@@ -86,7 +106,8 @@ def ring_modes(state: LatticeState, n: int) -> np.ndarray:
     ``ring_buffer``: mode k holds sum_m a[m] e^{-2 pi i k m / n} / sqrt(n)."""
     ring = ring_buffer(state, n)
     np.fft.fft(ring, axis=1, out=ring)
-    ring /= np.sqrt(n)
+    # numpy divides by a real c as c + 0j, a multiply by 1/c: same bits
+    ring *= 1.0 / np.sqrt(n)
     return ring
 
 
@@ -131,19 +152,39 @@ def apply_pair(ring: np.ndarray, a, b) -> None:
     dn += lower
 
 
+def apply_symbol(ring: np.ndarray, symbol, swap: bool = False) -> None:
+    """ring <- a per-mode pair, in place in a (2, n) ring, evaluated on
+    modes 0..half - 1 only: ``symbol(n, half)`` is (a, b) there.
+
+    Modes half..n - 1 take the mirrored head (see the module docstring):
+    (a*, b*), which ``apply_pair`` leaves in a and b, through reversed
+    views, or with ``swap`` the real weights (b, a).  half = n // 2 + 1,
+    so an even ring's Nyquist mode keeps its own label; for n <= 4 it is
+    n, and the tail is empty.
+    """
+    n = ring.shape[1]
+    half = n // 2 + 1 if n > 4 else n
+    a, b = symbol(n, half)
+    apply_pair(ring[:, :half], a, b)
+    if swap:
+        a, b = b, a
+    apply_pair(ring[:, half:], a[n - half:0:-1], b[n - half:0:-1])
+
+
 def _evolve_on_ring(state: LatticeState, symbol, grow: int) -> LatticeState:
-    """Apply ``symbol(n)``, the pair (a, b) of each mode of a ring of n
-    sites, to the one (2, n) buffer of a ring that holds the output window
-    [m_min - grow, m_min + n_sites + grow), and read that window out."""
+    """Apply ``symbol`` (see ``apply_symbol``) to the one (2, n) buffer of
+    a ring that holds the output window [m_min - grow, m_min + n_sites +
+    grow), and read that window out."""
     m_min, n_sites = state.m_min - grow, state.n_sites + 2 * grow
     n = ring_length(n_sites)
     ring = ring_modes(state, n)
-    apply_pair(ring, *symbol(n))
+    apply_symbol(ring, symbol)
     np.fft.ifft(ring, axis=1, out=ring)
     ring *= np.sqrt(n)
-    idx = np.mod(np.arange(m_min, m_min + n_sites), n)
-    return LatticeState(dt=state.dt, m_min=m_min,
-                        a_plus=ring[0, idx], a_minus=ring[1, idx])
+    head, tail = _wrap(m_min, n_sites, n)
+    a_plus, a_minus = (np.concatenate((row[head], row[tail])) for row in ring)
+    return LatticeState(dt=state.dt, m_min=m_min, a_plus=a_plus,
+                        a_minus=a_minus)
 
 
 def evolve(state: LatticeState, n_steps: int) -> LatticeState:
@@ -166,8 +207,8 @@ def evolve(state: LatticeState, n_steps: int) -> LatticeState:
         return LatticeState(state.dt, state.m_min, state.a_plus.copy(),
                             state.a_minus.copy(), norm_drift=np.empty(0))
     grow = abs(n_steps)
-    out = _evolve_on_ring(state, lambda n: walk_power_symbol(
-        -2.0 * np.pi * np.fft.fftfreq(n), state.dt, n_steps), grow)
+    out = _evolve_on_ring(state, lambda n, half: walk_power_symbol(
+        -2.0 * np.pi * np.fft.fftfreq(n)[:half], state.dt, n_steps), grow)
     occupied = np.flatnonzero((state.a_plus != 0) | (state.a_minus != 0))
     # with no nonzero site the initial norm check has already failed
     for amp in (out.a_plus, out.a_minus):

@@ -101,9 +101,13 @@ class _Lookup:
         c = self.hi * _SPLIT
         self.hh = c - (c - self.hi)
         self.hl = self.hi - self.hh
-        groups = [b"%04d" % i for i in range(10000)]
-        self.ascii4 = _words(groups)  # a 4-digit group as 4 ASCII bytes
-        self.zeros4 = np.array([len(g) - len(g.rstrip(b"0")) for g in groups])
+        # a 4-digit group as 4 ASCII bytes, and its trailing zeros
+        g = np.arange(10000)
+        self.ascii4 = sum((g // 10 ** (3 - j) % 10 + ord("0"))
+                          .astype(np.uint64) << np.uint64(8 * j)
+                          for j in range(4))
+        self.zeros4 = sum((g % 10 ** j == 0).astype(np.int64)
+                          for j in range(1, 5))
         self.int_pow10 = np.array([10 ** j for j in range(1, 20)], np.uint64)
         # per exponent X (row X - _X_MIN), what %g prints: fixed notation
         # for -4 <= X < 17, X + 1 digits before the '.', and for X < 0 a
@@ -119,15 +123,15 @@ class _Lookup:
         # per word i of a run, and byte position b = 0.._RUN of the run:
         # the word's bytes below b; its bytes in [b1, b2), at column
         # b1 * (_RUN + 1) + b2; a '.' at byte b (none at _RUN)
-        below = np.array([[(1 << 8 * min(max(b - 8 * i, 0), 8)) - 1
-                           for b in range(_RUN + 1)] for i in range(3)],
-                         np.uint64)
+        at = np.arange(_RUN + 1) - 8 * np.arange(3)[:, None]  # b - 8 i
+        # numpy shifts a uint64 by 64 to 0: a whole word's mask is 0 - 1,
+        # and a '.' past the word's end is 0
+        shift = (8 * np.clip(at, 0, 8)).astype(np.uint64)
+        below = (np.uint64(1) << shift) - np.uint64(1)
         self.below = below
         self.band = (below[:, None, :] & ~below[:, :, None]).reshape(3, -1)
-        self.dot = np.array([[ord(".") << 8 * (b - 8 * i)
-                              if 0 <= b - 8 * i < 8 else 0
-                              for b in range(_RUN + 1)] for i in range(3)],
-                            np.uint64)
+        self.dot = np.where(at >= 0, np.uint64(ord(".")) << shift,
+                            np.uint64(0))
 
 
 def _two_doubles(num, den):

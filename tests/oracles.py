@@ -16,6 +16,7 @@ import numpy as np
 from scipy import integrate, optimize
 
 from diracwalk import exact, spectral
+from diracwalk import table as table_module
 from diracwalk.asymptotic import _check_dt, _eigen_weights
 from diracwalk.constants import TOL, NumericalHealthError, require_finite
 from diracwalk.initial import _quadrature_ring
@@ -63,6 +64,25 @@ def percent_csv(table) -> str:
         values = chain.from_iterable(zip(*(col.tolist() for col in block)))
         chunks.append(((line + "\n") * block[0].size) % tuple(values))
     return "".join(chunks)
+
+
+def lookup_tables():
+    """The tables of ``table._Lookup`` that it builds by numpy arithmetic,
+    by name, built here from byte strings and Python ints."""
+    groups = [b"%04d" % i for i in range(10000)]
+    below = np.array([[(1 << 8 * min(max(b - 8 * i, 0), 8)) - 1
+                       for b in range(table_module._RUN + 1)]
+                      for i in range(3)], np.uint64)
+    return {
+        "ascii4": table_module._words(groups),
+        "zeros4": np.array([len(g) - len(g.rstrip(b"0")) for g in groups]),
+        "below": below,
+        "band": (below[:, None, :] & ~below[:, :, None]).reshape(3, -1),
+        "dot": np.array([[ord(".") << 8 * (b - 8 * i)
+                          if 0 <= b - 8 * i < 8 else 0
+                          for b in range(table_module._RUN + 1)]
+                         for i in range(3)], np.uint64),
+    }
 
 
 def random_phase_state(n_sites: int, m_min: int, dt: float,
@@ -200,10 +220,11 @@ def modes_to_window(modes, dt: float, m_min: int,
 
 def stacked_evolve_on_ring(state, symbol, grow: int) -> LatticeState:
     """``spectral._evolve_on_ring`` with a new array at every stage: the
-    modes, the stacked product and the transform back."""
+    modes, the stacked product and the transform back; ``symbol(n, n)``
+    evaluates every mode on the full grid, with no mirror."""
     m_min, n_sites = state.m_min - grow, state.n_sites + 2 * grow
     n = ring_length(n_sites)
-    modes = stacked_symbol(unitary_modes(state, n), symbol(n))
+    modes = stacked_symbol(unitary_modes(state, n), symbol(n, n))
     return modes_to_window(modes, state.dt, m_min, n_sites)
 
 
@@ -211,8 +232,8 @@ def stacked_walk(state, n_steps: int, branch: str = "plus") -> LatticeState:
     """``n_steps`` walk steps of ``branch`` on the stacked ring, with the
     four entries of ``walk_power_entries`` at every mode's own phi: no
     mirror, and no light-cone mask."""
-    return stacked_evolve_on_ring(state, lambda n: walk_power_entries(
-        -2.0 * np.pi * np.fft.fftfreq(n), state.dt, n_steps, branch),
+    return stacked_evolve_on_ring(state, lambda n, half: walk_power_entries(
+        -2.0 * np.pi * np.fft.fftfreq(n)[:half], state.dt, n_steps, branch),
         abs(n_steps))
 
 
@@ -221,8 +242,8 @@ def stacked_exact(state, t: float, branch: str = "plus") -> LatticeState:
     the four entries of ``propagator_entries`` at ``ring_momenta``, on the
     window of ``evolve_exact_on_lattice``."""
     grow = int(np.ceil(abs(t) / state.dt)) + exact._MARGIN_SITES
-    return stacked_evolve_on_ring(state, lambda n: propagator_entries(
-        ring_momenta(n, state.dt, branch), t, branch), grow)
+    return stacked_evolve_on_ring(state, lambda n, half: propagator_entries(
+        ring_momenta(n, state.dt, branch)[:half], t, branch), grow)
 
 
 @contextmanager

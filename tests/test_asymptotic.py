@@ -247,8 +247,9 @@ def test_spectral_coefficients_smallest_and_default_grid():
 
 def test_spectral_coefficients_memory_per_phi_point():
     # traced peak of one call, over its n_phi: the outputs, phi and the
-    # ring whose rows are g+-, are 40 B of it; building the weights of
-    # phi >= 0 next to them, the rest
+    # ring whose rows are g+-, are 40 B of it; the weights of phi >= 0
+    # (8 B) and the kernel's two complex temporaries on those modes (16 B),
+    # the rest (measured 65.5)
     state = limit_law_state()
     spectral_coefficients(state)  # FFT plans and caches built outside
     tracemalloc.start()
@@ -258,7 +259,7 @@ def test_spectral_coefficients_memory_per_phi_point():
     finally:
         tracemalloc.stop()
     assert co.phi.size == 91476
-    assert peak / co.phi.size <= 69.0
+    assert peak / co.phi.size <= 66.0
 
 
 def test_mass_table_memory_per_phi_point():

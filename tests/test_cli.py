@@ -339,41 +339,90 @@ def test_outputs_over_longer_files_match_fresh_writes(tmp_path):
 
 # sha256 of the outputs of the README commands at small t, as the
 # numpy-only CI job runs them.  A change that means to move output bytes
-# updates these; any other change must leave them as they are.  They hold
-# for numpy's float64 routines as its x86-64 wheels ship them: a libm or
-# SIMD path that rounds an exp or a sin differently moves them too.
-SMALL_README_DIGESTS = [
-    (("walk", "--nu", "2.5", "--dt", "0.005", "--t", "1"), "walk.csv", {
+# updates these; any other change must leave them as they are.  They rest
+# on numpy's float64 routines, whose SIMD paths round an exp or a sin
+# differently: every CSV has one pin per dispatch level of numpy's x86-64
+# wheels (``numpy_dispatch``), both taken with numpy 2.4.6.  figure1.svg
+# prints two decimals and is the same on both.
+SMALL_README_RUNS = [
+    ("walk", "--nu", "2.5", "--dt", "0.005", "--t", "1", "--out", "walk.csv"),
+    ("exact", "--nu", "2.5", "--dt", "0.005", "--t", "1", "--out",
+     "exact.csv"),
+    ("compare", "--nu", "1", "--t", "0.5", "--dt-list", "0.02,0.01,0.005",
+     "--out", "conv.csv"),
+    ("asymptotic", "--nu", "2.5", "--dt", "0.005", "--t", "5", "--out",
+     "asym.csv"),
+    ("figure1", "--out", "figure1.svg"),  # writes figure1.csv too
+]
+_FIGURE1_SVG = \
+    "5083d5d42a8371f6eb8b3d6f5722268b413056a8e3fe42e890428fad3282987a"
+SMALL_README_DIGESTS = {
+    "X86_V4": {
         "walk.csv":
-        "80bdc3725e142df6fee7d74a7cf199713a0fd10223acffc465ea1e060b854d6f"}),
-    (("exact", "--nu", "2.5", "--dt", "0.005", "--t", "1"), "exact.csv", {
+        "80bdc3725e142df6fee7d74a7cf199713a0fd10223acffc465ea1e060b854d6f",
         "exact.csv":
-        "ad27aa0cdc2a5728cef1bae874d55fa5b1b00dab187e1b71014af7c9ab4404d4"}),
-    (("compare", "--nu", "1", "--t", "0.5", "--dt-list", "0.02,0.01,0.005"),
-     "conv.csv", {
+        "ad27aa0cdc2a5728cef1bae874d55fa5b1b00dab187e1b71014af7c9ab4404d4",
         "conv.csv":
-        "38b897cb551353ee8995adb9f668f64a177499c8dff39c75a50a4974a97d57f8"}),
-    (("asymptotic", "--nu", "2.5", "--dt", "0.005", "--t", "5"), "asym.csv", {
+        "38b897cb551353ee8995adb9f668f64a177499c8dff39c75a50a4974a97d57f8",
         "asym.csv":
-        "f2102e52f8d544ede5fea9e42bdd8c1fd7c0bb8931614c2c8a60480d00542d2d"}),
-    (("figure1",), "figure1.svg", {
+        "f2102e52f8d544ede5fea9e42bdd8c1fd7c0bb8931614c2c8a60480d00542d2d",
         "figure1.csv":
         "0d3f7706bf6aa34ec8952e9471bc2b2d58735bdb9fd2bd2e0903aafba3a85c74",
-        "figure1.svg":
-        "5083d5d42a8371f6eb8b3d6f5722268b413056a8e3fe42e890428fad3282987a"}),
-]
+        "figure1.svg": _FIGURE1_SVG},
+    "X86_V3": {
+        "walk.csv":
+        "773dae41252890c88897044778a4929d8138ed75de70b6d10ddccdd7a7843108",
+        "exact.csv":
+        "8aa0965d3e402e3537c9933ecda6bd6b55ed584eda218f3431017fe9b5d53d56",
+        "conv.csv":
+        "afa7e1faf19350ee9390a2b6d4dc42ae8dc2606e290b5e448fef19f10ea9b5eb",
+        "asym.csv":
+        "27a583cf490f77a68668b3d824384e7ad38534aaa4f7ba45b88ffd037ee07ec7",
+        "figure1.csv":
+        "d1cf26715856901ee691feb46c572e55f9a6cdd98e6ea9a3fee8cb9bc444f453",
+        "figure1.svg": _FIGURE1_SVG},
+}
+PINNED_NUMPY = "2.4.6"
+# the X86_V4 host runs numpy's X86_V3 paths with these turned off
+DISABLE_X86_V4 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def numpy_dispatch() -> str | None:
+    """The x86-64 level numpy dispatches its SIMD loops to in this
+    process, X86_V4 or else X86_V3; None on any other CPU."""
+    from numpy._core._multiarray_umath import __cpu_features__
+    return next((level for level in ("X86_V4", "X86_V3")
+                 if __cpu_features__.get(level)), None)
 
 
 def assert_small_readme_digests(tmp_path):
-    for args, out, digests in SMALL_README_DIGESTS:
-        assert run_cli(*args, "--out", str(tmp_path / out)) == 0
-        for name, digest in digests.items():
-            data = (tmp_path / name).read_bytes()
-            assert hashlib.sha256(data).hexdigest() == digest, name
+    level = numpy_dispatch()
+    where = (f"numpy {np.__version__} dispatching to "
+             f"{level or 'neither X86_V4 nor X86_V3'}; the pins are "
+             f"numpy {PINNED_NUMPY}'s on {' and '.join(SMALL_README_DIGESTS)}")
+    assert level in SMALL_README_DIGESTS, f"no byte pins for {where}"
+    for *args, out in SMALL_README_RUNS:
+        assert run_cli(*args, str(tmp_path / out)) == 0
+    digests = SMALL_README_DIGESTS[level]
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in digests}
+    moved = sorted(name for name in digests if got[name] != digests[name])
+    assert not moved, f"{moved} moved their bytes under {where}"
 
 
 def test_small_readme_outputs_keep_their_bytes(tmp_path):
     assert_small_readme_digests(tmp_path)
+
+
+@pytest.mark.skipif(numpy_dispatch() != "X86_V4",
+                    reason="the X86_V3 pins are held here on X86_V4 hosts")
+def test_small_readme_outputs_keep_their_x86_v3_bytes(tmp_path):
+    # numpy reads NPY_DISABLE_CPU_FEATURES once, at import: a fresh
+    # interpreter runs the same commands on the X86_V3 paths
+    code = ("import pathlib, sys, test_cli\n"
+            "assert test_cli.numpy_dispatch() == 'X86_V3'\n"
+            "test_cli.assert_small_readme_digests(pathlib.Path(sys.argv[1]))")
+    run_python(code, str(tmp_path), NPY_DISABLE_CPU_FEATURES=DISABLE_X86_V4)
 
 
 @pytest.mark.parametrize("command, t", [("walk", "1"), ("exact", "1"),
@@ -410,12 +459,14 @@ def test_module_entry_point(tmp_path):
     assert "done in" in proc.stdout
 
 
-def run_python(code) -> str:
-    """stdout of ``code`` run in a fresh interpreter on this diracwalk."""
+def run_python(code, *args, **env) -> str:
+    """stdout of ``code`` run with ``args`` in a fresh interpreter on this
+    diracwalk, with the test modules importable and ``env`` set."""
     src = os.path.dirname(os.path.dirname(diracwalk.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, tests, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()

@@ -11,7 +11,8 @@ from diracwalk import (WalkInitConfig, build_initial_state, evolve,
                        evolve_exact_on_lattice, propagator_symbol,
                        walk_power_symbol)
 from diracwalk.constants import MAX_RING_SITES
-from diracwalk.spectral import ring_length
+from diracwalk.spectral import apply_pair, apply_symbol, ring_length
+from diracwalk.spinor import spinor_weights
 from oracles import (as_branch, evolve_steps, propagator_entries,
                      random_phase_state, ring_momenta, stacked_ring,
                      su2_entries, walk_power_entries, walk_symbol_matrix)
@@ -191,12 +192,14 @@ def test_ring_length_is_next_fast_len():
 
 def test_ring_evolution_memory_per_site():
     # the traced peak behind the MAX_RING_SITES comment: a 211,680-site
-    # ring (nu 2.5, dt 0.005, n = 10^5), measured on a second call
+    # ring (nu 2.5, dt 0.005, n = 10^5), measured on a second call; the
+    # ring is 32 B of it, the pair of modes 0..n // 2 and its temporaries
+    # the rest (measured 80.0 and 65.0 B)
     state = build_initial_state(WalkInitConfig(nu=2.5, dt=0.005))
     n = 100_000
-    for run, bound in ((lambda: evolve(state, n), 129.0),
+    for run, bound in ((lambda: evolve(state, n), 81.0),
                        (lambda: evolve_exact_on_lattice(state, n * state.dt),
-                        97.0)):
+                        66.0)):
         run()  # FFT plans and caches built outside
         tracemalloc.start()
         try:
@@ -207,3 +210,29 @@ def test_ring_evolution_memory_per_site():
         ring = ring_length(out.n_sites)
         assert ring == 211_680
         assert peak / ring <= bound
+
+
+@pytest.mark.parametrize("n", list(range(1, 41)) + [31_500, 31_501, 77_440])
+def test_half_grid_is_the_full_grid_bit_for_bit(n):
+    # apply_symbol evaluates each pair on modes 0..n // 2 and mirrors it
+    # onto the rest; the full grid evaluates every mode: the walk's, the
+    # propagator's and the leakage's pairs, as their layers form them
+    rng = np.random.default_rng(n)
+    ring = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    dt = 0.005
+
+    def momenta(n, half):
+        return 2.0 * np.pi * np.fft.fftfreq(n, d=dt)[:half]
+    symbols = (
+        (lambda n, half: walk_power_symbol(
+            -2.0 * np.pi * np.fft.fftfreq(n)[:half], dt, 1234), False),
+        (lambda n, half: walk_power_symbol(
+            -2.0 * np.pi * np.fft.fftfreq(n)[:half], 0.3, -77), False),
+        (lambda n, half: propagator_symbol(momenta(n, half), 3.7), False),
+        (lambda n, half: spinor_weights(momenta(n, half))[::-1], True))
+    for symbol, swap in symbols:
+        half_grid = ring.copy()
+        apply_symbol(half_grid, symbol, swap)
+        full_grid = ring.copy()
+        apply_pair(full_grid, *symbol(n, n))
+        assert half_grid.tobytes() == full_grid.tobytes()

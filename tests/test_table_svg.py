@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from diracwalk import cli, svgplot, table as table_module
 from diracwalk.svgplot import line_plot_svg, write_svg
 from diracwalk.table import ResultTable, fmt, join_2f, write_text
-from oracles import per_point_polyline, percent_csv, read_csv
+from oracles import (lookup_tables, per_point_polyline, percent_csv,
+                     read_csv)
 
 
 def test_fmt_round_trips_doubles():
@@ -434,3 +435,11 @@ def test_failed_write_keeps_no_bytes_beyond_those_written(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         write_text(path, ["kept\n", "lost \u00e9\n", "never reached\n"])
     assert path.read_bytes() == b"kept\n"
+
+
+def test_lookup_tables_match_their_byte_string_oracle():
+    lut = table_module._Lookup()
+    for name, want in lookup_tables().items():
+        got = getattr(lut, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
