@@ -26,7 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .initial import gaussian_profile
-from .spectral import _dispersion, apply_pair, ring_buffer, ring_length
+from .spectral import (_dispersion, apply_pair, ring_buffer, ring_length,
+                       ring_mirror, ring_unfold)
 from .spinor import energy
 from .walk import LatticeState
 
@@ -198,13 +199,14 @@ def spectral_coefficients(state: LatticeState,
         g+ = (alpha A - beta C) / sqrt(dt),
         g- = (beta A + alpha C) / sqrt(dt),
 
-    with A = sum_m a+[m] e^{i m phi} and C = -i e^{i phi} sum_m a-[m]
-    e^{i m phi}: the factor e^{i phi} moves a- one site on (-i scales its
-    transform in place), so both are one unnormalized inverse DFT of the
-    state's ring (``spectral.ring_buffer``), and g+- are that ring's rows.
-    The grid must resolve the state's trigonometric degree: at least one
-    point per occupied site (default 8x, rounded up to an FFT-friendly
-    size).
+    with A = sum_m a+[m] e^{i m phi}, one unnormalized inverse DFT of the
+    state's ring (``spectral.ring_buffer``), and C = -i e^{i phi} sum_m
+    a-[m] e^{i m phi} = e^{i phi} A(-phi), as a-(m) = i a+(-m).  The pair
+    acts on phi >= 0, ring index k < n_phi // 2 + 1; phi -> -phi swaps
+    alpha and beta, so g+(-phi) = -e^{-i phi} g+(phi) and g-(-phi) =
+    e^{-i phi} g-(phi).  The grid must resolve the state's trigonometric
+    degree: at least one point per occupied site (default 8x, rounded up
+    to an FFT-friendly size).
     """
     if n_phi is None:
         n_phi = ring_length(max(8 * state.n_sites, 4096))
@@ -213,17 +215,24 @@ def spectral_coefficients(state: LatticeState,
     n = int(n_phi)
     phi = 2.0 * np.pi * np.fft.fftfreq(n)
     half = n // 2 + 1
-    ring = ring_buffer(state, n, minus_shift=1)
-    np.fft.ifft(ring, axis=1, norm="forward", out=ring)
-    ring[1] *= -1j
-    # the weights of phi >= 0, ring index k < half (+pi at the Nyquist node)
+    g_plus = ring_buffer(state, n)
+    np.fft.ifft(g_plus, norm="forward", out=g_plus)
+    # e^{i phi} on phi >= 0, ring index k < half (-pi at the Nyquist node)
+    turn = np.exp(1j * phi[:half])
+    c = ring_mirror(g_plus)
+    np.multiply(turn, c, out=c)
     weights = _eigen_weights(np.abs(phi[:half]), state.dt)
     weights /= np.sqrt(state.dt)
-    alpha, beta = weights
-    apply_pair(ring[:, :half], alpha, beta)
-    # phi < 0, the ring's tail: the weights of -phi, alpha and beta swapped
-    apply_pair(ring[:, half:], beta[n - half:0:-1], alpha[n - half:0:-1])
-    return SpectralCoefficients(phi=phi, g_plus=ring[0], g_minus=ring[1],
+    apply_pair((g_plus[:half], c), *weights)
+    del weights  # before g- is allocated: the traced peak
+    g_minus = np.empty(n, dtype=complex)
+    g_minus[:half] = c
+    del c
+    # phi < 0, the ring's tail: index n - k takes -phi of index k
+    np.conjugate(turn, out=turn)
+    ring_unfold(g_plus, -(turn * g_plus[:half]))
+    ring_unfold(g_minus, turn * g_minus[:half])
+    return SpectralCoefficients(phi=phi, g_plus=g_plus, g_minus=g_minus,
                                 dt=state.dt)
 
 

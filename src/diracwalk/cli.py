@@ -158,9 +158,8 @@ def _echo(cfg: RunConfig) -> dict:
         "t_requested": cfg.t,
         "n_steps": cfg.n_steps,
         "t_realized": cfg.t_realized,
-        # constants: the packet's helicity, and a fiber offset no input sets
+        # a constant: the packet's helicity
         "branch": "plus",
-        "x0": 0.0,
     }
 
 
@@ -247,8 +246,8 @@ def cmd_asymptotic(cfg: RunConfig) -> ResultTable:
     meta = table.metadata
     meta["l1_distance"] = float(np.abs(prob - density / n).sum())
     for k in (1, 2, 4):
-        scale = (n * cfg.dt) ** k
-        meta[f"moment{k}_empirical"] = empirical_moment(final, k) / scale
+        moment = empirical_moment(final.x, prob, k)
+        meta[f"moment{k}_empirical"] = moment / (n * cfg.dt) ** k
         meta[f"moment{k}_limit"] = limit_moment(k, cfg.nu)
     meta["horn_analytic"] = horn_location(cfg.nu)
     smooth = np.convolve(prob, np.ones(_HORN_BOXCAR) / _HORN_BOXCAR,

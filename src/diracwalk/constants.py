@@ -32,25 +32,25 @@ TOL = Tolerances()
 
 # Longest momentum ring (sites) that walk or exact evolution, the weak-limit
 # coefficients or the initial-state quadrature may allocate.  An evolution
-# transforms one (2, n) complex128 buffer in place, 32 B per site; the
-# per-mode symbol's pair (a, b), on modes 0..n // 2 only, and its
-# temporaries take the rest of the traced peak: 80 B per site for a walk,
-# 0.34 GB at this cap, and 65 B for exact evolution.  A walk of n steps
-# needs a ring of at least n_sites + 2n, so this admits about 2 * 10^6
-# steps; longer runs are refused before anything is allocated.
+# transforms the one complex128 row of a+ in place, 16 B per site; the
+# symbol's pair on modes 0..n // 2, their mirrored modes and temporaries
+# take the rest of the traced peak: 64 B per site for a walk, 0.27 GB at
+# this cap, and 53 B for exact evolution.  A walk of n steps needs a ring
+# of at least n_sites + 2n, so this admits about 2 * 10^6 steps; longer
+# runs are refused before anything is allocated.
 MAX_RING_SITES = 2 ** 22
 
 
-def require_ring_fits(n_sites):
-    """Refuse a ring longer than ``MAX_RING_SITES``, before it is allocated.
+def require_ring_fits(n_sites, cap: int = MAX_RING_SITES):
+    """Refuse a ring longer than ``cap``, before it is allocated.
 
     ``n_sites`` may be a float estimate of any size, inf included, so a
     preflight can run before any size is converted to an int.
     """
-    if not n_sites <= MAX_RING_SITES:
+    if not n_sites <= cap:
         size = f"{n_sites:.0f}" if n_sites < 1e15 else f"{n_sites:.3g}"
         raise ValueError(f"a ring of {size} sites exceeds the size budget "
-                         f"of {MAX_RING_SITES} sites")
+                         f"of {cap} sites")
     return n_sites
 
 

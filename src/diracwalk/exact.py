@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TOL, NumericalHealthError, require_finite
-from .spectral import (_evolve_on_ring, apply_symbol, propagator_symbol,
-                       ring_length, ring_modes)
+from .spectral import (_evolve_on_ring, apply_pair, propagator_symbol,
+                       ring_length, ring_mirror, ring_modes, ring_unfold)
 from .spinor import spinor_weights
 from .walk import LatticeState, position_distribution
 
@@ -20,7 +20,10 @@ _MARGIN_SITES = 128  # ring padding past the light cone, in sites
 
 
 def energy_leakage(state: LatticeState, branch: str = "plus") -> float:
-    """1 - ||projection onto the positive-energy branch||^2 (per mode).
+    """The weight off the positive-energy branch, per mode, over the norm:
+    the overlap with v = (W-, -i W+), the unit spinor orthogonal to u+ =
+    (W+, i W-), is W-(p) u(k) - W+(p) u(N - k) at mode k (a-(m) = i
+    a+(-m)) and its negative at N - k, with no 1 - kept/norm to cancel.
 
     The exact propagator commutes with the projector, so leakage is a
     conserved diagnostic of exact evolution and a splitting-error gauge
@@ -36,38 +39,39 @@ def energy_leakage(state: LatticeState, branch: str = "plus") -> float:
                                    "amplitude")
     n = ring_length(state.n_sites + 16)
     ring = ring_modes(state, n)
+    half = n // 2 + 1
     # the momenta of modes 0..n // 2, where |p| rises to its maximum
-    p = 2.0 * np.pi * np.fft.fftfreq(n, d=state.dt)[:n // 2 + 1]
-    norm_sq = float(np.sum(np.abs(ring) ** 2))
+    p = 2.0 * np.pi * np.fft.fftfreq(n, d=state.dt)[:half]
+    norm_sq = float(np.sum(np.abs(ring) ** 2))  # of a+; a- holds as much
     # refuse states whose spectral weight reaches the Nyquist band, |p| >
     # 0.9 max |p|: modes k0..n - k0, as mode n - k mirrors mode k
     k0 = int(np.argmax(np.abs(p) > 0.9 * abs(p[-1])))
-    w = np.sum(np.abs(ring[:, k0:n - k0 + 1]) ** 2) / max(norm_sq, 1e-300)
+    w = np.sum(np.abs(ring[k0:n - k0 + 1]) ** 2) / max(norm_sq, 1e-300)
     if not w <= TOL.nyquist_weight:
         raise NumericalHealthError(
             f"spectral weight {w:.3e} within 10% of the Nyquist momentum; "
             "the lattice is too coarse for this state"
         )
-    # the overlap with u+ = (W+, i W-) is row 1 of the pair (W-, W+)
-    # applied to (ring[0], -i ring[1]); W+(-p) = W-(p) swaps them at -p
-    ring[1] *= -1j
-    apply_symbol(ring, lambda _, half: spinor_weights(p[:half])[::-1],
-                 swap=True)
-    kept = float(np.sum(np.abs(ring[1]) ** 2))
-    return 1.0 - kept / norm_sq
+    # the upper row of the real pair (W-, W+) on (u(k), u(n - k)); mode
+    # n - k holds its negative, the same weight
+    w_plus, w_minus = spinor_weights(p)
+    apply_pair((ring[:half], ring_mirror(ring)), w_minus, w_plus)
+    ring_unfold(ring, ring[:half])
+    return float(np.sum(np.abs(ring) ** 2)) / (2 * norm_sq)
 
 
 def evolve_exact_on_lattice(state: LatticeState, t: float) -> LatticeState:
     """Exact evolution of lattice data, returned on the widened lattice window.
 
     The ring is padded past the light cone (speed <= 1) so wrap-around
-    contamination stays at the window-truncation floor.
+    contamination stays at the window-truncation floor.  It is odd: on an
+    even ring's Nyquist mode a+ alone would lose norm (see ``spectral``).
     """
     require_finite("t", t)
     n_cone = int(np.ceil(abs(t) / state.dt))
     return _evolve_on_ring(state, lambda n, half: propagator_symbol(
         2.0 * np.pi * np.fft.fftfreq(n, d=state.dt)[:half], t),
-        n_cone + _MARGIN_SITES)
+        n_cone + _MARGIN_SITES, odd=True)
 
 
 @dataclass(frozen=True)
@@ -84,14 +88,10 @@ def compare_densities(state_a: LatticeState,
     """L1/L2/sup distances between site distributions on the same lattice."""
     if abs(state_a.dt - state_b.dt) > 1e-15 * max(state_a.dt, state_b.dt):
         raise ValueError("states live on lattices with different spacing")
-    lo = min(state_a.m_min, state_b.m_min)
-    hi = max(state_a.m_min + state_a.n_sites, state_b.m_min + state_b.n_sites)
-    pa = np.zeros(hi - lo)
-    pb = np.zeros(hi - lo)
-    da = position_distribution(state_a)
-    db = position_distribution(state_b)
-    pa[state_a.m_min - lo: state_a.m_min - lo + da.size] = da
-    pb[state_b.m_min - lo: state_b.m_min - lo + db.size] = db
+    # both windows are symmetric about site 0: pad the narrower one
+    pa, pb = position_distribution(state_a), position_distribution(state_b)
+    pad = (pa.size - pb.size) // 2
+    pa, pb = np.pad(pa, max(-pad, 0)), np.pad(pb, max(pad, 0))
     pa /= pa.sum()
     pb /= pb.sum()
     diff = pa - pb

@@ -8,8 +8,10 @@ effective spinor weights W+-(p) to produce the entangled coefficients
     c+(x) =      (1/sqrt(2 pi)) Int W+(p) f(p) exp(i p x) dp
     c-(x) = (i/sqrt(2 pi)) Int W-(p) f(p) exp(i p x) dp
 
-of the "plus" helicity branch, which are then sampled at the walk's lattice
-sites x = m*dt, scaled by sqrt(dt) and renormalized to an exact unit norm.
+of the "plus" helicity branch.  W-(p) = W+(-p) and the profiles are even,
+so c-(x) = i c+(-x), the sigma2 parity of ``walk``: c+ alone is computed,
+sampled at the walk's lattice sites x = m*dt, scaled by sqrt(dt) and
+renormalized to an exact unit norm.
 
 The Fourier integrals use the trapezoid rule on the momenta 2 pi k/(L dt)
 of a ring of L sites of spacing dt; the integrands are smooth and
@@ -115,14 +117,13 @@ def _quadrature_ring(n_sites: int, h: float, x_ext: float,
 
 
 def position_coefficients(profile: MomentumProfile, dt: float,
-                          m_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The entangled coefficients (c+, c-) at x = m*dt, m = -m_max..m_max.
+                          m_max: int) -> np.ndarray:
+    """The coefficient c+ at x = m*dt, m = -m_max..m_max; c-(x) = i c+(-x).
 
     The momentum step is at most min(pi/(m_max dt), p_max/400), so the
     trapezoid rule's periodic images stay outside the window; f is zeroed
     beyond p_max.  The weights are real, so the real-input transform gives
-    c+(-x) = conj(c+(x)) and c-(-x) = -conj(c-(x)) exactly for an even
-    profile.
+    c+(-x) = conj(c+(x)) exactly for an even profile.
     """
     if dt > np.pi / profile.p_max:
         raise NumericalHealthError(
@@ -137,14 +138,12 @@ def position_coefficients(profile: MomentumProfile, dt: float,
     # FFT order, sign-symmetric to the last bit
     p = dp * np.fft.ifftshift(np.arange(n_ring) - n_ring // 2)
     inside = np.abs(p) <= profile.p_max
-    weights = np.zeros((2, n_ring))
-    weights[:, inside] = (dp / np.sqrt(2.0 * np.pi)) * profile(p[inside]) \
-        * np.stack(spinor_weights(p[inside]))
-    spec = np.fft.rfft(weights, axis=1)
+    weights = np.zeros(n_ring)
+    weights[inside] = (dp / np.sqrt(2.0 * np.pi)) * profile(p[inside]) \
+        * spinor_weights(p[inside])[0]
+    spec = np.fft.rfft(weights)
     # the weights are real: site m >= 0 is conj(spec[m]), site -m spec[m]
-    sites = np.concatenate([spec[:, m_max:0:-1],
-                            np.conj(spec[:, :m_max + 1])], axis=1)
-    return sites[0], 1.0j * sites[1]
+    return np.concatenate([spec[m_max:0:-1], np.conj(spec[:m_max + 1])])
 
 
 def require_initial_state_fits(config: WalkInitConfig) -> float:
@@ -181,10 +180,10 @@ def build_initial_state(config: WalkInitConfig) -> LatticeState:
     postconditions hold on c+- before it is cut: its amplitude at the edge
     sites is below w of the peak, and its combined norm sum(|c+-|^2) dt is
     within ``TOL.coeff_norm`` of 1; either failing is a
-    ``NumericalHealthError``.  The cut keeps every site whose amplitude is
-    at least w of the peak; the state is then weighted by sqrt(dt) and
-    renormalized to an exact unit norm (the sqrt(dt) sampling is only
-    asymptotically normalized).
+    ``NumericalHealthError``.  The cut keeps every site where c+ or c- is
+    at least w of the peak, a window symmetric about site 0; the state is
+    then weighted by sqrt(dt) and renormalized to an exact unit norm (the
+    sqrt(dt) sampling is only asymptotically normalized).
     """
     extent = require_initial_state_fits(config)
     profile = gaussian_profile(config.nu)
@@ -196,32 +195,28 @@ def build_initial_state(config: WalkInitConfig) -> LatticeState:
             stacklevel=2,
         )
     m_max = max(int(np.ceil(extent / config.dt)), 1)
-    c_plus, c_minus = position_coefficients(profile, config.dt, m_max)
-    mag = np.maximum(np.abs(c_plus), np.abs(c_minus))
+    c_plus = position_coefficients(profile, config.dt, m_max)
+    mag = np.abs(c_plus)
+    # |c-(m)| = |c+(-m)|: the envelope of both, a palindrome bit for bit
+    mag = np.maximum(mag, mag[::-1])
     peak = float(mag.max())
     if peak == 0.0:
         raise ValueError("all-zero coefficients: empty lattice window")
-    edge = float(max(mag[0], mag[-1]) / peak)
+    edge = float(mag[0] / peak)
     if not edge < TOL.window_rel:
         raise NumericalHealthError(
             f"initial-state window edge at {edge:.3g} of the peak, "
             f"not below {TOL.window_rel:.1e}"
         )
-    norm_sq = float(np.sum(np.abs(c_plus) ** 2 + np.abs(c_minus) ** 2)
-                    * config.dt)
+    norm_sq = 2.0 * float(np.sum(np.abs(c_plus) ** 2) * config.dt)
     if not abs(norm_sq - 1.0) <= TOL.coeff_norm:
         raise NumericalHealthError(
             f"coefficient norm {norm_sq:.12f} is off by more than "
             f"{TOL.coeff_norm:.1e}; widen the site window"
         )
-    keep = np.flatnonzero(mag >= TOL.window_rel * peak)
-    lo, hi = int(keep[0]), int(keep[-1]) + 1
-    amp = np.sqrt(config.dt)
-    a_plus = c_plus[lo:hi] * amp
-    a_minus = c_minus[lo:hi] * amp
-    norm = np.sqrt(np.sum(np.abs(a_plus) ** 2 + np.abs(a_minus) ** 2))
+    lo = int(np.argmax(mag >= TOL.window_rel * peak))
+    a_plus = c_plus[lo:c_plus.size - lo] * np.sqrt(config.dt)
+    norm = np.sqrt(2.0 * np.sum(np.abs(a_plus) ** 2))
     # numpy divides by a real c as c + 0j, a multiply by 1/c: same bits
     a_plus *= 1.0 / norm
-    a_minus *= 1.0 / norm
-    return LatticeState(dt=config.dt, m_min=lo - m_max,
-                        a_plus=a_plus, a_minus=a_minus)
+    return LatticeState(dt=config.dt, a_plus=a_plus)

@@ -10,10 +10,15 @@ symbol takes the quasi-momentum phi, the label of the shift's eigenstates
 e^{i m phi}, with the one sign map p = -phi/dt: forward-DFT mode k has
 phi = -2 pi k / N, and ``asymptotic.spectral_coefficients`` transforms the
 same ring (``ring_buffer``) the inverse way to read phi = 2 pi k / N at k.
-Every layer multiplies each mode of its (2, N) ring, in place, by an SU(2)
-matrix [[a, -b*], [b, a*]] given as its pair (a, b) (``apply_pair``): the
-leakage and the coefficients by real pairs, and an evolution, between
-``ring_modes`` and the transform back, by its symbol:
+
+A state is a+ alone (``walk.LatticeState``), so its ring is one row u, and
+the sigma2 parity a-(m) = i a+(-m) reads u-(k) = i u(N - k) in modes.  A
+spinor's 2x2 product at mode k therefore acts on the folded pair (u(k),
+i u(N - k)) of modes k and N - k, k = 0..N // 2 (``ring_mirror``): every
+layer multiplies it, in place, by an SU(2) matrix [[a, -b*], [b, a*]]
+given as its pair (a, b) (``apply_pair``).  The leakage and the
+coefficients take real or phased pairs, and an evolution, between
+``ring_modes`` and the transform back, its symbol:
 
 * exact evolution for a time t, exact because H(p)^2 = E^2 I:
 
@@ -31,19 +36,17 @@ leakage and the coefficients by real pairs, and an evolution, between
 
 Both symbols are the "plus" helicity branch's, the only one computed here.
 
-Every pair is evaluated on half the ring (``apply_symbol``): on the
-``fftfreq`` grids mode N - k is mode k mirrored, phi -> -phi and p -> -p
-to the bit, so modes 0..N // 2 fix the rest.  The walk's t = cos(dt)
-sin(phi) is odd and theta even, so a(-phi) = a(phi)* and b(-phi) =
-b(phi)*; the propagator's a(-p) = a(p)* and b(-p) = b(p), real; the
-leakage's weights W+(-p) = W-(p).  The tail takes the head's used-up
-pair through reversed views, so every mode is multiplied by the bits the
-full grid gives it.  One exception keeps that true: numpy rounds an
-in-place complex multiply of a one-element array differently from the
-same element inside a longer one, so rings of at most 4 sites, whose
-tail would be one mode, are evaluated whole.
-Per-mode work is embarrassingly parallel; all functions but
-``apply_pair`` and ``apply_symbol``, which work in place, are pure.
+Each symbol is evaluated on modes 0..N // 2 only (``apply_symbol``): the
+upper row of the product is the new u(k), and the lower row over i the new
+u(N - k) (``ring_unfold``), as on the ``fftfreq`` grids mode N - k is mode
+k mirrored (phi -> -phi, p -> -p to the bit), where both symbols' pairs
+turn to (a*, b*).  Mode 0 is its own mirror, with (u, i u) an eigenvector,
+and keeps the upper row; so is an even ring's Nyquist mode under the walk's
+2 pi-periodic symbol, but the propagator differs at p = -pi/dt and +pi/dt,
+so exact evolution's rings are odd.  Multiplying by +-i is exact, so every
+mode takes the bits of row 0 of the two-row ring (u, i u(N - k)) on the
+full grid.  Per-mode work is embarrassingly parallel; all functions but
+``apply_pair``, ``apply_symbol`` and ``ring_unfold`` (in place) are pure.
 """
 
 import numpy as np
@@ -65,50 +68,56 @@ def _fast_lengths() -> np.ndarray:
 
 
 _FAST_LENGTHS = _fast_lengths()  # 3,608 lengths; the last is the cap
+_ODD_LENGTHS = _FAST_LENGTHS[_FAST_LENGTHS % 2 == 1]  # 616; 4,159,375 last
 
 
-def ring_length(n_sites) -> int:
+def ring_length(n_sites, odd: bool = False) -> int:
     """The length of every ring: the least 11-smooth length >= ``n_sites``
-    (any float), refused above ``MAX_RING_SITES`` before allocating."""
-    require_ring_fits(n_sites)
-    return int(_FAST_LENGTHS[np.searchsorted(_FAST_LENGTHS, n_sites)])
+    (any float), odd if ``odd`` is set, refused above the longest such
+    length within ``MAX_RING_SITES`` before allocating."""
+    lengths = _ODD_LENGTHS if odd else _FAST_LENGTHS
+    require_ring_fits(n_sites, int(lengths[-1]))
+    return int(lengths[np.searchsorted(lengths, n_sites)])
 
 
-def ring_buffer(state: LatticeState, n: int,
-                minus_shift: int = 0) -> np.ndarray:
-    """The (2, n) ring of a lattice state before its transform: a+[m] at
-    index m mod n, and a-[m] at index (m + minus_shift) mod n.  Refused
-    above ``MAX_RING_SITES`` or below ``state.n_sites``; callers size n
-    with ``ring_length``."""
+def ring_buffer(state: LatticeState, n: int) -> np.ndarray:
+    """The ring of n sites of a lattice state before its transform: a+[m]
+    at index m mod n.  Refused above ``MAX_RING_SITES`` or below
+    ``state.n_sites``; callers size n with ``ring_length``."""
     require_ring_fits(n)
     if n < state.n_sites:
         raise ValueError(f"a ring of {n} sites cannot resolve a state "
                          f"spanning {state.n_sites} sites")
-    buf = np.zeros((2, n), dtype=complex)
-    for row, amp, shift in ((buf[0], state.a_plus, 0),
-                            (buf[1], state.a_minus, minus_shift)):
-        head, tail = _wrap(state.m_min + shift, state.n_sites, n)
-        split = head.stop - head.start
-        row[head], row[tail] = amp[:split], amp[split:]
-    return buf
-
-
-def _wrap(m_min: int, n_sites: int, n: int) -> tuple[slice, slice]:
-    """The ring indices of the sites [m_min, m_min + n_sites), n_sites <= n,
-    as two slices: from m_min mod n up to the ring's end, then from 0."""
-    start = m_min % n
-    first = min(n_sites, n - start)
-    return slice(start, start + first), slice(0, n_sites - first)
+    ring = np.zeros(n, dtype=complex)
+    m = state.n_sites // 2
+    ring[:m + 1], ring[n - m:] = state.a_plus[m:], state.a_plus[:m]
+    return ring
 
 
 def ring_modes(state: LatticeState, n: int) -> np.ndarray:
     """The unitary DFT of a state's ring of n sites, in place in its
-    ``ring_buffer``: mode k holds sum_m a[m] e^{-2 pi i k m / n} / sqrt(n)."""
+    ``ring_buffer``: mode k holds sum_m a+[m] e^{-2 pi i k m / n} /
+    sqrt(n)."""
     ring = ring_buffer(state, n)
-    np.fft.fft(ring, axis=1, out=ring)
+    np.fft.fft(ring, out=ring)
     # numpy divides by a real c as c + 0j, a multiply by 1/c: same bits
     ring *= 1.0 / np.sqrt(n)
     return ring
+
+
+def ring_mirror(ring: np.ndarray) -> np.ndarray:
+    """ring[N - k mod N] for k = 0..N // 2, as a new array: the lower half
+    of the folded pairs (see the module docstring)."""
+    half = ring.size // 2 + 1
+    mirror = np.empty(half, dtype=complex)
+    mirror[0], mirror[1:] = ring[0], ring[:ring.size - half:-1]
+    return mirror
+
+
+def ring_unfold(ring: np.ndarray, mirror: np.ndarray) -> None:
+    """ring[N - k] <- mirror[k], k = 1..(N - 1) // 2, in place: the ring's
+    tail from the lower half of its folded pairs (``ring_mirror``)."""
+    ring[ring.size // 2 + 1:] = mirror[(ring.size - 1) // 2:0:-1]
 
 
 def propagator_symbol(p, t: float):
@@ -140,8 +149,9 @@ def walk_power_symbol(phi, dt: float, n_steps: int):
 
 
 def apply_pair(ring: np.ndarray, a, b) -> None:
-    """ring <- [[a, -b*], [b, a*]] ring, mode by mode, in place in a (2, n)
-    ring (or a view of one); a and b, complex or real, are used up."""
+    """ring <- [[a, -b*], [b, a*]] ring, mode by mode, in place in a pair
+    of rows (a (2, n) array, or two views); a and b, complex or real, are
+    used up."""
     up, dn = ring
     # symbol first in every product: complex multiplication is not
     # bitwise commutative; a and b are conjugated in place once used
@@ -152,39 +162,33 @@ def apply_pair(ring: np.ndarray, a, b) -> None:
     dn += lower
 
 
-def apply_symbol(ring: np.ndarray, symbol, swap: bool = False) -> None:
-    """ring <- a per-mode pair, in place in a (2, n) ring, evaluated on
-    modes 0..half - 1 only: ``symbol(n, half)`` is (a, b) there.
-
-    Modes half..n - 1 take the mirrored head (see the module docstring):
-    (a*, b*), which ``apply_pair`` leaves in a and b, through reversed
-    views, or with ``swap`` the real weights (b, a).  half = n // 2 + 1,
-    so an even ring's Nyquist mode keeps its own label; for n <= 4 it is
-    n, and the tail is empty.
-    """
-    n = ring.shape[1]
-    half = n // 2 + 1 if n > 4 else n
-    a, b = symbol(n, half)
-    apply_pair(ring[:, :half], a, b)
-    if swap:
-        a, b = b, a
-    apply_pair(ring[:, half:], a[n - half:0:-1], b[n - half:0:-1])
+def apply_symbol(ring: np.ndarray, symbol) -> None:
+    """ring <- a per-mode pair, in place in a ring of a+'s modes, on the
+    folded pairs (u(k), i u(N - k)), k = 0..N // 2, where ``symbol(N,
+    N // 2 + 1)`` is (a, b) (see the module docstring)."""
+    n = ring.size
+    half = n // 2 + 1
+    a, b = symbol(n, half)  # before the mirror: its temporaries peak
+    mirror = ring_mirror(ring)
+    mirror *= 1j
+    apply_pair((ring[:half], mirror), a, b)
+    mirror *= -1j
+    ring_unfold(ring, mirror)
 
 
-def _evolve_on_ring(state: LatticeState, symbol, grow: int) -> LatticeState:
-    """Apply ``symbol`` (see ``apply_symbol``) to the one (2, n) buffer of
-    a ring that holds the output window [m_min - grow, m_min + n_sites +
-    grow), and read that window out."""
-    m_min, n_sites = state.m_min - grow, state.n_sites + 2 * grow
-    n = ring_length(n_sites)
+def _evolve_on_ring(state: LatticeState, symbol, grow: int,
+                    odd: bool = False) -> LatticeState:
+    """Apply ``symbol`` (see ``apply_symbol``) to the ring that holds the
+    output window, ``grow`` sites wider on each side, odd if ``odd`` is
+    set (see ``ring_length``), and read that window out."""
+    m = state.n_sites // 2 + grow
+    n = ring_length(2 * m + 1, odd)
     ring = ring_modes(state, n)
     apply_symbol(ring, symbol)
-    np.fft.ifft(ring, axis=1, out=ring)
+    np.fft.ifft(ring, out=ring)
     ring *= np.sqrt(n)
-    head, tail = _wrap(m_min, n_sites, n)
-    a_plus, a_minus = (np.concatenate((row[head], row[tail])) for row in ring)
-    return LatticeState(dt=state.dt, m_min=m_min, a_plus=a_plus,
-                        a_minus=a_minus)
+    return LatticeState(dt=state.dt,
+                        a_plus=np.concatenate((ring[n - m:], ring[:m + 1])))
 
 
 def evolve(state: LatticeState, n_steps: int) -> LatticeState:
@@ -192,28 +196,28 @@ def evolve(state: LatticeState, n_steps: int) -> LatticeState:
     walk backwards, so ``evolve(evolve(s, n), -n)`` is s again, padded
     with 2|n| zero sites on each side.
 
-    The ring holds the whole output window [m_min - |n|, m_min + n_sites +
-    |n|), so the circular product is the walk itself, without wrap-around.
-    Amplitudes outside the light cone of the initial nonzero support are
-    set to exactly 0.0, as the step-by-step walk leaves them.  The norm is
-    checked before and after against ``TOL.norm_drift_abort`` (monitored,
-    never repaired: ``NumericalHealthError``); ``norm_drift`` holds the
-    final drift as a 1-element array.  For n = 0 the state comes back unchanged
-    with an empty drift record, as from the step-by-step loop
-    ``evolve_steps`` in ``tests/oracles.py``, this function's reference.
+    The ring holds the whole output window, |n| sites wider on each side,
+    so the circular product is the walk itself, without wrap-around.
+    Amplitudes outside the light cone of the initial support of a+ and a-
+    are set to exactly 0.0, as the step-by-step walk leaves them.  The
+    norm is checked before and after against ``TOL.norm_drift_abort``
+    (monitored, never repaired: ``NumericalHealthError``); ``norm_drift``
+    holds the final drift as a 1-element array, empty for n = 0, as from
+    the step-by-step loop ``evolve_steps`` in ``tests/oracles.py``, this
+    function's reference.
     """
     require_unit_norm(state)
     if n_steps == 0:
-        return LatticeState(state.dt, state.m_min, state.a_plus.copy(),
-                            state.a_minus.copy(), norm_drift=np.empty(0))
+        return LatticeState(state.dt, state.a_plus.copy(),
+                            norm_drift=np.empty(0))
     grow = abs(n_steps)
     out = _evolve_on_ring(state, lambda n, half: walk_power_symbol(
         -2.0 * np.pi * np.fft.fftfreq(n)[:half], state.dt, n_steps), grow)
-    occupied = np.flatnonzero((state.a_plus != 0) | (state.a_minus != 0))
-    # with no nonzero site the initial norm check has already failed
-    for amp in (out.a_plus, out.a_minus):
-        amp[:occupied[0]] = 0.0
-        amp[occupied[-1] + 2 * grow + 1:] = 0.0
+    # a-(m) = i a+(-m): the first occupied index of either component; with
+    # no nonzero site the initial norm check has already failed
+    occupied = np.flatnonzero(state.a_plus)
+    lo = min(occupied[0], state.n_sites - 1 - occupied[-1])
+    out.a_plus[:lo] = out.a_plus[out.n_sites - lo:] = 0.0
     drift = abs(out.norm_sq() - 1.0)
     if not drift <= TOL.norm_drift_abort:
         raise NumericalHealthError(

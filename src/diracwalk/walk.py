@@ -1,11 +1,13 @@
 """The lattice state of the walk, its position distribution and moments.
 
 The walker lives on the lattice sites m (integer), at x = m*dt; the coin is
-the 2-dimensional spin space.  ``spectral.evolve`` runs the walk; the
-coin/shift step loop it is checked against is in ``tests/oracles.py``.
-Every run is the "plus" helicity branch's: the packets are invariant under
-the sigma2 parity, so the "minus" branch prints the same density.  States
-are values; independent evolutions share nothing and may run concurrently.
+the 2-dimensional spin space.  Every packet, and every walk and exact run
+of it, is invariant under the sigma2 parity Pi, (Pi a)(m) = sigma2 a(-m),
+that is a-(m) = i a+(-m): a state is its spin-up amplitude a+ alone, on a
+window symmetric about site 0, and its density is a palindrome about site
+0.  ``spectral.evolve`` runs the walk; the two-component coin/shift step
+loop it is checked against is in ``tests/oracles.py``.  States are values;
+independent evolutions share nothing and may run concurrently.
 """
 
 from dataclasses import dataclass, field
@@ -17,36 +19,35 @@ from .constants import TOL, NumericalHealthError
 
 @dataclass
 class LatticeState:
-    """Spin-up/spin-down amplitudes on a contiguous window of lattice sites.
+    """The spin-up amplitudes a+ on the sites -M..M; a-(m) = i a+(-m).
 
-    ``m_min`` is the site index of array element 0; site m corresponds to
-    position m*dt.  Amplitudes are finite (NaN or inf: ``ValueError``), and
-    sum(|a+|^2 + |a-|^2) = 1 within the unitarity budget.
+    Site m sits at x = m*dt.  The amplitudes are finite (otherwise
+    ``ValueError``), and 2 sum |a+|^2 = 1 within the unitarity budget.
     """
 
     dt: float
-    m_min: int
     a_plus: np.ndarray
-    a_minus: np.ndarray
     norm_drift: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.a_plus = np.asarray(self.a_plus, dtype=complex)
-        self.a_minus = np.asarray(self.a_minus, dtype=complex)
-        if self.a_plus.shape != self.a_minus.shape or self.a_plus.ndim != 1:
-            raise ValueError("spin component arrays must be 1-d and equally long")
+        if self.a_plus.ndim != 1 or self.a_plus.size % 2 != 1:
+            raise ValueError("a_plus must be 1-d on an odd number of sites, "
+                             f"-M..M; got shape {self.a_plus.shape}")
         if not 0.0 < self.dt < np.inf:
             raise ValueError(
                 f"dt must be finite and positive, got {self.dt!r}")
-        for name in ("a_plus", "a_minus"):
-            amp = getattr(self, name)
-            if not np.isfinite(amp).all():  # both parts, in one pass
-                site = self.m_min + np.flatnonzero(~np.isfinite(amp))[0]
-                raise ValueError(f"{name} is not finite at site {site}")
+        if not np.isfinite(self.a_plus).all():  # both parts, in one pass
+            site = self.m_min + np.flatnonzero(~np.isfinite(self.a_plus))[0]
+            raise ValueError(f"a_plus is not finite at site {site}")
 
     @property
     def n_sites(self) -> int:
         return self.a_plus.size
+
+    @property
+    def m_min(self) -> int:
+        return -(self.n_sites // 2)
 
     @property
     def sites(self) -> np.ndarray:
@@ -57,7 +58,8 @@ class LatticeState:
         return self.sites * self.dt
 
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.a_plus) ** 2 + np.abs(self.a_minus) ** 2))
+        """sum |a+|^2 + |a-|^2, twice the weight of a+."""
+        return 2.0 * float(np.sum(np.abs(self.a_plus) ** 2))
 
 
 def require_unit_norm(state: LatticeState) -> None:
@@ -70,16 +72,17 @@ def require_unit_norm(state: LatticeState) -> None:
 
 
 def position_distribution(state: LatticeState) -> np.ndarray:
-    """P[m] = |a+[m]|^2 + |a-[m]|^2, aligned with ``state.sites``."""
-    return np.abs(state.a_plus) ** 2 + np.abs(state.a_minus) ** 2
+    """P[m] = |a+[m]|^2 + |a+[-m]|^2 on ``state.sites``, a palindrome bit
+    for bit: |a+|^2 is formed once, contiguously (numpy's abs rounds a
+    reversed view differently), and IEEE addition commutes."""
+    q = np.abs(state.a_plus) ** 2
+    return q + q[::-1]
 
 
-def empirical_moment(state: LatticeState, k: int) -> float:
-    """k-th moment of the walker position: sum (m*dt)^k P[m]."""
+def empirical_moment(x: np.ndarray, prob: np.ndarray, k: int) -> float:
+    """k-th moment sum x^k P of the density ``prob`` at the positions x."""
     if k < 0:
         raise ValueError("moment order must be >= 0")
-    prob = position_distribution(state)
-    x = state.sites * state.dt
     # numpy's power takes a scalar libm loop on negative bases; x^4 is
     # (x^2)^2, two multiplies
     xk = np.square(np.square(x)) if k == 4 else x ** k

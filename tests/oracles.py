@@ -1,14 +1,16 @@
 """Reference implementations that the tests hold the package to: the slow
-paths the fast ones replaced, the four-entry, branch-taking symbols that
-the (a, b) pairs of ``spectral`` replaced, with the "minus" branch's own
-runs on them (the package computes "plus" only; ``site_mirror`` forms the
--1/2 packet), the 4-spinor layer that the 2-spinor reduction of
-``spinor`` rests on, the limit law by quadrature, and a reader of the CSV
-files."""
+paths the fast ones replaced, the two-component state (``TwoRowState``)
+behind the package's a+-only ``LatticeState``, with the step loop, the
+stacked ring and the packet on it, the four-entry, branch-taking
+symbols that the (a, b) pairs of ``spectral`` replaced, with the "minus"
+branch's own runs on them (the package computes "plus" only;
+``site_mirror`` forms the -1/2 packet), the 4-spinor layer that the
+2-spinor reduction of ``spinor`` rests on, the limit law by quadrature,
+and a reader of the CSV files."""
 
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from unittest.mock import patch
 
@@ -19,8 +21,9 @@ from diracwalk import exact, spectral
 from diracwalk import table as table_module
 from diracwalk.asymptotic import _check_dt, _eigen_weights
 from diracwalk.constants import TOL, NumericalHealthError, require_finite
-from diracwalk.initial import _quadrature_ring
-from diracwalk.spectral import _dispersion, ring_buffer, ring_length
+from diracwalk.initial import (WalkInitConfig, _quadrature_ring,
+                               gaussian_profile, require_initial_state_fits)
+from diracwalk.spectral import _dispersion, ring_length
 from diracwalk.spinor import energy, spinor_weights
 from diracwalk.table import fmt
 from diracwalk.walk import LatticeState, require_unit_norm
@@ -85,25 +88,103 @@ def lookup_tables():
     }
 
 
+@dataclass
+class TwoRowState:
+    """Spin-up/spin-down amplitudes on any contiguous window of lattice
+    sites, from site ``m_min``: both rows of a state, of which the package
+    keeps a+ alone.  Amplitudes are finite (NaN or inf: ``ValueError``)."""
+
+    dt: float
+    m_min: int
+    a_plus: np.ndarray
+    a_minus: np.ndarray
+    norm_drift: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.a_plus = np.asarray(self.a_plus, dtype=complex)
+        self.a_minus = np.asarray(self.a_minus, dtype=complex)
+        if self.a_plus.shape != self.a_minus.shape or self.a_plus.ndim != 1:
+            raise ValueError("spin component arrays must be 1-d and equally "
+                             "long")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(
+                f"dt must be finite and positive, got {self.dt!r}")
+        for name in ("a_plus", "a_minus"):
+            amp = getattr(self, name)
+            if not np.isfinite(amp).all():
+                site = self.m_min + np.flatnonzero(~np.isfinite(amp))[0]
+                raise ValueError(f"{name} is not finite at site {site}")
+
+    @property
+    def n_sites(self) -> int:
+        return self.a_plus.size
+
+    @property
+    def sites(self) -> np.ndarray:
+        return np.arange(self.m_min, self.m_min + self.n_sites)
+
+    def norm_sq(self) -> float:
+        return float(np.sum(np.abs(self.a_plus) ** 2
+                            + np.abs(self.a_minus) ** 2))
+
+    def density(self) -> np.ndarray:
+        """P[m] = |a+[m]|^2 + |a-[m]|^2, aligned with ``sites``."""
+        return np.abs(self.a_plus) ** 2 + np.abs(self.a_minus) ** 2
+
+
+def two_row(state) -> TwoRowState:
+    """A package state with its spin-down row a-(m) = i a+(-m) formed, in
+    new arrays; a ``TwoRowState`` comes back as it is."""
+    if isinstance(state, TwoRowState):
+        return state
+    return TwoRowState(dt=state.dt, m_min=state.m_min,
+                       a_plus=state.a_plus.copy(),
+                       a_minus=1j * state.a_plus[::-1],
+                       norm_drift=state.norm_drift)
+
+
+def plus_row(state: TwoRowState) -> LatticeState:
+    """The package state of a two-row state on a window symmetric about
+    site 0: its a+ row, a copy."""
+    assert state.m_min == -(state.n_sites // 2) and state.n_sites % 2, \
+        (state.m_min, state.n_sites)
+    return LatticeState(dt=state.dt, a_plus=state.a_plus.copy(),
+                        norm_drift=state.norm_drift)
+
+
 def random_phase_state(n_sites: int, m_min: int, dt: float,
-                       seed: int) -> LatticeState:
+                       seed: int) -> TwoRowState:
     """A unit-norm compact state: moduli in [0.1, 1) and random phases on
-    n_sites sites from m_min."""
+    n_sites sites from m_min, both rows drawn."""
     rng = np.random.default_rng(seed)
     z = rng.uniform(0.1, 1.0, (2, n_sites)) \
         * np.exp(2j * np.pi * rng.uniform(size=(2, n_sites)))
     z /= np.sqrt(np.sum(np.abs(z) ** 2))
-    return LatticeState(dt=dt, m_min=m_min, a_plus=z[0], a_minus=z[1])
+    return TwoRowState(dt=dt, m_min=m_min, a_plus=z[0], a_minus=z[1])
 
 
-def site_mirror(state: LatticeState) -> LatticeState:
+def random_pi_state(m_max: int, dt: float, seed: int) -> LatticeState:
+    """A unit-norm package state: moduli in [0.1, 1) and random phases of
+    a+ on the sites -m_max..m_max, a- its sigma2 parity image."""
+    rng = np.random.default_rng(seed)
+    size = 2 * m_max + 1
+    z = rng.uniform(0.1, 1.0, size) \
+        * np.exp(2j * np.pi * rng.uniform(size=size))
+    z /= np.sqrt(2.0 * np.sum(np.abs(z) ** 2))
+    return LatticeState(dt=dt, a_plus=z)
+
+
+def site_mirror(state):
     """The site mirror m -> -m, spin components and ``norm_drift`` kept,
     in C-contiguous copies: numpy's abs rounds a reversed view
     differently, and a mirrored density must be the mirror bit for bit.
     The -1/2 branch is the parity image of the +1/2 one, M-(phi) =
     M+(-phi), H-(p) = H+(-p) and u-(p) = u+(-p), so the mirror of a
     "plus" run of the mirrored state is that state's "minus" run, and the
-    mirrored "plus" packet is the "minus" packet."""
+    mirrored "plus" packet is the "minus" packet.  The mirror keeps the
+    sigma2 parity, so a package state mirrors to one: a+ reversed."""
+    if isinstance(state, LatticeState):
+        return replace(state, a_plus=state.a_plus[::-1].copy())
     return replace(state, m_min=1 - state.m_min - state.n_sites,
                    a_plus=state.a_plus[::-1].copy(),
                    a_minus=state.a_minus[::-1].copy())
@@ -115,7 +196,7 @@ def as_branch(branch: str):
     return site_mirror if branch_sign(branch) < 0 else (lambda state: state)
 
 
-def sigma2_parity_defect(state: LatticeState) -> float:
+def sigma2_parity_defect(state: TwoRowState) -> float:
     """max |a-(m) - i a+(-m)| over a window symmetric about site 0: zero
     for a state invariant under (Pi a)(m) = sigma2 a(-m)."""
     assert state.m_min == 1 - state.m_min - state.n_sites, state.m_min
@@ -123,9 +204,10 @@ def sigma2_parity_defect(state: LatticeState) -> float:
 
 
 def hstack_position_coefficients(profile, dt: float, m_max: int):
-    """``initial.position_coefficients`` through the whole Hermitian ring:
-    the conjugated real-input transform of the weights, completed by its
-    mirrored conjugate with ``hstack`` and read at m mod n_ring."""
+    """The coefficients (c+, c-) of ``initial.position_coefficients``, each
+    through its own whole Hermitian ring: the conjugated real-input
+    transform of the weights W+ f and W- f, completed by its mirrored
+    conjugate with ``hstack`` and read at m mod n_ring."""
     n_ring = _quadrature_ring(2 * m_max + 1, dt, m_max * dt, profile.p_max)
     dp = 2.0 * np.pi / (n_ring * dt)
     p = dp * np.fft.ifftshift(np.arange(n_ring) - n_ring // 2)
@@ -139,10 +221,37 @@ def hstack_position_coefficients(profile, dt: float, m_max: int):
     return ring[0, idx], 1.0j * ring[1, idx]
 
 
+def two_row_packet(config: WalkInitConfig) -> TwoRowState:
+    """``initial.build_initial_state`` on both rows, each from its own
+    transform (``hstack_position_coefficients``): cut where c+ or c- is
+    at least the window threshold of the peak, and normalized on both."""
+    extent = require_initial_state_fits(config)
+    m_max = max(int(np.ceil(extent / config.dt)), 1)
+    c_plus, c_minus = hstack_position_coefficients(
+        gaussian_profile(config.nu), config.dt, m_max)
+    mag = np.maximum(np.abs(c_plus), np.abs(c_minus))
+    keep = np.flatnonzero(mag >= TOL.window_rel * mag.max())
+    lo, hi = int(keep[0]), int(keep[-1]) + 1
+    amp = np.stack((c_plus[lo:hi], c_minus[lo:hi])) * np.sqrt(config.dt)
+    amp *= 1.0 / np.sqrt(np.sum(np.abs(amp) ** 2))
+    return TwoRowState(dt=config.dt, m_min=lo - m_max, a_plus=amp[0],
+                       a_minus=amp[1])
+
+
+def two_row_buffer(state, n: int) -> np.ndarray:
+    """The (2, n) ring of a state's two rows: a+-[m] at index m mod n."""
+    state = two_row(state)
+    assert n >= state.n_sites
+    buf = np.zeros((2, n), dtype=complex)
+    idx = np.mod(state.sites, n)
+    buf[0, idx], buf[1, idx] = state.a_plus, state.a_minus
+    return buf
+
+
 def unitary_modes(state, n: int) -> np.ndarray:
     """The unitary DFT of a state's ring of n sites, as a new (2, n)
     array: mode k holds sum_m a[m] e^{-2 pi i k m / n} / sqrt(n)."""
-    return np.fft.fft(ring_buffer(state, n), axis=1) / np.sqrt(n)
+    return np.fft.fft(two_row_buffer(state, n), axis=1) / np.sqrt(n)
 
 
 def ring_momenta(n: int, dt: float, branch: str = "plus") -> np.ndarray:
@@ -208,27 +317,30 @@ def stacked_symbol(modes, symbol) -> np.ndarray:
 
 
 def modes_to_window(modes, dt: float, m_min: int,
-                    n_sites: int) -> LatticeState:
+                    n_sites: int) -> TwoRowState:
     """The inverse of ``unitary_modes``, read out on the window [m_min,
     m_min + n_sites)."""
     n = modes.shape[1]
     buf = np.fft.ifft(modes, axis=1) * np.sqrt(n)
     idx = np.mod(np.arange(m_min, m_min + n_sites), n)
-    return LatticeState(dt=dt, m_min=m_min, a_plus=buf[0, idx],
-                        a_minus=buf[1, idx])
+    return TwoRowState(dt=dt, m_min=m_min, a_plus=buf[0, idx],
+                       a_minus=buf[1, idx])
 
 
-def stacked_evolve_on_ring(state, symbol, grow: int) -> LatticeState:
-    """``spectral._evolve_on_ring`` with a new array at every stage: the
-    modes, the stacked product and the transform back; ``symbol(n, n)``
-    evaluates every mode on the full grid, with no mirror."""
+def stacked_evolve_on_ring(state, symbol, grow: int,
+                           odd: bool = False) -> TwoRowState:
+    """``spectral._evolve_on_ring`` on both rows, with a new array at every
+    stage: the modes of each row's own transform, the stacked product and
+    the transform back; ``symbol(n, n)`` evaluates every mode on the full
+    grid, with no mirror."""
+    state = two_row(state)
     m_min, n_sites = state.m_min - grow, state.n_sites + 2 * grow
-    n = ring_length(n_sites)
+    n = ring_length(n_sites, odd)
     modes = stacked_symbol(unitary_modes(state, n), symbol(n, n))
     return modes_to_window(modes, state.dt, m_min, n_sites)
 
 
-def stacked_walk(state, n_steps: int, branch: str = "plus") -> LatticeState:
+def stacked_walk(state, n_steps: int, branch: str = "plus") -> TwoRowState:
     """``n_steps`` walk steps of ``branch`` on the stacked ring, with the
     four entries of ``walk_power_entries`` at every mode's own phi: no
     mirror, and no light-cone mask."""
@@ -237,41 +349,50 @@ def stacked_walk(state, n_steps: int, branch: str = "plus") -> LatticeState:
         abs(n_steps))
 
 
-def stacked_exact(state, t: float, branch: str = "plus") -> LatticeState:
+def stacked_exact(state, t: float, branch: str = "plus") -> TwoRowState:
     """Exact evolution of ``branch`` for a time t on the stacked ring, with
     the four entries of ``propagator_entries`` at ``ring_momenta``, on the
-    window of ``evolve_exact_on_lattice``."""
+    window and the odd ring of ``evolve_exact_on_lattice``."""
     grow = int(np.ceil(abs(t) / state.dt)) + exact._MARGIN_SITES
     return stacked_evolve_on_ring(state, lambda n, half: propagator_entries(
-        ring_momenta(n, state.dt, branch)[:half], t, branch), grow)
+        ring_momenta(n, state.dt, branch)[:half], t, branch), grow, odd=True)
+
+
+def _stacked_plus_row(state, symbol, grow: int,
+                      odd: bool = False) -> LatticeState:
+    """``stacked_evolve_on_ring`` from and to a package state: the a+ row
+    of the two-row run."""
+    return plus_row(stacked_evolve_on_ring(state, symbol, grow, odd))
 
 
 @contextmanager
 def stacked_ring():
-    """Run ``evolve`` and ``evolve_exact_on_lattice`` on the stacked ring,
-    with the four entries of ``walk_power_entries`` and
+    """Run ``evolve`` and ``evolve_exact_on_lattice`` on the stacked ring
+    of both rows, with the four entries of ``walk_power_entries`` and
     ``propagator_entries`` (their "plus" branch) in place of the (a, b)
-    pairs."""
-    with patch.object(spectral, "_evolve_on_ring", stacked_evolve_on_ring), \
+    pairs; the package state takes the a+ row back."""
+    with patch.object(spectral, "_evolve_on_ring", _stacked_plus_row), \
             patch.object(spectral, "walk_power_symbol", walk_power_entries), \
-            patch.object(exact, "_evolve_on_ring", stacked_evolve_on_ring), \
+            patch.object(exact, "_evolve_on_ring", _stacked_plus_row), \
             patch.object(exact, "propagator_symbol", propagator_entries):
         yield
 
 
 def stacked_energy_leakage(state, branch: str = "plus") -> float:
-    """``exact.energy_leakage`` as the overlap of every mode with the
-    stacked complex spinor u+(p) (u-(p) for "minus"), on ``unitary_modes``
-    and without its Nyquist-band refusal; for "plus" it rounds as the
-    package's pair product does, bit for bit."""
+    """``exact.energy_leakage`` on both rows of ``unitary_modes``, without
+    its Nyquist-band refusal: the weight of every mode's overlap with the
+    unit spinor orthogonal to u+(p) = (W+, i W-), that is v = (W-, -i W+)
+    (for "minus" u-(p) = (W-, i W+) and v = (W+, -i W-)), over the
+    norm^2."""
     sign = branch_sign(branch)
     n = ring_length(state.n_sites + 16)
     amp = unitary_modes(state, n)
     p = ring_momenta(n, state.dt, branch)
-    w = u_plus_effective(p) if sign > 0 else u_minus_effective(p)
-    overlap = np.conj(w[0]) * amp[0] + np.conj(w[1]) * amp[1]
-    return 1.0 - (float(np.sum(np.abs(overlap) ** 2))
-                  / float(np.sum(np.abs(amp) ** 2)))
+    u = u_plus_effective(p) if sign > 0 else u_minus_effective(p)
+    v = np.stack((-1j * u[1], -1j * u[0]))  # (y, -i x) for u = (x, i y)
+    overlap = np.conj(v[0]) * amp[0] + np.conj(v[1]) * amp[1]
+    return float(np.sum(np.abs(overlap) ** 2)) \
+        / float(np.sum(np.abs(amp) ** 2))
 
 
 def walk_symbol_matrix(phi: float, dt: float) -> np.ndarray:
@@ -328,6 +449,7 @@ def direct_sum_coefficients(state, n_phi: int):
 def projected_site_sums(state, phi, kernel):
     """g+- at phi from the site sums kernel @ a+- (kernel[i, m] = e^{i m
     phi[i]}), projected on ``symbol_eigenvectors``."""
+    state = two_row(state)
     a_plus, a_minus = kernel @ state.a_plus, kernel @ state.a_minus
     f_pp, f_pm, f_mp, f_mm = symbol_eigenvectors(phi, state.dt)
     root_dt = np.sqrt(state.dt)
@@ -501,7 +623,7 @@ def coin_matrix(dt: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def coin_step(state: LatticeState) -> LatticeState:
+def coin_step(state: TwoRowState) -> TwoRowState:
     """Rotate the spin at every site: (a+, a-) <- (c*a+ - s*a-, s*a+ + c*a-)."""
     c, s = np.cos(state.dt), np.sin(state.dt)
     return replace(
@@ -512,7 +634,7 @@ def coin_step(state: LatticeState) -> LatticeState:
     )
 
 
-def shift_step(state: LatticeState, branch: str = "plus") -> LatticeState:
+def shift_step(state: TwoRowState, branch: str = "plus") -> TwoRowState:
     """Conditional shift; the window grows by one site on each side.
 
     branch "plus":  spin-up m -> m+1, spin-down m -> m-1
@@ -531,16 +653,15 @@ def shift_step(state: LatticeState, branch: str = "plus") -> LatticeState:
                    norm_drift=None)
 
 
-def step(state: LatticeState, branch: str = "plus") -> LatticeState:
+def step(state: TwoRowState, branch: str = "plus") -> TwoRowState:
     """One walk step: coin first, then the conditional shift."""
     return shift_step(coin_step(state), branch)
 
 
-def evolve_steps(state: LatticeState, n_steps: int,
-                 branch: str = "plus") -> LatticeState:
-    """Apply ``n_steps`` walk steps one by one, recording |norm^2 - 1|
-    after each.  ``spectral.evolve`` computes the same state in one FFT
-    pair; this loop is its reference.
+def evolve_steps(state, n_steps: int, branch: str = "plus") -> TwoRowState:
+    """Apply ``n_steps`` walk steps one by one to both rows of a state,
+    recording |norm^2 - 1| after each.  ``spectral.evolve`` computes the
+    same state's a+ in one FFT pair; this loop is its reference.
 
     The steps run in place on one window preallocated at the final size,
     with the same arithmetic as ``step``, so the amplitudes and the drift
@@ -552,6 +673,7 @@ def evolve_steps(state: LatticeState, n_steps: int,
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     up_shift = int(branch_sign(branch))  # spin-up moves +1 for "plus"
+    state = two_row(state)
     require_unit_norm(state)
     width = state.n_sites + 2 * n_steps
     ap = np.zeros(width, dtype=complex)
@@ -579,7 +701,7 @@ def evolve_steps(state: LatticeState, n_steps: int,
             amp[lo + d:hi + d] = coined
             amp[lo if d > 0 else hi - 1] = 0.0
         lo, hi = lo - 1, hi + 1
-        # |norm^2 - 1|, as LatticeState.norm_sq on the grown window
+        # |norm^2 - 1|, as TwoRowState.norm_sq on the grown window
         w = hi - lo
         a2, b2 = sq_p[:w], sq_m[:w]
         np.abs(ap[lo:hi], out=a2)

