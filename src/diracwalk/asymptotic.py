@@ -1,22 +1,19 @@
 """Weak-limit machinery of the walk: the eigenvector weights of its
-symbol, spectral coefficients of lattice states, the limit law they carry,
-and the closed-form asymptotic position density with its CDF and moments.
+symbol, the band weights of lattice states, the limit law they carry, and
+the closed-form asymptotic position density with its CDF and moments.
 
 The symbol M(phi), its quasi-momentum phi with the sign map p = -phi/dt,
 and its dispersion (eigenvalues e^{+-i theta}, group velocity h(phi) =
 d theta / d phi = cos(dt) sin(phi) / sin(theta), |h| <= |cos dt|) are
 stated once, in ``spectral``; here M is the "plus" branch's.
-``spectral_coefficients`` keeps the ring order of the inverse DFT of the
-state's ring, phi = 2 pi fftfreq(N).  X_n/(n dt) converges weakly to +-h
-weighted by |g+-|^2 (Grimmett, Janson and Scudo, PRE 69, 026119 (2004));
-for the localized Gaussian packets its density is the two-horned
+X_n/(n dt) converges weakly to +-h weighted by |g+-|^2, the weights of
+the state's two bands (Grimmett, Janson and Scudo, PRE 69, 026119
+(2004)); for the localized Gaussian packets its density is the two-horned
 
     F(y; nu) = (1 / (nu sqrt(pi))) (1 - y^2)^{-3/2}
                exp(-y^2 / (nu^2 (1 - y^2))).
 
-Eigenvector phases are fixed by making the first component real positive;
-only |g+-|^2 is consumed downstream, so the choice is unobservable.  All
-operations are pure and per-phi parallelizable.
+All operations are pure and per-phi parallelizable.
 """
 
 import math
@@ -26,8 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .initial import gaussian_profile
-from .spectral import (_dispersion, apply_pair, ring_buffer, ring_length,
-                       ring_mirror, ring_unfold)
+from .spectral import (_dispersion, apply_pair, ring_length, ring_mirror,
+                       ring_modes)
 from .spinor import energy
 from .walk import LatticeState
 
@@ -71,12 +68,12 @@ def _eigen_weights(phi, dt):
 
 @dataclass(frozen=True)
 class SpectralCoefficients:
-    """g+-(phi) of a lattice state on one period of a uniform phi grid, in
-    ring order: phi = 2 pi fftfreq(n_phi), -pi at an even grid's Nyquist."""
+    """The band weights w+-(phi) = |g+-(phi)|^2 dt/(2 pi) of a lattice
+    state, rows + and -, on one period of a uniform phi grid, in ring
+    order: phi = 2 pi fftfreq(n_phi), -pi at an even grid's Nyquist."""
 
     phi: np.ndarray
-    g_plus: np.ndarray
-    g_minus: np.ndarray
+    weights: np.ndarray
     dt: float
 
     @property
@@ -84,15 +81,13 @@ class SpectralCoefficients:
         return 2.0 * np.pi / self.phi.size
 
     def completeness(self) -> float:
-        """sum (|g+|^2 + |g-|^2) dt dphi / (2 pi); 1 for unit-norm states."""
-        w = np.abs(self.g_plus) ** 2 + np.abs(self.g_minus) ** 2
-        return float(np.sum(w) * self.dt * self.dphi / (2.0 * np.pi))
+        """sum (w+ + w-) dphi; 1 for unit-norm states."""
+        return float(np.sum(self.weights) * self.dphi)
 
     def mass_below(self, y):
         """P(Y <= y) for the weak limit Y of X_n/(n dt), vectorized in y:
 
-            Int_{+h <= y} |g+|^2 dt dphi/(2 pi)
-              + Int_{-h <= y} |g-|^2 dt dphi/(2 pi).
+            Int_{+h <= y} w+ dphi + Int_{-h <= y} w- dphi.
 
         h = cos(dt) u / sqrt(sin^2 dt + cos^2 dt u^2), u = sin phi, is
         monotone in u, so h <= y where u <= tan(dt) y / sqrt(1 - y^2).
@@ -129,7 +124,7 @@ class SpectralCoefficients:
         smoothstep S = s^2 (3 - 2 s) formed from its nearer end: each term
         rises with s as rounded, and a cell gives at most its upper node.
         """
-        table, w = self._mass_table
+        table, w = self._mass_table, self.weights
         n = w.shape[1]
         j = x / self.dphi
         cell = np.floor(j)
@@ -153,9 +148,9 @@ class SpectralCoefficients:
 
     @cached_property
     def _mass_table(self):
-        """(G, w), built on first use and kept: w the weights |g+-|^2
-        dt/(2 pi), (2, n_phi), and G their cumulative mass from phi = 0
-        to the angle k dphi of node k, (2, n_phi + 1), closed by the total.
+        """G, built on first use and kept: the cumulative mass of the
+        weights from phi = 0 to the angle k dphi of node k, (2, n_phi + 1),
+        closed by the total.
 
         G integrates the trigonometric interpolant of w: one rfft/irfft
         pair, harmonic j divided by i j, plus the mean times k dphi.
@@ -163,14 +158,10 @@ class SpectralCoefficients:
         at the total and a running maximum keeps it non-decreasing.
         """
         n = self.phi.size
-        w = np.empty((2, n))
-        for row, g in zip(w, (self.g_plus, self.g_minus)):
-            np.abs(g, out=row)
-        w *= w * (self.dt / (2.0 * np.pi))
         table = np.empty((2, n + 1))
         # numpy divides by a real j as j + 0j, a multiply by 1/j: same bits
         inv_harmonic = 1.0 / np.arange(1, n // 2 + 1, dtype=float)
-        for row, out in zip(w, table):
+        for row, out in zip(self.weights, table):
             spec = np.fft.rfft(row)
             mean = spec[0].real / n
             spec[1:] *= inv_harmonic
@@ -183,57 +174,51 @@ class SpectralCoefficients:
             out[n] = mean * 2.0 * np.pi
         np.minimum(table, table[:, n:], out=table)
         np.maximum.accumulate(table, axis=1, out=table)
-        return table, w
+        return table
 
 
 def spectral_coefficients(state: LatticeState,
                           n_phi: int | None = None) -> SpectralCoefficients:
-    """Expand a lattice state in the symbol eigenbasis.
+    """The band weights of a lattice state in the symbol eigenbasis.
 
     g+-(phi) = sum_m {c+(m dt) f*(+-,+) + c-(m dt) f*(+-,-)} e^{i m phi},
-    with c(m dt) = a[m]/sqrt(dt), on one period of quasi-momenta in ring
-    order, phi = 2 pi fftfreq(n_phi) (the Nyquist node of an even grid is
-    -pi).  In the eigenvectors of ``_eigen_weights`` that is the real pair
-    (alpha, beta) / sqrt(dt) applied to (A, C) by ``spectral.apply_pair``:
-
-        g+ = (alpha A - beta C) / sqrt(dt),
-        g- = (beta A + alpha C) / sqrt(dt),
-
-    with A = sum_m a+[m] e^{i m phi}, one unnormalized inverse DFT of the
-    state's ring (``spectral.ring_buffer``), and C = -i e^{i phi} sum_m
-    a-[m] e^{i m phi} = e^{i phi} A(-phi), as a-(m) = i a+(-m).  The pair
-    acts on phi >= 0, ring index k < n_phi // 2 + 1; phi -> -phi swaps
-    alpha and beta, so g+(-phi) = -e^{-i phi} g+(phi) and g-(-phi) =
-    e^{-i phi} g-(phi).  The grid must resolve the state's trigonometric
-    degree: at least one point per occupied site (default 8x, rounded up
-    to an FFT-friendly size).
+    with c(m dt) = a[m]/sqrt(dt), projects the state on the eigenvectors
+    v+- of ``_eigen_weights``.  At the walk's grid phi = -2 pi k / n_phi,
+    mode k = 0..n_phi // 2 of ``spectral.ring_modes``, the folded pair
+    (u(k), i u(n_phi - k)) is (sum_m a+-[m] e^{i m phi}) / sqrt(n_phi), as
+    a-(m) = i a+(-m), and ``spectral.apply_pair`` turns it, with the pair
+    (alpha, i beta e^{-i phi}), into (g+, i e^{-i phi} g-) sqrt(dt /
+    n_phi).  So w+- are its rows' |.|^2 n_phi / (2 pi).  Each w+- is even
+    in phi (g+-(-phi) = -+e^{-i phi} g+-(phi) for every such state), so
+    ring index k of phi = 2 pi fftfreq(n_phi) takes mode k's weights, and
+    index n_phi - k mirrors it.  The grid must resolve the state's
+    trigonometric degree: at least one point per occupied site (default
+    8x, rounded up to an FFT-friendly size).
     """
     if n_phi is None:
         n_phi = ring_length(max(8 * state.n_sites, 4096))
     elif not isinstance(n_phi, (int, np.integer)) or n_phi < 2:
         raise ValueError(f"n_phi={n_phi!r} must be an integer >= 2")
     n = int(n_phi)
-    phi = 2.0 * np.pi * np.fft.fftfreq(n)
     half = n // 2 + 1
-    g_plus = ring_buffer(state, n)
-    np.fft.ifft(g_plus, norm="forward", out=g_plus)
-    # e^{i phi} on phi >= 0, ring index k < half (-pi at the Nyquist node)
-    turn = np.exp(1j * phi[:half])
-    c = ring_mirror(g_plus)
-    np.multiply(turn, c, out=c)
-    weights = _eigen_weights(np.abs(phi[:half]), state.dt)
-    weights /= np.sqrt(state.dt)
-    apply_pair((g_plus[:half], c), *weights)
-    del weights  # before g- is allocated: the traced peak
-    g_minus = np.empty(n, dtype=complex)
-    g_minus[:half] = c
-    del c
-    # phi < 0, the ring's tail: index n - k takes -phi of index k
-    np.conjugate(turn, out=turn)
-    ring_unfold(g_plus, -(turn * g_plus[:half]))
-    ring_unfold(g_minus, turn * g_minus[:half])
-    return SpectralCoefficients(phi=phi, g_plus=g_plus, g_minus=g_minus,
-                                dt=state.dt)
+    ring = ring_modes(state, n)
+    phi = -2.0 * np.pi * np.fft.fftfreq(n)[:half]
+    pair = _eigen_weights(phi, state.dt)
+    pair *= np.sqrt(n / (2.0 * np.pi))
+    b = 1j * pair[1] * np.exp(-1j * phi)
+    del phi
+    mirror = ring_mirror(ring)
+    apply_pair((ring[:half], mirror), pair[0], b)
+    del pair, b  # before the weights: the traced peak
+    weights = np.empty((2, n))
+    head = weights[:, :half]
+    np.abs(ring[:half], out=head[0])
+    np.abs(mirror, out=head[1])
+    del ring, mirror  # before phi's ring order
+    np.multiply(head, head, out=head)
+    weights[:, half:] = weights[:, (n - 1) // 2:0:-1]
+    return SpectralCoefficients(phi=2.0 * np.pi * np.fft.fftfreq(n),
+                                weights=weights, dt=state.dt)
 
 
 def limit_cdf(y1: float, y2: float, coeffs: SpectralCoefficients) -> float:
@@ -252,7 +237,7 @@ def limit_density(y, nu: float):
     if not nu > 0:
         raise ValueError("nu must be positive")
     y = np.asarray(y, dtype=float)
-    if np.any(np.abs(y) >= 1.0):
+    if not np.all(np.abs(y) < 1.0):  # NaN fails it
         raise ValueError("the density is defined for |y| < 1")
     one = 1.0 - y * y
     out = (one ** -1.5) * np.exp(-y * y / (nu * nu * one)) / (nu * np.sqrt(np.pi))

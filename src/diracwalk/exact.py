@@ -52,10 +52,12 @@ def energy_leakage(state: LatticeState, branch: str = "plus") -> float:
             f"spectral weight {w:.3e} within 10% of the Nyquist momentum; "
             "the lattice is too coarse for this state"
         )
-    # the upper row of the real pair (W-, W+) on (u(k), u(n - k)); mode
-    # n - k holds its negative, the same weight
+    # the upper row of the pair (W-, i W+) on the fold, and -i times it at
+    # mode n - k: the weight of its negative there
     w_plus, w_minus = spinor_weights(p)
-    apply_pair((ring[:half], ring_mirror(ring)), w_minus, w_plus)
+    i_w_plus = 1j * w_plus
+    del p, w_plus  # before the kernel's temporaries: the traced peak
+    apply_pair((ring[:half], ring_mirror(ring)), w_minus, i_w_plus)
     ring_unfold(ring, ring[:half])
     return float(np.sum(np.abs(ring) ** 2)) / (2 * norm_sq)
 

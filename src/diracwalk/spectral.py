@@ -8,17 +8,17 @@ exp(+i p x); dp * dx * N = 2 pi holds exactly).  Site m is ring index
 m mod N, so a window of at most N sites comes back unaliased.  Every walk
 symbol takes the quasi-momentum phi, the label of the shift's eigenstates
 e^{i m phi}, with the one sign map p = -phi/dt: forward-DFT mode k has
-phi = -2 pi k / N, and ``asymptotic.spectral_coefficients`` transforms the
-same ring (``ring_buffer``) the inverse way to read phi = 2 pi k / N at k.
+phi = -2 pi k / N.
 
 A state is a+ alone (``walk.LatticeState``), so its ring is one row u, and
 the sigma2 parity a-(m) = i a+(-m) reads u-(k) = i u(N - k) in modes.  A
 spinor's 2x2 product at mode k therefore acts on the folded pair (u(k),
-i u(N - k)) of modes k and N - k, k = 0..N // 2 (``ring_mirror``): every
-layer multiplies it, in place, by an SU(2) matrix [[a, -b*], [b, a*]]
-given as its pair (a, b) (``apply_pair``).  The leakage and the
-coefficients take real or phased pairs, and an evolution, between
-``ring_modes`` and the transform back, its symbol:
+i u(N - k)) of modes k and N - k, k = 0..N // 2, whose lower component
+``ring_mirror`` forms: every layer multiplies it, in place, by an SU(2)
+matrix [[a, -b*], [b, a*]] given as its pair (a, b) (``apply_pair``).
+The leakage and the coefficients take the pairs of their projections,
+and an evolution, between ``ring_modes`` and the transform back, its
+symbol:
 
 * exact evolution for a time t, exact because H(p)^2 = E^2 I:
 
@@ -37,16 +37,17 @@ coefficients take real or phased pairs, and an evolution, between
 Both symbols are the "plus" helicity branch's, the only one computed here.
 
 Each symbol is evaluated on modes 0..N // 2 only (``apply_symbol``): the
-upper row of the product is the new u(k), and the lower row over i the new
-u(N - k) (``ring_unfold``), as on the ``fftfreq`` grids mode N - k is mode
-k mirrored (phi -> -phi, p -> -p to the bit), where both symbols' pairs
-turn to (a*, b*).  Mode 0 is its own mirror, with (u, i u) an eigenvector,
-and keeps the upper row; so is an even ring's Nyquist mode under the walk's
-2 pi-periodic symbol, but the propagator differs at p = -pi/dt and +pi/dt,
-so exact evolution's rings are odd.  Multiplying by +-i is exact, so every
-mode takes the bits of row 0 of the two-row ring (u, i u(N - k)) on the
-full grid.  Per-mode work is embarrassingly parallel; all functions but
-``apply_pair``, ``apply_symbol`` and ``ring_unfold`` (in place) are pure.
+upper row of the product is the new u(k), and -i times the lower row the
+new u(N - k) (``ring_unfold``), as on the ``fftfreq`` grids mode N - k is
+mode k mirrored (phi -> -phi, p -> -p to the bit), where both symbols'
+pairs turn to (a*, b*).  Mode 0 is its own mirror, with (u, i u) an
+eigenvector, and keeps the upper row; so is an even ring's Nyquist mode
+under the walk's 2 pi-periodic symbol, but the propagator differs at
+p = -pi/dt and +pi/dt, so exact evolution's rings are odd.  Multiplying
+by +-i is exact, so every mode takes the bits of row 0 of the two-row
+ring (u, i u(N - k)) on the full grid.  Per-mode work is embarrassingly
+parallel; all functions but ``apply_pair``, ``apply_symbol`` and
+``ring_unfold`` (in place) are pure.
 """
 
 import numpy as np
@@ -80,9 +81,10 @@ def ring_length(n_sites, odd: bool = False) -> int:
     return int(lengths[np.searchsorted(lengths, n_sites)])
 
 
-def ring_buffer(state: LatticeState, n: int) -> np.ndarray:
-    """The ring of n sites of a lattice state before its transform: a+[m]
-    at index m mod n.  Refused above ``MAX_RING_SITES`` or below
+def ring_modes(state: LatticeState, n: int) -> np.ndarray:
+    """The unitary DFT of a state's ring of n sites, a+[m] at index m mod
+    n, transformed in place: mode k holds sum_m a+[m] e^{-2 pi i k m / n}
+    / sqrt(n).  Refused above ``MAX_RING_SITES`` or below
     ``state.n_sites``; callers size n with ``ring_length``."""
     require_ring_fits(n)
     if n < state.n_sites:
@@ -91,14 +93,6 @@ def ring_buffer(state: LatticeState, n: int) -> np.ndarray:
     ring = np.zeros(n, dtype=complex)
     m = state.n_sites // 2
     ring[:m + 1], ring[n - m:] = state.a_plus[m:], state.a_plus[:m]
-    return ring
-
-
-def ring_modes(state: LatticeState, n: int) -> np.ndarray:
-    """The unitary DFT of a state's ring of n sites, in place in its
-    ``ring_buffer``: mode k holds sum_m a+[m] e^{-2 pi i k m / n} /
-    sqrt(n)."""
-    ring = ring_buffer(state, n)
     np.fft.fft(ring, out=ring)
     # numpy divides by a real c as c + 0j, a multiply by 1/c: same bits
     ring *= 1.0 / np.sqrt(n)
@@ -106,18 +100,21 @@ def ring_modes(state: LatticeState, n: int) -> np.ndarray:
 
 
 def ring_mirror(ring: np.ndarray) -> np.ndarray:
-    """ring[N - k mod N] for k = 0..N // 2, as a new array: the lower half
-    of the folded pairs (see the module docstring)."""
+    """i ring[N - k mod N] for k = 0..N // 2, as a new array: the lower
+    component of the folded pairs (see the module docstring)."""
     half = ring.size // 2 + 1
     mirror = np.empty(half, dtype=complex)
-    mirror[0], mirror[1:] = ring[0], ring[:ring.size - half:-1]
+    np.multiply(ring[:1], 1j, out=mirror[:1])
+    np.multiply(ring[:ring.size - half:-1], 1j, out=mirror[1:])
     return mirror
 
 
 def ring_unfold(ring: np.ndarray, mirror: np.ndarray) -> None:
-    """ring[N - k] <- mirror[k], k = 1..(N - 1) // 2, in place: the ring's
-    tail from the lower half of its folded pairs (``ring_mirror``)."""
-    ring[ring.size // 2 + 1:] = mirror[(ring.size - 1) // 2:0:-1]
+    """ring[N - k] <- -i mirror[k], k = 1..(N - 1) // 2, in place: the
+    ring's tail from the lower component of its folded pairs
+    (``ring_mirror``)."""
+    np.multiply(mirror[(ring.size - 1) // 2:0:-1], -1j,
+                out=ring[ring.size // 2 + 1:])
 
 
 def propagator_symbol(p, t: float):
@@ -170,9 +167,7 @@ def apply_symbol(ring: np.ndarray, symbol) -> None:
     half = n // 2 + 1
     a, b = symbol(n, half)  # before the mirror: its temporaries peak
     mirror = ring_mirror(ring)
-    mirror *= 1j
     apply_pair((ring[:half], mirror), a, b)
-    mirror *= -1j
     ring_unfold(ring, mirror)
 
 
@@ -206,6 +201,8 @@ def evolve(state: LatticeState, n_steps: int) -> LatticeState:
     the step-by-step loop ``evolve_steps`` in ``tests/oracles.py``, this
     function's reference.
     """
+    if not isinstance(n_steps, (int, np.integer)):
+        raise ValueError(f"n_steps={n_steps!r} must be an integer")
     require_unit_norm(state)
     if n_steps == 0:
         return LatticeState(state.dt, state.a_plus.copy(),

@@ -228,6 +228,13 @@ def test_evolve_drift_gate_refuses_nan(monkeypatch):
         evolve(pi_site(), 3)
 
 
+@pytest.mark.parametrize("n_steps", [1.5, 2.0, "2", None])
+def test_evolve_refuses_a_step_count_not_an_integer(n_steps):
+    with pytest.raises(ValueError, match=f"^n_steps={n_steps!r} must be "
+                                         "an integer$"):
+        evolve(pi_site(), n_steps)
+
+
 def test_distribution_point_mass():
     prob = position_distribution(pi_site())
     assert prob.shape == (1,) and prob[0] == pytest.approx(1.0, abs=4e-16)
