@@ -56,9 +56,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _number(key, val) -> float:
-    """A finite float from a flag or a JSON number or numeric string."""
+    """A finite float from a flag or a JSON number or numeric string; a
+    JSON true or false is not a number."""
     try:
-        num = float(val)
+        num = np.nan if isinstance(val, bool) else float(val)
     except (TypeError, ValueError, OverflowError):
         num = np.nan
     if not np.isfinite(num):

@@ -14,10 +14,11 @@ sampled at the walk's lattice sites x = m*dt, scaled by sqrt(dt) and
 renormalized to an exact unit norm.
 
 The Fourier integrals use the trapezoid rule on the momenta 2 pi k/(L dt)
-of a ring of L sites of spacing dt; the integrands are smooth and
-Gaussian-damped, so the rule converges spectrally, and on that grid it is
-exactly one inverse FFT whose output index k mod L is lattice site k.  The
-lattice window is sized once, from the tails of c+-(x).  Everything here is
+of the window's own ring, L = ``ring_length(2 m_max + 1)`` sites of
+spacing dt, over the whole integrand: it is smooth and Gaussian-damped, so
+the rule converges geometrically, and on that grid it is exactly one
+inverse FFT whose output index k mod L is lattice site k.  The lattice
+window is sized once, from the tails of c+-(x).  Everything here is
 pure construction of immutable values.
 """
 
@@ -39,7 +40,10 @@ _TAIL_EPS = 1e-12
 
 @dataclass(frozen=True)
 class MomentumProfile:
-    """A normalized momentum-space profile with a declared support cutoff."""
+    """A normalized momentum-space profile and the cutoff p_max beyond
+    which it is negligible: the range of ``mean`` and the momentum a
+    lattice must resolve (dt <= pi/p_max); the coefficients integrate f
+    over every ring momentum, with no cut."""
 
     f: Callable[[np.ndarray], np.ndarray]
     p_max: float
@@ -106,24 +110,15 @@ class WalkInitConfig:
                                  f"got {getattr(self, name)!r}")
 
 
-def _quadrature_ring(n_sites: int, h: float, x_ext: float,
-                     p_max: float) -> int:
-    """Sites of the quadrature ring of an n_sites-site window of spacing h
-    that reaches |x| = x_ext (see ``position_coefficients``); refused
-    beyond ``MAX_RING_SITES`` before anything is allocated."""
-    dp = min(np.pi / max(x_ext, h), p_max / 400.0)
-    with np.errstate(divide="ignore"):  # h * dp may underflow: inf, refused
-        return ring_length(max(n_sites, 2.0 * np.pi / (h * dp)))
-
-
 def position_coefficients(profile: MomentumProfile, dt: float,
                           m_max: int) -> np.ndarray:
     """The coefficient c+ at x = m*dt, m = -m_max..m_max; c-(x) = i c+(-x).
 
-    The momentum step is at most min(pi/(m_max dt), p_max/400), so the
-    trapezoid rule's periodic images stay outside the window; f is zeroed
-    beyond p_max.  The weights are real, so the real-input transform gives
-    c+(-x) = conj(c+(x)) exactly for an even profile.
+    The ring is the window's own, ``ring_length(2 m_max + 1)`` sites, so
+    the momentum step is below pi/(m_max dt) and the trapezoid rule's
+    periodic images stay outside the window; W+ f is taken at every ring
+    momentum, |p| <= pi/dt.  The weights are real, so the real-input
+    transform gives c+(-x) = conj(c+(x)) exactly for an even profile.
     """
     if dt > np.pi / profile.p_max:
         raise NumericalHealthError(
@@ -132,36 +127,36 @@ def position_coefficients(profile: MomentumProfile, dt: float,
             f"p_max={profile.p_max:.4g}"
         )
 
-    n_ring = _quadrature_ring(2 * m_max + 1, dt, m_max * dt, profile.p_max)
+    n_ring = ring_length(2 * m_max + 1)
     # ring momenta p_k = k dp: exp(i p_k m dt) = exp(2 pi i k m / n_ring)
     dp = 2.0 * np.pi / (n_ring * dt)
     # FFT order, sign-symmetric to the last bit
     p = dp * np.fft.ifftshift(np.arange(n_ring) - n_ring // 2)
-    inside = np.abs(p) <= profile.p_max
-    weights = np.zeros(n_ring)
-    weights[inside] = (dp / np.sqrt(2.0 * np.pi)) * profile(p[inside]) \
-        * spinor_weights(p[inside])[0]
+    weights = (dp / np.sqrt(2.0 * np.pi)) * profile(p) * spinor_weights(p)[0]
     spec = np.fft.rfft(weights)
     # the weights are real: site m >= 0 is conj(spec[m]), site -m spec[m]
     return np.concatenate([spec[m_max:0:-1], np.conj(spec[:m_max + 1])])
 
 
 def require_initial_state_fits(config: WalkInitConfig) -> float:
-    """Preflight of ``build_initial_state``, from floats alone: refuse a
-    quadrature ring beyond ``MAX_RING_SITES`` before anything is computed,
-    and return the extent of the site window.
+    """Preflight of ``build_initial_state``, from floats alone: refuse the
+    coefficients' ring (``position_coefficients``), 2 ceil(extent/h) + 1
+    sites rounded up by ``ring_length``, beyond ``MAX_RING_SITES`` before
+    anything is computed, and return the extent of the site window.
 
-    The ring is sized at the lattice spacing dt, or at pi/p_max when dt is
-    too coarse to resolve the Gaussian cutoff p_max of ``config.nu``: if
-    even that ring is over budget, no lattice can hold the state, and the
-    run is refused rather than left to fail the aliasing check.
+    The spacing h is the lattice spacing dt, or pi/p_max when dt is too
+    coarse to resolve the Gaussian cutoff p_max of ``config.nu``: if even
+    that ring is over budget, no lattice can hold the state, and the run
+    is refused rather than left to fail the aliasing check.
     """
     p_max = gaussian_cutoff(config.nu)
     efolds = np.log(1.0 / TOL.window_rel)
     extent = efolds + np.sqrt(2.0 * efolds) / config.nu
     h = min(config.dt, np.pi / p_max)
+    with np.errstate(over="ignore"):  # extent / h may overflow: inf, refused
+        n_sites = 2.0 * np.ceil(extent / h) + 1.0
     try:
-        _quadrature_ring(0, h, extent, p_max)
+        ring_length(n_sites)
     except ValueError as exc:
         if h == config.dt:
             raise

@@ -21,8 +21,8 @@ from diracwalk import exact, spectral
 from diracwalk import table as table_module
 from diracwalk.asymptotic import _check_dt, _eigen_weights
 from diracwalk.constants import TOL, NumericalHealthError, require_finite
-from diracwalk.initial import (WalkInitConfig, _quadrature_ring,
-                               gaussian_profile, require_initial_state_fits)
+from diracwalk.initial import (WalkInitConfig, gaussian_profile,
+                               require_initial_state_fits)
 from diracwalk.spectral import _dispersion, ring_length
 from diracwalk.spinor import energy, spinor_weights
 from diracwalk.table import fmt
@@ -203,18 +203,18 @@ def sigma2_parity_defect(state: TwoRowState) -> float:
     return float(np.abs(state.a_minus - 1j * state.a_plus[::-1]).max())
 
 
-def hstack_position_coefficients(profile, dt: float, m_max: int):
+def hstack_position_coefficients(profile, dt: float, m_max: int,
+                                 n_ring: int | None = None):
     """The coefficients (c+, c-) of ``initial.position_coefficients``, each
     through its own whole Hermitian ring: the conjugated real-input
     transform of the weights W+ f and W- f, completed by its mirrored
-    conjugate with ``hstack`` and read at m mod n_ring."""
-    n_ring = _quadrature_ring(2 * m_max + 1, dt, m_max * dt, profile.p_max)
+    conjugate with ``hstack`` and read at m mod n_ring.  The ring is the
+    package's, the window's own, unless ``n_ring`` is given."""
+    n_ring = n_ring or ring_length(2 * m_max + 1)
     dp = 2.0 * np.pi / (n_ring * dt)
     p = dp * np.fft.ifftshift(np.arange(n_ring) - n_ring // 2)
-    inside = np.abs(p) <= profile.p_max
-    weights = np.zeros((2, n_ring))
-    weights[:, inside] = (dp / np.sqrt(2.0 * np.pi)) * profile(p[inside]) \
-        * np.stack(spinor_weights(p[inside]))
+    weights = (dp / np.sqrt(2.0 * np.pi)) * profile(p) \
+        * np.stack(spinor_weights(p))
     half = np.conj(np.fft.rfft(weights, axis=1))
     ring = np.hstack([half, np.conj(half[:, n_ring - half.shape[1]:0:-1])])
     idx = np.arange(-m_max, m_max + 1) % n_ring

@@ -19,6 +19,7 @@ from diracwalk import (LatticeState, SpectralCoefficients, WalkInitConfig,
                        limit_moment, spectral_coefficients)
 from diracwalk.asymptotic import _eigen_weights
 from diracwalk.spectral import ring_length
+from diracwalk.walk import position_distribution
 from oracles import (TwoRowState, direct_sum_coefficients,
                      gaussian_g_approx, group_velocity,
                      quadrature_mass_below, random_phase_state,
@@ -541,6 +542,28 @@ def test_mass_below_is_vectorized_and_checked():
             co.mass_below(bad)
     with pytest.raises(ValueError):
         limit_cdf(0.3, 0.2, co)
+
+
+def test_walk_converges_in_law_at_second_order():
+    # the law of X_n/(n dt) against its weak limit: the largest gap over
+    # sites between the walk's CDF and P(Y <= (m + 1/2)/n).  At nu 1, dt
+    # 0.02, n = 1,000..8,000 lies below the switch to an O(1/n) term (near
+    # n = 12,000 here); measured 3.75e-3, 1.06e-3, 2.76e-4, 7.08e-5, each
+    # halving ratio 3.55, 3.83, 3.90, fitted slope -1.91
+    state = build_initial_state(WalkInitConfig(nu=1.0, dt=0.02))
+    co = spectral_coefficients(state)
+    ns = np.array([1000, 2000, 4000, 8000])
+    gaps = []
+    for n in ns:
+        run = evolve(state, int(n))
+        y = np.clip((run.sites + 0.5) / n, -1.0, 1.0)
+        cdf = np.cumsum(position_distribution(run))
+        gaps.append(float(np.abs(cdf - co.mass_below(y)).max()))
+    ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+    assert gaps[0] < 4e-3
+    assert np.all((3.3 < ratios) & (ratios < 4.3)), ratios
+    slope = np.polyfit(np.log(ns), np.log(gaps), 1)[0]
+    assert -2.05 < slope < -1.75, slope
 
 
 @settings(max_examples=200, deadline=None)

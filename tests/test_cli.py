@@ -269,15 +269,14 @@ def test_over_budget_run_refused_before_allocating(capsys, command):
     assert re.search(r"ring of \d{12} sites", err)
 
 
-@pytest.mark.parametrize("dt, digits", [("5e-5", 7), ("1e-6", 9)],
-                         ids=["ring", "grid"])
+@pytest.mark.parametrize("dt, sites", [("1e-6", 80_531_323)], ids=["grid"])
 def test_over_budget_initial_state_refused_before_allocating(capsys, dt,
-                                                             digits):
-    # nu dt = 5e-5: the 1.6M-site grid fits, its 6.4M-site quadrature ring
-    # does not; dt = 1e-6: the 80M-site grid is refused with its ring
+                                                             sites):
+    # nu 1, dt = 1e-6: the 80M-site window, which is its coefficients'
+    # ring (2 ceil(40.27/dt) + 1 sites), is refused before it is built
     err = assert_refused_before_allocating(capsys, "walk", "--nu", "1",
                                            "--dt", dt, "--t", "0")
-    assert re.search(rf"ring of \d{{{digits}}} sites", err)
+    assert f"ring of {sites} sites" in err
 
 
 @pytest.mark.parametrize("args", [
@@ -337,13 +336,26 @@ def test_outputs_over_longer_files_match_fresh_writes(tmp_path):
             (tmp_path / f"fresh.{suffix}").read_bytes()
 
 
-# sha256 of the outputs of the README commands at small t, as the
-# numpy-only CI job runs them.  A change that means to move output bytes
-# updates these; any other change must leave them as they are.  They rest
-# on numpy's float64 routines, whose SIMD paths round an exp or a sin
-# differently: every CSV has one pin per dispatch level of numpy's x86-64
-# wheels (``numpy_dispatch``), both taken with numpy 2.4.6.  figure1.svg
-# prints two decimals and is the same on both.
+# sha256 of the outputs of the README commands, at the README's t and, as
+# the numpy-only CI job runs them, at small t.  A change that means to
+# move output bytes updates these; any other change must leave them as
+# they are.  They rest on numpy's float64 routines, whose SIMD paths
+# round an exp or a sin differently: every CSV has one pin per dispatch
+# level of numpy's x86-64 wheels (``numpy_dispatch``), both taken with
+# numpy 2.4.6.  figure1.svg prints two decimals and is the same on both.
+README_RUNS = [
+    ("walk", "--nu", "2.5", "--dt", "0.005", "--t", "50", "--out",
+     "walk.csv"),
+    ("exact", "--nu", "2.5", "--dt", "0.005", "--t", "50", "--out",
+     "exact.csv"),
+    ("compare", "--nu", "1", "--t", "2", "--dt-list", "0.02,0.01,0.005",
+     "--out", "conv.csv"),
+    ("asymptotic", "--nu", "2.5", "--dt", "0.005", "--t", "50", "--out",
+     "asym.csv"),
+    ("figure1", "--out", "figure1.svg"),  # writes figure1.csv too
+    ("exact", "--nu", "10", "--dt", "0.002", "--t", "50", "--out",
+     "exact_sharp.csv"),
+]
 SMALL_README_RUNS = [
     ("walk", "--nu", "2.5", "--dt", "0.005", "--t", "1", "--out", "walk.csv"),
     ("exact", "--nu", "2.5", "--dt", "0.005", "--t", "1", "--out",
@@ -352,32 +364,62 @@ SMALL_README_RUNS = [
      "--out", "conv.csv"),
     ("asymptotic", "--nu", "2.5", "--dt", "0.005", "--t", "5", "--out",
      "asym.csv"),
-    ("figure1", "--out", "figure1.svg"),  # writes figure1.csv too
+    ("figure1", "--out", "figure1.svg"),
 ]
 _FIGURE1_SVG = \
     "5083d5d42a8371f6eb8b3d6f5722268b413056a8e3fe42e890428fad3282987a"
+README_DIGESTS = {
+    "X86_V4": {
+        "walk.csv":
+        "67d2b1ec6bb20fab54ad3a6a6de039b0f32a488d53dad7209b74c453820d9931",
+        "exact.csv":
+        "a3f23ee3735ba603a1efb4ea7a2f744c2a12b9887406ec3edc31c8b0d025e617",
+        "conv.csv":
+        "359e7f043adafce2fa14fb31fadbd0825a0a3a55384386318eb6906bfb6dd4ec",
+        "asym.csv":
+        "c7e9e4844b49f34513574d86369dceb8ed4c32c56f2537f32e550805a31c4acd",
+        "figure1.csv":
+        "0d3f7706bf6aa34ec8952e9471bc2b2d58735bdb9fd2bd2e0903aafba3a85c74",
+        "exact_sharp.csv":
+        "be48d4e9762b887a9b8838c9b8cae0efaf51268f42f88cbef5096a6ab9f09dde",
+        "figure1.svg": _FIGURE1_SVG},
+    "X86_V3": {
+        "walk.csv":
+        "7addfc3d9c6e4c055e9c82dce93b35989fe4ce04ac624572e4593411419adb5d",
+        "exact.csv":
+        "da15445c99e0620cd1869de2033dcaec76e881a15b465c4d2e49ab9acb1b50be",
+        "conv.csv":
+        "e9839799008e7f7d06b219fe394c2b0a227b62eed47c5938ce930631dccb3305",
+        "asym.csv":
+        "ba220bd2c4ebcc34cf6e6c40825e60d08d639a3dd3943c7480af3811063371b4",
+        "figure1.csv":
+        "d1cf26715856901ee691feb46c572e55f9a6cdd98e6ea9a3fee8cb9bc444f453",
+        "exact_sharp.csv":
+        "1c17ea2cc459f3af1a2990247cd54f7e79217fdc67fb8422003159daea0ae193",
+        "figure1.svg": _FIGURE1_SVG},
+}
 SMALL_README_DIGESTS = {
     "X86_V4": {
         "walk.csv":
-        "e02eb6c530875f0d069b3d10ae03aa765fab4f56ed7d6e2fe267272ff0e7134d",
+        "081404d769b5d73c278e7ff5f506513251a93bd0c2aabdabcb52e8987c112b49",
         "exact.csv":
-        "1934bb5b47ebdd5ae0200da43606c2de74184b2bfe826374eb07514ef2d46bd9",
+        "669191002348ec748553d54352c30370823e1f0b9565b0ff72c144070291903b",
         "conv.csv":
-        "895acb2dda61575d414afde17f1379653fb9560eab1f1404f725e067bc9a65b9",
+        "5eedb0af86c70a4a738c299e599efdc4b0374246f241c44632b3bad4ccbca89d",
         "asym.csv":
-        "12aa1c86f7e3e69dc32611077c2314d0bf7192968fefbfc5f4836634927d690c",
+        "a03bc5fb6caed9d89b29ffc744e18156d8e9f9dd0841647c37a00e9ba418e1ea",
         "figure1.csv":
         "0d3f7706bf6aa34ec8952e9471bc2b2d58735bdb9fd2bd2e0903aafba3a85c74",
         "figure1.svg": _FIGURE1_SVG},
     "X86_V3": {
         "walk.csv":
-        "7baec38958654528ac98285b22d57c1505a70b285b9b7c0f5846d11716fda200",
+        "793c63676298493d95c5682c5467f1b4ca5d49667215ba36d94dce6e1e3da7e3",
         "exact.csv":
-        "87150b6b117dc5181eb0801691ac19acf53d260916f7f467da7d5476f5fc051d",
+        "8031c58339ec20788d2a4ad8a824fbd721d06a55490972392ba6e69660a66ee3",
         "conv.csv":
-        "eff68e6e319236c7f0862f1449109e7ad859a6f7065136bfa3b41a261e2f5cb6",
+        "87643b1e0c144a353432348ba915d6edd6f32ae9b720e68eb58dd29f7c4fca10",
         "asym.csv":
-        "e11cde546088aeebe903d8f32aba39981f3e75331d9b71a458efe6e90b2b89c2",
+        "48a9af9926fa4d7687704ee869aac1a74f1bf5125727ad6f91227dfc079b22ba",
         "figure1.csv":
         "d1cf26715856901ee691feb46c572e55f9a6cdd98e6ea9a3fee8cb9bc444f453",
         "figure1.svg": _FIGURE1_SVG},
@@ -395,15 +437,16 @@ def numpy_dispatch() -> str | None:
                  if __cpu_features__.get(level)), None)
 
 
-def assert_small_readme_digests(tmp_path):
+def assert_readme_digests(tmp_path, runs=SMALL_README_RUNS,
+                          pins=SMALL_README_DIGESTS):
     level = numpy_dispatch()
     where = (f"numpy {np.__version__} dispatching to "
              f"{level or 'neither X86_V4 nor X86_V3'}; the pins are "
-             f"numpy {PINNED_NUMPY}'s on {' and '.join(SMALL_README_DIGESTS)}")
-    assert level in SMALL_README_DIGESTS, f"no byte pins for {where}"
-    for *args, out in SMALL_README_RUNS:
+             f"numpy {PINNED_NUMPY}'s on {' and '.join(pins)}")
+    assert level in pins, f"no byte pins for {where}"
+    for *args, out in runs:
         assert run_cli(*args, str(tmp_path / out)) == 0
-    digests = SMALL_README_DIGESTS[level]
+    digests = pins[level]
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in digests}
     moved = sorted(name for name in digests if got[name] != digests[name])
@@ -411,18 +454,41 @@ def assert_small_readme_digests(tmp_path):
 
 
 def test_small_readme_outputs_keep_their_bytes(tmp_path):
-    assert_small_readme_digests(tmp_path)
+    assert_readme_digests(tmp_path)
+
+
+def test_readme_outputs_keep_their_bytes(tmp_path):
+    assert_readme_digests(tmp_path, README_RUNS, README_DIGESTS)
 
 
 @pytest.mark.skipif(numpy_dispatch() != "X86_V4",
                     reason="the X86_V3 pins are held here on X86_V4 hosts")
-def test_small_readme_outputs_keep_their_x86_v3_bytes(tmp_path):
+def test_readme_outputs_keep_their_x86_v3_bytes(tmp_path):
     # numpy reads NPY_DISABLE_CPU_FEATURES once, at import: a fresh
-    # interpreter runs the same commands on the X86_V3 paths
+    # interpreter runs the same commands, both sets, on the X86_V3 paths
     code = ("import pathlib, sys, test_cli\n"
             "assert test_cli.numpy_dispatch() == 'X86_V3'\n"
-            "test_cli.assert_small_readme_digests(pathlib.Path(sys.argv[1]))")
+            "path = pathlib.Path(sys.argv[1])\n"
+            "test_cli.assert_readme_digests(path / 'small')\n"
+            "test_cli.assert_readme_digests(path / 'full', "
+            "test_cli.README_RUNS, test_cli.README_DIGESTS)")
+    (tmp_path / "small").mkdir()
+    (tmp_path / "full").mkdir()
     run_python(code, str(tmp_path), NPY_DISABLE_CPU_FEATURES=DISABLE_X86_V4)
+
+
+def test_readme_digest_table_matches_the_pins():
+    # the README's table of the first 8 hex digits, row by row
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        rows = re.findall(r"^\| `([^`]+)` \| ([0-9a-f]{8}) \| "
+                          r"([0-9a-f]{8}) \|$", fh.read(), re.MULTILINE)
+    assert {name: (v4, v3) for name, v4, v3 in rows} == {
+        name: (README_DIGESTS["X86_V4"][name][:8],
+               README_DIGESTS["X86_V3"][name][:8])
+        for name in README_DIGESTS["X86_V4"]}
+    assert len(rows) == len(README_DIGESTS["X86_V4"])
 
 
 @pytest.mark.parametrize("command, t", [("walk", "1"), ("exact", "1"),
@@ -547,7 +613,7 @@ def test_allocator_lookup_failure_changes_nothing(tmp_path, monkeypatch,
         monkeypatch.setattr(os, "confstr", confstr, raising=False)
     else:
         monkeypatch.setattr(ctypes, "CDLL", cdll)
-    assert_small_readme_digests(tmp_path)
+    assert_readme_digests(tmp_path)
     assert cli._keep_freed_pages() is False
 
 
@@ -597,7 +663,8 @@ def test_config_dt_list_forms(tmp_path, dt_list):
     {"nu": "abc"}, {"nu": [2.5]}, {"dt": None}, {"t": float("inf")},
     {"nu": float("nan")}, {"window_rel": "x"}, {"window_rel": 1.0},
     {"dt_list": 0.02}, {"dt_list": ["0.02", "a"]}, {"out": 3},
-    {"branch": "sideways"}, {"branch": 3},
+    {"branch": "sideways"}, {"branch": 3}, {"nu": True},
+    {"dt_list": [0.04, True]},
 ])
 def test_config_bad_values_exit_one(tmp_path, capsys, bad):
     # dt_list is compare's input, the others walk's: each bad value is
@@ -612,6 +679,8 @@ def test_config_bad_values_exit_one(tmp_path, capsys, bad):
     assert err.startswith("usage error:") and err.count("\n") == 1
     assert ("reads no config key" in err) == (
         "window_rel" in bad or "branch" in bad)
+    # a JSON true is refused as such, not read as 1.0
+    assert ("got True" in err) == ("True" in repr(bad))
 
 
 @pytest.mark.parametrize("branch", ["sideways", 3])

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from diracwalk import (LatticeState, NumericalHealthError, WalkInitConfig,
-                       build_initial_state, compare_densities,
+from diracwalk import (TOL, LatticeState, NumericalHealthError,
+                       WalkInitConfig, build_initial_state, compare_densities,
                        energy_leakage, evolve, evolve_exact_on_lattice,
                        propagator_symbol)
 from diracwalk.spectral import ring_length
@@ -245,8 +245,8 @@ def test_exact_evolution_refuses_nonfinite_t(t):
 def test_exact_evolution_preserves_positive_energy():
     # the leakage keeps its own digits: the packet's floor, set by its
     # window cut at 1e-14 of the peak, and no more after exact evolution.
-    # Measured 7.7e-30 and 4.4e-29; over the README packets 4e-30 to
-    # 5.7e-29 built, and 1.4e-29 to 1.9e-28 evolved for t up to 50
+    # Measured 9.5e-30 and 5.0e-29; over the README packets 4.4e-30 to
+    # 5.4e-29 built, and 1.5e-29 to 1.9e-28 evolved for t up to 50
     state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.02))
     assert energy_leakage(state) <= 2e-29
     evolved = evolve_exact_on_lattice(state, 3.0)
@@ -257,7 +257,7 @@ def test_fresh_state_leakage_negligible_both_branches():
     # the "minus" packet is the mirrored "plus" packet; the oracle's
     # leakage takes it on its own "minus" ring, with u-(p)
     state = build_initial_state(WalkInitConfig(nu=1.5, dt=0.02))
-    assert energy_leakage(state) <= 2e-29  # measured 6.3e-30
+    assert energy_leakage(state) <= 2e-29  # measured 7.4e-30
     assert stacked_energy_leakage(state) <= 2e-29
     assert stacked_energy_leakage(site_mirror(state), "minus") <= 2e-29
 
@@ -331,15 +331,23 @@ def test_packets_and_their_runs_keep_the_sigma2_parity(nu, dt):
     # even: the packet, its walk and its exact evolution all keep
     # (Pi a)(m) = sigma2 a(-m), that is a-(m) = i a+(-m).  This is why the
     # package keeps a+ alone.  On both rows, each from its own transform
-    # (the oracle's packet and stacked ring), measured 1.7e-17 to 2.3e-17
-    # on the packets and <= 3.6e-17 after 2,000 walk steps or the same
-    # time of exact evolution, at these four configs; the packet's a+ row
-    # is the package's, bit for bit
+    # (the oracle's packet and stacked ring), measured 2.3e-17 to 4.2e-17
+    # on the packets and <= 4.9e-17 after 2,000 walk steps or the same
+    # time of exact evolution, at these four configs on X86_V4 and X86_V3.
+    # The two transforms are not exact mirrors, so the packet's a+ row is
+    # the package's to 2.7e-16 of the peak (measured), and at nu 2.5 the
+    # oracle keeps one more site at each edge, 1.0007e-14 of its peak
     cfg = WalkInitConfig(nu=nu, dt=dt)
     packet = two_row_packet(cfg)
     built = build_initial_state(cfg)
-    assert (packet.m_min, packet.n_sites) == (built.m_min, built.n_sites)
-    assert packet.a_plus.tobytes() == built.a_plus.tobytes()
+    cut = built.m_min - packet.m_min  # the oracle's extra sites per side
+    assert cut in (0, 1) and packet.n_sites == built.n_sites + 2 * cut
+    mag = np.maximum(np.abs(packet.a_plus), np.abs(packet.a_minus))
+    edges = np.concatenate((mag[:cut], mag[mag.size - cut:]))
+    assert np.all(edges < 1.01 * TOL.window_rel * mag.max())
+    inner = packet.a_plus[cut:packet.n_sites - cut]
+    assert np.abs(inner - built.a_plus).max() <= \
+        1e-15 * np.abs(built.a_plus).max()
     n = 2000
     for run in (packet, stacked_walk(packet, n),
                 stacked_exact(packet, n * dt)):
