@@ -57,14 +57,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _number(key, val) -> float:
     """A finite float from a flag or a JSON number or numeric string; a
-    JSON true or false is not a number."""
+    JSON true or false is not a number.  -0 reads as 0, so both are one
+    config and write the same bytes."""
     try:
         num = np.nan if isinstance(val, bool) else float(val)
     except (TypeError, ValueError, OverflowError):
         num = np.nan
     if not np.isfinite(num):
         raise UsageError(f"{key} must be a finite number, got {val!r}")
-    return num
+    return num + 0.0
 
 
 @dataclass

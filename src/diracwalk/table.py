@@ -322,11 +322,43 @@ def join_2f(values, seps: str) -> str:
                           for x, tail in zip(v[slow].tolist(), tails))
 
 
+def _mirror_signs(columns, offsets):
+    """The words to OR into the cell words of the rows after the center
+    row, reversed, to get those of the rows before it; None when the
+    columns do not mirror about a center row.
+
+    Each column must be bitwise even about the center, or bitwise odd with
+    every cell after the center > 0: those cells print no sign, and their
+    negations print the same with '-' in byte 0 of the cell's first word.
+    (0 and INT_MIN are their own negations, so they fail that rule, and a
+    uint64 column is never odd: its negation wraps.)
+    """
+    n = columns[0].size
+    if n < 3 or n % 2 == 0:
+        return None
+    sign = np.zeros(offsets[-1], np.uint64)
+    for j, col in enumerate(columns):
+        after = col[n // 2 + 1:]
+        before = col[n // 2 - 1::-1].view(np.uint64)
+        if np.array_equal(after.view(np.uint64), before):
+            continue
+        if col.dtype.kind == "u" or not (after > 0).all() \
+                or not np.array_equal((-after).view(np.uint64), before):
+            return None
+        sign[offsets[j]] = ord("-")
+    return sign
+
+
 def _format_rows(columns):
     """Yield the CSV rows of equal-length columns as text chunks, one per
     kernel call of at most ``_CELLS_PER_CALL`` cells.
 
-    Columns of one dtype are formatted together, stacked.
+    Columns of one dtype are formatted together, stacked.  When the
+    columns mirror about their center row (``_mirror_signs``), only the
+    rows after it are formatted, from the far end inward: each chunk's
+    words, reversed and signed, are the rows before the center, and its
+    text is kept until the center row, formatted alone (-0.0 prints as
+    ``-0``), has been written.
     """
     lut = _lookup()
     by_dtype = {}
@@ -337,8 +369,8 @@ def _format_rows(columns):
     offsets = np.cumsum([0] + n_words)
     seps = np.array([ord(",")] * (len(columns) - 1) + [ord("\n")], np.uint64)
     rows_per_call = max(1, _CELLS_PER_CALL // len(columns))
-    for r0 in range(0, columns[0].size, rows_per_call):
-        r1 = min(r0 + rows_per_call, columns[0].size)
+
+    def row_words(r0, r1):
         buf = np.empty((r1 - r0, offsets[-1]), np.uint64)
         for dtype, js in by_dtype.items():
             stack = np.stack([columns[j][r0:r1] for j in js])
@@ -348,7 +380,24 @@ def _format_rows(columns):
             for w, word in enumerate(words):
                 for j, word_j in zip(js, word.reshape(len(js), -1)):
                     buf[:, offsets[j] + w] = word_j
-        yield _text(buf)
+        return buf
+
+    n = columns[0].size
+    sign = _mirror_signs(columns, offsets)
+    if sign is None:
+        for r0 in range(0, n, rows_per_call):
+            yield _text(row_words(r0, min(r0 + rows_per_call, n)))
+        return
+    center = n // 2
+    kept = []
+    for r1 in range(n, center + 1, -rows_per_call):
+        buf = row_words(max(r1 - rows_per_call, center + 1), r1)
+        yield _text(buf[::-1] | sign)
+        kept.append(_text(buf))
+        del buf  # one chunk's words at a time
+    yield _text(row_words(center, center + 1))
+    while kept:
+        yield kept.pop()
 
 
 def _finite_as_float64(col) -> bool:

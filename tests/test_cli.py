@@ -70,6 +70,21 @@ def test_exact_time_zero_and_reversal(tmp_path):
     assert sum(pe.values()) == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("command", ["walk", "exact"])
+def test_negative_zero_time_is_time_zero(tmp_path, command):
+    # -0 and 0 are one config: the same bytes from a flag or a JSON -0.0
+    (tmp_path / "cfg.json").write_text('{"t": -0.0}')
+    runs = {"zero": ("--t", "0"), "flag": ("--t", "-0"),
+            "json": ("--config", str(tmp_path / "cfg.json"))}
+    for name, args in runs.items():
+        assert run_cli(command, "--nu", "2", "--dt", "0.1", *args,
+                       "--out", str(tmp_path / f"{name}.csv")) == 0
+    zero = (tmp_path / "zero.csv").read_bytes()
+    assert b"# t_requested = 0\n" in zero
+    for name in ("flag", "json"):
+        assert (tmp_path / f"{name}.csv").read_bytes() == zero, name
+
+
 def test_exact_two_horned_density(tmp_path):
     out = tmp_path / "exact.csv"
     assert run_cli("exact", "--nu", "2.5", "--dt", "0.01", "--t", "50",

@@ -1,4 +1,6 @@
+import contextlib
 import stat
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -161,6 +163,154 @@ def test_kernel_matches_percent_on_int64_and_uint64():
 def test_kernel_matches_percent_on_any_float_column(values):
     x = np.array(values)
     assert_matches_percent_oracle(x, np.arange(x.size), x[::-1].copy())
+
+
+@contextlib.contextmanager
+def mirror_spy():
+    """Record, per call of ``_mirror_signs``, whether the table mirrors."""
+    found = []
+    mirror_signs = table_module._mirror_signs
+
+    def spy(*args):
+        sign = mirror_signs(*args)
+        found.append(sign is not None)
+        return sign
+
+    with mock.patch.object(table_module, "_mirror_signs", spy):
+        yield found
+
+
+def takes_mirror(*columns) -> bool:
+    """Whether ``_format_rows`` takes the mirrored path for the columns,
+    once their CSV is checked against the oracle."""
+    table = ResultTable(columns=[f"c{j}" for j in range(len(columns))])
+    table.add_columns(*columns)
+    with mirror_spy() as found:
+        assert table.to_csv() == percent_csv(table)
+    assert len(found) == 1
+    return found[0]
+
+
+KIND_DTYPES = {"f": np.float64, "i": np.int64, "u": np.uint64}
+POSITIVE = {"f": st.floats(min_value=0.0, exclude_min=True,
+                           allow_infinity=False),
+            "i": st.integers(1, 2 ** 63 - 1),
+            "u": st.integers(1, 2 ** 64 - 1)}
+ANY = {"f": st.floats(allow_nan=False, allow_infinity=False),
+       "i": st.integers(-2 ** 63, 2 ** 63 - 1),
+       "u": st.integers(0, 2 ** 64 - 1)}
+# the cells an odd column cannot mirror: no sign flip prints their negation
+ODD_SPOILERS = {"f": [0.0, -0.0, -1.5, -5e-324], "i": [0, -2 ** 63, -7]}
+
+
+@st.composite
+def near_mirrored_columns(draw):
+    """1-3 columns of 2 * half + 1 rows, each even, odd or neither about
+    its center row: floats (+-0.0, subnormals and huge values), int64 or
+    uint64 (whose negation wraps, so it mirrors only when even).  An odd
+    column may hold a cell that spoils its mirror, one ulp of one column
+    may flip at the first row, the center or the last, and a row may be
+    cut at either end.  Returns the columns and whether they must take
+    the mirrored path."""
+    half = draw(st.integers(0, 12))
+    columns, mirrored = [], half > 0
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from("fiu"))
+        parity = draw(st.sampled_from(["even", "odd", "none"]))
+        dtype = KIND_DTYPES[kind]
+        cells = POSITIVE[kind] if parity == "odd" else ANY[kind]
+        after = np.array(draw(st.lists(cells, min_size=half,
+                                       max_size=half)), dtype)
+        if parity == "odd" and kind == "u":
+            mirrored = False
+        elif parity == "odd" and half and draw(st.booleans()):
+            after[draw(st.integers(0, half - 1))] = draw(
+                st.sampled_from(ODD_SPOILERS[kind]))
+            mirrored = False
+        if parity == "none":
+            before = np.array(draw(st.lists(ANY[kind], min_size=half,
+                                            max_size=half)), dtype)
+            mirrored = False
+        else:
+            before = after[::-1] if parity == "even" else -after[::-1]
+        center = np.array([draw(ANY[kind])], dtype)
+        columns.append(np.concatenate([before, center, after]))
+    flip = draw(st.sampled_from([None, "first", "center", "last"]))
+    if flip is not None:
+        row = {"first": 0, "center": half, "last": -1}[flip]
+        bits = columns[draw(st.integers(0, len(columns) - 1))].view(
+            np.uint64)
+        bits[row] ^= np.uint64(1)
+        mirrored &= flip == "center"
+    cut = draw(st.sampled_from([None, "first", "last"]))
+    if cut is not None:
+        columns = [col[1:] if cut == "first" else col[:-1]
+                   for col in columns]
+        mirrored = False
+    return columns, mirrored
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_mirrored_columns())
+def test_mirrored_rows_match_percent(drawn):
+    columns, mirrored = drawn
+    # a column drawn with no parity may still turn out even or odd
+    assert takes_mirror(*columns) or not mirrored
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_mirror_needs_an_odd_table_of_three_rows(n):
+    site = np.arange(n) - n // 2
+    x = site * 0.25
+    assert takes_mirror(site, x, np.exp(-x * x)) == (n % 2 == 1 and n >= 3)
+
+
+def test_mirror_crosses_chunks_from_the_far_end(monkeypatch):
+    # 2 rows per kernel call: the 5 rows after the center take 3 chunks,
+    # the one nearest the center a single row
+    monkeypatch.setattr(table_module, "_CELLS_PER_CALL", 6)
+    site = np.arange(-5, 6)
+    assert takes_mirror(site, site * 1e-300, -np.abs(site) * 1.5)
+
+
+# the README's density tables at small t: each mirrors about site 0
+README_DENSITY_RUNS = [
+    ("walk", "--nu", "2.5", "--dt", "0.005", "--t", "1"),
+    ("exact", "--nu", "2.5", "--dt", "0.005", "--t", "1"),
+    ("asymptotic", "--nu", "2.5", "--dt", "0.005", "--t", "5"),
+    ("exact", "--nu", "10", "--dt", "0.002", "--t", "1"),
+]
+
+
+@pytest.mark.parametrize("args", README_DENSITY_RUNS, ids=" ".join)
+def test_readme_tables_mirror_to_the_unmirrored_bytes(tmp_path, args):
+    mirrored, plain = tmp_path / "mirrored.csv", tmp_path / "plain.csv"
+    with mirror_spy() as found:
+        assert cli.main([*args, "--out", str(mirrored)]) == 0
+    assert found == [True]
+    with mock.patch.object(table_module, "_mirror_signs",
+                           lambda *_: None):
+        assert cli.main([*args, "--out", str(plain)]) == 0
+    assert mirrored.read_bytes() == plain.read_bytes()
+
+
+def test_mirrored_write_keeps_text_not_words(tmp_path):
+    # exact_sharp's 77,425 rows: one chunk's kernel buffers and the kept
+    # half's text peak at 55.6 B/row (the unmirrored path at 43.0); a
+    # kept half of cell words, 88 B per row, would add 44 B/row
+    site = np.arange(-38712, 38713)
+    x = site * 0.002
+    table = ResultTable(columns=["site", "x", "prob"])
+    table.add_columns(site, x, np.exp(-x * x))
+    table.write_csv(tmp_path / "warm.csv")  # the lookup tables, once
+    tracemalloc.start()
+    try:
+        table.write_csv(tmp_path / "t.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert takes_mirror(site, x, np.exp(-x * x))
+    assert peak / table.n_rows < 75.0
 
 
 def test_metadata_fmt_agrees_with_the_kernel():
