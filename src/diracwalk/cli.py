@@ -95,8 +95,8 @@ class RunConfig:
             raise UsageError("dt_list must be a list of numbers or a "
                              "comma-separated string")
         self.dt_list = [_number("dt_list", v) for v in items]
-        if self.out is not None and not isinstance(self.out, str):
-            raise UsageError(f"out must be a path string, got {self.out!r}")
+        if self.out == "" or not isinstance(self.out, (str, type(None))):
+            raise UsageError(f"out must be a non-empty path, got {self.out!r}")
         if self.nu <= 0 or self.dt <= 0 or self.t < 0:
             raise UsageError("nu and dt must be positive, t non-negative")
         if self.command == "figure1":
@@ -203,16 +203,18 @@ def cmd_compare(cfg: RunConfig) -> ResultTable:
         columns=["dt", "n_steps", "t_realized", "l1", "l2", "sup", "leakage"],
         metadata=meta,
     )
+    rows = []
     for dt in cfg.dt_list:
         sub = RunConfig(command="walk", nu=cfg.nu, dt=dt, t=cfg.t)
         state = _initial_state(sub)
         walked = evolve(state, sub.n_steps)
         exact = evolve_exact_on_lattice(state, sub.t_realized)
         rep = compare_densities(walked, exact)
-        table.add_row(dt, sub.n_steps, sub.t_realized, rep.l1, rep.l2,
-                      rep.sup, energy_leakage(walked))
-    l1 = table.column("l1")
-    order = np.polyfit(np.log(table.column("dt")), np.log(l1), 1)[0]
+        rows.append((dt, sub.n_steps, sub.t_realized, rep.l1, rep.l2,
+                     rep.sup, energy_leakage(walked)))
+    dt, n_steps, t_realized, l1, l2, sup, leakage = map(np.array, zip(*rows))
+    table.add_columns(dt, n_steps, t_realized, l1, l2, sup, leakage)
+    order = np.polyfit(np.log(dt), np.log(l1), 1)[0]
     table.metadata["l1_order_fit"] = float(order)
     return table
 
@@ -229,8 +231,8 @@ def cmd_asymptotic(cfg: RunConfig) -> ResultTable:
     """scaled-position histogram against the limit density"""
     n = cfg.n_steps
     if n < 1000:
-        print(f"warning: n = {n} < 1000 steps; the scaled distribution is "
-              "far from its limit", file=sys.stderr)
+        warnings.warn(f"n = {n} < 1000 steps; the scaled distribution is "
+                      "far from its limit")
     state = _initial_state(cfg)
     final = evolve(state, n)
     prob = position_distribution(final)
@@ -282,7 +284,7 @@ def _csv_path(out: str) -> str:
 
 def _write_outputs(cfg: RunConfig, table: ResultTable) -> list[str]:
     written = []
-    if not cfg.out:
+    if cfg.out is None:
         return written
     csv_path = _csv_path(cfg.out)
     try:

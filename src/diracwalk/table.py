@@ -6,8 +6,8 @@ printed with ``%d`` and floats with ``%.17g`` (17 significant digits, so
 doubles round-trip exactly).  Identical configs must produce byte-identical
 files, so nothing time- or machine-dependent is ever written here.
 
-Tables are columnar: ``add_columns`` takes whole 1-d arrays, checks them
-once and keeps them as one block; ``add_row`` is a one-row block.  Cells
+Tables are columnar: ``add_columns`` takes whole 1-d arrays, each kept as
+int64 or float64 and checked once; ``add_row`` is a one-row call.  Cells
 are formatted by one numpy kernel, ``_format_rows``, which writes the same
 bytes as ``%d`` and ``%.17g``: it derives the 17 digits of each double from
 a double-double product and hands the few cells it cannot be sure of
@@ -21,7 +21,6 @@ import functools
 import os
 import stat
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -60,9 +59,8 @@ def fmt(value) -> str:
     return str(value)
 
 
-# a column's dtype kind -> the dtype it is formatted in: ints print as %d,
-# floats as %.17g
-_CELL_DTYPES = {"i": np.int64, "u": np.uint64, "f": np.float64}
+# a column's dtype kind -> the dtype it is kept in (printed %d or %.17g)
+_CELL_DTYPES = {"i": np.int64, "f": np.float64}
 
 # one kernel call formats at most this many cells, which bounds its buffers
 _CELLS_PER_CALL = 1 << 14
@@ -235,10 +233,10 @@ def _float_words(x, sep, lut):
 
 
 def _int_words(v, sep, lut):
-    """``'%d' % n`` then ``sep`` for each ``n`` of the int64 or uint64
-    array ``v``, as the cells' three words."""
+    """``'%d' % n`` then ``sep`` for each ``n`` of the int64 array ``v``,
+    as the cells' three words."""
     # abs wraps -2**63 to itself, whose uint64 view is 2**63
-    mag = v if v.dtype.kind == "u" else np.abs(v).view(np.uint64)
+    mag = np.abs(v).view(np.uint64)
     lead = mag // 10 ** 16
     _, (a1, a2, a3, a4) = _groups((mag - lead * 10 ** 16).view(np.int64), lut)
     a0 = lut.ascii4.take(lead.view(np.int64))
@@ -330,8 +328,7 @@ def _mirror_signs(columns, offsets):
     Each column must be bitwise even about the center, or bitwise odd with
     every cell after the center > 0: those cells print no sign, and their
     negations print the same with '-' in byte 0 of the cell's first word.
-    (0 and INT_MIN are their own negations, so they fail that rule, and a
-    uint64 column is never odd: its negation wraps.)
+    (0 and INT_MIN are their own negations, so they fail that rule.)
     """
     n = columns[0].size
     if n < 3 or n % 2 == 0:
@@ -342,7 +339,7 @@ def _mirror_signs(columns, offsets):
         before = col[n // 2 - 1::-1].view(np.uint64)
         if np.array_equal(after.view(np.uint64), before):
             continue
-        if col.dtype.kind == "u" or not (after > 0).all() \
+        if not (after > 0).all() \
                 or not np.array_equal((-after).view(np.uint64), before):
             return None
         sign[offsets[j]] = ord("-")
@@ -400,77 +397,62 @@ def _format_rows(columns):
         yield kept.pop()
 
 
-def _finite_as_float64(col) -> bool:
-    """Every cell is finite as the float64 it is printed as (a long double
-    beyond 1.8e308 is not)."""
-    with np.errstate(over="ignore"):
-        return bool(np.isfinite(col.astype(np.float64, copy=False)).all())
-
-
-def _kinds(block) -> str:
-    return "".join(col.dtype.kind for col in block)
-
-
 @dataclass
 class ResultTable:
     columns: list[str]
     metadata: dict = field(default_factory=dict)
-    blocks: list[tuple[np.ndarray, ...]] = field(default_factory=list,
-                                                  init=False, repr=False)
+    data: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False)
 
     def add_columns(self, *arrays) -> None:
-        """Append one block of rows, given as one 1-d array per column.
+        """Append rows, given as one 1-d array per column.
 
-        Every array must be int or float (not bool, complex or object),
-        finite, and as long as the others.
+        Every array must be int or float (not unsigned, bool, complex or
+        object), finite as a float64, and as long as the others.  Each
+        column is kept as int64 or float64; a column given ints in one
+        call and floats in another becomes float64.
         """
         if len(arrays) != len(self.columns):
             raise ValueError(
                 f"got {len(arrays)} columns, expected {len(self.columns)}"
             )
-        block = tuple(np.asarray(a) for a in arrays)
-        for name, col in zip(self.columns, block):
-            if col.ndim != 1:
-                raise ValueError(f"column {name!r} must be 1-d, "
-                                 f"got shape {col.shape}")
-            if col.dtype.kind not in _CELL_DTYPES:
-                raise ValueError(f"column {name!r} must be int or float, "
-                                 f"got dtype {col.dtype}")
-            if col.dtype.kind == "f" and not _finite_as_float64(col):
+        cast = []
+        for name, a in zip(self.columns, arrays):
+            col = np.asarray(a)
+            if col.ndim != 1 or col.dtype.kind not in _CELL_DTYPES:
+                raise ValueError(f"column {name!r} must be 1-d int or float,"
+                                 f" got {col.dtype} of shape {col.shape}")
+            # a long double beyond 1.8e308 casts to inf
+            with np.errstate(over="ignore"):
+                col = col.astype(_CELL_DTYPES[col.dtype.kind], copy=False)
+            if not np.isfinite(col).all():
                 raise ValueError(f"non-finite entry in column {name!r}")
-        if len({col.size for col in block}) > 1:
+            cast.append(col)
+        if len({col.size for col in cast}) > 1:
             raise ValueError("columns differ in length: "
-                             f"{[col.size for col in block]}")
-        self.blocks.append(block)
+                             f"{[col.size for col in cast]}")
+        if self.data:
+            cast = map(np.concatenate, zip(self.data, cast))
+        self.data = tuple(cast)
 
     def add_row(self, *values) -> None:
-        """Append one row, as a one-row block; each value keeps its type."""
+        """Append one row; each value joins its column's ints or floats."""
         self.add_columns(*([v] for v in values))
 
     @property
     def n_rows(self) -> int:
-        return sum(block[0].size for block in self.blocks)
+        return self.data[0].size if self.data else 0
 
     def column(self, name: str) -> np.ndarray:
-        i = self.columns.index(name)
-        return np.concatenate([block[i] for block in self.blocks]) \
-            if self.blocks else np.empty(0)
+        return self.data[self.columns.index(name)] if self.data \
+            else np.empty(0)
 
     def _chunks(self):
         """The CSV text: metadata and header, then the rows in chunks."""
         lines = [f"# {key} = {fmt(val)}" for key, val in self.metadata.items()]
         lines.append(",".join(self.columns))
         yield "\n".join(lines) + "\n"
-        # consecutive blocks of the same column kinds are formatted
-        # together; an int column of one block still prints %d next to a
-        # float column of the same name in another
-        for _, run in groupby(self.blocks, key=_kinds):
-            run = list(run)
-            columns = [np.concatenate(cols) if len(run) > 1 else cols[0]
-                       for cols in zip(*run)]
-            yield from _format_rows(
-                [col.astype(_CELL_DTYPES[col.dtype.kind], copy=False)
-                 for col in columns])
+        if self.data:
+            yield from _format_rows(self.data)
 
     def to_csv(self) -> str:
         return "".join(self._chunks())

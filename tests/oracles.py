@@ -29,7 +29,7 @@ from diracwalk.table import fmt
 from diracwalk.walk import LatticeState, require_unit_norm
 
 # '%.17g' % x and format(x, '.17g') share CPython's double-to-string path
-CELL_FORMATS = {"i": "%d", "u": "%d", "f": "%.17g"}
+CELL_FORMATS = {"i": "%d", "f": "%.17g"}
 
 # The 4-component Dirac layer: a tensor product of two 2-dimensional
 # factors, stored with index 2*(first factor) + (second factor) (numpy
@@ -57,16 +57,15 @@ def branch_sign(branch: str) -> float:
 
 def percent_csv(table) -> str:
     """The CSV text of ``table`` with every data cell formatted by CPython:
-    each block of rows is one ``%`` over all of its values, ``%d`` for int
-    columns and ``%.17g`` for float columns."""
+    one ``%`` over all of its values, ``%d`` for an int column and
+    ``%.17g`` for a float column."""
     lines = [f"# {key} = {fmt(val)}" for key, val in table.metadata.items()]
     lines.append(",".join(table.columns))
-    chunks = ["\n".join(lines) + "\n"]
-    for block in table.blocks:
-        line = ",".join(CELL_FORMATS[col.dtype.kind] for col in block)
-        values = chain.from_iterable(zip(*(col.tolist() for col in block)))
-        chunks.append(((line + "\n") * block[0].size) % tuple(values))
-    return "".join(chunks)
+    columns = [table.column(name) for name in table.columns]
+    line = ",".join(CELL_FORMATS[col.dtype.kind] for col in columns)
+    values = chain.from_iterable(zip(*(col.tolist() for col in columns)))
+    return "\n".join(lines) + "\n" + \
+        ((line + "\n") * table.n_rows) % tuple(values)
 
 
 def lookup_tables():

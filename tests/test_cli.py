@@ -319,6 +319,31 @@ def test_warning_prints_as_one_line(capsys):
     assert err.startswith("warning: dt*E0 = 0.529 is not small")
 
 
+def test_short_asymptotic_run_warns_in_one_line(capsys):
+    # n = 200 < 1000: a warning like every other, and the run succeeds
+    assert run_cli("asymptotic", "--nu", "2.5", "--dt", "0.005",
+                   "--t", "1") == 0
+    assert capsys.readouterr().err == (
+        "warning: n = 200 < 1000 steps; the scaled distribution is far "
+        "from its limit\n")
+    cfg = cli.RunConfig(command="asymptotic", nu=2.5, dt=0.005, t=1.0)
+    cfg.validate()
+    with pytest.warns(UserWarning, match=r"^n = 200 < 1000 steps; "):
+        cli.cmd_asymptotic(cfg)
+
+
+def test_empty_output_path_exits_one(tmp_path, capsys):
+    # as a flag or a config key: refused, where it ran and wrote nothing
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": ""}))
+    for args in (("walk", "--out", ""), ("figure1", "--out", ""),
+                 ("figure1", "--config", str(cfg))):
+        assert run_cli(*args) == 1
+        assert capsys.readouterr().err == \
+            "usage error: out must be a non-empty path, got ''\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_unwritable_output_path(tmp_path):
     missing = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert run_cli("walk", "--nu", "2.0", "--dt", "0.05", "--t", "0.5",

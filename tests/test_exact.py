@@ -20,6 +20,9 @@ from oracles import (TwoRowState, as_branch, evolve_steps,
                      two_row_packet, u_plus_effective, unitary_modes)
 
 
+EPS = np.finfo(np.float64).eps
+
+
 def propagator_matrix(p, t):
     """exp(-i H(p) t) as a 2x2 matrix, from the per-mode pair."""
     return np.reshape(su2_entries(*propagator_symbol(p, t)), (2, 2))
@@ -331,27 +334,30 @@ def test_packets_and_their_runs_keep_the_sigma2_parity(nu, dt):
     # even: the packet, its walk and its exact evolution all keep
     # (Pi a)(m) = sigma2 a(-m), that is a-(m) = i a+(-m).  This is why the
     # package keeps a+ alone.  On both rows, each from its own transform
-    # (the oracle's packet and stacked ring), measured 2.3e-17 to 4.2e-17
-    # on the packets and <= 4.9e-17 after 2,000 walk steps or the same
-    # time of exact evolution, at these four configs on X86_V4 and X86_V3.
-    # The two transforms are not exact mirrors, so the packet's a+ row is
-    # the package's to 2.7e-16 of the peak (measured), and at nu 2.5 the
-    # oracle keeps one more site at each edge, 1.0007e-14 of its peak
+    # (the oracle's packet and stacked ring), the defect is a rounding
+    # residue: at these four configs on X86_V4 and X86_V3 it measured
+    # 1.5 to 2.7 eps times the packet's peak on the packets and at most
+    # 3.71 (nu 10, exact, X86_V3) after 2,000 walk steps or the same time
+    # of exact evolution; the bound is 6 eps.  The two transforms are not
+    # exact mirrors, so the packet's a+ row is the package's to 2.7e-16 of
+    # the peak (measured), and at nu 2.5 the oracle keeps one more site at
+    # each edge, 1.0007e-14 of its peak
     cfg = WalkInitConfig(nu=nu, dt=dt)
     packet = two_row_packet(cfg)
     built = build_initial_state(cfg)
     cut = built.m_min - packet.m_min  # the oracle's extra sites per side
     assert cut in (0, 1) and packet.n_sites == built.n_sites + 2 * cut
     mag = np.maximum(np.abs(packet.a_plus), np.abs(packet.a_minus))
+    peak = mag.max()
     edges = np.concatenate((mag[:cut], mag[mag.size - cut:]))
-    assert np.all(edges < 1.01 * TOL.window_rel * mag.max())
+    assert np.all(edges < 1.01 * TOL.window_rel * peak)
     inner = packet.a_plus[cut:packet.n_sites - cut]
     assert np.abs(inner - built.a_plus).max() <= \
         1e-15 * np.abs(built.a_plus).max()
     n = 2000
     for run in (packet, stacked_walk(packet, n),
                 stacked_exact(packet, n * dt)):
-        assert sigma2_parity_defect(run) <= 5e-17
+        assert sigma2_parity_defect(run) <= 6 * EPS * peak
 
 
 def test_walk_leakage_decreases_with_dt():
