@@ -8,7 +8,8 @@ d theta / d phi = cos(dt) sin(phi) / sin(theta), |h| <= |cos dt|) are
 stated once, in ``spectral``; here M is the "plus" branch's.
 X_n/(n dt) converges weakly to +-h weighted by |g+-|^2, the weights of
 the state's two bands (Grimmett, Janson and Scudo, PRE 69, 026119
-(2004)); for the localized Gaussian packets its density is the two-horned
+(2004)); h is odd in phi, so P(Y <= y) is the mass of one summed weight
+on one arc.  Localized Gaussian packets give the two-horned density
 
     F(y; nu) = (1 / (nu sqrt(pi))) (1 - y^2)^{-3/2}
                exp(-y^2 / (nu^2 (1 - y^2))).
@@ -93,50 +94,48 @@ class SpectralCoefficients:
         monotone in u, so h <= y where u <= tan(dt) y / sqrt(1 - y^2).
         With a = sign(y) arcsin(min(|tan(dt) y| / sqrt(1 - y^2), 1)),
         {+h <= y} is the arc [-pi - a, a] and {-h <= y} the arc [-a, pi +
-        a]; for cos dt < 0, where h falls in u, the bands swap arcs.  A
-        band's mass is its cumulative mass G (``_cumulative``) at the two
-        ends of its arc.  Every step from y to a, and from an angle to G,
-        is monotone as rounded, so P is non-decreasing in y as rounded.
+        a], swapped for cos dt < 0, where h falls in u.  h is odd, so phi
+        -> -phi takes the second arc onto the first, whatever the weights:
+        P is G(a) - G(-pi - a), with G of ``_cumulative``.  Every step from
+        y to a, and from an angle to G, is monotone as rounded, so P is
+        non-decreasing in y as rounded.  y must be ints or floats.
         """
-        y = np.asarray(y, dtype=float)
-        if not np.all((-1.0 <= y) & (y <= 1.0)):
+        y = np.asarray(y)
+        if y.dtype.kind not in "iuf" or not np.all((-1.0 <= y) & (y <= 1.0)):
             raise ValueError("need -1 <= y <= 1")
+        y = y.astype(float)
         z = np.abs(y)
         # 1 - z^2 in a form that falls with z as rounded, exact near z = 1
         one = np.where(z < 0.5, 1.0 - z * z, (1.0 - z) * (1.0 + z))
         with np.errstate(divide="ignore"):
             u = np.minimum(abs(np.tan(self.dt)) * z / np.sqrt(one), 1.0)
         a = np.copysign(np.arcsin(u), y).reshape(-1)
-        g = self._cumulative(np.stack((a, -np.pi - a, np.pi + a, -a)))
-        total = ((g[0] - g[1]) + (g[2] - g[3])).reshape(y.shape)
+        g = self._cumulative(np.stack((a, -np.pi - a)))
+        total = (g[0] - g[1]).reshape(y.shape)
         return total if total.ndim else float(total)
 
     def _cumulative(self, x):
-        """G at the angles x, (4, m): rows 0 and 1 in the band of the arc
-        [-pi - a, a], rows 2 and 3 in the other.
-
-        G is ``_mass_table`` at the nodes, node k at the angle k dphi,
-        extended by its total per period (cos dt < 0 swaps the rows'
-        bands).  On a cell it is the cubic Hermite with the weights as end
-        slopes, limited (Fritsch-Carlson) to mu0 + mu1 <= 3 so that its
-        Bernstein polygon rises.  The share of the cell below s is then
-        d0 (1 - r^3) + d1 S(s) + d2 s^3, d >= 0, r = 1 - s, with the
-        smoothstep S = s^2 (3 - 2 s) formed from its nearer end: each term
-        rises with s as rounded, and a cell gives at most its upper node.
+        """G at the angles x: ``_mass_table`` at node k, angle k dphi,
+        extended by its total per period; on a cell, the cubic Hermite
+        with the summed weight at its nodes as end slopes, limited
+        (Fritsch-Carlson) to mu0 + mu1 <= 3 so that its Bernstein polygon
+        rises.  The share of the cell below s is then d0 (1 - r^3) + d1
+        S(s) + d2 s^3, d >= 0, r = 1 - s, with the smoothstep S = s^2 (3 -
+        2 s) formed from its nearer end: each term rises with s as
+        rounded, and a cell gives at most its upper node.
         """
-        table, w = self._mass_table, self.weights
-        n = w.shape[1]
+        table, near, far = self._mass_table
+        n = near.size
         j = x / self.dphi
         cell = np.floor(j)
         s = j - cell
         turns, k = np.divmod(cell.astype(np.intp), n)
-        band = np.array([[0], [0], [1], [1]]) ^ int(np.cos(self.dt) < 0.0)
-        g0, g1 = table[band, k], table[band, k + 1]
+        g0, g1 = table[k], table[k + 1]
         delta = g1 - g0
         # the end slopes in units of delta; a flat cell takes none
-        mu = np.divide(w[band, np.stack((k, (k + 1) % n))] * self.dphi,
-                       delta, out=np.zeros((2,) + s.shape),
-                       where=delta > 0.0)
+        node = np.stack((k, (k + 1) % n))
+        mu = np.divide((near[node] + far[-node % n]) * self.dphi, delta,
+                       out=np.zeros((2,) + s.shape), where=delta > 0.0)
         d0, d2 = mu / np.maximum(mu[0] + mu[1], 3.0)
         r = 1.0 - s
         v = np.minimum(s, r)
@@ -144,37 +143,38 @@ class SpectralCoefficients:
         smooth = np.where(s <= 0.5, smooth, 1.0 - smooth)
         share = d0 * (1.0 - r * r * r) \
             + np.maximum(1.0 - d0 - d2, 0.0) * smooth + d2 * (s * s * s)
-        return turns * table[band, n] + np.minimum(g0 + delta * share, g1)
+        return turns * table[n] + np.minimum(g0 + delta * share, g1)
 
     @cached_property
     def _mass_table(self):
-        """G, built on first use and kept: the cumulative mass of the
-        weights from phi = 0 to the angle k dphi of node k, (2, n_phi + 1),
-        closed by the total.
-
-        G integrates the trigonometric interpolant of w: one rfft/irfft
-        pair, harmonic j divided by i j, plus the mean times k dphi.
-        Where the interpolant dips below 0 (an aliased grid), G is capped
-        at the total and a running maximum keeps it non-decreasing.
+        """(G, w_near, w_far), built on first use and kept: w_near is the
+        band on the arc [-pi - a, a] (band - for cos dt < 0), and G at
+        node k the mass of w_near(phi) + w_far(-phi) (-phi at index -k mod
+        n_phi: a reversed view; w+ + w- for the package's even w) from 0
+        to k dphi, closed by the total.  One rfft/irfft pair integrates
+        its trigonometric interpolant: harmonic j divided by i j, plus the
+        mean times k dphi.  Where that dips below 0 (an aliased grid), G
+        is capped at the total and a running maximum keeps it rising.
         """
-        n = self.phi.size
-        table = np.empty((2, n + 1))
-        # numpy divides by a real j as j + 0j, a multiply by 1/j: same bits
-        inv_harmonic = 1.0 / np.arange(1, n // 2 + 1, dtype=float)
-        for row, out in zip(self.weights, table):
-            spec = np.fft.rfft(row)
-            mean = spec[0].real / n
-            spec[1:] *= inv_harmonic
-            # the real DC and Nyquist terms turn imaginary, which irfft
-            # drops: neither adds to G at a node
-            spec *= -1j
-            np.fft.irfft(spec, n, out=out[:n])
-            del spec
-            out[:n] += np.arange(n) * (mean * self.dphi) - out[0]
-            out[n] = mean * 2.0 * np.pi
-        np.minimum(table, table[:, n:], out=table)
-        np.maximum.accumulate(table, axis=1, out=table)
-        return table
+        near, far = self.weights[::-1 if np.cos(self.dt) < 0.0 else 1]
+        n = near.size
+        table = np.empty(n + 1)
+        summed = table[:n]
+        summed[0] = near[0] + far[0]
+        np.add(near[1:], far[:0:-1], out=summed[1:])
+        spec = np.fft.rfft(summed)
+        mean = spec[0].real / n
+        spec[1:] *= 1.0 / np.arange(1, n // 2 + 1, dtype=float)
+        # the real DC and Nyquist terms turn imaginary, which irfft drops:
+        # neither adds to G at a node
+        spec *= -1j
+        np.fft.irfft(spec, n, out=summed)
+        del spec
+        summed += np.arange(n) * (mean * self.dphi) - summed[0]
+        table[n] = mean * 2.0 * np.pi
+        np.minimum(table, table[n], out=table)
+        np.maximum.accumulate(table, out=table)
+        return table, near, far
 
 
 def spectral_coefficients(state: LatticeState,
@@ -225,8 +225,9 @@ def limit_cdf(y1: float, y2: float, coeffs: SpectralCoefficients) -> float:
     """P(y1 <= Y <= y2) for the weak limit Y of X_n/(n dt): the difference
     of one ``coeffs.mass_below([y1, y2])`` call, clamped to [0, 1].  h is
     strictly monotone in sin phi, so {h = y} has measure 0 and closed and
-    open bounds agree."""
-    if not (-1.0 <= y1 <= y2 <= 1.0):
+    open bounds agree.  y1 and y2 must be an int or a float each."""
+    if any(np.ndim(y) or np.asarray(y).dtype.kind not in "iuf"
+           for y in (y1, y2)) or not (-1.0 <= y1 <= y2 <= 1.0):
         raise ValueError("need -1 <= y1 <= y2 <= 1")
     lo, hi = coeffs.mass_below(np.array([y1, y2]))
     return float(min(max(hi - lo, 0.0), 1.0))

@@ -5,8 +5,8 @@ stacked ring and the packet on it, the four-entry, branch-taking
 symbols that the (a, b) pairs of ``spectral`` replaced, with the "minus"
 branch's own runs on them (the package computes "plus" only;
 ``site_mirror`` forms the -1/2 packet), the 4-spinor layer that the
-2-spinor reduction of ``spinor`` rests on, the limit law by quadrature,
-and a reader of the CSV files."""
+2-spinor reduction of ``spinor`` rests on, the limit law by quadrature
+and band by band, and a reader of the CSV files."""
 
 import warnings
 from contextlib import contextmanager
@@ -511,6 +511,56 @@ def quadrature_mass_below(state, y: float):
             total += value
             error += estimate
     return total, error
+
+
+def two_band_mass_below(coeffs, y):
+    """P(Y <= y) band by band, the route the one summed weight replaced:
+    a cumulative mass table per band (one rfft/irfft pair each, capped at
+    its total and made non-decreasing), band + on the arc [-pi - a, a] and
+    band - on [-a, pi + a] (swapped for cos dt < 0), each band read at the
+    two ends of its arc by the limited cubic Hermite of
+    ``SpectralCoefficients._cumulative`` with that band's weights as end
+    slopes."""
+    y = np.asarray(y, dtype=float)
+    z = np.abs(y)
+    one = np.where(z < 0.5, 1.0 - z * z, (1.0 - z) * (1.0 + z))
+    with np.errstate(divide="ignore"):
+        u = np.minimum(abs(np.tan(coeffs.dt)) * z / np.sqrt(one), 1.0)
+    a = np.copysign(np.arcsin(u), y).reshape(-1)
+    w, dphi = coeffs.weights, coeffs.dphi
+    n = w.shape[1]
+    table = np.empty((2, n + 1))
+    inv_harmonic = 1.0 / np.arange(1, n // 2 + 1, dtype=float)
+    for row, out in zip(w, table):
+        spec = np.fft.rfft(row)
+        mean = spec[0].real / n
+        spec[1:] *= inv_harmonic
+        spec *= -1j
+        out[:n] = np.fft.irfft(spec, n)
+        out[:n] += np.arange(n) * (mean * dphi) - out[0]
+        out[n] = mean * 2.0 * np.pi
+    np.minimum(table, table[:, n:], out=table)
+    np.maximum.accumulate(table, axis=1, out=table)
+    x = np.stack((a, -np.pi - a, np.pi + a, -a))
+    j = x / dphi
+    cell = np.floor(j)
+    s = j - cell
+    turns, k = np.divmod(cell.astype(np.intp), n)
+    band = np.array([[0], [0], [1], [1]]) ^ int(np.cos(coeffs.dt) < 0.0)
+    g0, g1 = table[band, k], table[band, k + 1]
+    delta = g1 - g0
+    mu = np.divide(w[band, np.stack((k, (k + 1) % n))] * dphi, delta,
+                   out=np.zeros((2,) + s.shape), where=delta > 0.0)
+    d0, d2 = mu / np.maximum(mu[0] + mu[1], 3.0)
+    r = 1.0 - s
+    v = np.minimum(s, r)
+    smooth = v * (1.125 - 2.0 * (0.75 - v) ** 2)
+    smooth = np.where(s <= 0.5, smooth, 1.0 - smooth)
+    share = d0 * (1.0 - r * r * r) \
+        + np.maximum(1.0 - d0 - d2, 0.0) * smooth + d2 * (s * s * s)
+    g = turns * table[band, n] + np.minimum(g0 + delta * share, g1)
+    total = ((g[0] - g[1]) + (g[2] - g[3])).reshape(y.shape)
+    return total if total.ndim else float(total)
 
 
 def per_point_polyline(x, y, sx, sy) -> str:

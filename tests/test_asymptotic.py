@@ -24,8 +24,8 @@ from oracles import (TwoRowState, direct_sum_coefficients,
                      gaussian_g_approx, group_velocity,
                      quadrature_mass_below, random_phase_state,
                      random_pi_state, ring_spectral_coefficients,
-                     symbol_eigenvalues, symbol_eigenvectors, two_row,
-                     walk_symbol_matrix)
+                     symbol_eigenvalues, symbol_eigenvectors,
+                     two_band_mass_below, two_row, walk_symbol_matrix)
 
 
 # ---------------------------------------------------------------- symbol
@@ -296,9 +296,9 @@ def test_spectral_coefficients_memory_per_phi_point():
 
 def test_mass_table_memory_per_phi_point():
     # traced peak of the first mass_below call, over its n_phi: the table
-    # it keeps (G, both bands) is 16 B of it; one band's spectrum, the
-    # inverse transform's copy of it and the harmonic numbers ~20 B
-    # (measured 36.75)
+    # it keeps (G of the summed weight, one row, formed in place from the
+    # weights) is 8 B of it; the summed weight's spectrum and the inverse
+    # transform's copy of it 16 B (measured 24.75 on both dispatches)
     co = spectral_coefficients(limit_law_state())
     replace(co).mass_below(0.3)  # FFT plans built outside
     tracemalloc.start()
@@ -308,7 +308,7 @@ def test_mass_table_memory_per_phi_point():
     finally:
         tracemalloc.stop()
     assert co.phi.size == 91476
-    assert peak / co.phi.size <= 36.8
+    assert peak / co.phi.size <= 24.8
 
 
 def test_eigen_weights_keep_their_digits_at_small_dt():
@@ -461,6 +461,72 @@ def test_mass_below_matches_oracle_on_gaussian_packet():
         want[-3] - want[2], abs=4e-10)
 
 
+# ---------------------------------- mass_below against the band-by-band route
+
+def test_mass_below_matches_two_band_route_on_the_packet():
+    # the one summed weight against a table per band: the Hermite cells
+    # and the caps agree up to rounding here (measured 8.9e-16 over 2,001
+    # bounds)
+    co = spectral_coefficients(limit_law_state())
+    ys = np.linspace(-1.0, 1.0, 2001)
+    assert np.abs(co.mass_below(ys) - two_band_mass_below(co, ys)).max() \
+        <= 2e-15
+
+
+# by state and dt, the measured gaps over both grids, rounded up.  The
+# 8-site phase state is resolved: the routes differ by rounding, except at
+# dt 2.0 near y = -0.27, where the band-by-band route is 2.0e-8 off the
+# quadrature and this one 4.5e-12 (measured gap 2.0e-8).  The 200-site
+# flat state is aliased on 512 points: the capped tables and the limited
+# cells differ by up to 4.8e-5, as both routes miss the quadrature by
+# 1e-5 to 6e-5
+TWO_BAND_BOUND = {("phase", 0.5): 2e-15, ("phase", 2.0): 3e-8,
+                  ("phase", 3.0): 2e-15, ("flat", 0.5): 6e-5,
+                  ("flat", 2.0): 6e-5, ("flat", 3.0): 6e-5}
+
+
+@pytest.mark.parametrize("kind, dt", sorted(TWO_BAND_BOUND))
+@pytest.mark.parametrize("n_phi", [512, 513])
+def test_mass_below_matches_two_band_route_on_random_states(kind, dt,
+                                                           n_phi):
+    # two-row states, whose weights are not even in phi; dt 2.0 and 3.0
+    # take cos dt < 0, where the bands swap arcs
+    state = random_phase_state(8, -3, dt, 15) if kind == "phase" \
+        else random_state(dt=dt)
+    co = oracle_coefficients(state, n_phi)
+    ys = np.unique(np.concatenate((np.linspace(-1.0, 1.0, 2001),
+                                   oracle_bounds(co))))
+    assert np.abs(co.mass_below(ys) - two_band_mass_below(co, ys)).max() \
+        <= TWO_BAND_BOUND[kind, dt]
+
+
+def assert_law_reads_the_summed_weight(co, ys):
+    # a Pi-invariant state's w+- are even in phi, so the law reads w+ + w-
+    # alone: swapping the bands keeps every bit
+    swapped = replace(co, weights=co.weights[::-1])
+    assert swapped.mass_below(ys).tobytes() == co.mass_below(ys).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 60), st.data())
+def test_pi_invariant_law_reads_only_the_summed_weight(m_max, data):
+    n_sites = 2 * m_max + 1
+    n_phi = data.draw(st.integers(max(n_sites, 2), 4 * n_sites), "n_phi")
+    dt = data.draw(st.floats(1e-3, 3.1), "dt")
+    state = random_pi_state(m_max, dt, data.draw(
+        st.integers(0, 2**32 - 1), "seed"))
+    ys = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=1,
+                                     max_size=20), "ys"))
+    assert_law_reads_the_summed_weight(
+        spectral_coefficients(state, n_phi=n_phi), ys)
+
+
+def test_packet_law_reads_only_the_summed_weight():
+    state = build_initial_state(WalkInitConfig(nu=1.0, dt=0.02))
+    assert_law_reads_the_summed_weight(spectral_coefficients(state),
+                                       np.linspace(-1.0, 1.0, 401))
+
+
 def test_mass_below_converges_at_fourth_order_in_n_phi():
     # a cubic Hermite between nodes: measured orders 4.15 and 4.98 between
     # 4, 8 and 16 points per site (errors 2.8e-9, 1.6e-10, 4.9e-12)
@@ -537,11 +603,24 @@ def test_mass_below_is_vectorized_and_checked():
     assert isinstance(co.mass_below(0.2), float)
     assert co.mass_below(-1.0) == 0.0
     assert co.mass_below(1.0) == pytest.approx(co.completeness(), abs=1e-12)
-    for bad in (1.5, -1.0000001, np.nan):
-        with pytest.raises(ValueError):
+    # a bool or a text bound is no number: True was read as 1 (P =
+    # 0.9999999999999998), "0.3" as 0.3, and limit_cdf(False, 0.5) as
+    # P(0 <= Y <= 0.5)
+    for bad in (1.5, -1.0000001, np.nan, True, False, "0.3", [True, False],
+                np.array(["0.3"]), None, 0.5 + 0j, [0.1, "0.2"]):
+        with pytest.raises(ValueError, match=r"need -1 <= y <= 1"):
             co.mass_below(bad)
-    with pytest.raises(ValueError):
-        limit_cdf(0.3, 0.2, co)
+    for y1, y2 in ((0.3, 0.2), (False, 0.5), (True, 1.0), (-0.5, True),
+                   ("0.3", 0.5), (0.1, np.array([0.2, 0.3])),
+                   (np.array([0.1]), 0.5),
+                   (np.array([-0.5, 0.1]), np.array([0.2, 0.3]))):
+        with pytest.raises(ValueError, match=r"need -1 <= y1 <= y2 <= 1"):
+            limit_cdf(y1, y2, co)
+    # int and float scalars of any width are numbers
+    assert co.mass_below(np.int8(0)) == co.mass_below(0) \
+        == co.mass_below(np.float32(0.0))
+    assert co.mass_below(np.uint8(1)) == co.mass_below(1.0)
+    assert limit_cdf(np.int64(-1), 1, co) == limit_cdf(-1.0, 1.0, co)
 
 
 def test_walk_converges_in_law_at_second_order():
