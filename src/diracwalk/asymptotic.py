@@ -23,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .constants import InputError, require_number
 from .initial import gaussian_profile
 from .spectral import (_dispersion, apply_pair, ring_length, ring_mirror,
                        ring_modes)
@@ -30,10 +31,8 @@ from .spinor import energy
 from .walk import LatticeState
 
 
-def _check_dt(dt: float) -> None:
-    if not (0.0 < dt < np.pi) or np.sin(dt) ** 2 < np.finfo(float).tiny:
-        raise ValueError(f"dt={dt!r} needs 0 < dt < pi and sin(dt)^2 a "
-                         "normal double (dt >~ 1.5e-154)")
+# the steps dt < pi whose sin(dt)^2 is a normal double: sin(theta) > 0
+WALK_DT = "[1.5e-154, 3.141592653589793)"
 
 
 def _eigen_weights(phi, dt):
@@ -50,7 +49,7 @@ def _eigen_weights(phi, dt):
     N = sqrt(s^2 + B^2).  phi -> -phi swaps alpha and beta.  Returned as
     one new array, rows alpha and beta, formed in place.
     """
-    _check_dt(dt)
+    dt = require_number("dt", dt, WALK_DT)
     s = np.sin(dt)
     t, big = (np.asarray(v) for v in _dispersion(phi, dt))
     up = t >= 0
@@ -98,12 +97,10 @@ class SpectralCoefficients:
         -> -phi takes the second arc onto the first, whatever the weights:
         P is G(a) - G(-pi - a), with G of ``_cumulative``.  Every step from
         y to a, and from an angle to G, is monotone as rounded, so P is
-        non-decreasing in y as rounded.  y must be ints or floats.
+        non-decreasing in y as rounded.
         """
-        y = np.asarray(y)
-        if y.dtype.kind not in "iuf" or not np.all((-1.0 <= y) & (y <= 1.0)):
-            raise ValueError("need -1 <= y <= 1")
-        y = y.astype(float)
+        y = np.asarray(require_number("y", y, "[-1, 1]", array=True),
+                       dtype=float)
         z = np.abs(y)
         # 1 - z^2 in a form that falls with z as rounded, exact near z = 1
         one = np.where(z < 0.5, 1.0 - z * z, (1.0 - z) * (1.0 + z))
@@ -195,11 +192,8 @@ def spectral_coefficients(state: LatticeState,
     trigonometric degree: at least one point per occupied site (default
     8x, rounded up to an FFT-friendly size).
     """
-    if n_phi is None:
-        n_phi = ring_length(max(8 * state.n_sites, 4096))
-    elif not isinstance(n_phi, (int, np.integer)) or n_phi < 2:
-        raise ValueError(f"n_phi={n_phi!r} must be an integer >= 2")
-    n = int(n_phi)
+    n = ring_length(max(8 * state.n_sites, 4096)) if n_phi is None \
+        else require_number("n_phi", n_phi, "[2, inf)", integer=True)
     half = n // 2 + 1
     ring = ring_modes(state, n)
     phi = -2.0 * np.pi * np.fft.fftfreq(n)[:half]
@@ -221,25 +215,29 @@ def spectral_coefficients(state: LatticeState,
                                 weights=weights, dt=state.dt)
 
 
+def _ordered(y1, y2, domain: str):
+    """y1 and y2, each a number in ``domain``, as floats, if y1 <= y2."""
+    y1 = require_number("y1", y1, domain)
+    y2 = require_number("y2", y2, domain)
+    if y1 > y2:
+        raise InputError(f"y1 must be <= y2, got {y1!r} > {y2!r}")
+    return y1, y2
+
+
 def limit_cdf(y1: float, y2: float, coeffs: SpectralCoefficients) -> float:
     """P(y1 <= Y <= y2) for the weak limit Y of X_n/(n dt): the difference
     of one ``coeffs.mass_below([y1, y2])`` call, clamped to [0, 1].  h is
     strictly monotone in sin phi, so {h = y} has measure 0 and closed and
-    open bounds agree.  y1 and y2 must be an int or a float each."""
-    if any(np.ndim(y) or np.asarray(y).dtype.kind not in "iuf"
-           for y in (y1, y2)) or not (-1.0 <= y1 <= y2 <= 1.0):
-        raise ValueError("need -1 <= y1 <= y2 <= 1")
+    open bounds agree."""
+    y1, y2 = _ordered(y1, y2, "[-1, 1]")
     lo, hi = coeffs.mass_below(np.array([y1, y2]))
     return float(min(max(hi - lo, 0.0), 1.0))
 
 
 def limit_density(y, nu: float):
     """Closed-form asymptotic density F(y; nu) on the open interval (-1, 1)."""
-    if not nu > 0:
-        raise ValueError("nu must be positive")
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.abs(y) < 1.0):  # NaN fails it
-        raise ValueError("the density is defined for |y| < 1")
+    nu = require_number("nu", nu, "(0, inf)")
+    y = np.asarray(require_number("y", y, "(-1, 1)", array=True), dtype=float)
     one = 1.0 - y * y
     out = (one ** -1.5) * np.exp(-y * y / (nu * nu * one)) / (nu * np.sqrt(np.pi))
     return out if out.ndim else float(out)
@@ -252,10 +250,8 @@ def limit_density_mass(y1: float, y2: float, nu: float) -> float:
     F(y; nu) dy into e^{-u^2/nu^2} du / (nu sqrt(pi)), so the mass is
     (erf(u2/nu) - erf(u1/nu)) / 2, with u = +-inf at y = +-1.
     """
-    if not nu > 0:
-        raise ValueError("nu must be positive")
-    if not y1 <= y2:  # NaN fails it
-        raise ValueError("need y1 <= y2")
+    y1, y2 = _ordered(y1, y2, "(-inf, inf)")
+    nu = require_number("nu", nu, "(0, inf)")
     a, b = max(y1, -1.0), min(y2, 1.0)
     if a >= b:
         return 0.0
@@ -274,8 +270,7 @@ def horn_location(nu: float) -> float:
     Setting d(log F)/dy = 0 gives 1 - y^2 = 2/(3 nu^2); for nu^2 <= 2/3
     the density is unimodal at 0 and 0.0 is returned.
     """
-    if not nu > 0:
-        raise ValueError("nu must be positive")
+    nu = require_number("nu", nu, "(0, inf)")
     if nu * nu <= 2.0 / 3.0:
         return 0.0
     return float(np.sqrt(1.0 - 2.0 / (3.0 * nu * nu)))
@@ -285,8 +280,7 @@ def limit_moment(k: int, nu: float) -> float:
     """Int y^k F(y; nu) dy: F is the law of the group velocity y = p/E(p)
     under |f_nu(p)|^2 dp (the substitution u = y / sqrt(1 - y^2) with
     u = p), so this is the profile mean of (p/E(p))^k."""
-    if k < 0:
-        raise ValueError("moment order must be >= 0")
+    k = require_number("k", k, "[0, inf)", integer=True)
     return gaussian_profile(nu).mean(lambda p: (p / energy(p)) ** k)
 
 
@@ -299,11 +293,9 @@ def limit_cdf_gaussian(y1: float, y2: float, nu: float, dt: float) -> float:
     phi = 0 (the envelope suppresses all others; +-pi/2 at the band edge
     |y| = cos dt): (erf(phi(y2)/(nu dt)) - erf(phi(y1)/(nu dt))) / 2.
     """
-    _check_dt(dt)
-    if not (-1.0 <= y1 <= y2 <= 1.0):
-        raise ValueError("need -1 <= y1 <= y2 <= 1")
-    if not nu > 0:
-        raise ValueError("nu must be positive")
+    y1, y2 = _ordered(y1, y2, "[-1, 1]")
+    nu = require_number("nu", nu, "(0, inf)")
+    dt = require_number("dt", dt, WALK_DT)
     tan_dt = math.tan(dt)
 
     def erf_phi(y):

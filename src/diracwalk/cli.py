@@ -5,14 +5,17 @@ a JSON config file, overridden by flags), runs deterministically (fixed
 iteration orders) and writes CSV/SVG outputs whose bytes depend only on
 the resolved config.  Wall-clock timing goes to stdout, never the files.
 
-Exit status: 0 success, 1 usage error, 2 numerical-health failure
-(unitarity drift, aliasing, quadrature trouble).
+Exit status: 0 success; 1 a refused input (``InputError``, from the flag
+and JSON parser here or from any layer of the library); 2 a numerical-
+health failure (unitarity drift, aliasing, quadrature trouble).  Any other
+exception is a bug and propagates with its traceback.
 
 ``main`` also sets its process's heap policy, once, on glibc
 (``_keep_freed_pages``); importing the package sets nothing.
 """
 
 import argparse
+import contextlib
 import ctypes
 import functools
 import json
@@ -26,7 +29,8 @@ import numpy as np
 
 from . import __version__
 from .asymptotic import horn_location, limit_density, limit_moment
-from .constants import NumericalHealthError, require_ring_fits
+from .constants import (InputError, NumericalHealthError, require_number,
+                        require_ring_fits)
 from .exact import compare_densities, energy_leakage, evolve_exact_on_lattice
 from .initial import (WalkInitConfig, build_initial_state,
                       require_initial_state_fits)
@@ -44,28 +48,20 @@ _HORN_BOXCAR = 41  # sites of the histogram smoothing before a horn's peak
 _MALLOPT = ((-3, 32 << 20), (-1, 64 << 20))
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; the exit-status contract
     # reserves 2 for numerical failures, so usage errors become exceptions
     def error(self, message):
-        raise UsageError(message)
+        raise InputError(message)
 
 
-def _number(key, val) -> float:
-    """A finite float from a flag or a JSON number or numeric string; a
-    JSON true or false is not a number.  -0 reads as 0, so both are one
-    config and write the same bytes."""
-    try:
-        num = np.nan if isinstance(val, bool) else float(val)
-    except (TypeError, ValueError, OverflowError):
-        num = np.nan
-    if not np.isfinite(num):
-        raise UsageError(f"{key} must be a finite number, got {val!r}")
-    return num + 0.0
+def _number(key, val, domain="(-inf, inf)") -> float:
+    """A float in ``domain`` from a flag, or from a JSON number or numeric
+    string (``require_number``: a JSON true or false is no number).  -0
+    reads as 0, so both are one config and write the same bytes."""
+    with contextlib.suppress(ValueError):  # other text stays, to be refused
+        val = float(val) if isinstance(val, str) else val
+    return require_number(key, val, domain) + 0.0
 
 
 @dataclass
@@ -86,19 +82,18 @@ class RunConfig:
         return self.n_steps * self.dt
 
     def validate(self):
-        # a JSON config may hold any type; flags arrive as float or str
-        for key in ("nu", "dt", "t"):
-            setattr(self, key, _number(key, getattr(self, key)))
+        # a JSON config may hold any type; flags arrive as float or str.
+        # WalkInitConfig, below, holds the domains of nu and each dt
+        self.nu, self.dt = _number("nu", self.nu), _number("dt", self.dt)
+        self.t = _number("t", self.t, "[0, inf)")
         items = self.dt_list.split(",") if isinstance(self.dt_list, str) \
             else self.dt_list
         if not isinstance(items, list):
-            raise UsageError("dt_list must be a list of numbers or a "
+            raise InputError("dt_list must be a list of numbers or a "
                              "comma-separated string")
         self.dt_list = [_number("dt_list", v) for v in items]
-        if self.out == "" or not isinstance(self.out, (str, type(None))):
-            raise UsageError(f"out must be a non-empty path, got {self.out!r}")
-        if self.nu <= 0 or self.dt <= 0 or self.t < 0:
-            raise UsageError("nu and dt must be positive, t non-negative")
+        if self.out is not None and not _is_path(self.out):
+            raise InputError(f"out must be a non-empty path, got {self.out!r}")
         if self.command == "figure1":
             return
         # ranges, from floats and before any work: the convergence fit
@@ -108,33 +103,44 @@ class RunConfig:
         # convergence fit need at least one walk step
         if self.command == "compare":
             if len(self.dt_list) < 2:
-                raise UsageError("compare needs --dt-list with at least two "
+                raise InputError("compare needs --dt-list with at least two "
                                  "values")
             if any(b >= a for a, b in zip(self.dt_list, self.dt_list[1:])):
-                raise UsageError("--dt-list must be strictly decreasing")
+                raise InputError("--dt-list must be strictly decreasing")
         for dt in self.dt_list if self.command == "compare" else [self.dt]:
+            init = WalkInitConfig(nu=self.nu, dt=dt)
             require_ring_fits(2.0 * self.t / dt)
             if self.command in ("asymptotic", "compare") \
                     and round(self.t / dt) < 1:
-                raise UsageError(f"{self.command} needs at least one walk "
+                raise InputError(f"{self.command} needs at least one walk "
                                  f"step; t = {self.t:g} at dt = {dt:g} "
                                  "gives none")
-            require_initial_state_fits(WalkInitConfig(nu=self.nu, dt=dt))
+            require_initial_state_fits(init)
+
+
+def _is_path(val) -> bool:
+    """Whether ``val`` is non-empty text the OS takes as a path."""
+    try:
+        raw = os.fsencode(val)
+    except (TypeError, ValueError):  # not text; a lone surrogate
+        return False
+    return raw != b"" and b"\0" not in raw
 
 
 def _load_config(path, command: str) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
+    # a ValueError: not UTF-8 or JSON, an int of over 4300 digits, a NUL
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(data, dict):
-        raise UsageError(f"config {path} must hold a JSON object, got "
+        raise InputError(f"config {path!r} must hold a JSON object, got "
                          f"{json.dumps(data)[:40]}")
     keys = _COMMANDS[command][1]
     unknown = [key for key in data if key not in keys]
     if unknown:
-        raise UsageError(f"{command} reads no config key {unknown} (it "
+        raise InputError(f"{command} reads no config key {unknown} (it "
                          f"reads {', '.join(keys)})")
     return data
 
@@ -301,7 +307,7 @@ def _write_outputs(cfg: RunConfig, table: ResultTable) -> list[str]:
                       xlabel="y = x / t", ylabel="F(y)")
             written.append(svg_path)
     except OSError as exc:
-        raise UsageError(f"cannot write output: {exc}") from exc
+        raise InputError(f"cannot write output: {exc}") from exc
     return written
 
 
@@ -378,22 +384,19 @@ def main(argv=None) -> int:
     try:
         args, extra = _PARSER.parse_known_args(argv)
         if extra:
-            raise UsageError(f"{args.command} takes no {' '.join(extra)}")
+            raise InputError(f"{args.command} takes no {' '.join(extra)}")
         cfg = _resolve(args)
         with warnings.catch_warnings():
             warnings.simplefilter("always")
             warnings.showwarning = _show_warning
             table = _COMMANDS[cfg.command][0](cfg)
         written = _write_outputs(cfg, table)
-    except UsageError as exc:
+    except InputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except NumericalHealthError as exc:
         print(f"numerical-health failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
 
     elapsed = time.perf_counter() - started
     summary = ", ".join(f"{k}={v}" for k, v in list(table.metadata.items())[2:])

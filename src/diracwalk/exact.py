@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import TOL, NumericalHealthError, require_finite
+from .constants import TOL, InputError, NumericalHealthError, require_number
 from .spectral import (_evolve_on_ring, apply_pair, propagator_symbol,
                        ring_length, ring_mirror, ring_modes, ring_unfold)
 from .spinor import spinor_weights
@@ -32,7 +32,7 @@ def energy_leakage(state: LatticeState, branch: str = "plus") -> float:
     ``perfbench/workloads.py``.
     """
     if branch != "plus":
-        raise ValueError(f"energy_leakage takes branch 'plus' only, got "
+        raise InputError(f"energy_leakage takes branch 'plus' only, got "
                          f"{branch!r}")
     if not np.isfinite(state.norm_sq()):
         raise NumericalHealthError("state is not finite: a NaN or inf "
@@ -69,7 +69,7 @@ def evolve_exact_on_lattice(state: LatticeState, t: float) -> LatticeState:
     contamination stays at the window-truncation floor.  It is odd: on an
     even ring's Nyquist mode a+ alone would lose norm (see ``spectral``).
     """
-    require_finite("t", t)
+    t = require_number("t", t)
     n_cone = int(np.ceil(abs(t) / state.dt))
     return _evolve_on_ring(state, lambda n, half: propagator_symbol(
         2.0 * np.pi * np.fft.fftfreq(n, d=state.dt)[:half], t),
@@ -89,7 +89,7 @@ def compare_densities(state_a: LatticeState,
                       state_b: LatticeState) -> ComparisonReport:
     """L1/L2/sup distances between site distributions on the same lattice."""
     if abs(state_a.dt - state_b.dt) > 1e-15 * max(state_a.dt, state_b.dt):
-        raise ValueError("states live on lattices with different spacing")
+        raise InputError("states live on lattices with different spacing")
     # both windows are symmetric about site 0: pad the narrower one
     pa, pb = position_distribution(state_a), position_distribution(state_b)
     pad = (pa.size - pb.size) // 2

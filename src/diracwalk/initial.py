@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import TOL, NumericalHealthError
+from .constants import TOL, InputError, NumericalHealthError, require_number
 from .spectral import ring_length
 from .spinor import energy, spinor_weights
 from .walk import LatticeState
@@ -48,8 +48,13 @@ class MomentumProfile:
     f: Callable[[np.ndarray], np.ndarray]
     p_max: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "p_max",
+                           require_number("p_max", self.p_max, "(0, inf)"))
+
     def __call__(self, p):
-        return self.f(np.asarray(p, dtype=float))
+        return self.f(np.asarray(require_number("p", p, array=True),
+                                 dtype=float))
 
     def mean(self, g: Callable[[np.ndarray], np.ndarray]) -> float:
         """Int g(p) |f(p)|^2 dp over |p| <= p_max (g vectorized): the
@@ -82,8 +87,7 @@ def gaussian_cutoff(nu: float) -> float:
 
 def gaussian_profile(nu: float) -> MomentumProfile:
     """The localized Gaussian profile f_nu; larger nu = sharper localization."""
-    if not (nu > 0 and 0.0 < nu * nu < math.inf):  # f divides by nu^2
-        raise ValueError(f"nu must be positive, nu^2 finite, got {nu!r}")
+    nu = require_number("nu", nu, "[1e-154, 1e154]")  # f divides by nu^2
     amp = 1.0 / np.sqrt(nu * np.sqrt(np.pi))
 
     def f(p):
@@ -105,9 +109,8 @@ class WalkInitConfig:
 
     def __post_init__(self):
         for name in ("nu", "dt"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive, "
-                                 f"got {getattr(self, name)!r}")
+            object.__setattr__(self, name, require_number(
+                name, getattr(self, name), "(0, inf)"))
 
 
 def position_coefficients(profile: MomentumProfile, dt: float,
@@ -120,6 +123,8 @@ def position_coefficients(profile: MomentumProfile, dt: float,
     momentum, |p| <= pi/dt.  The weights are real, so the real-input
     transform gives c+(-x) = conj(c+(x)) exactly for an even profile.
     """
+    dt = require_number("dt", dt, "(0, inf)")
+    m_max = require_number("m_max", m_max, "[0, inf)", integer=True)
     if dt > np.pi / profile.p_max:
         raise NumericalHealthError(
             f"lattice spacing {dt:.4g} aliases momenta beyond pi/dt; "
@@ -147,22 +152,26 @@ def require_initial_state_fits(config: WalkInitConfig) -> float:
     The spacing h is the lattice spacing dt, or pi/p_max when dt is too
     coarse to resolve the Gaussian cutoff p_max of ``config.nu``: if even
     that ring is over budget, no lattice can hold the state, and the run
-    is refused rather than left to fail the aliasing check.
+    is refused rather than left to fail the aliasing check.  A ring that
+    fits still leaves nu to ``gaussian_profile``'s own domain.
     """
     p_max = gaussian_cutoff(config.nu)
     efolds = np.log(1.0 / TOL.window_rel)
-    extent = efolds + np.sqrt(2.0 * efolds) / config.nu
-    h = min(config.dt, np.pi / p_max)
-    with np.errstate(over="ignore"):  # extent / h may overflow: inf, refused
+    # a tiny nu, dt or h overflows these, and an overflowing p_max makes h
+    # 0: inf sites, refused
+    with np.errstate(over="ignore", divide="ignore"):
+        h = min(config.dt, np.pi / p_max)
+        extent = efolds + np.sqrt(2.0 * efolds) / config.nu
         n_sites = 2.0 * np.ceil(extent / h) + 1.0
     try:
         ring_length(n_sites)
-    except ValueError as exc:
+    except InputError as exc:
         if h == config.dt:
             raise
-        raise ValueError(f"nu = {config.nu:.3g} needs a lattice spacing of "
+        raise InputError(f"nu = {config.nu:.3g} needs a lattice spacing of "
                          f"at most pi/p_max = {h:.3g}, and at that "
                          f"spacing {exc}") from None
+    gaussian_profile(config.nu)
     return extent
 
 
@@ -196,7 +205,7 @@ def build_initial_state(config: WalkInitConfig) -> LatticeState:
     mag = np.maximum(mag, mag[::-1])
     peak = float(mag.max())
     if peak == 0.0:
-        raise ValueError("all-zero coefficients: empty lattice window")
+        raise InputError("all-zero coefficients: empty lattice window")
     edge = float(mag[0] / peak)
     if not edge < TOL.window_rel:
         raise NumericalHealthError(

@@ -52,7 +52,8 @@ parallel; all functions but ``apply_pair``, ``apply_symbol`` and
 
 import numpy as np
 
-from .constants import (MAX_RING_SITES, TOL, NumericalHealthError,
+from .constants import (MAX_RING_SITES, TOL, InputError,
+                        NumericalHealthError, require_number,
                         require_ring_fits)
 from .walk import LatticeState, require_unit_norm
 
@@ -88,7 +89,7 @@ def ring_modes(state: LatticeState, n: int) -> np.ndarray:
     ``state.n_sites``; callers size n with ``ring_length``."""
     require_ring_fits(n)
     if n < state.n_sites:
-        raise ValueError(f"a ring of {n} sites cannot resolve a state "
+        raise InputError(f"a ring of {n} sites cannot resolve a state "
                          f"spanning {state.n_sites} sites")
     ring = np.zeros(n, dtype=complex)
     m = state.n_sites // 2
@@ -119,7 +120,8 @@ def ring_unfold(ring: np.ndarray, mirror: np.ndarray) -> None:
 
 def propagator_symbol(p, t: float):
     """The pair (a, b) of exp(-i H(p) t), elementwise in p; b is real."""
-    p = np.asarray(p, dtype=float)
+    p = np.asarray(require_number("p", p, array=True), dtype=float)
+    t = require_number("t", t)
     e = np.sqrt(p * p + 1.0)
     c = np.cos(e * t)
     s = np.sin(e * t) / e
@@ -137,7 +139,9 @@ def _dispersion(phi, dt: float):
 def walk_power_symbol(phi, dt: float, n_steps: int):
     """The pair (a, b) of M(phi)^n for any integer n, elementwise in the
     quasi-momentum phi (see the module docstring)."""
-    phi = np.asarray(phi, dtype=float)
+    phi = np.asarray(require_number("phi", phi, array=True), dtype=float)
+    dt = require_number("dt", dt, "(0, inf)")
+    n_steps = require_number("n_steps", n_steps, integer=True)
     c, s = np.cos(dt), np.sin(dt)
     t, sin_theta = _dispersion(phi, dt)
     n_theta = n_steps * np.arctan2(sin_theta, c * np.cos(phi))
@@ -201,8 +205,7 @@ def evolve(state: LatticeState, n_steps: int) -> LatticeState:
     the step-by-step loop ``evolve_steps`` in ``tests/oracles.py``, this
     function's reference.
     """
-    if not isinstance(n_steps, (int, np.integer)):
-        raise ValueError(f"n_steps={n_steps!r} must be an integer")
+    n_steps = require_number("n_steps", n_steps, integer=True)
     require_unit_norm(state)
     if n_steps == 0:
         return LatticeState(state.dt, state.a_plus.copy(),

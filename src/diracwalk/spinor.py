@@ -8,12 +8,12 @@ All functions are pure and safe to call concurrently.
 
 import numpy as np
 
-from .constants import require_finite
+from .constants import require_number
 
 
 def energy(p):
     """Relativistic energy E(p) = sqrt(p^2 + 1).  Accepts scalars or arrays."""
-    require_finite("p", p)
+    p = require_number("p", p, array=True)
     return np.sqrt(np.asarray(p, dtype=float) ** 2 + 1.0)
 
 
@@ -24,7 +24,7 @@ def spinor_weights(p):
     2-spinor of the helicity +1/2 branch; they satisfy W+^2 + W-^2 = 1
     and W+(-p) = W-(p).  Vectorized over ``p``.
     """
-    p = np.asarray(p, dtype=float)
     e = energy(p)
+    p = np.asarray(p, dtype=float)
     denom = 2.0 * np.sqrt(e * (e + 1.0))
     return (1.0 + e + p) / denom, (1.0 + e - p) / denom

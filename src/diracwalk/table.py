@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import InputError, require_number
+
 
 def _open_without_truncating(path, flags) -> int:
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
@@ -58,9 +60,6 @@ def fmt(value) -> str:
         return format(float(value), ".17g")
     return str(value)
 
-
-# a column's dtype kind -> the dtype it is kept in (printed %d or %.17g)
-_CELL_DTYPES = {"i": np.int64, "f": np.float64}
 
 # one kernel call formats at most this many cells, which bounds its buffers
 _CELLS_PER_CALL = 1 << 14
@@ -406,29 +405,24 @@ class ResultTable:
     def add_columns(self, *arrays) -> None:
         """Append rows, given as one 1-d array per column.
 
-        Every array must be int or float (not unsigned, bool, complex or
-        object), finite as a float64, and as long as the others.  Each
-        column is kept as int64 or float64; a column given ints in one
-        call and floats in another becomes float64.
+        Every array must hold numbers (``constants.require_number``: ints
+        or floats, finite), as many as the others.  Each column is kept as
+        int64 or float64; a column given ints in one call and floats in
+        another becomes float64.
         """
         if len(arrays) != len(self.columns):
-            raise ValueError(
+            raise InputError(
                 f"got {len(arrays)} columns, expected {len(self.columns)}"
             )
         cast = []
         for name, a in zip(self.columns, arrays):
-            col = np.asarray(a)
-            if col.ndim != 1 or col.dtype.kind not in _CELL_DTYPES:
-                raise ValueError(f"column {name!r} must be 1-d int or float,"
-                                 f" got {col.dtype} of shape {col.shape}")
-            # a long double beyond 1.8e308 casts to inf
-            with np.errstate(over="ignore"):
-                col = col.astype(_CELL_DTYPES[col.dtype.kind], copy=False)
-            if not np.isfinite(col).all():
-                raise ValueError(f"non-finite entry in column {name!r}")
+            col = require_number(f"column {name!r}", a, array=True)
+            if np.ndim(col) != 1:
+                raise InputError(f"column {name!r} must be 1-d, got shape "
+                                 f"{np.shape(col)}")
             cast.append(col)
         if len({col.size for col in cast}) > 1:
-            raise ValueError("columns differ in length: "
+            raise InputError("columns differ in length: "
                              f"{[col.size for col in cast]}")
         if self.data:
             cast = map(np.concatenate, zip(self.data, cast))

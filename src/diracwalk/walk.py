@@ -14,15 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import TOL, NumericalHealthError
+from .constants import TOL, InputError, NumericalHealthError, require_number
 
 
 @dataclass
 class LatticeState:
     """The spin-up amplitudes a+ on the sites -M..M; a-(m) = i a+(-m).
 
-    Site m sits at x = m*dt.  The amplitudes are finite (otherwise
-    ``ValueError``), and 2 sum |a+|^2 = 1 within the unitarity budget.
+    Site m sits at x = m*dt.  The amplitudes are finite numbers (otherwise
+    ``InputError``), and 2 sum |a+|^2 = 1 within the unitarity budget.
     """
 
     dt: float
@@ -30,16 +30,20 @@ class LatticeState:
     norm_drift: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.a_plus = np.asarray(self.a_plus, dtype=complex)
-        if self.a_plus.ndim != 1 or self.a_plus.size % 2 != 1:
-            raise ValueError("a_plus must be 1-d on an odd number of sites, "
-                             f"-M..M; got shape {self.a_plus.shape}")
-        if not 0.0 < self.dt < np.inf:
-            raise ValueError(
-                f"dt must be finite and positive, got {self.dt!r}")
+        self.dt = require_number("dt", self.dt, "(0, inf)")
+        rule = "a_plus must be 1-d numbers on an odd number of sites, -M..M"
+        try:
+            self.a_plus = np.asarray(self.a_plus)
+        except ValueError:  # numpy shapes no ragged list
+            raise InputError(f"{rule}; got a ragged list") from None
+        if self.a_plus.dtype.kind not in "ifc" or self.a_plus.ndim != 1 \
+                or self.a_plus.size % 2 != 1:
+            raise InputError(f"{rule}; got {self.a_plus.dtype} of shape "
+                             f"{self.a_plus.shape}")
+        self.a_plus = self.a_plus.astype(complex, copy=False)
         if not np.isfinite(self.a_plus).all():  # both parts, in one pass
             site = self.m_min + np.flatnonzero(~np.isfinite(self.a_plus))[0]
-            raise ValueError(f"a_plus is not finite at site {site}")
+            raise InputError(f"a_plus is not finite at site {site}")
 
     @property
     def n_sites(self) -> int:
@@ -81,8 +85,9 @@ def position_distribution(state: LatticeState) -> np.ndarray:
 
 def empirical_moment(x: np.ndarray, prob: np.ndarray, k: int) -> float:
     """k-th moment sum x^k P of the density ``prob`` at the positions x."""
-    if k < 0:
-        raise ValueError("moment order must be >= 0")
+    x = require_number("x", x, array=True)
+    prob = require_number("prob", prob, array=True)
+    k = require_number("k", k, "[0, inf)", integer=True)
     # numpy's power takes a scalar libm loop on negative bases; x^4 is
     # (x^2)^2, two multiplies
     xk = np.square(np.square(x)) if k == 4 else x ** k

@@ -19,8 +19,8 @@ from scipy import integrate, optimize
 
 from diracwalk import exact, spectral
 from diracwalk import table as table_module
-from diracwalk.asymptotic import _check_dt, _eigen_weights
-from diracwalk.constants import TOL, NumericalHealthError, require_finite
+from diracwalk.asymptotic import WALK_DT, _eigen_weights
+from diracwalk.constants import TOL, NumericalHealthError, require_number
 from diracwalk.initial import (WalkInitConfig, gaussian_profile,
                                require_initial_state_fits)
 from diracwalk.spectral import _dispersion, ring_length
@@ -463,7 +463,7 @@ def group_velocity(phi, dt: float):
     The +- bands propagate with velocity +-h; |h| <= |cos(dt)| < 1, so the
     walk spreads strictly slower than the lattice light cone.
     """
-    _check_dt(dt)
+    require_number("dt", dt, WALK_DT)
     t, sin_theta = _dispersion(phi, dt)
     out = t / sin_theta
     return out if out.ndim else float(out)
@@ -608,13 +608,13 @@ def dirac_representation() -> DiracRep:
 
 def hamiltonian_matrix(p: float) -> np.ndarray:
     """Effective 2x2 Hamiltonian H(p) = sigma3*p + sigma2 = [[p, -i], [i, -p]]."""
-    require_finite("p", p)
+    require_number("p", p)
     return np.array([[p, -1.0j], [1.0j, -p]], dtype=complex)
 
 
 def hamiltonian4(p: float) -> np.ndarray:
     """Full 4x4 Hamiltonian alpha*p + beta."""
-    require_finite("p", p)
+    require_number("p", p)
     rep = dirac_representation()
     return rep.alpha * p + rep.beta
 
@@ -631,7 +631,7 @@ class EnergySpinor:
 
 def u_plus4(p: float) -> EnergySpinor:
     """Unit-norm positive-energy spinor with helicity +1/2 (second factor e+)."""
-    require_finite("p", p)
+    require_number("p", p)
     u2 = u_plus_effective(float(p))
     return EnergySpinor(p=float(p), energy=float(energy(p)),
                         u4=np.kron(u2, E_PLUS), u2=u2)
@@ -639,7 +639,7 @@ def u_plus4(p: float) -> EnergySpinor:
 
 def u_minus4(p: float) -> EnergySpinor:
     """Unit-norm positive-energy spinor with helicity -1/2 (second factor e-)."""
-    require_finite("p", p)
+    require_number("p", p)
     u2 = u_minus_effective(float(p))
     return EnergySpinor(p=float(p), energy=float(energy(p)),
                         u4=np.kron(u2, E_MINUS), u2=u2)

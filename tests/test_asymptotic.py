@@ -607,19 +607,21 @@ def test_mass_below_is_vectorized_and_checked():
     # 0.9999999999999998), "0.3" as 0.3, and limit_cdf(False, 0.5) as
     # P(0 <= Y <= 0.5)
     for bad in (1.5, -1.0000001, np.nan, True, False, "0.3", [True, False],
-                np.array(["0.3"]), None, 0.5 + 0j, [0.1, "0.2"]):
-        with pytest.raises(ValueError, match=r"need -1 <= y <= 1"):
+                np.array(["0.3"]), None, 0.5 + 0j, [0.1, "0.2"], np.uint8(1),
+                [True, 0.5]):
+        with pytest.raises(ValueError,
+                           match=r"^y must be a number in \[-1, 1\]"):
             co.mass_below(bad)
     for y1, y2 in ((0.3, 0.2), (False, 0.5), (True, 1.0), (-0.5, True),
                    ("0.3", 0.5), (0.1, np.array([0.2, 0.3])),
                    (np.array([0.1]), 0.5),
                    (np.array([-0.5, 0.1]), np.array([0.2, 0.3]))):
-        with pytest.raises(ValueError, match=r"need -1 <= y1 <= y2 <= 1"):
+        with pytest.raises(ValueError,
+                           match=r"^y(1|2) must be (a number in \[|<= y2, got)"):
             limit_cdf(y1, y2, co)
-    # int and float scalars of any width are numbers
+    # signed int and float scalars of any width are numbers
     assert co.mass_below(np.int8(0)) == co.mass_below(0) \
         == co.mass_below(np.float32(0.0))
-    assert co.mass_below(np.uint8(1)) == co.mass_below(1.0)
     assert limit_cdf(np.int64(-1), 1, co) == limit_cdf(-1.0, 1.0, co)
 
 
@@ -768,7 +770,8 @@ def test_limit_density_domain():
         limit_density(-1.2, 2.0)
     # a NaN y is refused, as mass_below refuses it, not returned as nan
     for y in (np.nan, [0.1, np.nan]):
-        with pytest.raises(ValueError, match=r"\|y\| < 1"):
+        with pytest.raises(ValueError,
+                           match=r"^y must be a number in \(-1, 1\)"):
             limit_density(y, 2.5)
     with pytest.raises(ValueError):
         limit_density(0.5, -1.0)
@@ -821,7 +824,8 @@ def test_closed_forms_refuse_nan_nu():
                  lambda: horn_location(np.nan),
                  lambda: limit_moment(2, np.nan),
                  lambda: limit_cdf_gaussian(-0.5, 0.5, np.nan, 0.01)):
-        with pytest.raises(ValueError, match="nu must be positive"):
+        with pytest.raises(ValueError,
+                           match=r"^nu must be a number in [\[(]"):
             call()
 
 
@@ -829,10 +833,10 @@ def test_closed_forms_refuse_nan_nu():
                                     (np.nan, np.nan)])
 def test_limit_bounds_refuse_nan(y1, y2):
     # a NaN bound is refused by both routes to the law, not returned as nan
-    with pytest.raises(ValueError, match="y1 <= y2"):
+    with pytest.raises(ValueError, match=r"^y[12] must be a number in "):
         limit_density_mass(y1, y2, 2.0)
     co = spectral_coefficients(pi_state(), n_phi=512)
-    with pytest.raises(ValueError, match="y1 <= y2"):
+    with pytest.raises(ValueError, match=r"^y[12] must be a number in "):
         limit_cdf(y1, y2, co)
 
 

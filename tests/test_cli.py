@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import ctypes
 import hashlib
+import io
 import json
 import os
 import platform
@@ -10,14 +12,17 @@ import sys
 import time
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diracwalk
 from diracwalk import cli
-from diracwalk.cli import _PARSER, UsageError, _load_config, main
-from diracwalk.constants import MAX_RING_SITES
+from diracwalk.cli import _PARSER, _load_config, main
+from diracwalk.constants import MAX_RING_SITES, InputError
 from oracles import read_csv
 
 
@@ -122,7 +127,7 @@ def test_compare_rejects_bad_dt_list(tmp_path, capsys, monkeypatch):
                        dt_list, "--out", str(out)) == 1
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
-        with pytest.raises(UsageError, match=message):
+        with pytest.raises(InputError, match=message):
             cli.RunConfig(command="compare", nu=1.0, t=1.0,
                           dt_list=dt_list).validate()
 
@@ -258,39 +263,52 @@ def test_numerical_health_exit_two():
     assert run_cli("walk", "--nu", "2.5", "--dt", "0.3", "--t", "1") == 2
 
 
-def assert_refused_before_allocating(capsys, *args):
-    """Exit 1 with one stderr line, fast and with little memory traced;
-    returns the stderr line."""
+def run_traced(*args):
+    """``main(args)`` under tracemalloc, its output captured: the exit
+    status, the stderr text, the seconds taken and the peak bytes traced.
+    A warning outside the one-line handler of a command's run raises."""
+    err = io.StringIO()
     tracemalloc.start()
     started = time.perf_counter()
     try:
-        assert run_cli(*args) == 1
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = main(list(args))
         elapsed = time.perf_counter() - started
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    err = capsys.readouterr().err
+    return status, err.getvalue(), elapsed, peak
+
+
+def assert_refused_before_allocating(*args):
+    """Exit 1 with one stderr line and no traceback, fast and with little
+    memory traced; returns the stderr line."""
+    status, err, elapsed, peak = run_traced(*args)
+    assert status == 1, (status, err)
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert str(MAX_RING_SITES) in err
     assert elapsed < 0.5
     assert peak < 16e6
     return err
 
 
 @pytest.mark.parametrize("command", ["walk", "exact", "asymptotic"])
-def test_over_budget_run_refused_before_allocating(capsys, command):
+def test_over_budget_run_refused_before_allocating(command):
     # t = 1e9 needs a ring of 2e11 sites; the preflight refuses it
-    err = assert_refused_before_allocating(capsys, command, "--t", "1e9")
+    err = assert_refused_before_allocating(command, "--t", "1e9")
+    assert str(MAX_RING_SITES) in err
     assert re.search(r"ring of \d{12} sites", err)
 
 
 @pytest.mark.parametrize("dt, sites", [("1e-6", 80_531_323)], ids=["grid"])
-def test_over_budget_initial_state_refused_before_allocating(capsys, dt,
-                                                             sites):
+def test_over_budget_initial_state_refused_before_allocating(dt, sites):
     # nu 1, dt = 1e-6: the 80M-site window, which is its coefficients'
     # ring (2 ceil(40.27/dt) + 1 sites), is refused before it is built
-    err = assert_refused_before_allocating(capsys, "walk", "--nu", "1",
-                                           "--dt", dt, "--t", "0")
+    err = assert_refused_before_allocating("walk", "--nu", "1", "--dt", dt,
+                                           "--t", "0")
+    assert str(MAX_RING_SITES) in err
     assert f"ring of {sites} sites" in err
 
 
@@ -302,12 +320,17 @@ def test_over_budget_initial_state_refused_before_allocating(capsys, dt,
     ("exact", "--nu", "1e-300"),
     ("walk", "--dt", "5e-324"),
     ("walk", "--dt", "5e-324", "--t", "0"),
+    ("walk", "--nu", "1.7976931348623157e308", "--dt", "1"),
+    ("walk", "--nu", "1e-308", "--dt", "1"),
+    ("exact", "--nu", "5e-324", "--dt", "5e-324", "--t", "5e-324"),
 ], ids=["huge-nu", "tiny-dt-in-list", "huge-t", "t-over-dt-overflows",
-        "tiny-nu", "subnormal-dt", "subnormal-dt-at-t0"])
-def test_extreme_inputs_refused_before_allocating(capsys, args):
+        "tiny-nu", "subnormal-dt", "subnormal-dt-at-t0", "largest-nu",
+        "extent-overflows", "subnormal-nu"])
+def test_extreme_inputs_refused_before_allocating(args):
     # each would overflow a float or an int conversion; the config's
     # range check refuses it against the ring budget first
-    err = assert_refused_before_allocating(capsys, *args)
+    err = assert_refused_before_allocating(*args)
+    assert str(MAX_RING_SITES) in err
     assert err.startswith("usage error: ")
 
 
@@ -764,7 +787,7 @@ def test_each_command_takes_the_inputs_it_reads(tmp_path, command):
         if key in READS[command]:
             assert set(_load_config(str(cfg), command)) == {key}
         else:
-            with pytest.raises(UsageError, match=rf"{command} .*'{key}'"):
+            with pytest.raises(InputError, match=rf"{command} .*'{key}'"):
                 _load_config(str(cfg), command)
 
 
@@ -816,5 +839,87 @@ def test_inputs_a_command_does_not_read_exit_one(tmp_path, capsys, args,
     assert "Traceback" not in err and args[0] in err
     assert (" ".join(args[-2:]) if config is None
             else repr(next(iter(config)))) in err
+    assert [p.name for p in tmp_path.iterdir()] == \
+        ([] if config is None else ["cfg.json"])
+
+
+# extremes, and the small valid values that keep an accepted run short
+# (t <= 2, dt >= 0.01)
+FUZZ_NUMBERS = (1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308,
+                5e-324, 0, -0.0, "nan", "inf", "-inf", True, "", [], "0.3",
+                None, 0.5, 1, 2, 0.02, 0.01)
+FUZZ_DT_LISTS = ([], [0.02], [0.02, 0.01], [0.01, 0.02], [0.02, 0.02],
+                 [0.02, 0.0], "0.02,0.01", "0.01,0.02", "", "0.02,,0.01",
+                 [True, 0.01], ["0.02", "0.01"], [1e300, 1e-300], 0.02,
+                 [0.02, "nan"], None)
+
+
+@st.composite
+def fuzz_runs(draw):
+    """A command, its flags and its --config object, each input one of
+    the command's own (its row of ``cli._COMMANDS``), t always set."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    flags, config = [], {}
+    for key in cli._COMMANDS[command][1]:
+        if key == "out":
+            continue
+        value = draw(st.sampled_from(
+            FUZZ_DT_LISTS if key == "dt_list" else FUZZ_NUMBERS))
+        where = draw(st.sampled_from(
+            ("flag", "config") if key == "t" else ("flag", "config", None)))
+        if where == "config":
+            config[key] = value
+        elif where == "flag":
+            text = value if isinstance(value, str) else \
+                ",".join(map(str, value)) if isinstance(value, list) else \
+                json.dumps(value)
+            flags += ["--" + key.replace("_", "-"), text]
+    return command, flags, config, draw(st.sampled_from(
+        ("file", "", "a\0b", "\ud800", None)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(fuzz_runs())
+def test_fuzzed_inputs_exit_by_cause(tmp_path_factory, run):
+    # any mix of extremes ends in exit 0, 1 (one line, before any large
+    # allocation) or 2; anything else raises here, with its traceback
+    command, flags, config, out = run
+    config = dict(config)
+    tmp = tmp_path_factory.mktemp("fuzz")
+    if out is not None:
+        config["out"] = str(tmp / "out.csv") if out == "file" else out
+    argv = [command, *flags]
+    if config:
+        (tmp / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp / "cfg.json")]
+    status, err, elapsed, peak = run_traced(*argv)
+    assert status in (0, 1, 2) and "Traceback" not in err, (status, err)
+    if status == 1:
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+        assert elapsed < 0.5 and peak < 16e6, (elapsed, peak)
+
+
+@pytest.mark.parametrize("config, args", [
+    (b"\xff", ()),
+    (b'{"nu": ' + b"1" * 5000 + b"}", ()),
+    (b"[" * 100_000, ()),
+    (b'{"out": "a\\u0000b"}', ()),
+    (b'{"out": "\\ud800"}', ()),
+    (None, ("--out", "a\0b")),
+    (None, ("--out", "\ud800")),
+    (None, ("--config", "a\0b")),
+    (None, ("--config", "a\nb")),
+], ids=["not-utf8", "int-of-5000-digits", "nested-too-deep", "nul-in-out",
+        "surrogate-in-out", "nul-out-flag", "surrogate-out-flag",
+        "nul-config-flag", "newline-config-flag"])
+def test_unreadable_config_or_unusable_path_exits_one(tmp_path, config, args):
+    # Python reads each as a ValueError (or, nested, a RecursionError):
+    # the config loader and the path check refuse them before the run, in
+    # one line whatever the path holds
+    argv = ["walk", "--nu", "2", "--dt", "0.05", "--t", "0.5", *args]
+    if config is not None:
+        (tmp_path / "cfg.json").write_bytes(config)
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert_refused_before_allocating(*argv)
     assert [p.name for p in tmp_path.iterdir()] == \
         ([] if config is None else ["cfg.json"])

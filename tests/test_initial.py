@@ -234,8 +234,8 @@ def test_walk_init_config_refuses_nonfinite(name, bad):
     # refused where the config is made, before build_initial_state sizes
     # anything from it
     values = {"nu": 1.0, "dt": 0.1, name: bad}
-    with pytest.raises(ValueError, match=f"{name} must be finite and "
-                       "positive"):
+    with pytest.raises(ValueError,
+                       match=rf"^{name} must be a number in \(0, inf\)"):
         WalkInitConfig(**values)
 
 

@@ -125,3 +125,35 @@ def test_src_sets_every_default_it_defines():
             unpassed.append(f"{path.name}: {func}({param}=)")
     assert not unpassed, "defaulted parameters that only tests set (make " \
         "them constants, or drop them): " + ", ".join(unpassed)
+
+
+def raised_names(tree):
+    """(line, name) of each ``raise`` that raises something: the called
+    or raised name, or None for an expression that is neither."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            yield node.lineno, exc.id if isinstance(exc, ast.Name) else None
+
+
+def test_src_raises_only_input_and_health_errors():
+    # one rule: a refused input is an InputError (exit 1), a failed
+    # numerical check a NumericalHealthError (exit 2); a bare ``raise``
+    # re-raises what it caught
+    stray = [f"{path.name}:{line} raises {name}"
+             for path in SRC
+             for line, name in raised_names(ast.parse(path.read_text()))
+             if name not in ("InputError", "NumericalHealthError")]
+    assert not stray, stray
+
+
+def test_main_maps_exactly_the_two_errors():
+    # anything else a run raises is a bug, and propagates with its
+    # traceback rather than reading as a usage error
+    tree = ast.parse((ROOT / "src" / "diracwalk" / "cli.py").read_text())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = [ast.unparse(handler.type) for node in ast.walk(main)
+              if isinstance(node, ast.Try) for handler in node.handlers]
+    assert caught == ["InputError", "NumericalHealthError"], caught

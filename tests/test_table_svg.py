@@ -357,7 +357,7 @@ def test_table_rejects_ragged_and_nonfinite_rows():
         table.add_row(1.0)
     with pytest.raises(ValueError):
         table.add_row(1.0, np.nan)
-    with pytest.raises(ValueError, match="column 'b' .* uint64"):
+    with pytest.raises(ValueError, match="column 'b' must be a number"):
         table.add_row(1.0, 2 ** 64 - 1)
     bad_columns = {
         "nan": np.array([1.0, np.nan]), "inf": np.array([np.inf, 1.0]),
