@@ -10,10 +10,10 @@ from .constants import TOL, NumericalHealthError, Tolerances
 from .spinor import energy, spinor_weights
 from .initial import (MomentumProfile, WalkInitConfig, build_initial_state,
                       gaussian_profile, position_coefficients)
-from .walk import LatticeState, empirical_moment, position_distribution
-from .spectral import evolve, propagator_symbol, walk_power_symbol
-from .exact import (ComparisonReport, compare_densities, energy_leakage,
-                    evolve_exact_on_lattice)
+from .walk import (ComparisonReport, LatticeState, compare_densities,
+                   empirical_moment, position_distribution)
+from .spectral import (energy_leakage, evolve, evolve_exact_on_lattice,
+                       propagator_symbol, walk_power_symbol)
 from .asymptotic import (SpectralCoefficients, horn_location, limit_cdf,
                          limit_cdf_gaussian, limit_density,
                          limit_density_mass, limit_moment,

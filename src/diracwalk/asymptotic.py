@@ -1,6 +1,7 @@
-"""Weak-limit machinery of the walk: the eigenvector weights of its
-symbol, the band weights of lattice states, the limit law they carry, and
-the closed-form asymptotic position density with its CDF and moments.
+"""Weak-limit machinery of the walk: the band weights of lattice states
+on a grid of n_phi points (projected in ``spectral``), the limit law they
+carry, and the closed-form asymptotic position density with its CDF and
+moments.
 
 The symbol M(phi), its quasi-momentum phi with the sign map p = -phi/dt,
 and its dispersion (eigenvalues e^{+-i theta}, group velocity h(phi) =
@@ -18,6 +19,7 @@ All operations are pure and per-phi parallelizable.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,45 +27,9 @@ import numpy as np
 
 from .constants import InputError, require_number
 from .initial import gaussian_profile
-from .spectral import (_dispersion, apply_pair, ring_length, ring_mirror,
-                       ring_modes)
+from .spectral import WALK_DT, band_weights, ring_length
 from .spinor import energy
 from .walk import LatticeState
-
-
-# the steps dt < pi whose sin(dt)^2 is a normal double: sin(theta) > 0
-WALK_DT = "[1.5e-154, 3.141592653589793)"
-
-
-def _eigen_weights(phi, dt):
-    """The real weights (alpha, beta) of the symbol's orthonormal
-    eigenvectors, whose first components are real > 0:
-
-        v+ = (alpha, -i e^{-i phi} beta),   v- = (beta, i e^{-i phi} alpha).
-
-    With t and sin(theta) of ``spectral._dispersion``, v+ is along (s,
-    i e^{-i phi} (t - sin theta)) and v- along (s, i e^{-i phi} (t + sin
-    theta)), s = sin dt.  As (t - sin theta)(t + sin theta) = -s^2, both
-    follow from B = |t| + sin(theta) alone, which never cancels:
-    (alpha, beta) = (B, s)/N for t >= 0 and (s, B)/N for t < 0, with
-    N = sqrt(s^2 + B^2).  phi -> -phi swaps alpha and beta.  Returned as
-    one new array, rows alpha and beta, formed in place.
-    """
-    dt = require_number("dt", dt, WALK_DT)
-    s = np.sin(dt)
-    t, big = (np.asarray(v) for v in _dispersion(phi, dt))
-    up = t >= 0
-    big += np.abs(t, out=t)
-    norm = np.multiply(big, big, out=t)
-    norm += s * s
-    np.sqrt(norm, out=norm)
-    weights = np.empty((2,) + big.shape)
-    alpha, beta = weights[0, ...], weights[1, ...]  # views, also for 0-d
-    alpha[...], beta[...] = s, big
-    np.copyto(alpha, big, where=up)
-    np.copyto(beta, s, where=up)
-    weights /= norm
-    return weights
 
 
 @dataclass(frozen=True)
@@ -159,6 +125,14 @@ class SpectralCoefficients:
         summed = table[:n]
         summed[0] = near[0] + far[0]
         np.add(near[1:], far[:0:-1], out=summed[1:])
+        # the bands switch within ~dt of phi = 0 and pi: where the summed
+        # weight is odd in phi there, a step over dt cannot place its jump
+        k = np.array([1, (n - 1) // 2])
+        odd = np.abs(summed[k] - summed[-k % n]).max() * self.dphi
+        if odd > 1e-9 and self.dphi > self.dt:
+            warnings.warn(f"band weights odd in phi next to 0 or pi (mass "
+                          f"{odd:.1e}) on a grid step over dt: mass_below "
+                          "is first-order accurate")
         spec = np.fft.rfft(summed)
         mean = spec[0].real / n
         spec[1:] *= 1.0 / np.arange(1, n // 2 + 1, dtype=float)
@@ -176,41 +150,13 @@ class SpectralCoefficients:
 
 def spectral_coefficients(state: LatticeState,
                           n_phi: int | None = None) -> SpectralCoefficients:
-    """The band weights of a lattice state in the symbol eigenbasis.
-
-    g+-(phi) = sum_m {c+(m dt) f*(+-,+) + c-(m dt) f*(+-,-)} e^{i m phi},
-    with c(m dt) = a[m]/sqrt(dt), projects the state on the eigenvectors
-    v+- of ``_eigen_weights``.  At the walk's grid phi = -2 pi k / n_phi,
-    mode k = 0..n_phi // 2 of ``spectral.ring_modes``, the folded pair
-    (u(k), i u(n_phi - k)) is (sum_m a+-[m] e^{i m phi}) / sqrt(n_phi), as
-    a-(m) = i a+(-m), and ``spectral.apply_pair`` turns it, with the pair
-    (alpha, i beta e^{-i phi}), into (g+, i e^{-i phi} g-) sqrt(dt /
-    n_phi).  So w+- are its rows' |.|^2 n_phi / (2 pi).  Each w+- is even
-    in phi (g+-(-phi) = -+e^{-i phi} g+-(phi) for every such state), so
-    ring index k of phi = 2 pi fftfreq(n_phi) takes mode k's weights, and
-    index n_phi - k mirrors it.  The grid must resolve the state's
-    trigonometric degree: at least one point per occupied site (default
-    8x, rounded up to an FFT-friendly size).
-    """
+    """The band weights of a lattice state in the symbol eigenbasis
+    (``spectral.band_weights``) on n_phi points.  The grid must resolve
+    the state's trigonometric degree: at least one point per occupied site
+    (default 8x, rounded up to an FFT-friendly size)."""
     n = ring_length(max(8 * state.n_sites, 4096)) if n_phi is None \
         else require_number("n_phi", n_phi, "[2, inf)", integer=True)
-    half = n // 2 + 1
-    ring = ring_modes(state, n)
-    phi = -2.0 * np.pi * np.fft.fftfreq(n)[:half]
-    pair = _eigen_weights(phi, state.dt)
-    pair *= np.sqrt(n / (2.0 * np.pi))
-    b = 1j * pair[1] * np.exp(-1j * phi)
-    del phi
-    mirror = ring_mirror(ring)
-    apply_pair((ring[:half], mirror), pair[0], b)
-    del pair, b  # before the weights: the traced peak
-    weights = np.empty((2, n))
-    head = weights[:, :half]
-    np.abs(ring[:half], out=head[0])
-    np.abs(mirror, out=head[1])
-    del ring, mirror  # before phi's ring order
-    np.multiply(head, head, out=head)
-    weights[:, half:] = weights[:, (n - 1) // 2:0:-1]
+    weights = band_weights(state, n)
     return SpectralCoefficients(phi=2.0 * np.pi * np.fft.fftfreq(n),
                                 weights=weights, dt=state.dt)
 

@@ -31,13 +31,12 @@ from . import __version__
 from .asymptotic import horn_location, limit_density, limit_moment
 from .constants import (InputError, NumericalHealthError, require_number,
                         require_ring_fits)
-from .exact import compare_densities, energy_leakage, evolve_exact_on_lattice
 from .initial import (WalkInitConfig, build_initial_state,
                       require_initial_state_fits)
-from .spectral import evolve
+from .spectral import energy_leakage, evolve, evolve_exact_on_lattice
 from .svgplot import write_svg
 from .table import ResultTable
-from .walk import empirical_moment, position_distribution
+from .walk import compare_densities, empirical_moment, position_distribution
 
 FIGURE1_NUS = (1.9, 2.5, 2.9)
 _HORN_BOXCAR = 41  # sites of the histogram smoothing before a horn's peak

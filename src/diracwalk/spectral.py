@@ -1,6 +1,7 @@
-"""The momentum ring on which walk, exact evolution, time reversal, the
-energy leakage and the weak-limit coefficients all act, and the one
-per-mode product applied there.
+"""The momentum ring and every layer that acts on it: the walk and its
+time reversal (``evolve``), exact evolution (``evolve_exact_on_lattice``),
+the energy leakage (``energy_leakage``) and the weak-limit band weights
+(``band_weights``), each through the one per-mode product applied there.
 
 A lattice state is carried onto a ring of N sites by a unitary DFT
 (convention: spectral(p) picks up exp(-i p x), position recovers it with
@@ -16,7 +17,8 @@ spinor's 2x2 product at mode k therefore acts on the folded pair (u(k),
 i u(N - k)) of modes k and N - k, k = 0..N // 2, whose lower component
 ``ring_mirror`` forms: every layer multiplies it, in place, by an SU(2)
 matrix [[a, -b*], [b, a*]] given as its pair (a, b) (``apply_pair``).
-The leakage and the coefficients take the pairs of their projections,
+The leakage and the band weights take the pairs of their projections
+(on u+'s orthogonal spinor, and on M's eigenvectors, ``_eigen_weights``),
 and an evolution, between ``ring_modes`` and the transform back, its
 symbol:
 
@@ -55,6 +57,7 @@ import numpy as np
 from .constants import (MAX_RING_SITES, TOL, InputError,
                         NumericalHealthError, require_number,
                         require_ring_fits)
+from .spinor import spinor_weights
 from .walk import LatticeState, require_unit_norm
 
 
@@ -134,6 +137,41 @@ def _dispersion(phi, dt: float):
     s = np.sin(dt)
     t = np.cos(dt) * np.sin(phi)
     return t, np.sqrt(s * s + t * t)
+
+
+# the steps dt < pi whose sin(dt)^2 is a normal double: sin(theta) > 0
+WALK_DT = "[1.5e-154, 3.141592653589793)"
+
+
+def _eigen_weights(phi, dt):
+    """The real weights (alpha, beta) of the symbol's orthonormal
+    eigenvectors, whose first components are real > 0:
+
+        v+ = (alpha, -i e^{-i phi} beta),   v- = (beta, i e^{-i phi} alpha).
+
+    With t and sin(theta) of ``_dispersion``, v+ is along (s,
+    i e^{-i phi} (t - sin theta)) and v- along (s, i e^{-i phi} (t + sin
+    theta)), s = sin dt.  As (t - sin theta)(t + sin theta) = -s^2, both
+    follow from B = |t| + sin(theta) alone, which never cancels:
+    (alpha, beta) = (B, s)/N for t >= 0 and (s, B)/N for t < 0, with
+    N = sqrt(s^2 + B^2).  phi -> -phi swaps alpha and beta.  Returned as
+    one new array, rows alpha and beta, formed in place.
+    """
+    dt = require_number("dt", dt, WALK_DT)
+    s = np.sin(dt)
+    t, big = (np.asarray(v) for v in _dispersion(phi, dt))
+    up = t >= 0
+    big += np.abs(t, out=t)
+    norm = np.multiply(big, big, out=t)
+    norm += s * s
+    np.sqrt(norm, out=norm)
+    weights = np.empty((2,) + big.shape)
+    alpha, beta = weights[0, ...], weights[1, ...]  # views, also for 0-d
+    alpha[...], beta[...] = s, big
+    np.copyto(alpha, big, where=up)
+    np.copyto(beta, s, where=up)
+    weights /= norm
+    return weights
 
 
 def walk_power_symbol(phi, dt: float, n_steps: int):
@@ -226,3 +264,95 @@ def evolve(state: LatticeState, n_steps: int) -> LatticeState:
         )
     out.norm_drift = np.array([drift])
     return out
+
+
+_MARGIN_SITES = 128  # ring padding past the light cone, in sites
+
+
+def evolve_exact_on_lattice(state: LatticeState, t: float) -> LatticeState:
+    """Exact evolution of lattice data, returned on the widened lattice window.
+
+    The ring is padded past the light cone (speed <= 1) so wrap-around
+    contamination stays at the window-truncation floor.  It is odd: on an
+    even ring's Nyquist mode a+ alone would lose norm (see the module
+    docstring).
+    """
+    t = require_number("t", t)
+    n_cone = int(np.ceil(abs(t) / state.dt))
+    return _evolve_on_ring(state, lambda n, half: propagator_symbol(
+        2.0 * np.pi * np.fft.fftfreq(n, d=state.dt)[:half], t),
+        n_cone + _MARGIN_SITES, odd=True)
+
+
+def energy_leakage(state: LatticeState, branch: str = "plus") -> float:
+    """The weight off the positive-energy branch, per mode, over the norm:
+    the overlap with v = (W-, -i W+), the unit spinor orthogonal to u+ =
+    (W+, i W-), is W-(p) u(k) - W+(p) u(N - k) at mode k (a-(m) = i
+    a+(-m)) and its negative at N - k, with no 1 - kept/norm to cancel.
+
+    The exact propagator commutes with the projector, so leakage is a
+    conserved diagnostic of exact evolution and a splitting-error gauge
+    for the walk.  ``branch`` must be "plus": it stays only for the
+    positional call ``energy_leakage(state, "plus")`` in
+    ``perfbench/workloads.py``.
+    """
+    if branch != "plus":
+        raise InputError(f"energy_leakage takes branch 'plus' only, got "
+                         f"{branch!r}")
+    if not np.isfinite(state.norm_sq()):
+        raise NumericalHealthError("state is not finite: a NaN or inf "
+                                   "amplitude")
+    n = ring_length(state.n_sites + 16)
+    ring = ring_modes(state, n)
+    half = n // 2 + 1
+    # the momenta of modes 0..n // 2, where |p| rises to its maximum
+    p = 2.0 * np.pi * np.fft.fftfreq(n, d=state.dt)[:half]
+    norm_sq = float(np.sum(np.abs(ring) ** 2))  # of a+; a- holds as much
+    # refuse states whose spectral weight reaches the Nyquist band, |p| >
+    # 0.9 max |p|: modes k0..n - k0, as mode n - k mirrors mode k
+    k0 = int(np.argmax(np.abs(p) > 0.9 * abs(p[-1])))
+    w = np.sum(np.abs(ring[k0:n - k0 + 1]) ** 2) / max(norm_sq, 1e-300)
+    if not w <= TOL.nyquist_weight:
+        raise NumericalHealthError(
+            f"spectral weight {w:.3e} within 10% of the Nyquist momentum; "
+            "the lattice is too coarse for this state"
+        )
+    # the upper row of the pair (W-, i W+) on the fold, and -i times it at
+    # mode n - k: the weight of its negative there
+    w_plus, w_minus = spinor_weights(p)
+    i_w_plus = 1j * w_plus
+    del p, w_plus  # before the kernel's temporaries: the traced peak
+    apply_pair((ring[:half], ring_mirror(ring)), w_minus, i_w_plus)
+    ring_unfold(ring, ring[:half])
+    return float(np.sum(np.abs(ring) ** 2)) / (2 * norm_sq)
+
+
+def band_weights(state: LatticeState, n: int) -> np.ndarray:
+    """The band weights of a state on a ring of n, rows + and -, in ring
+    order (``asymptotic.SpectralCoefficients``).  At the walk's grid phi =
+    -2 pi k / n, mode k = 0..n // 2, the folded pair (u(k), i u(n - k)) is
+    (sum_m a+-[m] e^{i m phi}) / sqrt(n), and ``apply_pair`` turns it, with
+    the pair (alpha, i beta e^{-i phi}) of ``_eigen_weights``, into (g+,
+    i e^{-i phi} g-) sqrt(dt / n): g+- = sum_m {c+(m dt) f*(+-,+) + c-(m
+    dt) f*(+-,-)} e^{i m phi}, c(m dt) = a[m]/sqrt(dt), projects the state
+    on the eigenvectors v+-, and w+- = |g+-|^2 dt/(2 pi) are its rows'
+    |.|^2 n / (2 pi).  Each w+- is even in phi (g+-(-phi) = -+e^{-i phi}
+    g+-(phi) for every such state): ring index n - k mirrors index k."""
+    half = n // 2 + 1
+    ring = ring_modes(state, n)
+    phi = -2.0 * np.pi * np.fft.fftfreq(n)[:half]
+    pair = _eigen_weights(phi, state.dt)
+    pair *= np.sqrt(n / (2.0 * np.pi))
+    b = 1j * pair[1] * np.exp(-1j * phi)
+    del phi
+    mirror = ring_mirror(ring)
+    apply_pair((ring[:half], mirror), pair[0], b)
+    del pair, b  # before the weights: the traced peak
+    weights = np.empty((2, n))
+    head = weights[:, :half]
+    np.abs(ring[:half], out=head[0])
+    np.abs(mirror, out=head[1])
+    del ring, mirror  # before the caller's phi in ring order
+    np.multiply(head, head, out=head)
+    weights[:, half:] = weights[:, (n - 1) // 2:0:-1]
+    return weights

@@ -1,4 +1,5 @@
-"""The lattice state of the walk, its position distribution and moments.
+"""The lattice state of the walk, its position distribution and moments,
+and the distances between two position distributions.
 
 The walker lives on the lattice sites m (integer), at x = m*dt; the coin is
 the 2-dimensional spin space.  Every packet, and every walk and exact run
@@ -92,3 +93,31 @@ def empirical_moment(x: np.ndarray, prob: np.ndarray, k: int) -> float:
     # (x^2)^2, two multiplies
     xk = np.square(np.square(x)) if k == 4 else x ** k
     return float(np.sum(xk * prob))
+
+
+@dataclass(frozen=True)
+class ComparisonReport:
+    """Distances between two position densities on a common lattice."""
+
+    l1: float
+    l2: float
+    sup: float
+
+
+def compare_densities(state_a: LatticeState,
+                      state_b: LatticeState) -> ComparisonReport:
+    """L1/L2/sup distances between site distributions on the same lattice."""
+    if abs(state_a.dt - state_b.dt) > 1e-15 * max(state_a.dt, state_b.dt):
+        raise InputError("states live on lattices with different spacing")
+    # both windows are symmetric about site 0: pad the narrower one
+    pa, pb = position_distribution(state_a), position_distribution(state_b)
+    pad = (pa.size - pb.size) // 2
+    pa, pb = np.pad(pa, max(-pad, 0)), np.pad(pb, max(pad, 0))
+    pa /= pa.sum()
+    pb /= pb.sum()
+    diff = pa - pb
+    return ComparisonReport(
+        l1=float(np.abs(diff).sum()),
+        l2=float(np.sqrt(np.sum(diff ** 2))),
+        sup=float(np.abs(diff).max()),
+    )

@@ -17,13 +17,13 @@ from unittest.mock import patch
 import numpy as np
 from scipy import integrate, optimize
 
-from diracwalk import exact, spectral
+from diracwalk import spectral
 from diracwalk import table as table_module
-from diracwalk.asymptotic import WALK_DT, _eigen_weights
 from diracwalk.constants import TOL, NumericalHealthError, require_number
 from diracwalk.initial import (WalkInitConfig, gaussian_profile,
                                require_initial_state_fits)
-from diracwalk.spectral import _dispersion, ring_length
+from diracwalk.spectral import (WALK_DT, _dispersion, _eigen_weights,
+                                ring_length)
 from diracwalk.spinor import energy, spinor_weights
 from diracwalk.table import fmt
 from diracwalk.walk import LatticeState, require_unit_norm
@@ -352,7 +352,7 @@ def stacked_exact(state, t: float, branch: str = "plus") -> TwoRowState:
     """Exact evolution of ``branch`` for a time t on the stacked ring, with
     the four entries of ``propagator_entries`` at ``ring_momenta``, on the
     window and the odd ring of ``evolve_exact_on_lattice``."""
-    grow = int(np.ceil(abs(t) / state.dt)) + exact._MARGIN_SITES
+    grow = int(np.ceil(abs(t) / state.dt)) + spectral._MARGIN_SITES
     return stacked_evolve_on_ring(state, lambda n, half: propagator_entries(
         ring_momenta(n, state.dt, branch)[:half], t, branch), grow, odd=True)
 
@@ -372,13 +372,12 @@ def stacked_ring():
     pairs; the package state takes the a+ row back."""
     with patch.object(spectral, "_evolve_on_ring", _stacked_plus_row), \
             patch.object(spectral, "walk_power_symbol", walk_power_entries), \
-            patch.object(exact, "_evolve_on_ring", _stacked_plus_row), \
-            patch.object(exact, "propagator_symbol", propagator_entries):
+            patch.object(spectral, "propagator_symbol", propagator_entries):
         yield
 
 
 def stacked_energy_leakage(state, branch: str = "plus") -> float:
-    """``exact.energy_leakage`` on both rows of ``unitary_modes``, without
+    """``spectral.energy_leakage`` on both rows of ``unitary_modes``, without
     its Nyquist-band refusal: the weight of every mode's overlap with the
     unit spinor orthogonal to u+(p) = (W+, i W-), that is v = (W-, -i W+)
     (for "minus" u-(p) = (W-, i W+) and v = (W+, -i W-)), over the

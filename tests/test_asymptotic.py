@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from functools import lru_cache
 
@@ -17,8 +18,7 @@ from diracwalk import (LatticeState, SpectralCoefficients, WalkInitConfig,
                        build_initial_state, evolve, horn_location, limit_cdf,
                        limit_cdf_gaussian, limit_density, limit_density_mass,
                        limit_moment, spectral_coefficients)
-from diracwalk.asymptotic import _eigen_weights
-from diracwalk.spectral import ring_length
+from diracwalk.spectral import _eigen_weights, ring_length
 from diracwalk.walk import position_distribution
 from oracles import (TwoRowState, direct_sum_coefficients,
                      gaussian_g_approx, group_velocity,
@@ -459,6 +459,68 @@ def test_mass_below_matches_oracle_on_gaussian_packet():
     assert np.abs(got - want).max() <= 2e-10
     assert limit_cdf(ys[2], ys[-3], co) == pytest.approx(
         want[-3] - want[2], abs=4e-10)
+
+
+# ------------------------------------- mass_below at a step far above dt
+
+def trig_mass_below(state, y):
+    """P(Y <= y) of a package state, exactly: its summed weight w+ + w-
+    is the trigonometric polynomial sum_j c_j e^{i j phi} / (2 pi), c the
+    autocorrelation of a+ plus that of a-, integrated term by term over
+    the arc [-pi - a, a] of ``mass_below`` (dt < pi/2)."""
+    both = two_row(state)
+    c = sum(np.correlate(row, row, "full")
+            for row in (both.a_plus, both.a_minus))
+    j = np.arange(c.size) - c.size // 2
+    u = min(math.tan(state.dt) * abs(y) / math.sqrt(1.0 - y * y), 1.0) \
+        if abs(y) < 1.0 else 1.0
+    a = math.copysign(math.asin(u), y)
+    jj = np.where(j == 0, 1, j)
+    terms = np.where(j == 0, 2 * a + np.pi, (np.exp(1j * j * a)
+                     - np.exp(-1j * j * (np.pi + a))) / (1j * jj))
+    return float(np.sum(c * terms).real / (2.0 * np.pi))
+
+
+def test_mass_below_warns_where_a_step_over_dt_hides_the_band_switch():
+    # the bands switch within ~dt of phi = 0 and pi; a two-row state's
+    # summed weight is odd there, a jump that a step of 1.2e5 dt cannot
+    # place: the law is 1.0e-3 off the quadrature at dt 1e-7 (measured
+    # over oracle_bounds), and it warns, once per table
+    state = random_phase_state(8, -3, 1e-7, 15)
+    co = oracle_coefficients(state, 512)
+    with pytest.warns(UserWarning, match="first-order accurate") as caught:
+        got = co.mass_below([-0.5, 0.5])
+        co.mass_below(0.3)
+    assert len(caught) == 1
+    want = [quadrature_mass_below(state, y)[0] for y in (-0.5, 0.5)]
+    assert np.abs(got - want).max() > 1e-4
+
+
+@pytest.mark.parametrize("nu, dt", [(2.5, 0.005), (10.0, 0.002), (1.0, 0.02),
+                                    (1.0, 0.01), (1.0, 0.005)])
+def test_mass_below_is_silent_on_the_readme_packets(nu, dt):
+    # the default grid takes 0.013-0.014 dt per step
+    co = spectral_coefficients(build_initial_state(WalkInitConfig(nu=nu,
+                                                                  dt=dt)))
+    assert co.dphi < 0.015 * dt
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        co.mass_below(np.linspace(-1.0, 1.0, 11))
+
+
+def test_mass_below_is_silent_and_exact_on_package_states_at_tiny_dt():
+    # a package state's weights are even in phi, so its summed weight has
+    # no jump at 0 or pi whatever the step: at dt 1e-7 and 1.2e5 dt per
+    # step the law is within 2.2e-16 of the exact integral on these bounds
+    # (4.4e-16 at seed 17), on X86_V4 and X86_V3
+    state = random_pi_state(4, 1e-7, 15)
+    co = spectral_coefficients(state, n_phi=512)
+    ys = np.linspace(-1.0, 1.0, 201)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = co.mass_below(ys)
+    want = [trig_mass_below(state, y) for y in ys]
+    assert np.abs(got - want).max() <= 4 * np.finfo(float).eps
 
 
 # ---------------------------------- mass_below against the band-by-band route

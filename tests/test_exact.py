@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import erf
 
 from diracwalk import (TOL, LatticeState, NumericalHealthError,
                        WalkInitConfig, build_initial_state, compare_densities,
-                       energy_leakage, evolve, evolve_exact_on_lattice,
-                       propagator_symbol)
+                       empirical_moment, energy_leakage, evolve,
+                       evolve_exact_on_lattice, limit_density_mass,
+                       limit_moment, position_distribution, propagator_symbol)
 from diracwalk.spectral import ring_length
 from oracles import (TwoRowState, as_branch, evolve_steps,
                      hamiltonian_matrix, modes_to_window, random_pi_state,
@@ -416,3 +418,75 @@ def test_spectral_content_matches_effective_spinor():
     overlap = np.conj(w[0]) * amp[0] + np.conj(w[1]) * amp[1]
     residual = amp - overlap * w
     assert np.sqrt(np.sum(np.abs(residual) ** 2)) < 1e-7
+
+
+# ------------------------------- the Dirac particle's own spreading
+
+def moment(state, k):
+    return empirical_moment(state.x, position_distribution(state), k)
+
+
+@pytest.mark.parametrize("nu, dt", [(1.0, 0.02), (2.5, 0.005), (10.0, 0.002)])
+def test_exact_evolution_spreads_ballistically(nu, dt):
+    # E[x^2](t) = E[x0^2] + t^2 E[(p/E)^2] for a packet with no <x0 v>
+    # term, and E[(p/E)^2] is the limit law's second moment.  Measured
+    # over t = 1, 7, 50 and 200: at most 3.4e-16, 8.5e-16 and 7.9e-16
+    # relative (3.8 eps), on X86_V4 and X86_V3.  A propagator with t (1 +
+    # 1e-8) reads 2.0e-8, one with m^2 = 1 + 1e-8 reads 1.25e-8
+    state = build_initial_state(WalkInitConfig(nu=nu, dt=dt))
+    start, want = moment(state, 2), limit_moment(2, nu)
+    for t in (1.0, 7.0, 50.0, 200.0):
+        spread = (moment(evolve_exact_on_lattice(state, t), 2) - start) / t**2
+        assert abs(spread - want) <= 8 * EPS * want, (t, spread, want)
+
+
+@pytest.mark.parametrize("nu, dt", [(1.0, 0.02), (2.5, 0.005)])
+def test_exact_fourth_moment_is_an_even_quartic_in_t(nu, dt):
+    # an even quartic fitted at t = 0, 10, 20 and 40 predicts E[x^4] at
+    # t = 80 and 160 (measured 2.2e-15 and 4.9e-16 relative, 9.7 eps), and
+    # its t^4 coefficient is the limit law's fourth moment (2.6e-15, 11.9
+    # eps)
+    state = build_initial_state(WalkInitConfig(nu=nu, dt=dt))
+    ts = np.array([0.0, 10.0, 20.0, 40.0])
+    fourth = [moment(evolve_exact_on_lattice(state, t), 4) for t in ts]
+    powers = np.stack((np.ones_like(ts), ts**2, ts**4), axis=1)
+    coeffs = np.linalg.lstsq(powers, fourth, rcond=None)[0]
+    want = limit_moment(4, nu)
+    assert abs(coeffs[2] - want) <= 16 * EPS * want, (coeffs[2], want)
+    for t in (80.0, 160.0):
+        got = moment(evolve_exact_on_lattice(state, t), 4)
+        predicted = coeffs @ [1.0, t**2, t**4]
+        assert abs(predicted - got) <= 16 * EPS * got, (t, predicted, got)
+
+
+def limit_law_cdf(y, nu):
+    """P(Y <= y) of the limit density, ``limit_density_mass(-1, y, nu)``
+    vectorized: (1 + erf(u / nu)) / 2, u = y / sqrt(1 - y^2)."""
+    one = (1.0 - y) * (1.0 + y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inside = 0.5 * (1.0 + erf(y / (nu * np.sqrt(one))))
+    return np.where(np.abs(y) < 1.0, inside, (y > 0.0) * 1.0)
+
+
+def test_exact_evolution_converges_in_law_at_second_order():
+    # the Kolmogorov distance of x/t from the limit law, over the sites'
+    # upper edges, falls as 1/t^2 with no 1/t term: measured 1.74e-4,
+    # 4.39e-5, 1.10e-5 and 2.75e-6 at t = 100..800, ratios 3.976, 3.994
+    # and 3.999, slope -1.9964
+    nu, dt = 1.0, 0.02
+    ys = np.array([-1.0, -0.9, -0.3, 0.0, 0.4, 0.99, 1.0])
+    assert limit_law_cdf(ys, nu) == pytest.approx(
+        [limit_density_mass(-1.0, y, nu) for y in ys], abs=1e-15)
+    state = build_initial_state(WalkInitConfig(nu=nu, dt=dt))
+    ts = np.array([100.0, 200.0, 400.0, 800.0])
+    gaps = []
+    for t in ts:
+        run = evolve_exact_on_lattice(state, t)
+        cdf = np.cumsum(position_distribution(run))
+        law = limit_law_cdf((run.x + dt / 2) / t, nu)
+        gaps.append(np.abs(cdf - law).max())
+    ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+    assert gaps[0] <= 1.8e-4, gaps
+    assert np.all((3.95 < ratios) & (ratios < 4.05)), ratios
+    slope = np.polyfit(np.log(ts), np.log(gaps), 1)[0]
+    assert -2.01 < slope < -1.99, slope

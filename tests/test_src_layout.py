@@ -157,3 +157,30 @@ def test_main_maps_exactly_the_two_errors():
     caught = [ast.unparse(handler.type) for node in ast.walk(main)
               if isinstance(node, ast.Try) for handler in node.handlers]
     assert caught == ["InputError", "NumericalHealthError"], caught
+
+
+def private_imports(tree):
+    """(line, module, name) of each ``_``-prefixed name, dunders aside,
+    that a tree imports from a package module: a relative import or one
+    from ``diracwalk``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "diracwalk":
+            continue
+        for alias in node.names:
+            name = alias.name
+            if name.startswith("_") and not (name.startswith("__")
+                                             and name.endswith("__")):
+                yield node.lineno, module, name
+
+
+def test_src_imports_no_private_name_of_another_module():
+    # a module's private names are its own: what another module needs of
+    # it is public, so each per-mode layer stays behind one module
+    stray = [f"{path.name}:{line} imports {name} from {module or '.'}"
+             for path in SRC
+             for line, module, name in private_imports(
+                 ast.parse(path.read_text()))]
+    assert not stray, stray
