@@ -19,7 +19,6 @@ All operations are pure and per-phi parallelizable.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,20 +34,29 @@ from .walk import LatticeState
 @dataclass(frozen=True)
 class SpectralCoefficients:
     """The band weights w+-(phi) = |g+-(phi)|^2 dt/(2 pi) of a lattice
-    state, rows + and -, on one period of a uniform phi grid, in ring
-    order: phi = 2 pi fftfreq(n_phi), -pi at an even grid's Nyquist."""
+    state, rows + and -, on the fold of a period's grid phi = 2 pi
+    fftfreq(n_phi) in ring order: both are even, so column k = 0..n_phi //
+    2 holds the weights at +-phi[k] (-pi at an even grid's Nyquist)."""
 
     phi: np.ndarray
     weights: np.ndarray
     dt: float
+
+    def __post_init__(self):
+        fold = (2, self.phi.size // 2 + 1)
+        w = require_number("weights", self.weights, "[0, inf)", array=True)
+        if w.shape != fold:
+            raise InputError(f"weights must have shape {fold}, the fold of "
+                             f"{self.phi.size} phi points, got {w.shape}")
+        object.__setattr__(self, "weights", w)
 
     @property
     def dphi(self) -> float:
         return 2.0 * np.pi / self.phi.size
 
     def completeness(self) -> float:
-        """sum (w+ + w-) dphi; 1 for unit-norm states."""
-        return float(np.sum(self.weights) * self.dphi)
+        """The mass table's total, Int (w+ + w-) dphi; 1 for unit norm."""
+        return float(self._mass_table[-1])
 
     def mass_below(self, y):
         """P(Y <= y) for the weak limit Y of X_n/(n dt), vectorized in y:
@@ -59,11 +67,10 @@ class SpectralCoefficients:
         monotone in u, so h <= y where u <= tan(dt) y / sqrt(1 - y^2).
         With a = sign(y) arcsin(min(|tan(dt) y| / sqrt(1 - y^2), 1)),
         {+h <= y} is the arc [-pi - a, a] and {-h <= y} the arc [-a, pi +
-        a], swapped for cos dt < 0, where h falls in u.  h is odd, so phi
-        -> -phi takes the second arc onto the first, whatever the weights:
-        P is G(a) - G(-pi - a), with G of ``_cumulative``.  Every step from
-        y to a, and from an angle to G, is monotone as rounded, so P is
-        non-decreasing in y as rounded.
+        a], swapped for cos dt < 0.  h is odd and the weights even, so P
+        is the mass of w+ + w- on [-pi - a, a], G(a) - G(-pi - a), with G
+        of ``_cumulative``.  Every step from y to a, and from an angle to
+        G, is monotone as rounded, so P is non-decreasing in y as rounded.
         """
         y = np.asarray(require_number("y", y, "[-1, 1]", array=True),
                        dtype=float)
@@ -87,17 +94,19 @@ class SpectralCoefficients:
         2 s) formed from its nearer end: each term rises with s as
         rounded, and a cell gives at most its upper node.
         """
-        table, near, far = self._mass_table
-        n = near.size
+        table = self._mass_table
+        n = self.phi.size
         j = x / self.dphi
         cell = np.floor(j)
         s = j - cell
         turns, k = np.divmod(cell.astype(np.intp), n)
         g0, g1 = table[k], table[k + 1]
         delta = g1 - g0
-        # the end slopes in units of delta; a flat cell takes none
+        # the end slopes over delta: s at each node's fold index, 0 if flat
         node = np.stack((k, (k + 1) % n))
-        mu = np.divide((near[node] + far[-node % n]) * self.dphi, delta,
+        fold = np.minimum(node, n - node)
+        w = self.weights
+        mu = np.divide((w[0][fold] + w[1][fold]) * self.dphi, delta,
                        out=np.zeros((2,) + s.shape), where=delta > 0.0)
         d0, d2 = mu / np.maximum(mu[0] + mu[1], 3.0)
         r = 1.0 - s
@@ -110,29 +119,18 @@ class SpectralCoefficients:
 
     @cached_property
     def _mass_table(self):
-        """(G, w_near, w_far), built on first use and kept: w_near is the
-        band on the arc [-pi - a, a] (band - for cos dt < 0), and G at
-        node k the mass of w_near(phi) + w_far(-phi) (-phi at index -k mod
-        n_phi: a reversed view; w+ + w- for the package's even w) from 0
-        to k dphi, closed by the total.  One rfft/irfft pair integrates
-        its trigonometric interpolant: harmonic j divided by i j, plus the
-        mean times k dphi.  Where that dips below 0 (an aliased grid), G
-        is capped at the total and a running maximum keeps it rising.
+        """G, built on first use and kept: at node k the mass of s = w+ +
+        w- from 0 to k dphi, closed by the total.  s is formed on the fold
+        and mirrored to the period; one rfft/irfft pair integrates its
+        trigonometric interpolant: harmonic j divided by i j, plus the mean
+        times k dphi.  Where that dips below 0 (an aliased grid), G is
+        capped at the total and a running maximum keeps it rising.
         """
-        near, far = self.weights[::-1 if np.cos(self.dt) < 0.0 else 1]
-        n = near.size
+        n = self.phi.size
         table = np.empty(n + 1)
         summed = table[:n]
-        summed[0] = near[0] + far[0]
-        np.add(near[1:], far[:0:-1], out=summed[1:])
-        # the bands switch within ~dt of phi = 0 and pi: where the summed
-        # weight is odd in phi there, a step over dt cannot place its jump
-        k = np.array([1, (n - 1) // 2])
-        odd = np.abs(summed[k] - summed[-k % n]).max() * self.dphi
-        if odd > 1e-9 and self.dphi > self.dt:
-            warnings.warn(f"band weights odd in phi next to 0 or pi (mass "
-                          f"{odd:.1e}) on a grid step over dt: mass_below "
-                          "is first-order accurate")
+        np.add(self.weights[0], self.weights[1], out=summed[:n // 2 + 1])
+        summed[n // 2 + 1:] = summed[(n - 1) // 2:0:-1]
         spec = np.fft.rfft(summed)
         mean = spec[0].real / n
         spec[1:] *= 1.0 / np.arange(1, n // 2 + 1, dtype=float)
@@ -145,7 +143,7 @@ class SpectralCoefficients:
         table[n] = mean * 2.0 * np.pi
         np.minimum(table, table[n], out=table)
         np.maximum.accumulate(table, out=table)
-        return table, near, far
+        return table
 
 
 def spectral_coefficients(state: LatticeState,

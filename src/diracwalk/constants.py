@@ -54,7 +54,8 @@ def require_ring_fits(n_sites, cap: int = MAX_RING_SITES):
     preflight can run before any size is converted to an int.
     """
     if not n_sites <= cap:
-        size = f"{n_sites:.0f}" if n_sites < 1e15 else f"{n_sites:.3g}"
+        size = f"{n_sites:.0f}" if n_sites < 1e15 else f"{n_sites:.3g}" \
+            if n_sites < 1e308 else "over 1e308"  # an int no float holds
         raise InputError(f"a ring of {size} sites exceeds the size budget "
                          f"of {cap} sites")
     return n_sites

@@ -175,11 +175,13 @@ def _eigen_weights(phi, dt):
 
 
 def walk_power_symbol(phi, dt: float, n_steps: int):
-    """The pair (a, b) of M(phi)^n for any integer n, elementwise in the
-    quasi-momentum phi (see the module docstring)."""
+    """The pair (a, b) of M(phi)^n for any integer |n| <= 2^53 (n theta is
+    formed in floats), elementwise in the quasi-momentum phi (see the
+    module docstring)."""
     phi = np.asarray(require_number("phi", phi, array=True), dtype=float)
     dt = require_number("dt", dt, "(0, inf)")
-    n_steps = require_number("n_steps", n_steps, integer=True)
+    n_steps = require_number("n_steps", n_steps, "[-9007199254740992, "
+                             "9007199254740992]", integer=True)
     c, s = np.cos(dt), np.sin(dt)
     t, sin_theta = _dispersion(phi, dt)
     n_theta = n_steps * np.arctan2(sin_theta, c * np.cos(phi))
@@ -278,7 +280,8 @@ def evolve_exact_on_lattice(state: LatticeState, t: float) -> LatticeState:
     docstring).
     """
     t = require_number("t", t)
-    n_cone = int(np.ceil(abs(t) / state.dt))
+    # capped, as a float past 1e308 is inf: a ring past the cap is refused
+    n_cone = int(min(np.ceil(abs(t) / state.dt), MAX_RING_SITES))
     return _evolve_on_ring(state, lambda n, half: propagator_symbol(
         2.0 * np.pi * np.fft.fftfreq(n, d=state.dt)[:half], t),
         n_cone + _MARGIN_SITES, odd=True)
@@ -328,16 +331,16 @@ def energy_leakage(state: LatticeState, branch: str = "plus") -> float:
 
 
 def band_weights(state: LatticeState, n: int) -> np.ndarray:
-    """The band weights of a state on a ring of n, rows + and -, in ring
-    order (``asymptotic.SpectralCoefficients``).  At the walk's grid phi =
-    -2 pi k / n, mode k = 0..n // 2, the folded pair (u(k), i u(n - k)) is
-    (sum_m a+-[m] e^{i m phi}) / sqrt(n), and ``apply_pair`` turns it, with
-    the pair (alpha, i beta e^{-i phi}) of ``_eigen_weights``, into (g+,
-    i e^{-i phi} g-) sqrt(dt / n): g+- = sum_m {c+(m dt) f*(+-,+) + c-(m
-    dt) f*(+-,-)} e^{i m phi}, c(m dt) = a[m]/sqrt(dt), projects the state
-    on the eigenvectors v+-, and w+- = |g+-|^2 dt/(2 pi) are its rows'
-    |.|^2 n / (2 pi).  Each w+- is even in phi (g+-(-phi) = -+e^{-i phi}
-    g+-(phi) for every such state): ring index n - k mirrors index k."""
+    """The band weights of a state on a ring of n, rows + and -, on the
+    fold k = 0..n // 2 (``asymptotic.SpectralCoefficients``): at the walk's
+    grid phi = -2 pi k / n the folded pair (u(k), i u(n - k)) is (sum_m
+    a+-[m] e^{i m phi}) / sqrt(n), and ``apply_pair`` turns it, with the
+    pair (alpha, i beta e^{-i phi}) of ``_eigen_weights``, into (g+, i
+    e^{-i phi} g-) sqrt(dt / n): g+- = sum_m {c+(m dt) f*(+-,+) + c-(m dt)
+    f*(+-,-)} e^{i m phi}, c(m dt) = a[m]/sqrt(dt), projects the state on
+    the eigenvectors v+-, and w+- = |g+-|^2 dt/(2 pi) are its rows' |.|^2
+    n / (2 pi).  Each w+- is even in phi (g+-(-phi) = -+e^{-i phi}
+    g+-(phi) for every such state): column k is w+-(+-2 pi k / n)."""
     half = n // 2 + 1
     ring = ring_modes(state, n)
     phi = -2.0 * np.pi * np.fft.fftfreq(n)[:half]
@@ -348,11 +351,8 @@ def band_weights(state: LatticeState, n: int) -> np.ndarray:
     mirror = ring_mirror(ring)
     apply_pair((ring[:half], mirror), pair[0], b)
     del pair, b  # before the weights: the traced peak
-    weights = np.empty((2, n))
-    head = weights[:, :half]
-    np.abs(ring[:half], out=head[0])
-    np.abs(mirror, out=head[1])
-    del ring, mirror  # before the caller's phi in ring order
-    np.multiply(head, head, out=head)
-    weights[:, half:] = weights[:, (n - 1) // 2:0:-1]
+    weights = np.empty((2, half))
+    np.abs(ring[:half], out=weights[0])
+    np.abs(mirror, out=weights[1])
+    np.multiply(weights, weights, out=weights)
     return weights

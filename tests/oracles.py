@@ -151,6 +151,19 @@ def plus_row(state: TwoRowState) -> LatticeState:
                         norm_drift=state.norm_drift)
 
 
+def sigma2_completion(state: TwoRowState) -> LatticeState:
+    """The package state that keeps a two-row state's a+ row, centred: a+
+    on the first n sites of the window -m..m, m = n // 2 (the top site is
+    0 for an even n), a- its sigma2 parity image in place of the drawn
+    row, renormalized.  Where the row starts does not move the law: a
+    shift turns A+(phi) = sum_m a+[m] e^{i m phi} by a phase."""
+    n = state.n_sites
+    a_plus = np.zeros(2 * (n // 2) + 1, dtype=complex)
+    a_plus[:n] = state.a_plus
+    a_plus /= np.sqrt(2.0 * np.sum(np.abs(a_plus) ** 2))
+    return LatticeState(dt=state.dt, a_plus=a_plus)
+
+
 def random_phase_state(n_sites: int, m_min: int, dt: float,
                        seed: int) -> TwoRowState:
     """A unit-norm compact state: moduli in [0.1, 1) and random phases on
@@ -502,8 +515,11 @@ def quadrature_mass_below(state, y: float):
                                        rtol=4 * np.finfo(float).eps,
                                        maxiter=500)
                 lo, hi = (lo, root) if at_lo else (root, hi)
-            # the weights vary on the scale dt next to phi = 0 and pi
-            pts = [p for p in (0.0, np.pi) if lo < p < hi] or None
+            # the weights vary on the scale dt next to phi = 0 and pi; a
+            # point within 1e-3 dt of an end splits off a cell too narrow
+            # for quad's error estimate (8.6e-9 at y = 1e-14)
+            pts = [p for p in (0.0, np.pi)
+                   if lo + 1e-3 * dt < p < hi - 1e-3 * dt] or None
             value, estimate = integrate.quad(weight, lo, hi, points=pts,
                                              limit=2000, epsabs=1e-15,
                                              epsrel=1e-13)
@@ -512,9 +528,11 @@ def quadrature_mass_below(state, y: float):
     return total, error
 
 
-def two_band_mass_below(coeffs, y):
-    """P(Y <= y) band by band, the route the one summed weight replaced:
-    a cumulative mass table per band (one rfft/irfft pair each, capped at
+def two_band_mass_below(w, dt: float, y):
+    """P(Y <= y) band by band, the route the one summed weight replaced,
+    from band weights w on a whole ring of n points (rows + and -, at phi
+    = 2 pi fftfreq(n), as ``ring_spectral_coefficients``): a cumulative
+    mass table per band (one rfft/irfft pair each, capped at
     its total and made non-decreasing), band + on the arc [-pi - a, a] and
     band - on [-a, pi + a] (swapped for cos dt < 0), each band read at the
     two ends of its arc by the limited cubic Hermite of
@@ -524,10 +542,10 @@ def two_band_mass_below(coeffs, y):
     z = np.abs(y)
     one = np.where(z < 0.5, 1.0 - z * z, (1.0 - z) * (1.0 + z))
     with np.errstate(divide="ignore"):
-        u = np.minimum(abs(np.tan(coeffs.dt)) * z / np.sqrt(one), 1.0)
+        u = np.minimum(abs(np.tan(dt)) * z / np.sqrt(one), 1.0)
     a = np.copysign(np.arcsin(u), y).reshape(-1)
-    w, dphi = coeffs.weights, coeffs.dphi
     n = w.shape[1]
+    dphi = 2.0 * np.pi / n
     table = np.empty((2, n + 1))
     inv_harmonic = 1.0 / np.arange(1, n // 2 + 1, dtype=float)
     for row, out in zip(w, table):
@@ -545,7 +563,7 @@ def two_band_mass_below(coeffs, y):
     cell = np.floor(j)
     s = j - cell
     turns, k = np.divmod(cell.astype(np.intp), n)
-    band = np.array([[0], [0], [1], [1]]) ^ int(np.cos(coeffs.dt) < 0.0)
+    band = np.array([[0], [0], [1], [1]]) ^ int(np.cos(dt) < 0.0)
     g0, g1 = table[band, k], table[band, k + 1]
     delta = g1 - g0
     mu = np.divide(w[band, np.stack((k, (k + 1) % n))] * dphi, delta,

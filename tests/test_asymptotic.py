@@ -14,7 +14,7 @@ from scipy.fft import next_fast_len
 from scipy.optimize import minimize_scalar
 from scipy.special import erfc
 
-from diracwalk import (LatticeState, SpectralCoefficients, WalkInitConfig,
+from diracwalk import (LatticeState, WalkInitConfig,
                        build_initial_state, evolve, horn_location, limit_cdf,
                        limit_cdf_gaussian, limit_density, limit_density_mass,
                        limit_moment, spectral_coefficients)
@@ -24,8 +24,9 @@ from oracles import (TwoRowState, direct_sum_coefficients,
                      gaussian_g_approx, group_velocity,
                      quadrature_mass_below, random_phase_state,
                      random_pi_state, ring_spectral_coefficients,
-                     symbol_eigenvalues, symbol_eigenvectors,
-                     two_band_mass_below, two_row, walk_symbol_matrix)
+                     sigma2_completion, symbol_eigenvalues,
+                     symbol_eigenvectors, two_band_mass_below, two_row,
+                     walk_symbol_matrix)
 
 
 # ---------------------------------------------------------------- symbol
@@ -153,7 +154,9 @@ def test_single_site_spectral_coefficients():
     dt = 0.25
     state = one_site_state()
     co = spectral_coefficients(state, n_phi=256)
-    f_pp, f_pm, f_mp, f_mm = symbol_eigenvectors(co.phi, dt)
+    assert co.weights.shape == (2, 129)
+    # on the fold: column k holds the weights at +-phi[k]
+    f_pp, f_pm, f_mp, f_mm = symbol_eigenvectors(co.phi[:129], dt)
     scale = np.sqrt(0.5 / dt)
     want = band_weights((np.conj(f_pp) + 1j * np.conj(f_pm)) * scale,
                         (np.conj(f_mp) + 1j * np.conj(f_mm)) * scale, dt)
@@ -163,14 +166,21 @@ def test_single_site_spectral_coefficients():
     assert np.abs(total - 1.0 / (2.0 * np.pi)).max() <= 1e-15
 
 
-def random_state(n_sites=200, m_min=-13, dt=0.05, seed=15):
-    """A unit-norm two-row state with a flat spectrum, off-centre on the
-    lattice: its coefficients come from the ring oracle
-    (``oracle_coefficients``)."""
+def random_state(n_sites=200, dt=0.05, seed=15):
+    """A unit-norm package state with a flat spectrum: the a+ row of a
+    two-row draw on n_sites sites, centred, a- its sigma2 parity image
+    (``sigma2_completion``)."""
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(2, n_sites)) + 1j * rng.normal(size=(2, n_sites))
     z /= np.sqrt(np.sum(np.abs(z) ** 2))
-    return TwoRowState(dt=dt, m_min=m_min, a_plus=z[0], a_minus=z[1])
+    return sigma2_completion(TwoRowState(dt=dt, m_min=0, a_plus=z[0],
+                                         a_minus=z[1]))
+
+
+def phase_state(dt, seed):
+    """The a+ row of an 8-site two-row state of random moduli and phases,
+    centred on 9 sites, a- its sigma2 parity image."""
+    return sigma2_completion(random_phase_state(8, -3, dt, seed))
 
 
 def pi_state(m_max=100, dt=0.05, seed=15):
@@ -182,11 +192,10 @@ def pi_state(m_max=100, dt=0.05, seed=15):
     return LatticeState(dt=dt, a_plus=z)
 
 
-def oracle_coefficients(state, n_phi):
-    """The coefficients of any two-row state, by the ring oracle, for the
-    limit law's tests on states the package does not hold."""
-    return SpectralCoefficients(phi=ring_phi(n_phi), weights=band_weights(
-        *ring_spectral_coefficients(state, n_phi), state.dt), dt=state.dt)
+def oracle_weights(state, n_phi):
+    """The band weights of the ring oracle on the whole ring of n_phi
+    points, in ring order: every phi, not the fold."""
+    return band_weights(*ring_spectral_coefficients(state, n_phi), state.dt)
 
 
 @pytest.mark.parametrize("n_phi", [512, 513])
@@ -217,6 +226,8 @@ def ring_phi(n_phi):
 
 
 def assert_weights_close(co, want, rel):
+    """The fold against an oracle's weights on modes 0..n_phi // 2."""
+    want = want[:, :co.weights.shape[1]]
     assert np.abs(co.weights - want).max() <= rel * want.max()
 
 
@@ -232,8 +243,7 @@ def test_spectral_coefficients_match_ring_oracle(state, n_phi):
     # measured 6.2e-16, 1.0e-15 and 7.9e-16 of the peak
     co = spectral_coefficients(state, n_phi=n_phi)
     assert co.phi.tobytes() == ring_phi(co.phi.size).tobytes()
-    assert_weights_close(co, band_weights(*ring_spectral_coefficients(
-        state, co.phi.size), state.dt), rel=1e-14)
+    assert_weights_close(co, oracle_weights(state, co.phi.size), rel=1e-14)
 
 
 @settings(max_examples=150, deadline=None)
@@ -280,8 +290,9 @@ def test_spectral_coefficients_memory_per_phi_point():
     # traced peak of one call, over its n_phi: the ring of a+ is 16 B of
     # it; on modes 0..n_phi // 2, the eigenvector weights (8 B), the
     # pair's b (8 B), the mirrored modes (8 B) and the kernel's two complex
-    # temporaries (16 B), the rest; the band weights (16 B) come once the
-    # pair is gone, and phi (8 B) once the ring is (measured 56.01)
+    # temporaries (16 B), the rest; the band weights on the fold (8 B)
+    # come once the pair is gone, and phi (8 B) once the ring is (measured
+    # 56.01)
     state = limit_law_state()
     spectral_coefficients(state)  # FFT plans and caches built outside
     tracemalloc.start()
@@ -366,19 +377,35 @@ def test_walk_conserves_each_band_weights():
 
 
 def test_band_weights_even_for_gaussian_packet():
-    # spectral_coefficients mirrors the weights into the ring's tail; the
-    # ring oracle, which forms every phi, finds them even (measured 1.0e-15
-    # of the peak)
+    # spectral_coefficients keeps the fold, modes 0..n_phi // 2; the ring
+    # oracle, which forms every phi, finds the weights even (measured
+    # 1.0e-15 of the peak), so the fold matches it on the other half too
     state = build_initial_state(WalkInitConfig(nu=2.0, dt=0.02))
     co = spectral_coefficients(state)
+    n = co.phi.size
+    assert co.phi[0] == 0.0 and co.weights.shape == (2, n // 2 + 1)
     # the grid point of phi -> -phi (mod 2 pi), about the point phi = 0
-    zero = int(np.argmin(np.abs(co.phi)))
-    assert co.phi[zero] == 0.0
-    mirror = (2 * zero - np.arange(co.phi.size)) % co.phi.size
-    assert co.weights[:, mirror].tobytes() == co.weights.tobytes()
-    w = band_weights(*ring_spectral_coefficients(state, co.phi.size),
-                     state.dt)
+    mirror = -np.arange(n) % n
+    w = oracle_weights(state, n)
     assert np.abs(w - w[:, mirror]).max() <= 1e-14 * w.max()
+    assert_weights_close(co, w[:, mirror], rel=1e-14)
+
+
+def test_the_fold_loses_nothing():
+    # the ring oracle's band weights on the whole ring are even, w(n - k) =
+    # w(k), so modes 0..n // 2 hold all of them: 30 random package states
+    # at dt from 1e-7 to 3, on both sides of pi/2, on even and odd grids,
+    # and the README packets (measured at most 1.35e-15 and 1.5e-15 of the
+    # peak)
+    cases = [(random_pi_state(i, dt, i), n)
+             for i, dt in enumerate(np.geomspace(1e-7, 3.0, 30))
+             for n in (512, 513)]
+    for nu, dt in ((1.0, 0.02), (2.5, 0.005), (10.0, 0.002)):
+        state = build_initial_state(WalkInitConfig(nu=nu, dt=dt))
+        cases.append((state, spectral_coefficients(state).phi.size))
+    for state, n in cases:
+        w = oracle_weights(state, n)
+        assert np.abs(w - w[:, -np.arange(n) % n]).max() <= 4e-15 * w.max()
 
 
 # ------------------------------------------------------------ limit law
@@ -425,18 +452,19 @@ def oracle_error(state, coeffs, ys):
     return float(np.abs(coeffs.mass_below(ys) - want).max())
 
 
-# by dt: the measured errors at 64 points per site (8.8e-10, 2.6e-9 and
-# 1.3e-8), rounded up; for dt > pi/2 h falls in sin phi and the bands
-# swap arcs
+# by dt: the errors of the two-row states these bounds were set on, at
+# 64 points per site (8.8e-10, 2.6e-9 and 1.3e-8), rounded up; for dt >
+# pi/2 h falls in sin phi and the bands swap arcs
 ORACLE_BOUND = {0.5: 2e-9, 2.0: 5e-9, 3.0: 3e-8}
 
 
 @pytest.mark.parametrize("dt", sorted(ORACLE_BOUND))
 @pytest.mark.parametrize("n_phi", [512, 513])
 def test_mass_below_matches_oracle_on_random_states(n_phi, dt):
-    # a two-row state, through the ring oracle's coefficients
-    state = random_phase_state(8, -3, dt, 15)
-    co = oracle_coefficients(state, n_phi)
+    # the draw's a+ row on 9 sites: measured 9.6e-10, 9.7e-10 and 1.3e-9
+    # on 512 points, 1.6e-9, 1.2e-9 and 1.7e-9 on 513
+    state = phase_state(dt, 15)
+    co = spectral_coefficients(state, n_phi=n_phi)
     assert oracle_error(state, co, oracle_bounds(co)) <= ORACLE_BOUND[dt]
 
 
@@ -481,21 +509,6 @@ def trig_mass_below(state, y):
     return float(np.sum(c * terms).real / (2.0 * np.pi))
 
 
-def test_mass_below_warns_where_a_step_over_dt_hides_the_band_switch():
-    # the bands switch within ~dt of phi = 0 and pi; a two-row state's
-    # summed weight is odd there, a jump that a step of 1.2e5 dt cannot
-    # place: the law is 1.0e-3 off the quadrature at dt 1e-7 (measured
-    # over oracle_bounds), and it warns, once per table
-    state = random_phase_state(8, -3, 1e-7, 15)
-    co = oracle_coefficients(state, 512)
-    with pytest.warns(UserWarning, match="first-order accurate") as caught:
-        got = co.mass_below([-0.5, 0.5])
-        co.mass_below(0.3)
-    assert len(caught) == 1
-    want = [quadrature_mass_below(state, y)[0] for y in (-0.5, 0.5)]
-    assert np.abs(got - want).max() > 1e-4
-
-
 @pytest.mark.parametrize("nu, dt", [(2.5, 0.005), (10.0, 0.002), (1.0, 0.02),
                                     (1.0, 0.01), (1.0, 0.005)])
 def test_mass_below_is_silent_on_the_readme_packets(nu, dt):
@@ -512,7 +525,8 @@ def test_mass_below_is_silent_and_exact_on_package_states_at_tiny_dt():
     # a package state's weights are even in phi, so its summed weight has
     # no jump at 0 or pi whatever the step: at dt 1e-7 and 1.2e5 dt per
     # step the law is within 2.2e-16 of the exact integral on these bounds
-    # (4.4e-16 at seed 17), on X86_V4 and X86_V3
+    # (4.4e-16 at seed 17), on X86_V4 and X86_V3, with no floating-point
+    # warning
     state = random_pi_state(4, 1e-7, 15)
     co = spectral_coefficients(state, n_phi=512)
     ys = np.linspace(-1.0, 1.0, 201)
@@ -529,19 +543,23 @@ def test_mass_below_matches_two_band_route_on_the_packet():
     # the one summed weight against a table per band: the Hermite cells
     # and the caps agree up to rounding here (measured 8.9e-16 over 2,001
     # bounds)
-    co = spectral_coefficients(limit_law_state())
+    state = limit_law_state()
+    co = spectral_coefficients(state)
     ys = np.linspace(-1.0, 1.0, 2001)
-    assert np.abs(co.mass_below(ys) - two_band_mass_below(co, ys)).max() \
-        <= 2e-15
+    assert np.abs(co.mass_below(ys) - two_band_mass_below(
+        oracle_weights(state, co.phi.size), co.dt, ys)).max() <= 2e-15
 
 
-# by state and dt, the measured gaps over both grids, rounded up.  The
-# 8-site phase state is resolved: the routes differ by rounding, except at
-# dt 2.0 near y = -0.27, where the band-by-band route is 2.0e-8 off the
-# quadrature and this one 4.5e-12 (measured gap 2.0e-8).  The 200-site
-# flat state is aliased on 512 points: the capped tables and the limited
-# cells differ by up to 4.8e-5, as both routes miss the quadrature by
-# 1e-5 to 6e-5
+# by state and dt, the gaps of the two-row states these bounds were set
+# on, over both grids, rounded up.  The phase state is resolved: on 512
+# points the routes differ by rounding (measured 4.4e-16).  On 513 they
+# part near y = 0 by up to 2.7e-8 (dt 0.5), 4.8e-9 (dt 2.0) and 1.0e-7
+# (dt 3.0): the limiter acts on each band's cells otherwise than on their
+# sum's, and at the 22 and 84 bounds past the bound the band-by-band route
+# is off the quadrature by 2.6e-9 and more, this one by at most 3.3e-12.
+# The flat state is aliased on 512 points: the capped tables and the
+# limited cells differ by up to 3.1e-5 (4.8e-5 on the two-row states),
+# as both routes miss the quadrature by 1e-5 to 6e-5
 TWO_BAND_BOUND = {("phase", 0.5): 2e-15, ("phase", 2.0): 3e-8,
                   ("phase", 3.0): 2e-15, ("flat", 0.5): 6e-5,
                   ("flat", 2.0): 6e-5, ("flat", 3.0): 6e-5}
@@ -551,15 +569,21 @@ TWO_BAND_BOUND = {("phase", 0.5): 2e-15, ("phase", 2.0): 3e-8,
 @pytest.mark.parametrize("n_phi", [512, 513])
 def test_mass_below_matches_two_band_route_on_random_states(kind, dt,
                                                            n_phi):
-    # two-row states, whose weights are not even in phi; dt 2.0 and 3.0
-    # take cos dt < 0, where the bands swap arcs
-    state = random_phase_state(8, -3, dt, 15) if kind == "phase" \
-        else random_state(dt=dt)
-    co = oracle_coefficients(state, n_phi)
+    # package states, the band-by-band route on the ring oracle's weights
+    # of the whole ring; dt 2.0 and 3.0 take cos dt < 0, where the bands
+    # swap arcs
+    state = phase_state(dt, 15) if kind == "phase" else random_state(dt=dt)
+    co = spectral_coefficients(state, n_phi=n_phi)
     ys = np.unique(np.concatenate((np.linspace(-1.0, 1.0, 2001),
                                    oracle_bounds(co))))
-    assert np.abs(co.mass_below(ys) - two_band_mass_below(co, ys)).max() \
-        <= TWO_BAND_BOUND[kind, dt]
+    got = co.mass_below(ys)
+    two = two_band_mass_below(oracle_weights(state, n_phi), dt, ys)
+    # where the routes part by more, this one is the nearer to the
+    # quadrature, and within 1e-11 of it
+    parted = np.abs(got - two) > TWO_BAND_BOUND[kind, dt]
+    for y, one, other in zip(ys[parted], got[parted], two[parted]):
+        want = quadrature_mass_below(state, y)[0]
+        assert abs(one - want) <= min(1e-11, abs(other - want)), y
 
 
 def assert_law_reads_the_summed_weight(co, ys):
@@ -633,8 +657,8 @@ def small_dt_coefficients(n_phi, dt, seed=16):
     """At dt this small, h(phi) next to its extremes is flat to within
     rounding, so neighbouring samples come out equal or wiggle by an ulp.
     The weights carry over unchanged, with unit completeness at any dt."""
-    return replace(oracle_coefficients(random_state(seed=seed), n_phi),
-                   dt=dt)
+    return replace(spectral_coefficients(random_state(seed=seed),
+                                         n_phi=n_phi), dt=dt)
 
 
 @pytest.mark.parametrize("n_phi", [512, 513])
@@ -736,10 +760,10 @@ def test_limit_law_properties_on_random_states(m_max, data):
 def test_mass_below_never_steps_down_at_the_samples(n_sites, n_phi, seed,
                                                     dt):
     # y on every sample of +-h and next to it, where a cell's share meets
-    # the cumulative mass: each of these states stepped down by an ulp when
-    # every cell took its share in the form for a rising weight
-    # two-row states, through the ring oracle's coefficients
-    co = oracle_coefficients(random_state(n_sites, 0, dt, seed), n_phi)
+    # the cumulative mass: each of these draws, as a two-row state, stepped
+    # down by an ulp when every cell took its share in the form for a
+    # rising weight
+    co = spectral_coefficients(random_state(n_sites, dt, seed), n_phi=n_phi)
     keys = group_velocity(co.phi, dt)
     keys = np.concatenate((keys, -keys))
     ys = np.concatenate((keys, np.nextafter(keys, -2.0),
@@ -750,8 +774,8 @@ def test_mass_below_never_steps_down_at_the_samples(n_sites, n_phi, seed,
 
 @lru_cache(maxsize=None)
 def _odd_ring():
-    state = random_phase_state(8, -3, 0.5, 17)
-    return state, oracle_coefficients(state, 513)
+    state = phase_state(0.5, 17)
+    return state, spectral_coefficients(state, n_phi=513)
 
 
 @settings(max_examples=200, deadline=None)
@@ -763,9 +787,11 @@ def test_limit_cdf_matches_oracle_on_any_interval(a, b):
     (mass2, err2), (mass1, err1) = (quadrature_mass_below(state, y)
                                     for y in (y2, y1))
     # the oracle is sure of itself to a tenth of the bound: quad's summed
-    # error estimate, measured at most 4.0e-14 per bound (303 bounds)
+    # error estimate, measured at most 4.5e-14 per bound (2,001 bounds)
     assert err1 + err2 <= 5e-10, (y1, y2, err1, err2)
-    assert abs(got - (mass2 - mass1)) <= 5e-9  # measured 2.4e-9 over 200
+    # measured at most 4.3e-9 over every pair of those bounds (2.4e-9 over
+    # 200 intervals of the two-row state)
+    assert abs(got - (mass2 - mass1)) <= 5e-9
     assert got == limit_cdf(y1, y2, co)  # the cached tables do not drift
 
 
@@ -983,8 +1009,10 @@ def test_gaussian_g_matches_spectral_coefficients():
     state = build_initial_state(WalkInitConfig(nu=nu, dt=dt))
     co = spectral_coefficients(state,
                                n_phi=next_fast_len(int(1.25 * state.n_sites)))
-    # relative L2 distance of the weights, measured 0.024
-    want = band_weights(*gaussian_g_approx(co.phi, nu, dt), dt)
+    # relative L2 distance of the weights on the fold, measured 0.025
+    # (0.024 on the whole ring)
+    half = co.weights.shape[1]
+    want = band_weights(*gaussian_g_approx(co.phi[:half], nu, dt), dt)
     assert np.sqrt(np.sum((co.weights - want) ** 2)
                    / np.sum(co.weights ** 2)) <= 0.03
 

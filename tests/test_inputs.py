@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import diracwalk
-from diracwalk import (LatticeState, MomentumProfile, WalkInitConfig, energy,
+from diracwalk import (LatticeState, MomentumProfile, SpectralCoefficients,
+                       WalkInitConfig, energy,
                        empirical_moment, evolve, evolve_exact_on_lattice,
                        gaussian_profile, horn_location, limit_cdf,
                        limit_cdf_gaussian, limit_density, limit_density_mass,
@@ -122,7 +123,10 @@ NOT_NUMERIC = {
     ("ComparisonReport", "l2"): _RECORD,
     ("ComparisonReport", "sup"): _RECORD,
     ("SpectralCoefficients", "phi"): _RECORD,
-    ("SpectralCoefficients", "weights"): _RECORD,
+    ("SpectralCoefficients", "weights"):
+        "numbers in [0, inf) on the fold of phi, refused unless of shape "
+        "(2, phi.size // 2 + 1) (test_spectral_coefficients_refuse_weights_"
+        "off_the_fold)",
     ("SpectralCoefficients", "dt"): _RECORD,
 }
 # tests set NaN and negative budgets to make each health check fail
@@ -234,3 +238,51 @@ def test_require_number_returns_python_numbers_and_float64_arrays():
     with pytest.raises(InputError) as info:
         require_number("v", np.full((40, 40), np.nan), array=True)
     assert "\n" not in str(info.value)
+
+
+def test_spectral_coefficients_refuse_weights_off_the_fold():
+    # n_phi came from the weights and dphi from phi, so weights[:, :3] on
+    # 8 points gave a wrong law with no refusal; the fold of 8 points is
+    # (2, 5), and the whole ring (2, 8) is no fold
+    phi = 2.0 * np.pi * np.fft.fftfreq(8)
+    fold = np.full((2, 5), 0.1)
+    assert SpectralCoefficients(phi, fold, 0.25).weights.shape == (2, 5)
+    for weights, want in ((np.full((2, 8), 0.1), r"got \(2, 8\)"),
+                          (fold[:, :3], r"got \(2, 3\)"),
+                          (fold[:1], r"got \(1, 5\)")):
+        with pytest.raises(InputError, match=r"^weights must have shape "
+                           r"\(2, 5\), the fold of 8 phi points, " + want):
+            SpectralCoefficients(phi, weights, 0.25)
+    for bad in (np.nan, -0.1, np.inf, True):
+        weights = fold.copy() if bad is not True else fold.astype(bool)
+        weights[1, 2] = bad
+        with pytest.raises(InputError,
+                           match=r"^weights must be a number in \[0, inf\)"):
+            SpectralCoefficients(phi, weights, 0.25)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: evolve_exact_on_lattice(STATE, 1e308),
+    lambda: evolve(STATE, 10 ** 400),
+    lambda: spectral_coefficients(STATE, n_phi=10 ** 400),
+    lambda: position_coefficients(PROFILE, 0.1, 10 ** 400),
+], ids=["evolve_exact_on_lattice", "evolve", "spectral_coefficients",
+        "position_coefficients"])
+def test_sizes_past_a_float_meet_the_ring_budget(call):
+    # each raised OverflowError: int(inf) of the light cone, or the
+    # budget's message formatting an int past 1e308 as a float
+    with pytest.raises(InputError, match=r"^a ring of .* sites exceeds the "
+                                         r"size budget of \d+ sites$"):
+        call()
+
+
+def test_walk_power_symbol_takes_the_step_counts_a_float_holds():
+    # n theta is formed in floats: 10**400 raised OverflowError
+    bound = 2 ** 53
+    for n_steps in (10 ** 400, -10 ** 400, bound + 1, -bound - 1):
+        with pytest.raises(InputError, match=r"^n_steps must be an integer "
+                           r"in \[-9007199254740992, 9007199254740992\]"):
+            walk_power_symbol(0.3, 0.25, n_steps)
+    for n_steps in (bound, -bound):
+        assert all(np.isfinite(v) for v in walk_power_symbol(0.3, 0.25,
+                                                              n_steps))
